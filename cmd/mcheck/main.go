@@ -36,7 +36,7 @@ import (
 
 func main() {
 	var (
-		protoName = flag.String("protocol", "two-bit", "protocol: two-bit or full-map")
+		protoName = flag.String("protocol", "two-bit", "protocol: two-bit, full-map or duplication")
 		caches    = flag.Int("caches", 2, "processor-cache pairs (2-5)")
 		blocks    = flag.Int("blocks", 2, "blocks in the address space (1-4)")
 		sets      = flag.Int("sets", 1, "cache sets, 1-way (sets < blocks forces ejects)")
@@ -59,13 +59,9 @@ func main() {
 		Caches: *caches, Blocks: *blocks, Sets: *sets, RefsPerProc: *refs,
 		NoSymmetry: *nosym, MaxStates: *maxStates, MaxDepth: *maxDepth,
 	}
-	switch *protoName {
-	case "two-bit":
-		cfg.Protocol = mcheck.TwoBit
-	case "full-map":
-		cfg.Protocol = mcheck.FullMap
-	default:
-		fail(2, "unknown protocol %q (want two-bit or full-map)", *protoName)
+	var err error
+	if cfg.Protocol, err = mcheck.ParseProtocol(*protoName); err != nil {
+		fail(2, "%v (want two-bit, full-map or duplication)", err)
 	}
 	switch *bug {
 	case "":

@@ -1,31 +1,34 @@
-// Package core implements the paper's contribution: the two-bit directory
-// scheme of §3. Each memory controller K_j keeps two bits of global state
-// per block of its module (Absent, Present1, Present*, PresentM) and runs
-// the protocols of §3.2 — replacement, read miss, write miss, and write hit
-// on a previously unmodified block — broadcasting BROADINV/BROADQUERY when
-// a command must reach caches whose identity the map does not record.
+// Package core implements the paper's contribution — the two-bit
+// directory scheme of §3 — as the one directory controller every
+// directory protocol in the repository runs on. Each memory controller
+// K_j keeps global state per block of its module and runs the protocols
+// of §3.2 — replacement, read miss, write miss, and write hit on a
+// previously unmodified block. What the directory can say about a block's
+// holders is a Policy: the paper's two bits (Absent, Present1, Present*,
+// PresentM), which must broadcast BROADINV/BROADQUERY to caches whose
+// identity the map does not record, or an exact holder set (the
+// Censier–Feautrier full map, Tang's duplicated directories), which
+// directs INV/PURGE at them. The transactions are the same.
 //
 // The controller resolves the synchronization races of §3.2.5 (and two
 // further races the paper leaves implicit; see DESIGN.md):
 //
 //   - Racing MREQUESTs: commands for one block are serviced one at a time;
-//     after a BROADINV, MREQUESTs still queued for that block from other
-//     caches are deleted (the caches convert on the BROADINV themselves).
-//   - A stale MREQUEST arriving while the block is PresentM or Absent is
-//     denied immediately with MGRANTED(k,false) — its sender's copy is
-//     already doomed by an in-flight BROADINV.
-//   - An EJECT(k,a,"write") racing a BROADQUERY for a: the controller
-//     accepts the eviction's put as the query answer and deletes the
-//     queued EJECT, whose write-back it has just performed.
-//
-// The optional translation buffer implements the §4.4 enhancement: a small
-// LRU memory of exact owner sets that converts broadcasts into directed
-// sends on a hit. Entries are only created when the owner set is exactly
-// known (a superset invariant would otherwise break invalidation).
+//     after an invalidation, MREQUESTs still queued for that block from
+//     other caches are deleted (the caches convert on the invalidation
+//     themselves).
+//   - A stale two-bit MREQUEST arriving while the block is PresentM or
+//     Absent is denied immediately with MGRANTED(k,false) — its sender's
+//     copy is already doomed by an in-flight BROADINV. An exact directory
+//     judges the sender's presence bit when the MREQUEST is serviced.
+//   - An EJECT(k,a,"write") racing a query for a: the controller accepts
+//     the eviction's put as the query answer and deletes the queued EJECT,
+//     whose write-back it has just performed.
 package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"twobit/internal/addr"
 	"twobit/internal/directory"
@@ -62,14 +65,15 @@ func txnName(k msg.Kind) string {
 	return "txn"
 }
 
-// Config configures one two-bit memory controller.
+// Config configures one memory controller.
 type Config struct {
 	Module int // which memory module this controller serves
 	Topo   proto.Topology
 	Space  addr.Space
 	Lat    proto.Latencies
 	Mode   proto.ConcurrencyMode
-	// TranslationBufferSize enables the §4.4 owner cache when > 0.
+	// TranslationBufferSize enables the §4.4 owner cache when > 0
+	// (two-bit policy only).
 	TranslationBufferSize int
 	// Commit is the oracle hook for writes that linearize at the
 	// controller (uncached I/O); may be nil.
@@ -105,33 +109,57 @@ type BugHooks struct {
 	SkipMRequestQueueDelete bool
 }
 
-// Controller is the two-bit memory controller K_j of Figure 3-1.
+// phase is where a transaction stands. The scheduled phases have exactly
+// one kernel event in flight, which advances the transaction when it
+// fires; the parked phases wait for a message.
+type phase uint8
+
+const (
+	phService phase = iota // scheduled: the controller service time is running
+	phData                 // parked: awaiting a put (query answer or eviction write-back)
+	phStashed              // scheduled: a put that arrived early is being handed over
+	phMemory               // scheduled: the memory access is running
+	phAck                  // parked: MGRANTED(k,true) sent, awaiting the MACK
+)
+
+// txn is the one open transaction on a block. It is all a transaction
+// carries between events — so it is also exactly what BlockSnapshot
+// reports — and it doubles as the pooled argument of its own kernel
+// events: scheduling a phase allocates nothing.
+type txn struct {
+	p     proto.Pending // the command being serviced, and who sent it
+	phase phase
+	from  directory.State // the block's state when service began
+	at    sim.Time        // when the serializer started the command
+	// The put in hand (phStashed onward): who supplied it and its data.
+	// haveData tells the memory phase to store it rather than read.
+	owner     int
+	data      uint64
+	haveData  bool
+	exclusive bool // Yen–Fu: this read miss is granted exclusively
+}
+
+// Controller is the memory controller K_j of Figure 3-1.
 type Controller struct {
 	cfg    Config
+	pol    Policy
 	kernel *sim.Kernel
 	net    network.Network
 	mem    *memory.Module
-	dir    *directory.TwoBitMap
-	ser    *proto.Serializer
-	calls  *proto.CallQueue
+	dir    dir
 	tb     *directory.TranslationBuffer
+	ser    *proto.Serializer
 	stats  proto.CtrlStats
 
 	// exceptScratch is the reusable broadcast exclusion list; Broadcast
 	// consumes it synchronously, so one buffer per controller suffices.
 	exceptScratch []network.NodeID
 
-	// waiting holds, per block, the active transaction's data continuation
-	// (a BROADQUERY answer or an EJECT write-back in flight).
-	waiting map[addr.Block]func(cache int, data uint64)
+	// txns holds the open transaction per block; free recycles records.
+	txns map[addr.Block]*txn
+	free []*txn
 	// stashed buffers puts that arrived before their transaction started.
-	stashed map[addr.Block][]stashedPut
-	// awaitingAck holds, per block, the continuation of an MREQUEST grant
-	// awaiting the cache's MACK.
-	awaitingAck map[addr.Block]func(ok bool)
-	// activeSince times each open transaction for occupancy accounting
-	// (and names it, so the async trace span closes under its own name).
-	activeSince map[addr.Block]txnStart
+	stashed map[addr.Block][]StashedPut
 
 	rec           *obs.Recorder
 	comp          obs.Component   // "ctrl<j>" trace track
@@ -140,43 +168,44 @@ type Controller struct {
 	obsBroadcasts *obs.Counter    // "ctrl<j>/broadcasts"
 	obsStateTo    [4]*obs.Counter // "ctrl<j>/dir_to_*" transition counts
 	tsQueue       *obs.TimeSeries // "ctrl<j>/queue_depth" windowed peak
-	// tsCensus is the machine-wide directory-state census, indexed by
-	// directory.State: each controller moves its blocks between the
-	// shared obs.DirStateSeriesNames gauges as it transitions them.
+	// tsCensus is the machine-wide directory-state census, indexed by the
+	// two-bit directory.State every policy projects to: each controller
+	// moves its blocks between the shared obs.DirStateSeriesNames gauges
+	// as it transitions them.
 	tsCensus [4]*obs.TimeSeries
 	sp       *obs.SpanRecorder
 }
 
-type txnStart struct {
-	at   sim.Time
-	name string
-	cmd  msg.Message // the command being serviced, for state snapshots
-}
-
-type stashedPut struct {
-	cache int
-	data  uint64
-}
-
-// New constructs the controller, wires it to the network, and returns it.
-func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
+// New constructs the controller under pol, wires it to the network, and
+// returns it.
+func New(cfg Config, pol Policy, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
 	if err := cfg.Topo.Validate(); err != nil {
 		panic(err)
 	}
 	if err := cfg.Space.Validate(); err != nil {
 		panic(err)
 	}
+	if pol.Central && cfg.Topo.Modules != 1 {
+		panic("core: a central controller requires exactly one module")
+	}
 	c := &Controller{
-		cfg:         cfg,
-		kernel:      kernel,
-		net:         net,
-		mem:         mem,
-		dir:         directory.NewTwoBitMap(cfg.Space.BlocksInModule(cfg.Module)),
-		waiting:     make(map[addr.Block]func(int, uint64)),
-		stashed:     make(map[addr.Block][]stashedPut),
-		awaitingAck: make(map[addr.Block]func(bool)),
-		activeSince: make(map[addr.Block]txnStart),
-		comp:        obs.NoComponent,
+		cfg:     cfg,
+		pol:     pol,
+		kernel:  kernel,
+		net:     net,
+		mem:     mem,
+		txns:    make(map[addr.Block]*txn),
+		stashed: make(map[addr.Block][]StashedPut),
+		comp:    obs.NoComponent,
+	}
+	blocks := cfg.Space.BlocksInModule(cfg.Module)
+	if pol.Holders != nil {
+		c.dir = &exactDir{store: pol.Holders(blocks, cfg.Topo.Caches), space: cfg.Space}
+	} else {
+		if cfg.TranslationBufferSize > 0 {
+			c.tb = directory.NewTranslationBuffer(cfg.TranslationBufferSize)
+		}
+		c.dir = &twoBitDir{bits: directory.NewTwoBitMap(blocks), tb: c.tb, space: cfg.Space, stats: &c.stats}
 	}
 	if cfg.Obs != nil {
 		c.rec = cfg.Obs
@@ -194,26 +223,23 @@ func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module
 				c.tsCensus[s] = ts.Series(obs.DirStateSeriesNames[s], obs.SeriesGauge)
 			}
 			// Every block this module owns starts Absent.
-			c.tsCensus[directory.Absent].GaugeAdd(int64(cfg.Space.BlocksInModule(cfg.Module)))
+			c.tsCensus[directory.Absent].GaugeAdd(int64(blocks))
 		}
 	}
 	c.sp = cfg.Obs.Spans()
-	if cfg.TranslationBufferSize > 0 {
-		c.tb = directory.NewTranslationBuffer(cfg.TranslationBufferSize)
-	}
-	c.ser = proto.NewSerializer(cfg.Mode, c.begin)
-	c.calls = proto.NewCallQueue(kernel, c.service)
+	c.ser = proto.NewSerializer(c.mode(), c.begin)
 	net.Attach(c.node(), c)
 	return c
 }
 
 // Reset restores the controller to its freshly-constructed state under
-// cfg, keeping the network attachment and the directory/serializer/call
-// slab backing storage. Module, Topo and Space are machine shape and must
-// match construction, as must translation-buffer presence (size > 0 or
-// not — the buffer itself resizes freely). Pooled machines run without
-// instrumentation or defect injection, so cfg.Obs and cfg.Hooks must be
-// nil; such configs rebuild the machine instead.
+// cfg, keeping the policy, the network attachment and the
+// directory/serializer/transaction-record backing storage. Module, Topo
+// and Space are machine shape and must match construction, as must
+// translation-buffer presence (size > 0 or not — the buffer itself
+// resizes freely). Pooled machines run without instrumentation or defect
+// injection, so cfg.Obs and cfg.Hooks must be nil; such configs rebuild
+// the machine instead.
 func (c *Controller) Reset(cfg Config) {
 	if cfg.Obs != nil || cfg.Hooks != nil {
 		panic("core: Reset with Obs or Hooks set — rebuild instead")
@@ -221,21 +247,35 @@ func (c *Controller) Reset(cfg Config) {
 	if cfg.Module != c.cfg.Module || cfg.Topo != c.cfg.Topo || cfg.Space != c.cfg.Space {
 		panic("core: Reset shape differs from construction")
 	}
-	if (cfg.TranslationBufferSize > 0) != (c.tb != nil) {
+	if c.pol.Holders == nil && (cfg.TranslationBufferSize > 0) != (c.tb != nil) {
 		panic("core: Reset cannot toggle the translation buffer — rebuild instead")
 	}
 	c.cfg = cfg
-	c.dir.Reset()
-	if c.tb != nil {
-		c.tb.Reset(cfg.TranslationBufferSize)
-	}
-	c.ser.Reset(cfg.Mode)
-	c.calls.Reset()
+	c.dir.reset(cfg.TranslationBufferSize)
+	c.ser.Reset(c.mode())
 	c.stats = proto.CtrlStats{}
-	clear(c.waiting)
+	clear(c.txns)
 	clear(c.stashed)
-	clear(c.awaitingAck)
-	clear(c.activeSince)
+}
+
+// mode is the serializer mode: a central controller services one command
+// at a time whatever the configuration asks.
+func (c *Controller) mode() proto.ConcurrencyMode {
+	if c.pol.Central {
+		return proto.SingleCommand
+	}
+	return c.cfg.Mode
+}
+
+// serviceTime is the controller's per-command service time. A central
+// controller must search every duplicated directory; charging one extra
+// service interval per eight caches is the "large amount of processing
+// power" the paper notes Tang's scheme needs.
+func (c *Controller) serviceTime() sim.Time {
+	if c.pol.Central {
+		return c.cfg.Lat.CtrlService * sim.Time(1+c.cfg.Topo.Caches/8)
+	}
+	return c.cfg.Lat.CtrlService
 }
 
 // CtrlStats implements proto.MemSide.
@@ -244,37 +284,64 @@ func (c *Controller) CtrlStats() *proto.CtrlStats { return &c.stats }
 // TranslationBuffer returns the §4.4 owner cache, or nil when disabled.
 func (c *Controller) TranslationBuffer() *directory.TranslationBuffer { return c.tb }
 
-// State returns the global state of block b, for invariant checks.
-func (c *Controller) State(b addr.Block) directory.State { return c.dir.Get(c.local(b)) }
+// State returns the global state of block b — for an exact policy, the
+// two-bit abstraction of its entry — for invariant checks.
+func (c *Controller) State(b addr.Block) directory.State { return c.dir.state(b) }
+
+// exact reports whether the policy names every holder.
+func (c *Controller) exact() bool { return c.pol.Holders != nil }
+
+// Holders returns the exact holder set of block b, for invariants; nil
+// under the two-bit policy, which does not know it.
+func (c *Controller) Holders(b addr.Block) []int {
+	mask, _ := c.dir.entry(b)
+	return directory.MaskToList(mask)
+}
+
+// Modified reports the m bit of block b, for invariants; false under the
+// two-bit policy, whose PresentM state carries it.
+func (c *Controller) Modified(b addr.Block) bool {
+	_, modified := c.dir.entry(b)
+	return modified
+}
 
 // MemVersion returns main memory's stored version of b, for invariants.
 func (c *Controller) MemVersion(b addr.Block) uint64 { return c.mem.Read(b) }
 
 // Quiescent reports whether no transaction is active or queued.
 func (c *Controller) Quiescent() bool {
-	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0 &&
-		len(c.waiting) == 0 && len(c.awaitingAck) == 0
+	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0
 }
 
 func (c *Controller) node() network.NodeID { return c.cfg.Topo.CtrlNode(c.cfg.Module) }
 
-func (c *Controller) local(b addr.Block) int { return c.cfg.Space.LocalIndex(b) }
-
-func (c *Controller) setState(b addr.Block, s directory.State) {
-	if c.rec != nil {
-		if old := c.dir.Get(c.local(b)); old != s {
-			c.obsStateTo[s].Inc()
-			c.tsCensus[old].GaugeAdd(-1)
-			c.tsCensus[s].GaugeAdd(1)
-			c.rec.Emit(c.comp, stateEventNames[s], int64(b), int64(old))
-		}
-	}
-	c.dir.Set(c.local(b), s)
-}
-
 func (c *Controller) send(dst network.NodeID, m msg.Message) { c.net.Send(c.node(), dst, m) }
 
-// Deliver implements network.Handler.
+// pre samples block a's state before a directory update and moved, called
+// after it, reports the transition to the recorder if the state changed.
+// The pair brackets each update because an exact store has no single
+// transition choke point; uninstrumented controllers skip both reads.
+func (c *Controller) pre(a addr.Block) directory.State {
+	if c.rec == nil {
+		return directory.Absent
+	}
+	return c.dir.state(a)
+}
+
+func (c *Controller) moved(a addr.Block, old directory.State) {
+	if c.rec == nil {
+		return
+	}
+	if s := c.dir.state(a); s != old {
+		c.obsStateTo[s].Inc()
+		c.tsCensus[old].GaugeAdd(-1)
+		c.tsCensus[s].GaugeAdd(1)
+		c.rec.Emit(c.comp, stateEventNames[s], int64(a), int64(old))
+	}
+}
+
+// Deliver implements network.Handler. Uncached I/O commands carry
+// Cache -1: no cache is exempt from what they cause.
 func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 	if m.Kind == msg.KindRequest || m.Kind == msg.KindMRequest {
 		// The requester's span: its REQUEST/MREQUEST transit ends here
@@ -285,27 +352,28 @@ func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 	case msg.KindRequest, msg.KindEject, msg.KindUncachedRead, msg.KindUncachedWrite:
 		c.submit(src, m)
 	case msg.KindMRequest:
-		// Deny-on-arrival: if the block is PresentM or Absent, the sender's
-		// clean copy is doomed by an in-flight BROADINV (or already gone);
-		// granting later could install a phantom owner. See package doc.
-		switch c.State(m.Block) {
-		case directory.PresentM, directory.Absent:
-			c.stats.MGrantDenied.Inc()
-			c.send(c.cfg.Topo.CacheNode(m.Cache), msg.Message{
-				Kind: msg.KindMGranted, Block: m.Block, Cache: m.Cache, Ok: false,
-			})
-		case directory.Present1, directory.PresentStar:
-			c.submit(src, m)
+		// Deny-on-arrival: under two bits, if the block is PresentM or
+		// Absent the sender's clean copy is doomed by an in-flight BROADINV
+		// (or already gone); granting later could install a phantom owner.
+		if !c.exact() && !c.dir.mayUpgrade(m.Block, m.Cache) {
+			c.deny(m)
+			return
 		}
+		c.submit(src, m)
 	case msg.KindPut:
 		c.handlePut(m)
 	case msg.KindMAck:
-		onAck := c.awaitingAck[m.Block]
-		if onAck == nil {
+		if c.exact() {
+			// The shared cache agent acknowledges every positive grant; an
+			// exact directory's grants are provably safe, so the
+			// confirmation carries no news.
+			return
+		}
+		t := c.txns[m.Block]
+		if t == nil || t.phase != phAck {
 			panic(fmt.Sprintf("core: controller %d: stray %v", c.cfg.Module, m))
 		}
-		delete(c.awaitingAck, m.Block)
-		onAck(m.Ok)
+		c.ack(t, m.Ok)
 	default:
 		panic(fmt.Sprintf("core: controller %d: unexpected %v", c.cfg.Module, m))
 	}
@@ -321,332 +389,317 @@ func (c *Controller) submit(src network.NodeID, m msg.Message) {
 // handlePut routes a data transfer to the transaction awaiting it, or
 // stashes it for a queued EJECT("write").
 func (c *Controller) handlePut(m msg.Message) {
-	if onData := c.waiting[m.Block]; onData != nil {
-		delete(c.waiting, m.Block)
-		// If this put belongs to an in-flight eviction whose EJECT is still
-		// queued, the active transaction subsumes its write-back: delete it.
-		c.ser.DeleteQueued(m.Block, func(p proto.Pending) bool {
-			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == m.Cache
-		})
-		onData(m.Cache, m.Data)
+	t := c.txns[m.Block]
+	if t == nil || t.phase != phData {
+		c.stashed[m.Block] = append(c.stashed[m.Block], StashedPut{Cache: m.Cache, Data: m.Data})
 		return
 	}
-	c.stashed[m.Block] = append(c.stashed[m.Block], stashedPut{cache: m.Cache, data: m.Data})
+	// If this put belongs to an in-flight eviction whose EJECT is still
+	// queued, the active transaction subsumes its write-back: delete it.
+	// The data then came from the eviction, not a query answer, so the
+	// sender's copy is gone (the deleted EJECT would have said so).
+	if c.deleteQueuedEject(m.Block, m.Cache) > 0 {
+		c.drop(m.Block, bit(m.Cache))
+	}
+	t.owner, t.data = m.Cache, m.Data
+	c.gotData(t)
 }
 
-// begin starts servicing one command after the controller service time.
-func (c *Controller) begin(p proto.Pending) {
-	start := txnStart{at: c.kernel.Now(), name: txnName(p.M.Kind), cmd: p.M}
-	c.activeSince[p.M.Block] = start
-	if c.rec != nil {
-		c.rec.AsyncBegin(c.comp, start.name, int64(p.M.Block))
-	}
-	c.calls.Service(c.cfg.Lat.CtrlService, p)
-}
-
-func (c *Controller) service(p proto.Pending) {
-	switch p.M.Kind {
-	case msg.KindRequest:
-		c.stats.Requests.Inc()
-		c.sp.Mark(p.M.Cache, obs.PhaseQueue)
-		if p.M.RW == msg.Read {
-			c.readMiss(p)
-		} else {
-			c.writeMiss(p)
-		}
-	case msg.KindMRequest:
-		c.sp.Mark(p.M.Cache, obs.PhaseQueue)
-		c.mrequest(p)
-	case msg.KindEject:
-		c.eject(p)
-	case msg.KindUncachedRead:
-		c.dmaRead(p)
-	case msg.KindUncachedWrite:
-		c.dmaWrite(p)
-	default:
-		panic(fmt.Sprintf("core: controller %d: cannot service %v", c.cfg.Module, p.M))
-	}
-}
-
-// dmaRead services an uncached I/O read: the device needs the most recent
-// value but caches nothing. A PresentM block is retrieved from its owner
-// (who keeps a clean copy, so the state becomes Present1); otherwise
-// memory is current.
-func (c *Controller) dmaRead(p proto.Pending) {
-	c.stats.DMAReads.Inc()
-	a := p.M.Block
-	reply := func(data uint64) {
-		c.send(p.Src, msg.Message{Kind: msg.KindGet, Block: a, Cache: p.M.Cache, Data: data})
-	}
-	if c.State(a) == directory.PresentM {
-		c.query(a, msg.Read, -1, func(owner int, data uint64) {
-			c.kernel.After(c.cfg.Lat.Memory, func() {
-				c.mem.Write(a, data)
-				reply(data)
-				c.setState(a, directory.Present1)
-				c.tbRecord(a, []int{owner})
-				c.done(a)
-			})
-		})
-		return
-	}
-	c.kernel.After(c.cfg.Lat.Memory, func() {
-		reply(c.mem.Read(a))
-		c.done(a)
+func (c *Controller) deleteQueuedEject(a addr.Block, cache int) int {
+	return c.ser.DeleteQueued(a, func(p proto.Pending) bool {
+		return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == cache
 	})
 }
 
-// dmaWrite services an uncached I/O write of a whole block: every cached
-// copy must die first. A PresentM owner is drained through the BROADQUERY
-// machinery (its racing write-back, if any, is consumed and discarded —
-// the device's data overwrites it); clean copies are invalidated by
-// BROADINV. The write linearizes at the memory update.
-func (c *Controller) dmaWrite(p proto.Pending) {
-	c.stats.DMAWrites.Inc()
-	a := p.M.Block
-	version := p.M.Data
-	finish := func() {
-		c.kernel.After(c.cfg.Lat.Memory, func() {
-			c.mem.Write(a, version)
-			if c.cfg.Commit != nil {
-				c.cfg.Commit(a, version)
-			}
-			c.send(p.Src, msg.Message{Kind: msg.KindGet, Block: a, Cache: p.M.Cache, Data: version})
-			c.setState(a, directory.Absent)
-			c.tbRecord(a, nil)
-			c.done(a)
-		})
+func (c *Controller) drop(a addr.Block, mask uint64) {
+	if mask == 0 {
+		return
 	}
-	switch c.State(a) {
-	case directory.PresentM:
-		c.query(a, msg.Write, -1, func(int, uint64) { finish() })
-	case directory.Present1, directory.PresentStar:
-		c.invalidate(a, -1)
-		finish()
-	case directory.Absent:
-		finish()
-	}
+	old := c.pre(a)
+	c.dir.dropped(a, mask)
+	c.moved(a, old)
 }
 
-// grantGet reads memory (or uses data already in hand) and sends get(k,a).
-func (c *Controller) sendGet(k int, a addr.Block, data uint64) {
-	c.send(c.cfg.Topo.CacheNode(k), msg.Message{Kind: msg.KindGet, Block: a, Cache: k, Data: data})
+// begin opens the transaction for one command and starts the controller
+// service time.
+func (c *Controller) begin(p proto.Pending) {
+	var t *txn
+	if n := len(c.free); n > 0 {
+		t, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		t = new(txn)
+	}
+	*t = txn{p: p, at: c.kernel.Now()}
+	c.txns[p.M.Block] = t
+	if c.rec != nil {
+		c.rec.AsyncBegin(c.comp, txnName(p.M.Kind), int64(p.M.Block))
+	}
+	c.schedule(t, phService, c.serviceTime())
 }
 
-// readMiss implements §3.2.2.
-func (c *Controller) readMiss(p proto.Pending) {
-	c.stats.ReadMisses.Inc()
-	k, a := p.M.Cache, p.M.Block
-	st := c.State(a)
-	switch st {
-	case directory.Absent, directory.Present1, directory.PresentStar:
-		c.kernel.After(c.cfg.Lat.Memory, func() {
-			c.sp.Mark(k, obs.PhaseMemory)
-			data := c.mem.Read(a)
-			c.sendGet(k, a, data)
-			if st == directory.Absent {
-				c.setState(a, directory.Present1)
-				c.tbRecord(a, []int{k})
-			} else {
-				c.setState(a, directory.PresentStar)
-				c.tbAddOwner(a, k)
-			}
-			c.done(a)
-		})
-	case directory.PresentM:
-		// Retrieve from the unknown owner, write back, then forward.
-		c.query(a, msg.Read, k, func(owner int, data uint64) {
-			c.sp.Mark(k, obs.PhaseWriteback)
-			c.kernel.After(c.cfg.Lat.Memory, func() {
-				c.sp.Mark(k, obs.PhaseMemory)
-				c.mem.Write(a, data)
-				c.sendGet(k, a, data)
-				// Owner kept a clean copy; the requester has one too.
-				c.setState(a, directory.PresentStar)
-				c.tbRecord(a, []int{owner, k})
-				c.done(a)
-			})
-		})
+// schedule moves t to a scheduled phase and arms its one kernel event.
+func (c *Controller) schedule(t *txn, ph phase, d sim.Time) {
+	t.phase = ph
+	c.kernel.AfterCall(d, c, uint64(t.p.M.Block), 0)
+}
+
+// Call implements sim.Caller: the scheduled phase of block a0's
+// transaction has run out.
+func (c *Controller) Call(a0, _ uint64) {
+	t := c.txns[addr.Block(a0)]
+	switch t.phase {
+	case phService:
+		c.service(t)
+	case phStashed:
+		c.gotData(t)
+	case phMemory:
+		c.complete(t)
+	default:
+		panic(fmt.Sprintf("core: controller %d: event for %v in parked phase %d", c.cfg.Module, t.p.M, t.phase))
 	}
 }
 
-// writeMiss implements §3.2.3.
-func (c *Controller) writeMiss(p proto.Pending) {
-	c.stats.WriteMisses.Inc()
-	k, a := p.M.Cache, p.M.Block
-	switch c.State(a) {
-	case directory.Absent:
-		c.kernel.After(c.cfg.Lat.Memory, func() {
-			c.sp.Mark(k, obs.PhaseMemory)
-			data := c.mem.Read(a)
-			c.sendGet(k, a, data)
-			c.setState(a, directory.PresentM)
-			c.tbRecord(a, []int{k})
-			c.done(a)
-		})
-	case directory.Present1, directory.PresentStar:
-		if c.cfg.Hooks == nil || !c.cfg.Hooks.SkipWriteMissInvalidate {
-			c.invalidate(a, k)
+func (c *Controller) service(t *txn) {
+	m := t.p.M
+	t.from = c.State(m.Block)
+	switch m.Kind {
+	case msg.KindRequest:
+		c.stats.Requests.Inc()
+		c.sp.Mark(m.Cache, obs.PhaseQueue)
+		if m.RW == msg.Read {
+			c.stats.ReadMisses.Inc()
+		} else {
+			c.stats.WriteMisses.Inc()
 		}
-		c.kernel.After(c.cfg.Lat.Memory, func() {
-			c.sp.Mark(k, obs.PhaseMemory)
-			data := c.mem.Read(a)
-			c.sendGet(k, a, data)
-			c.setState(a, directory.PresentM)
-			c.tbRecord(a, []int{k})
-			c.done(a)
-		})
-	case directory.PresentM:
-		c.query(a, msg.Write, k, func(owner int, data uint64) {
-			c.sp.Mark(k, obs.PhaseWriteback)
-			c.kernel.After(c.cfg.Lat.Memory, func() {
-				c.sp.Mark(k, obs.PhaseMemory)
-				c.mem.Write(a, data)
-				c.sendGet(k, a, data)
-				c.setState(a, directory.PresentM)
-				c.tbRecord(a, []int{k})
-				c.done(a)
-			})
-		})
+		c.access(t, m.RW)
+	case msg.KindUncachedRead:
+		c.stats.DMAReads.Inc()
+		c.access(t, msg.Read)
+	case msg.KindUncachedWrite:
+		c.stats.DMAWrites.Inc()
+		c.access(t, msg.Write)
+	case msg.KindMRequest:
+		c.stats.MRequests.Inc()
+		c.sp.Mark(m.Cache, obs.PhaseQueue)
+		c.mrequest(t)
+	case msg.KindEject:
+		c.stats.Ejects.Inc()
+		c.eject(t)
+	default:
+		panic(fmt.Sprintf("core: controller %d: cannot service %v", c.cfg.Module, m))
 	}
+}
+
+// access is the front half of §3.2.2 (read miss), §3.2.3 (write miss) and
+// their uncached I/O counterparts: make memory current and, for a write,
+// kill every other copy; then the memory access runs (complete). A
+// PresentM block is first retrieved from its owner — who keeps a clean
+// copy on a read and gives the block up on a write.
+func (c *Controller) access(t *txn, rw msg.RW) {
+	m := t.p.M
+	if t.from == directory.PresentM {
+		c.query(t, rw)
+		return
+	}
+	if rw == msg.Write {
+		hooked := c.cfg.Hooks != nil && c.cfg.Hooks.SkipWriteMissInvalidate && m.Kind == msg.KindRequest
+		if c.invalidates(t) && !hooked {
+			c.invalidate(m.Block, m.Cache)
+		}
+	} else if m.Kind == msg.KindRequest {
+		t.exclusive = c.pol.Exclusive && t.from == directory.Absent
+	}
+	c.schedule(t, phMemory, c.cfg.Lat.Memory)
+}
+
+// invalidates reports whether a write-type command that found the block
+// unmodified runs the invalidation step. Two bits run it when a copy
+// other than the requester's may exist: never from Absent, and not for an
+// MREQUEST from Present1, whose sole copy is the requester's — which is
+// what justifies keeping Present1. An exact directory always runs it: the
+// holder list may be empty, but §3.2.5's queue deletion still applies.
+func (c *Controller) invalidates(t *txn) bool {
+	if c.exact() {
+		return true
+	}
+	if t.p.M.Kind == msg.KindMRequest {
+		return t.from == directory.PresentStar
+	}
+	return t.from != directory.Absent
+}
+
+// gotData continues a transaction whose put is in hand (t.owner, t.data):
+// the memory access that stores it runs next.
+func (c *Controller) gotData(t *txn) {
+	if t.p.M.Kind == msg.KindRequest {
+		c.sp.Mark(t.p.M.Cache, obs.PhaseWriteback)
+	}
+	t.haveData = true
+	c.schedule(t, phMemory, c.cfg.Lat.Memory)
+}
+
+// complete is the back half of every data-moving transaction, run when
+// the memory access finishes: memory is updated or read, the requester is
+// answered, and the directory records the outcome.
+func (c *Controller) complete(t *txn) {
+	m := t.p.M
+	k, a := m.Cache, m.Block
+	old := c.pre(a)
+	switch m.Kind {
+	case msg.KindRequest:
+		c.sp.Mark(k, obs.PhaseMemory)
+		c.send(c.cfg.Topo.CacheNode(k), msg.Message{
+			Kind: msg.KindGet, Block: a, Cache: k, Data: c.settle(t), Ok: t.exclusive,
+		})
+		switch {
+		case m.RW == msg.Write:
+			c.dir.owned(a, k)
+		case t.haveData:
+			c.dir.cleaned(a, t.owner, k)
+		default:
+			c.dir.filled(a, k, t.from, t.exclusive)
+		}
+	case msg.KindEject:
+		// §3.2.1 case 3: the write-back.
+		c.mem.Write(a, t.data)
+		c.dir.wroteBack(a, k)
+	case msg.KindUncachedRead:
+		// The device needs the most recent value but caches nothing.
+		c.send(t.p.Src, msg.Message{Kind: msg.KindGet, Block: a, Cache: k, Data: c.settle(t)})
+		if t.haveData {
+			c.dir.cleaned(a, t.owner, -1)
+		}
+	case msg.KindUncachedWrite:
+		// A whole-block write: a drained owner's data is discarded — the
+		// device's overwrites it. The write linearizes here.
+		c.mem.Write(a, m.Data)
+		if c.cfg.Commit != nil {
+			c.cfg.Commit(a, m.Data)
+		}
+		c.send(t.p.Src, msg.Message{Kind: msg.KindGet, Block: a, Cache: k, Data: m.Data})
+		c.dir.cleared(a)
+	default:
+		panic(fmt.Sprintf("core: controller %d: %v has no memory phase", c.cfg.Module, m))
+	}
+	c.moved(a, old)
+	c.done(t)
+}
+
+// settle makes memory current for t's block and returns its data: the
+// owner's write-back if one is in hand, else what memory already holds.
+func (c *Controller) settle(t *txn) uint64 {
+	if !t.haveData {
+		return c.mem.Read(t.p.M.Block)
+	}
+	c.mem.Write(t.p.M.Block, t.data)
+	return t.data
 }
 
 // mrequest implements §3.2.4.
-func (c *Controller) mrequest(p proto.Pending) {
-	c.stats.MRequests.Inc()
-	k, a := p.M.Cache, p.M.Block
+func (c *Controller) mrequest(t *txn) {
+	m := t.p.M
+	if !c.dir.mayUpgrade(m.Block, m.Cache) {
+		// The block's state changed while the MREQUEST waited (the two-bit
+		// deny-on-arrival check covers most of this; a change while queued
+		// lands here). The sender converts on the invalidation it has
+		// received; deny for completeness.
+		c.deny(m)
+		c.done(t)
+		return
+	}
+	if c.invalidates(t) {
+		c.invalidate(m.Block, m.Cache)
+	}
+	c.send(c.cfg.Topo.CacheNode(m.Cache), msg.Message{
+		Kind: msg.KindMGranted, Block: m.Block, Cache: m.Cache, Ok: true,
+	})
+	if c.exact() {
+		c.ack(t, true)
+		return
+	}
 	// The grant takes effect only when the cache confirms it still held
 	// the copy. An MREQUEST whose sender was invalidated after the §3.2.5
 	// queue deletion ran would otherwise install a phantom owner: the
 	// state would read PresentM while no modified copy exists, and the
 	// next BROADQUERY would wait forever.
-	grant := func(from directory.State) {
-		c.send(c.cfg.Topo.CacheNode(k), msg.Message{
-			Kind: msg.KindMGranted, Block: a, Cache: k, Ok: true,
-		})
-		c.awaitingAck[a] = func(ok bool) {
-			if ok {
-				c.setState(a, directory.PresentM)
-				c.tbRecord(a, []int{k})
-				c.done(a)
-				return
-			}
-			// The sender had converted: its own copy is gone and its write
-			// REQUEST, already queued behind us, will reload it. What the
-			// denial says about *other* copies depends on how we granted.
-			c.stats.MGrantDenied.Inc()
-			if from == directory.PresentStar {
-				// The Present* path broadcast BROADINV before granting, so
-				// every other copy is doomed too: the block is Absent.
-				c.setState(a, directory.Absent)
-				c.tbRecord(a, nil)
-			} else {
-				// The Present1 grant sent no invalidation. The denial proves
-				// the tracked copy was never the sender's — it belongs to
-				// another cache and is still live, so Present1 stands.
-				// Resetting to Absent here would let the sender's queued
-				// write REQUEST be serviced without BROADINV, stranding that
-				// live copy stale forever (found by internal/mcheck).
-				c.tbDrop(a)
-			}
-			c.done(a)
-		}
-	}
-	switch c.State(a) {
-	case directory.Present1:
-		// Case 1: the sole copy is k's — this justifies keeping Present1.
-		grant(directory.Present1)
-	case directory.PresentStar:
-		// Case 2: invalidate every other copy, then grant.
-		c.invalidate(a, k)
-		grant(directory.PresentStar)
-	case directory.Absent, directory.PresentM:
-		// The block's state changed while the MREQUEST waited (the
-		// deny-on-arrival check covers most of this; a state change while
-		// queued lands here). The sender converts on the BROADINV it has
-		// received; deny for completeness.
-		c.stats.MGrantDenied.Inc()
-		c.send(c.cfg.Topo.CacheNode(k), msg.Message{
-			Kind: msg.KindMGranted, Block: a, Cache: k, Ok: false,
-		})
-		c.done(a)
-	}
+	t.phase = phAck
 }
 
-// eject implements §3.2.1 (controller side).
-func (c *Controller) eject(p proto.Pending) {
-	c.stats.Ejects.Inc()
-	k, a := p.M.Cache, p.M.Block
-	if p.M.RW == msg.Read {
-		// Case 2: a clean ejection can reclaim the block toward Absent.
-		//
-		// The paper's Present1 → Absent transition assumes the arriving
-		// EJECT describes the copy Present1 counts. Under a network that
-		// only preserves per-pair FIFO order that assumption fails: an
-		// EJECT can be overtaken by another cache's commands, arriving
-		// after its copy was invalidated and the block re-fetched — the
-		// Present1 then counts the *new* holder's copy, and dropping to
-		// Absent would let the next write skip BROADINV and strand that
-		// live copy stale forever (found by internal/mcheck). The two-bit
-		// state cannot identify the holder, so:
-		//
-		//   - with an exact §4.4 translation-buffer entry, the EJECT is
-		//     validated against the true owner set: stale ejects are
-		//     dropped, and the last owner leaving reclaims Absent exactly
-		//     as §3.2.1 intends;
-		//   - without one, Present1 degrades to the Present* overcount —
-		//     always safe, at the price of one BROADINV on the next write.
-		if owners, exact := c.tbLookup(a); exact {
-			if !containsOwner(owners, k) {
-				c.done(a) // stale: k's copy was already invalidated
-				return
-			}
-			c.tbRemoveOwner(a, k)
-			if len(owners) == 1 && c.State(a) == directory.Present1 {
-				c.setState(a, directory.Absent)
-				c.tbRecord(a, nil)
-			}
-		} else {
-			if c.State(a) == directory.Present1 {
-				c.setState(a, directory.PresentStar)
-			}
-			c.tbRemoveOwner(a, k)
-		}
-		c.done(a)
-		return
-	}
-	// Case 3: await the put, write back, state becomes Absent.
-	c.await(a, func(owner int, data uint64) {
-		c.kernel.After(c.cfg.Lat.Memory, func() {
-			c.mem.Write(a, data)
-			if c.State(a) == directory.PresentM {
-				c.setState(a, directory.Absent)
-			}
-			c.tbRecord(a, nil)
-			c.done(a)
-		})
+func (c *Controller) deny(m msg.Message) {
+	c.stats.MGrantDenied.Inc()
+	c.send(c.cfg.Topo.CacheNode(m.Cache), msg.Message{
+		Kind: msg.KindMGranted, Block: m.Block, Cache: m.Cache, Ok: false,
 	})
 }
 
-// invalidate sends the invalidation for block a exempting cache k: a
-// BROADINV broadcast, or directed INVs when the translation buffer knows
-// the exact owner set (§4.4). It then deletes queued MREQUESTs from other
-// caches (§3.2.5) — those caches convert on the invalidation themselves.
-func (c *Controller) invalidate(a addr.Block, k int) {
-	if owners, ok := c.tbLookup(a); ok {
-		for _, o := range owners {
-			if o == k {
-				continue
-			}
-			c.stats.DirectedSends.Inc()
-			c.send(c.cfg.Topo.CacheNode(o), msg.Message{Kind: msg.KindInv, Block: a, Cache: o})
-		}
-	} else {
+// ack closes an MREQUEST grant on the cache's verdict.
+func (c *Controller) ack(t *txn, ok bool) {
+	k, a := t.p.M.Cache, t.p.M.Block
+	old := c.pre(a)
+	switch {
+	case ok:
+		c.dir.owned(a, k)
+	case t.from == directory.PresentStar:
+		// The sender had converted: its own copy is gone and its write
+		// REQUEST, already queued behind us, will reload it. The Present*
+		// path broadcast BROADINV before granting, so every other copy is
+		// doomed too: the block is Absent.
+		c.stats.MGrantDenied.Inc()
+		c.dir.cleared(a)
+	default:
+		// The Present1 grant sent no invalidation. The denial proves the
+		// tracked copy was never the sender's — it belongs to another
+		// cache and is still live, so Present1 stands. Resetting to Absent
+		// here would let the sender's queued write REQUEST be serviced
+		// without BROADINV, stranding that live copy stale forever (found
+		// by internal/mcheck).
+		c.stats.MGrantDenied.Inc()
+		c.dir.distrust(a)
+	}
+	c.moved(a, old)
+	c.done(t)
+}
+
+// eject implements §3.2.1 (controller side).
+func (c *Controller) eject(t *txn) {
+	m := t.p.M
+	if m.RW == msg.Write {
+		c.await(t) // case 3: the put, then the write-back (complete)
+		return
+	}
+	old := c.pre(m.Block)
+	c.dir.ejected(m.Block, m.Cache)
+	c.moved(m.Block, old)
+	c.done(t)
+}
+
+// command sends a coherence command about block a to every cache that may
+// hold it, except k: the directed kind to each holder when the directory
+// can name them, else one broadcast. It returns the caches addressed by
+// name.
+func (c *Controller) command(a addr.Block, k int, directed, broadcast msg.Kind, rw msg.RW) uint64 {
+	mask, known := c.dir.holders(a)
+	if !known {
 		c.stats.Broadcasts.Inc()
 		c.obsBroadcasts.Inc()
-		c.net.Broadcast(c.node(), msg.Message{Kind: msg.KindBroadInv, Block: a, Cache: k},
+		c.net.Broadcast(c.node(), msg.Message{Kind: broadcast, Block: a, Cache: k, RW: rw},
 			c.broadcastExcept(k)...)
+		return 0
 	}
+	mask &^= bit(k)
+	for rest := mask; rest != 0; rest &= rest - 1 {
+		o := bits.TrailingZeros64(rest)
+		c.stats.DirectedSends.Inc()
+		c.send(c.cfg.Topo.CacheNode(o), msg.Message{Kind: directed, Block: a, Cache: o, RW: rw})
+	}
+	return mask
+}
+
+// invalidate sends the invalidation for block a exempting cache k (INV or
+// BROADINV), then deletes queued MREQUESTs from other caches (§3.2.5) —
+// those caches convert on the invalidation themselves.
+func (c *Controller) invalidate(a addr.Block, k int) {
+	c.drop(a, c.command(a, k, msg.KindInv, msg.KindBroadInv, msg.Read))
 	if c.cfg.Hooks != nil && c.cfg.Hooks.SkipMRequestQueueDelete {
 		return
 	}
@@ -657,83 +710,61 @@ func (c *Controller) invalidate(a addr.Block, k int) {
 	}
 }
 
-// query asks the unknown owner of block a (state PresentM) for its data:
-// a BROADQUERY broadcast, or a directed PURGE on a translation-buffer hit.
-// onData runs when the data arrives (possibly via a racing eviction).
-func (c *Controller) query(a addr.Block, rw msg.RW, k int, onData func(owner int, data uint64)) {
-	if puts := c.stashed[a]; len(puts) > 0 && !c.skipStash() {
+// query asks the owner of t's PresentM block for its data (PURGE or
+// BROADQUERY) and parks t until the put arrives — possibly via a racing
+// eviction.
+func (c *Controller) query(t *txn, rw msg.RW) {
+	k, a := t.p.M.Cache, t.p.M.Block
+	if c.takeStashed(t) {
 		// The owner's eviction already delivered the data (its EJECT was
-		// queued behind us and its put arrived early). Consume it and
-		// delete the now-subsumed EJECT.
-		put := puts[0]
-		if len(puts) == 1 {
-			delete(c.stashed, a)
-		} else {
-			c.stashed[a] = puts[1:]
-		}
-		c.ser.DeleteQueued(a, func(p proto.Pending) bool {
-			return p.M.Kind == msg.KindEject && p.M.RW == msg.Write && p.M.Cache == put.cache
-		})
-		c.calls.Data(0, onData, put.cache, put.data)
+		// queued behind us and its put arrived early): delete the
+		// now-subsumed EJECT. The owner's copy is gone.
+		c.deleteQueuedEject(a, t.owner)
+		c.drop(a, bit(t.owner))
 		return
 	}
-	if owners, ok := c.tbLookup(a); ok && len(owners) > 0 {
-		for _, o := range owners {
-			if o == k {
-				continue
-			}
-			c.stats.DirectedSends.Inc()
-			c.send(c.cfg.Topo.CacheNode(o), msg.Message{Kind: msg.KindPurge, Block: a, Cache: o, RW: rw})
-		}
+	c.command(a, k, msg.KindPurge, msg.KindBroadQuery, rw)
+	t.phase = phData
+}
+
+// await parks t until its put arrives, unless one is already stashed.
+func (c *Controller) await(t *txn) {
+	if !c.takeStashed(t) {
+		t.phase = phData
+	}
+}
+
+// takeStashed hands the oldest stashed put for t's block to t, through a
+// zero-delay event. The SkipStashedPutConsume defect leaves the stash
+// alone.
+func (c *Controller) takeStashed(t *txn) bool {
+	a := t.p.M.Block
+	puts := c.stashed[a]
+	if len(puts) == 0 || (c.cfg.Hooks != nil && c.cfg.Hooks.SkipStashedPutConsume) {
+		return false
+	}
+	if len(puts) == 1 {
+		delete(c.stashed, a)
 	} else {
-		if ok {
-			// An empty owner set contradicts PresentM; distrust the buffer.
-			c.tbDrop(a)
-		}
-		c.stats.Broadcasts.Inc()
-		c.obsBroadcasts.Inc()
-		c.net.Broadcast(c.node(), msg.Message{Kind: msg.KindBroadQuery, Block: a, RW: rw, Cache: k},
-			c.broadcastExcept(k)...)
+		c.stashed[a] = puts[1:]
 	}
-	c.await(a, onData)
+	t.owner, t.data = puts[0].Cache, puts[0].Data
+	c.schedule(t, phStashed, 0)
+	return true
 }
 
-// await registers the active transaction's data continuation, consuming a
-// stashed put if one is already buffered.
-func (c *Controller) await(a addr.Block, onData func(owner int, data uint64)) {
-	if puts := c.stashed[a]; len(puts) > 0 && !c.skipStash() {
-		put := puts[0]
-		if len(puts) == 1 {
-			delete(c.stashed, a)
-		} else {
-			c.stashed[a] = puts[1:]
-		}
-		c.calls.Data(0, onData, put.cache, put.data)
-		return
+// done completes transaction t.
+func (c *Controller) done(t *txn) {
+	m := t.p.M
+	busy := uint64(c.kernel.Now() - t.at)
+	c.stats.BusyCycles.Add(busy)
+	c.obsTxn.Observe(busy)
+	if c.rec != nil {
+		c.rec.AsyncEnd(c.comp, txnName(m.Kind), int64(m.Block))
 	}
-	if _, dup := c.waiting[a]; dup {
-		panic(fmt.Sprintf("core: controller %d: two waiters for %v", c.cfg.Module, a))
-	}
-	c.waiting[a] = onData
-}
-
-// skipStash reports whether the SkipStashedPutConsume defect is injected.
-func (c *Controller) skipStash() bool {
-	return c.cfg.Hooks != nil && c.cfg.Hooks.SkipStashedPutConsume
-}
-
-// done completes the active transaction on block a.
-func (c *Controller) done(a addr.Block) {
-	if start, ok := c.activeSince[a]; ok {
-		busy := uint64(c.kernel.Now() - start.at)
-		c.stats.BusyCycles.Add(busy)
-		c.obsTxn.Observe(busy)
-		if c.rec != nil {
-			c.rec.AsyncEnd(c.comp, start.name, int64(a))
-		}
-		delete(c.activeSince, a)
-	}
-	c.ser.Done(a)
+	delete(c.txns, m.Block)
+	c.free = append(c.free, t)
+	c.ser.Done(m.Block)
 }
 
 // broadcastExcept builds the exclusion list for a broadcast exempting
@@ -755,52 +786,4 @@ func (c *Controller) broadcastExcept(k int) []network.NodeID {
 	}
 	c.exceptScratch = except
 	return except
-}
-
-// Translation-buffer helpers; all are no-ops when the buffer is disabled.
-
-func (c *Controller) tbLookup(a addr.Block) ([]int, bool) {
-	if c.tb == nil {
-		return nil, false
-	}
-	owners, ok := c.tb.Lookup(a)
-	if ok {
-		c.stats.TBHits.Inc()
-	} else {
-		c.stats.TBMisses.Inc()
-	}
-	return owners, ok
-}
-
-func (c *Controller) tbRecord(a addr.Block, owners []int) {
-	if c.tb != nil {
-		c.tb.Record(a, owners)
-	}
-}
-
-func (c *Controller) tbAddOwner(a addr.Block, k int) {
-	if c.tb != nil {
-		c.tb.AddOwner(a, k)
-	}
-}
-
-func (c *Controller) tbRemoveOwner(a addr.Block, k int) {
-	if c.tb != nil {
-		c.tb.RemoveOwner(a, k)
-	}
-}
-
-func (c *Controller) tbDrop(a addr.Block) {
-	if c.tb != nil {
-		c.tb.Drop(a)
-	}
-}
-
-func containsOwner(owners []int, k int) bool {
-	for _, o := range owners {
-		if o == k {
-			return true
-		}
-	}
-	return false
 }

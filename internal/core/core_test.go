@@ -1,10 +1,11 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"twobit/internal/addr"
 	"twobit/internal/cache"
+	"twobit/internal/core"
 	"twobit/internal/directory"
 	"twobit/internal/memory"
 	"twobit/internal/msg"
@@ -13,34 +14,81 @@ import (
 	"twobit/internal/sim"
 )
 
-// rig is a minimal two-bit machine: n cache agents, one controller,
-// a unit-latency crossbar.
+// rig is a minimal machine: n cache agents, one controller, a
+// unit-latency crossbar, optionally one fake DMA device.
 type rig struct {
 	kernel *sim.Kernel
 	net    *network.Crossbar
-	ctrl   *Controller
+	topo   proto.Topology
+	ctrl   *core.Controller
 	agents []*proto.CacheAgent
+	dma    *fakeDMA
 	nextV  uint64
+	reset  func() // restores every component in place, as a pooled machine does
 }
 
-func newRig(t *testing.T, n int, cfgMod func(*Config)) *rig {
+// rigOpt varies the rig; the zero value is the two-bit policy in front of
+// 8-set 2-way caches.
+type rigOpt struct {
+	pol   core.Policy
+	tb    int  // translation-buffer entries
+	assoc int  // cache associativity, default 2
+	dma   bool // attach a fake DMA device
+	agent func(*proto.AgentConfig)
+}
+
+// fakeDMA is a device node that records the controller's replies.
+type fakeDMA struct {
+	got []msg.Message
+}
+
+func (f *fakeDMA) Deliver(src network.NodeID, m msg.Message) {
+	if m.Kind == msg.KindGet {
+		f.got = append(f.got, m)
+	}
+}
+
+func newRig(t *testing.T, n int, opt rigOpt) *rig {
 	t.Helper()
-	r := &rig{kernel: &sim.Kernel{}}
+	r := &rig{kernel: &sim.Kernel{}, topo: proto.Topology{Caches: n, Modules: 1}}
 	r.net = network.NewCrossbar(r.kernel, 1)
-	topo := proto.Topology{Caches: n, Modules: 1}
+	if opt.dma {
+		r.topo.DMA = 1
+	}
+	if opt.assoc == 0 {
+		opt.assoc = 2
+	}
 	space := addr.Space{Blocks: 64, Modules: 1}
 	lat := proto.Latencies{CacheHit: 1, Memory: 5, CtrlService: 1}
-	ccfg := Config{Module: 0, Topo: topo, Space: space, Lat: lat, Mode: proto.PerBlock}
-	if cfgMod != nil {
-		cfgMod(&ccfg)
+	ccfg := core.Config{
+		Module: 0, Topo: r.topo, Space: space, Lat: lat, Mode: proto.PerBlock,
+		TranslationBufferSize: opt.tb,
 	}
 	mem := memory.NewModule(space, 0, lat.Memory)
-	r.ctrl = New(ccfg, r.kernel, r.net, mem)
-	for k := 0; k < n; k++ {
-		store := cache.New(cache.Config{Sets: 8, Assoc: 2})
-		r.agents = append(r.agents, proto.NewCacheAgent(proto.AgentConfig{
-			Index: k, Topo: topo, Lat: lat,
-		}, r.kernel, r.net, store))
+	r.ctrl = core.New(ccfg, opt.pol, r.kernel, r.net, mem)
+	geometry := cache.Config{Sets: 8, Assoc: opt.assoc}
+	acfgs := make([]proto.AgentConfig, n)
+	for k := range acfgs {
+		acfgs[k] = proto.AgentConfig{Index: k, Topo: r.topo, Lat: lat, ExclusiveGrants: opt.pol.Exclusive}
+		if opt.agent != nil {
+			opt.agent(&acfgs[k])
+		}
+		r.agents = append(r.agents, proto.NewCacheAgent(acfgs[k], r.kernel, r.net, cache.New(geometry)))
+	}
+	r.reset = func() {
+		r.kernel.Reset()
+		r.net.Reset(1, 0, 0)
+		mem.Reset(lat.Memory)
+		r.ctrl.Reset(ccfg)
+		for k, a := range r.agents {
+			a.Store().Reset(geometry)
+			a.Reset(acfgs[k])
+		}
+		r.nextV = 0
+	}
+	if opt.dma {
+		r.dma = &fakeDMA{}
+		r.net.Attach(r.topo.DMANode(0), r.dma)
 	}
 	return r
 }
@@ -49,14 +97,9 @@ func newRig(t *testing.T, n int, cfgMod func(*Config)) *rig {
 // returning the observed version.
 func (r *rig) do(t *testing.T, k int, block addr.Block, write bool) uint64 {
 	t.Helper()
-	var version uint64
-	if write {
-		r.nextV++
-		version = r.nextV
-	}
 	var got uint64
 	completed := false
-	r.agents[k].Access(addr.Ref{Block: block, Write: write}, version, func(v uint64) {
+	r.access(k, block, write, func(v uint64) {
 		got = v
 		completed = true
 	})
@@ -69,20 +112,41 @@ func (r *rig) do(t *testing.T, k int, block addr.Block, write bool) uint64 {
 
 // start issues a reference without draining the kernel, for race setups.
 func (r *rig) start(k int, block addr.Block, write bool, done *bool) {
+	r.access(k, block, write, func(uint64) { *done = true })
+}
+
+func (r *rig) access(k int, block addr.Block, write bool, done func(uint64)) {
 	var version uint64
 	if write {
 		r.nextV++
 		version = r.nextV
 	}
-	r.agents[k].Access(addr.Ref{Block: block, Write: write}, version, func(uint64) {
-		*done = true
+	r.agents[k].Access(addr.Ref{Block: block, Write: write}, version, done)
+}
+
+// dmaOp issues one uncached I/O operation from the fake device, runs the
+// machine to completion and returns the data the device was answered with.
+func (r *rig) dmaOp(t *testing.T, block addr.Block, write bool, version uint64) uint64 {
+	t.Helper()
+	kind := msg.KindUncachedRead
+	if write {
+		kind = msg.KindUncachedWrite
+	}
+	before := len(r.dma.got)
+	r.net.Send(r.topo.DMANode(0), r.topo.CtrlNode(0), msg.Message{
+		Kind: kind, Block: block, Cache: -1, Data: version,
 	})
+	r.kernel.Run()
+	if len(r.dma.got) != before+1 {
+		t.Fatalf("DMA op got %d replies, want 1", len(r.dma.got)-before)
+	}
+	return r.dma.got[len(r.dma.got)-1].Data
 }
 
 func (r *rig) state(b addr.Block) directory.State { return r.ctrl.State(b) }
 
 func TestReadMissAbsentToPresent1(t *testing.T) {
-	r := newRig(t, 4, nil)
+	r := newRig(t, 4, rigOpt{})
 	if got := r.do(t, 0, 7, false); got != 0 {
 		t.Fatalf("initial read observed v%d, want v0", got)
 	}
@@ -95,7 +159,7 @@ func TestReadMissAbsentToPresent1(t *testing.T) {
 }
 
 func TestSecondReaderToPresentStar(t *testing.T) {
-	r := newRig(t, 4, nil)
+	r := newRig(t, 4, rigOpt{})
 	r.do(t, 0, 7, false)
 	r.do(t, 1, 7, false)
 	if st := r.state(7); st != directory.PresentStar {
@@ -107,7 +171,7 @@ func TestSecondReaderToPresentStar(t *testing.T) {
 }
 
 func TestWriteMissAbsent(t *testing.T) {
-	r := newRig(t, 4, nil)
+	r := newRig(t, 4, rigOpt{})
 	v := r.do(t, 2, 9, true)
 	if st := r.state(9); st != directory.PresentM {
 		t.Fatalf("state = %v, want PresentM", st)
@@ -122,7 +186,7 @@ func TestWriteMissAbsent(t *testing.T) {
 }
 
 func TestWriteMissOnSharedBroadcastsInvalidation(t *testing.T) {
-	r := newRig(t, 4, nil)
+	r := newRig(t, 4, rigOpt{})
 	r.do(t, 0, 5, false)
 	r.do(t, 1, 5, false)
 	r.do(t, 2, 5, true) // write miss on Present*
@@ -143,7 +207,7 @@ func TestWriteMissOnSharedBroadcastsInvalidation(t *testing.T) {
 }
 
 func TestReadMissOnModifiedQueriesOwner(t *testing.T) {
-	r := newRig(t, 4, nil)
+	r := newRig(t, 4, rigOpt{})
 	wv := r.do(t, 0, 3, true) // owner
 	got := r.do(t, 1, 3, false)
 	if got != wv {
@@ -165,7 +229,7 @@ func TestReadMissOnModifiedQueriesOwner(t *testing.T) {
 }
 
 func TestWriteMissOnModifiedInvalidatesOwner(t *testing.T) {
-	r := newRig(t, 4, nil)
+	r := newRig(t, 4, rigOpt{})
 	wv1 := r.do(t, 0, 3, true)
 	wv2 := r.do(t, 1, 3, true)
 	if wv2 <= wv1 {
@@ -183,7 +247,7 @@ func TestWriteMissOnModifiedInvalidatesOwner(t *testing.T) {
 }
 
 func TestWriteHitPresent1GrantsWithoutBroadcast(t *testing.T) {
-	r := newRig(t, 4, nil)
+	r := newRig(t, 4, rigOpt{})
 	r.do(t, 0, 4, false) // Present1
 	r.do(t, 0, 4, true)  // write hit on unmodified sole copy
 	if st := r.state(4); st != directory.PresentM {
@@ -197,7 +261,7 @@ func TestWriteHitPresent1GrantsWithoutBroadcast(t *testing.T) {
 }
 
 func TestWriteHitPresentStarBroadcasts(t *testing.T) {
-	r := newRig(t, 4, nil)
+	r := newRig(t, 4, rigOpt{})
 	r.do(t, 0, 4, false)
 	r.do(t, 1, 4, false)
 	r.do(t, 0, 4, true) // MREQUEST on Present*
@@ -219,7 +283,7 @@ func TestCleanEjectPresent1ToAbsent(t *testing.T) {
 	// With an exact §4.4 translation-buffer entry the controller can
 	// validate the ejector against the true owner set, so the last clean
 	// ejection reclaims Absent exactly as §3.2.1 Case 2 intends.
-	r := newRig(t, 2, func(c *Config) { c.TranslationBufferSize = 8 })
+	r := newRig(t, 2, rigOpt{tb: 8})
 	r.do(t, 0, 1, false)
 	// Block 17 maps to the same set (8 sets, assoc 2): 1%8 == 17%8... 17%8=1 ✓.
 	r.do(t, 0, 17, false)
@@ -237,7 +301,7 @@ func TestCleanEjectPresent1WithoutTBOvercounts(t *testing.T) {
 	// strands the new holder's live copy untracked (found by
 	// internal/mcheck). Present1 therefore degrades to the safe Present*
 	// overcount.
-	r := newRig(t, 2, nil)
+	r := newRig(t, 2, rigOpt{})
 	r.do(t, 0, 1, false)
 	r.do(t, 0, 17, false)
 	r.do(t, 0, 33, false) // evicts block 1 (LRU)
@@ -247,7 +311,7 @@ func TestCleanEjectPresent1WithoutTBOvercounts(t *testing.T) {
 }
 
 func TestCleanEjectPresentStarStaysStar(t *testing.T) {
-	r := newRig(t, 2, nil)
+	r := newRig(t, 2, rigOpt{})
 	r.do(t, 0, 1, false)
 	r.do(t, 1, 1, false) // Present*
 	r.do(t, 0, 17, false)
@@ -258,7 +322,7 @@ func TestCleanEjectPresentStarStaysStar(t *testing.T) {
 }
 
 func TestDirtyEjectWritesBack(t *testing.T) {
-	r := newRig(t, 2, nil)
+	r := newRig(t, 2, rigOpt{})
 	wv := r.do(t, 0, 1, true)
 	r.do(t, 0, 17, false)
 	r.do(t, 0, 33, false) // evicts modified block 1
@@ -270,101 +334,72 @@ func TestDirtyEjectWritesBack(t *testing.T) {
 	}
 }
 
-// TestRacingMRequests reproduces the §3.2.5 example: caches i and j hold
-// copies of a; both issue STOREs "at the same time". One MREQUEST is
-// granted; the other is deleted from the queue (or denied) and its sender
-// converts the BROADINV into MGRANTED(·,false), retrying as a write miss.
-func TestRacingMRequests(t *testing.T) {
-	r := newRig(t, 2, nil)
-	r.do(t, 0, 8, false)
-	r.do(t, 1, 8, false) // both hold copies, Present*
-	var done0, done1 bool
-	r.start(0, 8, true, &done0)
-	r.start(1, 8, true, &done1)
+// staleMRequest delivers an MREQUEST(k,b) that cache k's agent never
+// sent — the shape of one overtaken by an invalidation of k's copy. The
+// agent refuses any grant of it with MACK(false).
+func (r *rig) staleMRequest(k int, b addr.Block) {
+	r.net.Send(r.topo.CacheNode(k), r.topo.CtrlNode(0), msg.Message{
+		Kind: msg.KindMRequest, Block: b, Cache: k,
+	})
 	r.kernel.Run()
-	if !done0 || !done1 {
-		t.Fatalf("stores did not both complete: %v %v", done0, done1)
-	}
-	if st := r.state(8); st != directory.PresentM {
-		t.Fatalf("state = %v, want PresentM", st)
-	}
-	copies := 0
-	for k := 0; k < 2; k++ {
-		if f := r.agents[k].Store().Lookup(8); f != nil {
-			copies++
-			if !f.Modified {
-				t.Fatalf("surviving copy in cache %d is clean", k)
-			}
-		}
-	}
-	if copies != 1 {
-		t.Fatalf("%d copies survive, want exactly 1", copies)
-	}
-	s := r.ctrl.CtrlStats()
-	conversions := r.agents[0].SideStats().MRequestsConverted.Value() +
-		r.agents[1].SideStats().MRequestsConverted.Value() +
-		r.agents[0].SideStats().Retries.Value() +
-		r.agents[1].SideStats().Retries.Value()
-	if s.DeletedMRequests.Value()+s.MGrantDenied.Value() == 0 && conversions == 0 {
-		t.Fatal("no evidence of the race being resolved (no deletion, denial, or conversion)")
-	}
 }
 
 // TestMRequestDeniedOnArrivalWhenModified: a stale MREQUEST reaching the
-// controller when the block is PresentM must be denied immediately.
+// controller when the block is PresentM (or Absent) must be denied
+// immediately, without ever being queued or serviced.
 func TestMRequestDeniedOnArrivalWhenModified(t *testing.T) {
-	r := newRig(t, 3, nil)
-	r.do(t, 0, 8, false)
-	r.do(t, 1, 8, false)
-	var done0, done1 bool
-	r.start(0, 8, true, &done0) // will win
-	r.kernel.Run()
-	if !done0 {
-		t.Fatal("first store incomplete")
+	r := newRig(t, 3, rigOpt{})
+	r.do(t, 0, 8, true) // PresentM, owner 0
+	r.staleMRequest(1, 8)
+	r.staleMRequest(1, 9) // Absent
+	s := r.ctrl.CtrlStats()
+	if s.MGrantDenied.Value() != 2 || s.MRequests.Value() != 0 {
+		t.Fatalf("denied=%d serviced=%d, want both denied on arrival, none serviced",
+			s.MGrantDenied.Value(), s.MRequests.Value())
 	}
-	// Cache 1's copy is now invalid, but suppose it had raced: emulate by
-	// the conversion path having already run — here we just issue a fresh
-	// write from cache 1, which must work via the write-miss path.
-	r.start(1, 8, true, &done1)
-	r.kernel.Run()
-	if !done1 {
-		t.Fatal("second store incomplete")
-	}
-	if st := r.state(8); st != directory.PresentM {
-		t.Fatalf("state = %v", st)
+	if r.state(8) != directory.PresentM || r.state(9) != directory.Absent {
+		t.Fatalf("states = %v, %v; a denial must not move them", r.state(8), r.state(9))
 	}
 }
 
-// TestEjectRacesBroadQuery: the owner evicts its modified block at the
-// same time another cache read-misses it. The controller must use the
-// eviction's put as the query answer and not hang.
-func TestEjectRacesBroadQuery(t *testing.T) {
-	r := newRig(t, 2, nil)
-	r.do(t, 0, 1, true) // cache 0 owns block 1 modified
-	var doneEvict, doneRead bool
-	// Cache 0 touches two conflicting blocks to evict block 1...
-	r.start(0, 17, false, &doneEvict)
-	// ...while cache 1 read-misses block 1 in the same cycle.
-	r.start(1, 1, false, &doneRead)
-	r.kernel.Run()
-	if !doneEvict || !doneRead {
-		t.Fatalf("references incomplete: evict=%v read=%v", doneEvict, doneRead)
+// TestMAckDenialFromPresent1KeepsPresent1: the Present1 grant sends no
+// invalidation, so a refused grant proves the tracked copy is another
+// cache's and still live — Present1 must stand.
+func TestMAckDenialFromPresent1KeepsPresent1(t *testing.T) {
+	r := newRig(t, 2, rigOpt{})
+	r.do(t, 0, 8, false) // Present1: cache 0's copy
+	r.staleMRequest(1, 8)
+	if st := r.state(8); st != directory.Present1 {
+		t.Fatalf("state = %v, want Present1 to stand", st)
 	}
-	// Whatever the interleaving, the reader must see the written version.
-	f := r.agents[1].Store().Lookup(1)
-	if f == nil || f.Data == 0 {
-		t.Fatalf("reader's copy = %+v, want the modified data", f)
+	if r.agents[0].Store().Lookup(8) == nil {
+		t.Fatal("the live copy was invalidated by a Present1 grant")
 	}
-	if r.ctrl.MemVersion(1) == 0 {
-		t.Fatal("modified data never written back")
+	if s := r.ctrl.CtrlStats(); s.MGrantDenied.Value() != 1 || s.Broadcasts.Value() != 0 || !r.ctrl.Quiescent() {
+		t.Fatalf("denied=%d broadcasts=%d quiescent=%v", s.MGrantDenied.Value(), s.Broadcasts.Value(), r.ctrl.Quiescent())
 	}
-	if !r.ctrl.Quiescent() {
-		t.Fatal("controller left non-quiescent")
+}
+
+// TestMAckDenialFromPresentStarGoesAbsent: the Present* grant broadcast
+// BROADINV first, so after a refused grant no copy survives anywhere.
+func TestMAckDenialFromPresentStarGoesAbsent(t *testing.T) {
+	r := newRig(t, 3, rigOpt{})
+	r.do(t, 0, 8, false)
+	r.do(t, 1, 8, false) // Present*
+	r.staleMRequest(2, 8)
+	if st := r.state(8); st != directory.Absent {
+		t.Fatalf("state = %v, want Absent", st)
+	}
+	if r.agents[0].Store().Lookup(8) != nil || r.agents[1].Store().Lookup(8) != nil {
+		t.Fatal("a copy survived the grant's BROADINV")
+	}
+	if s := r.ctrl.CtrlStats(); s.MGrantDenied.Value() != 1 || !r.ctrl.Quiescent() {
+		t.Fatalf("denied=%d quiescent=%v", s.MGrantDenied.Value(), r.ctrl.Quiescent())
 	}
 }
 
 func TestTranslationBufferDirectsQueries(t *testing.T) {
-	r := newRig(t, 4, func(c *Config) { c.TranslationBufferSize = 16 })
+	r := newRig(t, 4, rigOpt{tb: 16})
 	r.do(t, 0, 3, true)  // PresentM, TB records owner {0}
 	r.do(t, 1, 3, false) // read miss: TB hit → directed PURGE, no broadcast
 	s := r.ctrl.CtrlStats()
@@ -385,7 +420,7 @@ func TestTranslationBufferDirectsQueries(t *testing.T) {
 }
 
 func TestTranslationBufferDirectsInvalidations(t *testing.T) {
-	r := newRig(t, 4, func(c *Config) { c.TranslationBufferSize = 16 })
+	r := newRig(t, 4, rigOpt{tb: 16})
 	r.do(t, 0, 3, false) // TB records {0}
 	r.do(t, 1, 3, false) // TB adds 1 → {0,1}
 	r.do(t, 2, 3, true)  // write miss: directed INVs to 0 and 1 only
@@ -401,7 +436,7 @@ func TestTranslationBufferDirectsInvalidations(t *testing.T) {
 }
 
 func TestTranslationBufferEmptyOwnerSetSkipsInvalidation(t *testing.T) {
-	r := newRig(t, 4, func(c *Config) { c.TranslationBufferSize = 16 })
+	r := newRig(t, 4, rigOpt{tb: 16})
 	r.do(t, 0, 3, false) // Present1, TB {0}
 	// Evict cleanly: blocks 19 and 35 conflict with 3 (mod 8 = 3).
 	r.do(t, 0, 19, false)
@@ -421,158 +456,25 @@ func TestTranslationBufferEmptyOwnerSetSkipsInvalidation(t *testing.T) {
 }
 
 func TestDisableCleanEject(t *testing.T) {
-	r := newRig(t, 2, nil)
-	// Rebuild agents with DisableCleanEject via a fresh rig.
-	r2 := &rig{kernel: &sim.Kernel{}}
-	r2.net = network.NewCrossbar(r2.kernel, 1)
-	topo := proto.Topology{Caches: 2, Modules: 1}
-	space := addr.Space{Blocks: 64, Modules: 1}
-	lat := proto.Latencies{CacheHit: 1, Memory: 5, CtrlService: 1}
-	mem := memory.NewModule(space, 0, lat.Memory)
-	r2.ctrl = New(Config{Module: 0, Topo: topo, Space: space, Lat: lat}, r2.kernel, r2.net, mem)
-	for k := 0; k < 2; k++ {
-		store := cache.New(cache.Config{Sets: 8, Assoc: 2})
-		r2.agents = append(r2.agents, proto.NewCacheAgent(proto.AgentConfig{
-			Index: k, Topo: topo, Lat: lat, DisableCleanEject: true,
-		}, r2.kernel, r2.net, store))
-	}
-	r2.do(t, 0, 1, false)
-	r2.do(t, 0, 17, false)
-	r2.do(t, 0, 33, false) // silently drops block 1
-	if st := r2.ctrl.State(1); st != directory.Present1 {
+	r := newRig(t, 2, rigOpt{agent: func(a *proto.AgentConfig) { a.DisableCleanEject = true }})
+	r.do(t, 0, 1, false)
+	r.do(t, 0, 17, false)
+	r.do(t, 0, 33, false) // silently drops block 1
+	if st := r.state(1); st != directory.Present1 {
 		t.Fatalf("state = %v; without clean ejects Present1 must persist", st)
 	}
-	if r2.ctrl.CtrlStats().Ejects.Value() != 0 {
+	if r.ctrl.CtrlStats().Ejects.Value() != 0 {
 		t.Fatal("EJECT sent despite DisableCleanEject")
 	}
-	_ = r
 }
 
 func TestStateQueriesForInvariants(t *testing.T) {
-	r := newRig(t, 2, nil)
+	r := newRig(t, 2, rigOpt{})
 	r.do(t, 0, 2, true)
 	if r.ctrl.TranslationBuffer() != nil {
 		t.Fatal("TB present although disabled")
 	}
 	if !r.ctrl.Quiescent() {
 		t.Fatal("controller busy after drain")
-	}
-}
-
-// dmaRig extends the basic rig with a fake DMA device node.
-type fakeDMA struct {
-	got []msg.Message
-}
-
-func (f *fakeDMA) Deliver(src network.NodeID, m msg.Message) {
-	if m.Kind == msg.KindGet {
-		f.got = append(f.got, m)
-	}
-}
-
-func newDMARig(t *testing.T, n int) (*rig, *fakeDMA, proto.Topology) {
-	t.Helper()
-	r := &rig{kernel: &sim.Kernel{}}
-	r.net = network.NewCrossbar(r.kernel, 1)
-	topo := proto.Topology{Caches: n, Modules: 1, DMA: 1}
-	space := addr.Space{Blocks: 64, Modules: 1}
-	lat := proto.Latencies{CacheHit: 1, Memory: 5, CtrlService: 1}
-	mem := memory.NewModule(space, 0, lat.Memory)
-	var committed uint64
-	r.ctrl = New(Config{
-		Module: 0, Topo: topo, Space: space, Lat: lat, Mode: proto.PerBlock,
-		Commit: func(b addr.Block, v uint64) { committed = v },
-	}, r.kernel, r.net, mem)
-	_ = committed
-	for k := 0; k < n; k++ {
-		store := cache.New(cache.Config{Sets: 8, Assoc: 2})
-		r.agents = append(r.agents, proto.NewCacheAgent(proto.AgentConfig{
-			Index: k, Topo: topo, Lat: lat,
-		}, r.kernel, r.net, store))
-	}
-	dev := &fakeDMA{}
-	r.net.Attach(topo.DMANode(0), dev)
-	return r, dev, topo
-}
-
-func (r *rig) dmaOp(t *testing.T, topo proto.Topology, dev *fakeDMA, block addr.Block, write bool, version uint64) uint64 {
-	t.Helper()
-	kind := msg.KindUncachedRead
-	if write {
-		kind = msg.KindUncachedWrite
-	}
-	before := len(dev.got)
-	r.net.Send(topo.DMANode(0), topo.CtrlNode(0), msg.Message{
-		Kind: kind, Block: block, Cache: -1, Data: version,
-	})
-	r.kernel.Run()
-	if len(dev.got) != before+1 {
-		t.Fatalf("DMA op got %d replies, want 1", len(dev.got)-before)
-	}
-	return dev.got[len(dev.got)-1].Data
-}
-
-func TestDMAReadDrainsModifiedOwner(t *testing.T) {
-	r, dev, topo := newDMARig(t, 2)
-	wv := r.do(t, 0, 3, true) // cache 0 owns block 3 modified
-	got := r.dmaOp(t, topo, dev, 3, false, 0)
-	if got != wv {
-		t.Fatalf("DMA read observed v%d, want the modified v%d", got, wv)
-	}
-	// Owner keeps a clean copy; state collapses to Present1.
-	f := r.agents[0].Store().Lookup(3)
-	if f == nil || f.Modified {
-		t.Fatalf("owner frame after DMA read = %+v, want clean copy", f)
-	}
-	if st := r.state(3); st != directory.Present1 {
-		t.Fatalf("state = %v, want Present1", st)
-	}
-	if r.ctrl.MemVersion(3) != wv {
-		t.Fatal("write-back missing")
-	}
-}
-
-func TestDMAWriteInvalidatesAllCopies(t *testing.T) {
-	r, dev, topo := newDMARig(t, 3)
-	r.do(t, 0, 3, false)
-	r.do(t, 1, 3, false) // two clean copies
-	r.dmaOp(t, topo, dev, 3, true, 777)
-	if r.agents[0].Store().Lookup(3) != nil || r.agents[1].Store().Lookup(3) != nil {
-		t.Fatal("cached copies survived a DMA write")
-	}
-	if st := r.state(3); st != directory.Absent {
-		t.Fatalf("state = %v, want Absent", st)
-	}
-	if r.ctrl.MemVersion(3) != 777 {
-		t.Fatalf("memory = v%d, want the device's 777", r.ctrl.MemVersion(3))
-	}
-	// A subsequent processor read must observe the device's data.
-	if got := r.do(t, 2, 3, false); got != 777 {
-		t.Fatalf("processor read v%d after DMA write, want 777", got)
-	}
-}
-
-func TestDMAWriteDrainsAndDiscardsModifiedData(t *testing.T) {
-	r, dev, topo := newDMARig(t, 2)
-	r.do(t, 0, 3, true) // modified owner
-	r.dmaOp(t, topo, dev, 3, true, 888)
-	if r.agents[0].Store().Lookup(3) != nil {
-		t.Fatal("modified owner survived a DMA write")
-	}
-	if r.ctrl.MemVersion(3) != 888 {
-		t.Fatalf("memory = v%d, want 888 (device data overwrites the drained copy)", r.ctrl.MemVersion(3))
-	}
-	if !r.ctrl.Quiescent() {
-		t.Fatal("controller not quiescent")
-	}
-}
-
-func TestDMAReadOfAbsentBlockServedFromMemory(t *testing.T) {
-	r, dev, topo := newDMARig(t, 2)
-	if got := r.dmaOp(t, topo, dev, 9, false, 0); got != 0 {
-		t.Fatalf("cold DMA read = v%d, want the initial v0", got)
-	}
-	if st := r.state(9); st != directory.Absent {
-		t.Fatalf("DMA read changed the state to %v", st)
 	}
 }

@@ -9,22 +9,24 @@ import (
 // BlockSnapshot is the controller's observable state for one block, for
 // the model checker's fingerprints (internal/mcheck). Together with the
 // cache frames and the in-flight messages it determines the controller's
-// future behavior at a drained instant: a parked transaction's
-// continuation is a closure, but which closure is fully determined by
-// (ActiveCmd, State, which park slot holds it) — only the active command
-// mutates its block's directory state, so the state cannot have changed
-// since the closure was built.
+// future behavior at a drained instant: the open transaction is a plain
+// record, and only it mutates its block's directory state.
 type BlockSnapshot struct {
-	// State is the two-bit directory state.
+	// State is the directory state — for an exact policy, the two-bit
+	// abstraction of (Holders, Modified).
 	State directory.State
+	// Holders is the exact presence bitmask and Modified the m bit; both
+	// zero under the two-bit policy.
+	Holders  uint64
+	Modified bool
 	// Mem is main memory's stored version.
 	Mem uint64
 	// Active is true while a transaction on this block is being serviced;
 	// ActiveCmd is the command it services.
 	Active    bool
 	ActiveCmd msg.Message
-	// Waiting is true while the active transaction is parked on a data
-	// continuation (a BROADQUERY answer or an eviction write-back).
+	// Waiting is true while the active transaction is parked on a put (a
+	// query answer or an eviction write-back).
 	Waiting bool
 	// AwaitingAck is true while an MREQUEST grant awaits its MACK.
 	AwaitingAck bool
@@ -36,7 +38,7 @@ type BlockSnapshot struct {
 	Queued []msg.Message
 }
 
-// StashedPut is one buffered early put.
+// StashedPut is one buffered early put: who sent it and its data.
 type StashedPut struct {
 	Cache int
 	Data  uint64
@@ -48,15 +50,14 @@ func (c *Controller) BlockSnapshot(b addr.Block) BlockSnapshot {
 		State: c.State(b),
 		Mem:   c.mem.Read(b),
 	}
-	if start, ok := c.activeSince[b]; ok {
+	s.Holders, s.Modified = c.dir.entry(b)
+	if t := c.txns[b]; t != nil {
 		s.Active = true
-		s.ActiveCmd = start.cmd
+		s.ActiveCmd = t.p.M
+		s.Waiting = t.phase == phData
+		s.AwaitingAck = t.phase == phAck
 	}
-	_, s.Waiting = c.waiting[b]
-	_, s.AwaitingAck = c.awaitingAck[b]
-	for _, p := range c.stashed[b] {
-		s.Stashed = append(s.Stashed, StashedPut{Cache: p.cache, Data: p.data})
-	}
+	s.Stashed = append(s.Stashed, c.stashed[b]...)
 	for _, p := range c.ser.QueuedFor(b) {
 		s.Queued = append(s.Queued, p.M)
 	}

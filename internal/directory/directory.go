@@ -12,7 +12,10 @@
 //   - DupTagStore: the Tang central duplicate of every cache's directory.
 package directory
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is the global state of a memory block in the two-bit scheme.
 type State uint8
@@ -170,23 +173,33 @@ func (m *FullMap) SetModified(block int, mod bool) {
 	m.modified[block] = mod
 }
 
-// Holders returns the caches whose presence bit is set, in ascending order.
-func (m *FullMap) Holders(block int) []int {
+// HolderMask returns block's presence vector, bit k set when cache k
+// holds a copy — the allocation-free form the controller walks on every
+// invalidate and purge.
+func (m *FullMap) HolderMask(block int) uint64 {
 	m.check(block, -1)
-	var out []int
-	v := m.presence[block]
-	for v != 0 {
-		c := trailingZeros(v)
-		out = append(out, c)
-		v &^= 1 << uint(c)
-	}
-	return out
+	return m.presence[block]
+}
+
+// Holders returns the caches whose presence bit is set, in ascending
+// order. It allocates; invariant checks and tests use it, the
+// controller's hot path uses HolderMask.
+func (m *FullMap) Holders(block int) []int {
+	return MaskToList(m.HolderMask(block))
 }
 
 // HolderCount returns the number of presence bits set for block.
 func (m *FullMap) HolderCount(block int) int {
-	m.check(block, -1)
-	return popcount(m.presence[block])
+	return bits.OnesCount64(m.HolderMask(block))
+}
+
+// MaskToList expands a holder bitmask into ascending cache indices.
+func MaskToList(mask uint64) []int {
+	var out []int
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, bits.TrailingZeros64(mask))
+	}
+	return out
 }
 
 // Clear resets block to the Absent equivalent (no holders, unmodified).
@@ -199,36 +212,21 @@ func (m *FullMap) Clear(block int) {
 // GlobalState derives the two-bit abstraction from the exact map, used by
 // the invariant checker to cross-validate the two schemes.
 func (m *FullMap) GlobalState(block int) State {
-	n := m.HolderCount(block)
+	return Project(m.HolderMask(block), m.modified[block])
+}
+
+// Project is the two-bit abstraction of an exact directory entry: what
+// the paper's map would read for a block with these holders and this
+// modified bit.
+func Project(holders uint64, modified bool) State {
 	switch {
-	case m.modified[block]:
+	case modified:
 		return PresentM
-	case n == 0:
+	case holders == 0:
 		return Absent
-	case n == 1:
+	case holders&(holders-1) == 0:
 		return Present1
 	default:
 		return PresentStar
 	}
-}
-
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
-}
-
-func trailingZeros(v uint64) int {
-	if v == 0 {
-		return 64
-	}
-	n := 0
-	for v&1 == 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }

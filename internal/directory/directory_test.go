@@ -275,38 +275,97 @@ func TestDupTagStore(t *testing.T) {
 	if d.Caches() != 3 {
 		t.Fatalf("Caches = %d", d.Caches())
 	}
-	d.NoteFill(0, 5)
-	d.NoteFill(2, 5)
+	state := func() State { return Project(d.HolderMask(5), d.Modified(5)) }
+	d.SetPresent(5, 0, true)
+	d.SetPresent(5, 2, true)
 	h := d.Holders(5)
 	if len(h) != 2 || h[0] != 0 || h[1] != 2 {
 		t.Fatalf("Holders = %v", h)
 	}
-	if d.GlobalState(5) != PresentStar {
-		t.Fatalf("state = %v", d.GlobalState(5))
+	if state() != PresentStar {
+		t.Fatalf("state = %v", state())
 	}
-	d.NoteEvict(0, 5)
-	if d.GlobalState(5) != Present1 {
-		t.Fatalf("state after evict = %v", d.GlobalState(5))
+	d.SetPresent(5, 0, false)
+	if state() != Present1 {
+		t.Fatalf("state after evict = %v", state())
 	}
-	d.NoteModify(2, 5)
-	if d.ModifiedBy(5) != 2 || d.GlobalState(5) != PresentM {
-		t.Fatalf("modified tracking wrong: by=%d state=%v", d.ModifiedBy(5), d.GlobalState(5))
+	d.SetModified(5, true)
+	if !d.Modified(5) || state() != PresentM {
+		t.Fatalf("modified tracking wrong: modified=%v state=%v", d.Modified(5), state())
 	}
-	d.NoteClean(5)
-	if d.ModifiedBy(5) != -1 {
-		t.Fatal("NoteClean did not clear")
+	d.SetPresent(5, 2, true) // re-noting a held tag must keep its modified bit
+	if !d.Modified(5) {
+		t.Fatal("SetPresent on a held tag cleared its modified bit")
 	}
-	d.NoteEvict(2, 5)
-	if d.GlobalState(5) != Absent {
-		t.Fatalf("state after all evicted = %v", d.GlobalState(5))
+	d.SetModified(5, false)
+	if d.Modified(5) {
+		t.Fatal("SetModified(false) did not clear")
+	}
+	d.SetPresent(5, 2, false)
+	if state() != Absent {
+		t.Fatalf("state after all evicted = %v", state())
+	}
+	d.SetPresent(5, 1, true)
+	d.Clear(5)
+	if d.HolderMask(5) != 0 {
+		t.Fatal("Clear left a tag behind")
 	}
 }
 
 func TestDupTagEvictClearsModified(t *testing.T) {
 	d := NewDupTagStore(2)
-	d.NoteModify(1, 9)
-	d.NoteEvict(1, 9)
-	if d.ModifiedBy(9) != -1 {
-		t.Fatal("eviction of modified owner did not clear modifiedBy")
+	d.SetPresent(9, 1, true)
+	d.SetModified(9, true)
+	d.SetPresent(9, 1, false)
+	if d.Modified(9) {
+		t.Fatal("eviction of modified owner did not clear the modified bit")
+	}
+}
+
+// TestDupTagSearchMemoStaysCurrent drives random updates across several
+// blocks and checks every answer against a memo-free shadow of the
+// per-cache tag sets: the remembered search must never go stale, whichever
+// block the previous operation touched.
+func TestDupTagSearchMemoStaysCurrent(t *testing.T) {
+	const caches, blocks = 3, 4
+	r := rng.New(11, 3)
+	d := NewDupTagStore(caches)
+	var shadow [caches][blocks]struct{ held, modified bool }
+	for i := 0; i < 5000; i++ {
+		b, c := r.Intn(blocks), r.Intn(caches)
+		switch op := r.Intn(41); {
+		case op < 15:
+			d.SetPresent(b, c, true)
+			shadow[c][b].held = true
+		case op < 25:
+			d.SetPresent(b, c, false)
+			shadow[c][b] = struct{ held, modified bool }{}
+		case op < 35:
+			mod := r.Bool(0.5)
+			d.SetModified(b, mod)
+			for k := range shadow {
+				shadow[k][b].modified = shadow[k][b].held && mod
+			}
+		case op < 40:
+			d.Clear(b)
+			for k := range shadow {
+				shadow[k][b] = struct{ held, modified bool }{}
+			}
+		default: // rarely, so long update histories build up between resets
+			d.Reset()
+			shadow = [caches][blocks]struct{ held, modified bool }{}
+		}
+		b = r.Intn(blocks)
+		var mask uint64
+		modified := false
+		for k := range shadow {
+			if shadow[k][b].held {
+				mask |= 1 << uint(k)
+			}
+			modified = modified || shadow[k][b].modified
+		}
+		if got := d.HolderMask(b); got != mask || d.Modified(b) != modified {
+			t.Fatalf("op %d: block %d reads holders %b modified %v, want %b %v", i, b, got, d.Modified(b), mask, modified)
+		}
 	}
 }

@@ -1,91 +1,98 @@
 package directory
 
-import "twobit/internal/addr"
+import "math/bits"
 
 // DupTagStore is the Tang-style (§2.4.1) central duplicate of every
-// cache's directory. The central controller updates it on every cache
+// cache's directory: per cache, the tags it holds, each with its
+// modified bit. The central controller updates it on every cache
 // directory change and can therefore answer "which caches hold block a?"
-// exactly, like the full map — the cost is centralization, modeled in
-// internal/duplication as a serial service bottleneck.
+// exactly, like the full map, through the same method set — the cost is
+// that the answer takes a search of all n duplicates, and the
+// centralization the controller's policy charges for
+// (internal/duplication).
 type DupTagStore struct {
-	// present[c] is the set of blocks cache c currently holds.
-	present []map[addr.Block]bool
-	// modifiedBy[a] is the cache holding a modified, or -1.
-	modifiedBy map[addr.Block]int
+	// tags[c] duplicates cache c's directory: block → modified bit.
+	tags []map[int]bool
+	// The last search — which block, and the holders it found — kept
+	// current by every update, so the several questions and updates one
+	// command makes about its block cost one search of the duplicates.
+	searched int
+	found    uint64
 }
 
 // NewDupTagStore returns a store for caches caches.
 func NewDupTagStore(caches int) *DupTagStore {
-	p := make([]map[addr.Block]bool, caches)
-	for i := range p {
-		p[i] = make(map[addr.Block]bool)
+	t := make([]map[int]bool, caches)
+	for i := range t {
+		t[i] = make(map[int]bool)
 	}
-	return &DupTagStore{present: p, modifiedBy: make(map[addr.Block]int)}
+	return &DupTagStore{tags: t, searched: -1}
 }
 
-// Reset empties every per-cache tag set and the modified table, reusing
-// the maps.
+// Reset empties every duplicate directory, reusing the maps.
 func (d *DupTagStore) Reset() {
-	for _, p := range d.present {
-		clear(p)
+	for _, t := range d.tags {
+		clear(t)
 	}
-	clear(d.modifiedBy)
+	d.searched = -1
 }
 
 // Caches returns the number of tracked caches.
-func (d *DupTagStore) Caches() int { return len(d.present) }
+func (d *DupTagStore) Caches() int { return len(d.tags) }
 
-// NoteFill records that cache now holds block (clean).
-func (d *DupTagStore) NoteFill(cache int, block addr.Block) {
-	d.present[cache][block] = true
-}
-
-// NoteEvict records that cache no longer holds block.
-func (d *DupTagStore) NoteEvict(cache int, block addr.Block) {
-	delete(d.present[cache], block)
-	if d.modifiedBy[block] == cache+1 {
-		delete(d.modifiedBy, block)
+// HolderMask returns the caches holding block, bit k set for cache k.
+func (d *DupTagStore) HolderMask(block int) uint64 {
+	if d.searched != block {
+		d.searched, d.found = block, 0
+		for c, t := range d.tags {
+			if _, held := t[block]; held {
+				d.found |= 1 << uint(c)
+			}
+		}
 	}
-}
-
-// NoteModify records that cache holds block modified.
-func (d *DupTagStore) NoteModify(cache int, block addr.Block) {
-	d.present[cache][block] = true
-	d.modifiedBy[block] = cache + 1 // store +1 so zero value means "nobody"
-}
-
-// NoteClean records that block is no longer modified anywhere.
-func (d *DupTagStore) NoteClean(block addr.Block) {
-	delete(d.modifiedBy, block)
+	return d.found
 }
 
 // Holders returns the caches holding block, ascending.
-func (d *DupTagStore) Holders(block addr.Block) []int {
-	var out []int
-	for c := range d.present {
-		if d.present[c][block] {
-			out = append(out, c)
+func (d *DupTagStore) Holders(block int) []int { return MaskToList(d.HolderMask(block)) }
+
+// Modified reports whether some cache's tag for block is marked modified.
+func (d *DupTagStore) Modified(block int) bool {
+	for m := d.HolderMask(block); m != 0; m &= m - 1 {
+		if d.tags[bits.TrailingZeros64(m)][block] {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
-// ModifiedBy returns the cache holding block modified, or -1.
-func (d *DupTagStore) ModifiedBy(block addr.Block) int {
-	return d.modifiedBy[block] - 1
+// SetPresent records that cache gained (clean) or lost its copy of
+// block. Losing the tag loses its modified bit with it.
+func (d *DupTagStore) SetPresent(block, cache int, present bool) {
+	bit := uint64(1) << uint(cache)
+	held := d.HolderMask(block)&bit != 0
+	switch {
+	case present && !held:
+		d.tags[cache][block] = false
+		d.found |= bit
+	case !present && held:
+		delete(d.tags[cache], block)
+		d.found &^= bit
+	}
 }
 
-// GlobalState derives the two-bit abstraction, for invariant checks.
-func (d *DupTagStore) GlobalState(block addr.Block) State {
-	if d.ModifiedBy(block) >= 0 {
-		return PresentM
+// SetModified sets the modified bit on every tag of block — the
+// controller only marks a block modified while it has one holder.
+func (d *DupTagStore) SetModified(block int, mod bool) {
+	for m := d.HolderMask(block); m != 0; m &= m - 1 {
+		d.tags[bits.TrailingZeros64(m)][block] = mod
 	}
-	switch len(d.Holders(block)) {
-	case 0:
-		return Absent
-	case 1:
-		return Present1
-	default:
-		return PresentStar
+}
+
+// Clear drops every cache's tag for block.
+func (d *DupTagStore) Clear(block int) {
+	for m := d.HolderMask(block); m != 0; m &= m - 1 {
+		delete(d.tags[bits.TrailingZeros64(m)], block)
 	}
+	d.found = 0
 }

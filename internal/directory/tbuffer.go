@@ -102,7 +102,7 @@ func (t *TranslationBuffer) Lookup(block addr.Block) (owners []int, ok bool) {
 	t.stats.Hits.Inc()
 	t.unlink(e)
 	t.pushFront(e)
-	return maskToList(e.owners), true
+	return MaskToList(e.owners), true
 }
 
 // Record notes that exactly the caches in owners hold copies of block,
@@ -163,14 +163,4 @@ func (t *TranslationBuffer) HitRatio() float64 {
 		return 0
 	}
 	return float64(h) / float64(h+m)
-}
-
-func maskToList(mask uint64) []int {
-	var out []int
-	for mask != 0 {
-		c := trailingZeros(mask)
-		out = append(out, c)
-		mask &^= 1 << uint(c)
-	}
-	return out
 }

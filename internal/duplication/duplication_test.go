@@ -5,6 +5,7 @@ import (
 
 	"twobit/internal/addr"
 	"twobit/internal/cache"
+	"twobit/internal/core"
 	"twobit/internal/directory"
 	"twobit/internal/memory"
 	"twobit/internal/network"
@@ -14,7 +15,7 @@ import (
 
 type rig struct {
 	kernel *sim.Kernel
-	ctrl   *Controller
+	ctrl   *core.Controller
 	agents []*proto.CacheAgent
 	nextV  uint64
 }
@@ -27,7 +28,7 @@ func newRig(t *testing.T, n int) *rig {
 	space := addr.Space{Blocks: 64, Modules: 1}
 	lat := proto.Latencies{CacheHit: 1, Memory: 5, CtrlService: 1}
 	mem := memory.NewModule(space, 0, lat.Memory)
-	r.ctrl = New(Config{Topo: topo, Space: space, Lat: lat}, r.kernel, net, mem)
+	r.ctrl = core.New(core.Config{Topo: topo, Space: space, Lat: lat}, Policy(), r.kernel, net, mem)
 	for k := 0; k < n; k++ {
 		store := cache.New(cache.Config{Sets: 8, Assoc: 2})
 		r.agents = append(r.agents, proto.NewCacheAgent(proto.AgentConfig{
@@ -90,8 +91,8 @@ func TestCentralControllerDirectsCommands(t *testing.T) {
 	if r.ctrl.State(5) != directory.PresentM {
 		t.Fatalf("state = %v", r.ctrl.State(5))
 	}
-	if r.ctrl.ModifiedBy(5) != 2 {
-		t.Fatalf("ModifiedBy = %d, want 2", r.ctrl.ModifiedBy(5))
+	if h := r.ctrl.Holders(5); !r.ctrl.Modified(5) || len(h) != 1 || h[0] != 2 {
+		t.Fatalf("modified = %v by %v, want cache 2 alone", r.ctrl.Modified(5), h)
 	}
 }
 
@@ -105,7 +106,7 @@ func TestModifiedRetrievalThroughCenter(t *testing.T) {
 	if r.ctrl.MemVersion(3) != wv {
 		t.Fatal("write-back missing")
 	}
-	if r.ctrl.ModifiedBy(3) != -1 {
+	if r.ctrl.Modified(3) {
 		t.Fatal("modified tracking not cleaned after read purge")
 	}
 }
@@ -153,66 +154,7 @@ func TestRequiresSingleModule(t *testing.T) {
 	var k sim.Kernel
 	net := network.NewCrossbar(&k, 1)
 	space := addr.Space{Blocks: 8, Modules: 2}
-	New(Config{Topo: proto.Topology{Caches: 2, Modules: 2}, Space: space,
-		Lat: proto.DefaultLatencies()}, &k, net,
+	core.New(core.Config{Topo: proto.Topology{Caches: 2, Modules: 2}, Space: space,
+		Lat: proto.DefaultLatencies()}, Policy(), &k, net,
 		memory.NewModule(space, 0, 1))
-}
-
-// start issues a reference without draining the kernel, for race setups.
-func (r *rig) start(k int, block addr.Block, write bool, done *bool) {
-	var version uint64
-	if write {
-		r.nextV++
-		version = r.nextV
-	}
-	r.agents[k].Access(addr.Ref{Block: block, Write: write}, version, func(uint64) {
-		*done = true
-	})
-}
-
-// TestEjectRacesPurgeCentral: the eviction/query race through the central
-// single-command controller.
-func TestEjectRacesPurgeCentral(t *testing.T) {
-	r := newRig(t, 2)
-	r.do(t, 0, 1, true)
-	var doneEvict, doneRead bool
-	r.start(0, 17, false, &doneEvict)
-	r.start(1, 1, false, &doneRead)
-	r.kernel.Run()
-	if !doneEvict || !doneRead {
-		t.Fatalf("incomplete: evict=%v read=%v", doneEvict, doneRead)
-	}
-	if !r.ctrl.Quiescent() {
-		t.Fatal("controller left waiting")
-	}
-	if r.ctrl.MemVersion(1) == 0 {
-		t.Fatal("modified data lost")
-	}
-	for _, h := range r.ctrl.Holders(1) {
-		if r.agents[h].Store().Lookup(1) == nil {
-			t.Fatalf("duplicate tags record cache %d; its cache disagrees", h)
-		}
-	}
-}
-
-// TestRacingMRequestsCentral: §3.2.5 through the central controller.
-func TestRacingMRequestsCentral(t *testing.T) {
-	r := newRig(t, 2)
-	r.do(t, 0, 8, false)
-	r.do(t, 1, 8, false)
-	var done0, done1 bool
-	r.start(0, 8, true, &done0)
-	r.start(1, 8, true, &done1)
-	r.kernel.Run()
-	if !done0 || !done1 {
-		t.Fatal("racing stores incomplete")
-	}
-	if r.ctrl.ModifiedBy(8) < 0 {
-		t.Fatal("no recorded owner after racing stores")
-	}
-	owner := r.ctrl.ModifiedBy(8)
-	f := r.agents[owner].Store().Lookup(8)
-	if f == nil || !f.Modified {
-		t.Fatalf("owner %d frame = %+v", owner, f)
-	}
 }

@@ -165,7 +165,9 @@ type Config struct {
 	// New* constructors the orchestrators must not call: component
 	// lifetimes belong to the pooled machine graph, which is built once
 	// per worker and reset between runs. Default: the cache, memory,
-	// core, fullmap, proto, network, directory and system packages.
+	// core, proto, network, directory and system packages (core's one
+	// controller serves every directory protocol; internal/fullmap and
+	// internal/duplication only supply its policy).
 	ComponentPaths []string
 	// AllowedConstructors lists fully qualified constructors ("path.Func")
 	// exempt from the pooled-construction rule — the sanctioned entry
@@ -208,7 +210,6 @@ func (c *Config) fill(mod *module) {
 			mod.path + "/internal/cache",
 			mod.path + "/internal/memory",
 			mod.path + "/internal/core",
-			mod.path + "/internal/fullmap",
 			mod.path + "/internal/proto",
 			mod.path + "/internal/network",
 			mod.path + "/internal/directory",

@@ -6,7 +6,6 @@ import (
 
 	"twobit/internal/addr"
 	"twobit/internal/core"
-	"twobit/internal/fullmap"
 	"twobit/internal/msg"
 	"twobit/internal/network"
 	"twobit/internal/proto"
@@ -40,24 +39,8 @@ func (s *simView) agent(k int) *proto.CacheAgent {
 	return s.rm.Machine().CacheSide(k).(*proto.CacheAgent)
 }
 
-func (s *simView) ctrlBlock(b addr.Block) ctrlBlock {
-	switch c := s.rm.Machine().MemSide(0).(type) {
-	case *core.Controller:
-		return twoBitBlock(c, b)
-	case *fullmap.Controller:
-		return fullmapBlock(c, b)
-	}
-	panic("mcheck: bridge over an unsupported controller type")
-}
-
-func (s *simView) ctrlQuiescent() bool {
-	switch c := s.rm.Machine().MemSide(0).(type) {
-	case *core.Controller:
-		return c.Quiescent()
-	case *fullmap.Controller:
-		return c.Quiescent()
-	}
-	panic("mcheck: bridge over an unsupported controller type")
+func (s *simView) ctrl() *core.Controller {
+	return s.rm.Machine().MemSide(0).(*core.Controller)
 }
 
 func (s *simView) currentOf(b addr.Block) uint64 {
@@ -76,8 +59,8 @@ func (s *simView) pending(src, dst network.NodeID) []msg.Message {
 // direct-mapped caches of Sets sets, default latencies, per-block
 // concurrency — or the fingerprints would diverge on the first step.
 func sysConfig(cfg Config) system.Config {
-	out := system.Config{
-		Protocol:   system.TwoBit,
+	return system.Config{
+		Protocol:   cfg.Protocol.system(),
 		Procs:      cfg.Caches,
 		Modules:    1,
 		CacheSets:  cfg.Sets,
@@ -87,10 +70,6 @@ func sysConfig(cfg Config) system.Config {
 		Seed:       1,
 		CoreHooks:  cfg.Hooks,
 	}
-	if cfg.Protocol == FullMap {
-		out.Protocol = system.FullMap
-	}
-	return out
 }
 
 // ReplayInSim re-runs the trace on the full simulator and verifies the

@@ -206,7 +206,7 @@ func (e *encoder) encode(v view, perm []int, normalize bool, buf []byte) []byte 
 	}
 	// Controller and committed-version sections per block.
 	for b := 0; b < v.blocks(); b++ {
-		cb := v.ctrlBlock(addr.Block(b))
+		cb := v.ctrl().BlockSnapshot(addr.Block(b))
 		u(uint64(cb.State))
 		// Remap the full-map presence bitmask through the permutation.
 		var holders uint64

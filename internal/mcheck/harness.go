@@ -6,7 +6,6 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/cache"
 	"twobit/internal/core"
-	"twobit/internal/fullmap"
 	"twobit/internal/memory"
 	"twobit/internal/msg"
 	"twobit/internal/network"
@@ -25,11 +24,8 @@ type view interface {
 	blocks() int
 	// agent returns cache k's protocol agent.
 	agent(k int) *proto.CacheAgent
-	// ctrlBlock returns the (single) controller's per-block snapshot,
-	// normalized across the two protocols.
-	ctrlBlock(b addr.Block) ctrlBlock
-	// ctrlQuiescent reports the controller's quiescence.
-	ctrlQuiescent() bool
+	// ctrl returns the (single) memory controller.
+	ctrl() *core.Controller
 	// currentOf returns the last committed version of b (0 initially).
 	currentOf(b addr.Block) uint64
 	// busyProc reports whether processor k has a reference outstanding.
@@ -39,23 +35,6 @@ type view interface {
 	// pending returns the in-flight messages queued from src to dst.
 	pending(src, dst network.NodeID) []msg.Message
 	topo() proto.Topology
-}
-
-// ctrlBlock is the protocol-independent controller snapshot for one
-// block. For the two-bit protocol Holders is unused and State is the
-// directory state; for the full map State is directory.State-shaped via
-// GlobalState and Holders is the exact presence set.
-type ctrlBlock struct {
-	State       uint8
-	Holders     uint64 // full map: presence bitmask
-	Modified    bool   // full map: the m bit
-	Mem         uint64
-	Active      bool
-	ActiveCmd   msg.Message
-	Waiting     bool
-	AwaitingAck bool
-	Stashed     []core.StashedPut
-	Queued      []msg.Message
 }
 
 // harness is a lean machine — the real protocol components on a chooser
@@ -69,8 +48,7 @@ type harness struct {
 	top    proto.Topology
 	space  addr.Space
 	agents []*proto.CacheAgent
-	tb     *core.Controller
-	fm     *fullmap.Controller
+	ctl    *core.Controller
 
 	busy    []bool
 	issued  []int
@@ -107,18 +85,10 @@ func newHarness(cfg Config, kernel *sim.Kernel) *harness {
 			Commit: commit,
 		}, kernel, h.net, store)
 	}
-	mem := memory.NewModule(h.space, 0, lat.Memory)
-	if cfg.Protocol == FullMap {
-		h.fm = fullmap.New(fullmap.Config{
-			Module: 0, Topo: h.top, Space: h.space, Lat: lat,
-			Mode: proto.PerBlock, Commit: commit,
-		}, kernel, h.net, mem)
-	} else {
-		h.tb = core.New(core.Config{
-			Module: 0, Topo: h.top, Space: h.space, Lat: lat,
-			Mode: proto.PerBlock, Commit: commit, Hooks: cfg.Hooks,
-		}, kernel, h.net, mem)
-	}
+	h.ctl = core.New(core.Config{
+		Module: 0, Topo: h.top, Space: h.space, Lat: lat,
+		Mode: proto.PerBlock, Commit: commit, Hooks: cfg.Hooks,
+	}, cfg.Protocol.policy(), kernel, h.net, memory.NewModule(h.space, 0, lat.Memory))
 	return h
 }
 
@@ -213,42 +183,4 @@ func (h *harness) pending(src, dst network.NodeID) []msg.Message {
 	return h.net.pending(src, dst)
 }
 
-func (h *harness) ctrlQuiescent() bool {
-	if h.fm != nil {
-		return h.fm.Quiescent()
-	}
-	return h.tb.Quiescent()
-}
-
-func (h *harness) ctrlBlock(b addr.Block) ctrlBlock {
-	if h.fm != nil {
-		return fullmapBlock(h.fm, b)
-	}
-	return twoBitBlock(h.tb, b)
-}
-
-func twoBitBlock(c *core.Controller, b addr.Block) ctrlBlock {
-	s := c.BlockSnapshot(b)
-	return ctrlBlock{
-		State: uint8(s.State), Mem: s.Mem,
-		Active: s.Active, ActiveCmd: s.ActiveCmd,
-		Waiting: s.Waiting, AwaitingAck: s.AwaitingAck,
-		Stashed: s.Stashed, Queued: s.Queued,
-	}
-}
-
-func fullmapBlock(c *fullmap.Controller, b addr.Block) ctrlBlock {
-	s := c.BlockSnapshot(b)
-	out := ctrlBlock{
-		State: uint8(c.State(b)), Modified: s.Modified, Mem: s.Mem,
-		Active: s.Active, ActiveCmd: s.ActiveCmd,
-		Waiting: s.Waiting, Queued: s.Queued,
-	}
-	for _, h := range s.Holders {
-		out.Holders |= 1 << uint(h)
-	}
-	for _, p := range s.Stashed {
-		out.Stashed = append(out.Stashed, core.StashedPut{Cache: p.Cache, Data: p.Data})
-	}
-	return out
-}
+func (h *harness) ctrl() *core.Controller { return h.ctl }

@@ -95,11 +95,11 @@ func checkDeadlock(v view) *Violation {
 				"cache agent %d mid-transaction but nothing is deliverable", k)}
 		}
 	}
-	if !v.ctrlQuiescent() {
+	if !v.ctrl().Quiescent() {
 		return &Violation{Kind: "deadlock", Detail: "controller not quiescent but nothing is deliverable"}
 	}
 	for b := 0; b < v.blocks(); b++ {
-		cb := v.ctrlBlock(addr.Block(b))
+		cb := v.ctrl().BlockSnapshot(addr.Block(b))
 		if cb.Active || cb.Waiting || cb.AwaitingAck || len(cb.Stashed) > 0 || len(cb.Queued) > 0 {
 			return &Violation{Kind: "deadlock", Detail: fmt.Sprintf(
 				"controller block %d has residual transaction state but nothing is deliverable", b)}
@@ -111,12 +111,12 @@ func checkDeadlock(v view) *Violation {
 // checkConformance runs at quiescent rest states — nothing deliverable,
 // nothing outstanding — where the directory's compressed bookkeeping
 // must agree with ground truth. For the two-bit scheme the agreement is
-// exactly as loose as §3.1 allows (Present* may overcount); the full
-// map must be exact.
+// exactly as loose as §3.1 allows (Present* may overcount); the exact
+// directories (full map, duplication) must be exact.
 func checkConformance(v view) *Violation {
 	for b := 0; b < v.blocks(); b++ {
 		blk := addr.Block(b)
-		cb := v.ctrlBlock(blk)
+		cb := v.ctrl().BlockSnapshot(blk)
 		cur := v.currentOf(blk)
 		copies, modified := 0, 0
 		var holders uint64
@@ -133,9 +133,9 @@ func checkConformance(v view) *Violation {
 		}
 		bad := func(format string, args ...any) *Violation {
 			return &Violation{Kind: "conformance", Detail: fmt.Sprintf(
-				"block %d in %v: ", b, directory.State(cb.State)) + fmt.Sprintf(format, args...)}
+				"block %d in %v: ", b, cb.State) + fmt.Sprintf(format, args...)}
 		}
-		if v.protocol() == FullMap {
+		if v.protocol() != TwoBit {
 			if cb.Holders != holders {
 				return bad("presence bits %b but actual holders %b", cb.Holders, holders)
 			}
@@ -147,7 +147,7 @@ func checkConformance(v view) *Violation {
 			}
 			continue
 		}
-		switch directory.State(cb.State) {
+		switch cb.State {
 		case directory.Absent:
 			if copies != 0 {
 				return bad("%d copies cached", copies)

@@ -17,8 +17,8 @@
 // The transition rules are not a hand-written abstraction: each state is
 // reconstructed by replaying its action prefix through the very
 // CacheAgent and Controller objects the simulator runs
-// (internal/proto, internal/core, internal/fullmap), driven through a
-// delivery-choice network. A choice point is a *drained* machine — all
+// (internal/proto, internal/core under each directory policy), driven
+// through a delivery-choice network. A choice point is a *drained* machine — all
 // timed events run, so the only nondeterminism left is which processor
 // issues next and which queued message is delivered next; this is sound
 // because concurrency enters the protocols only through message
@@ -45,25 +45,56 @@ import (
 
 	"twobit/internal/addr"
 	"twobit/internal/core"
+	"twobit/internal/duplication"
+	"twobit/internal/fullmap"
+	"twobit/internal/system"
 )
 
 // Protocol selects the checked protocol.
 type Protocol uint8
 
 const (
-	// TwoBit is the paper's two-bit directory scheme (internal/core).
+	// TwoBit is the paper's two-bit directory scheme.
 	TwoBit Protocol = iota
-	// FullMap is the Censier–Feautrier baseline (internal/fullmap),
-	// checked to prove the framework is not specialized to one protocol.
+	// FullMap is the Censier–Feautrier baseline, checked to prove the
+	// framework is not specialized to one protocol.
 	FullMap
+	// Duplication is Tang's central duplicate-directory baseline: the
+	// same exact-holder policy over a different store, under the
+	// single-command serializer.
+	Duplication
 )
+
+// protocols maps each checked protocol to its simulator twin (whose
+// spelling String and the trace codec share) and its controller policy.
+var protocols = [...]struct {
+	sys    system.Protocol
+	policy core.Policy
+}{
+	TwoBit:      {system.TwoBit, core.Policy{}},
+	FullMap:     {system.FullMap, fullmap.Policy(false)},
+	Duplication: {system.Duplication, duplication.Policy()},
+}
 
 // String names the protocol, matching system.Protocol's spelling.
 func (p Protocol) String() string {
-	if p == FullMap {
-		return "full-map"
+	if int(p) >= len(protocols) {
+		return fmt.Sprintf("Protocol(%d)", uint8(p))
 	}
-	return "two-bit"
+	return p.system().String()
+}
+
+func (p Protocol) system() system.Protocol { return protocols[p].sys }
+func (p Protocol) policy() core.Policy     { return protocols[p].policy }
+
+// ParseProtocol inverts String.
+func ParseProtocol(name string) (Protocol, error) {
+	for p := range protocols {
+		if Protocol(p).String() == name {
+			return Protocol(p), nil
+		}
+	}
+	return 0, fmt.Errorf("mcheck: unknown protocol %q", name)
 }
 
 // Config bounds the checked machine. The cache geometry is Sets sets ×
@@ -106,7 +137,7 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Protocol != TwoBit && c.Protocol != FullMap {
+	if int(c.Protocol) >= len(protocols) {
 		return fmt.Errorf("mcheck: unknown protocol %d", c.Protocol)
 	}
 	if c.Caches < 2 || c.Caches > 5 {

@@ -22,6 +22,12 @@ func TestClosureCounts(t *testing.T) {
 		{"twobit-2c1b-r1", Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1}, 37},
 		{"twobit-2c2b-r2", Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3886},
 		{"fullmap-2c2b-r2", Config{Protocol: FullMap, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 2990},
+		{"fullmap-3c1b-r2", Config{Protocol: FullMap, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240},
+		// Duplication is full-map's policy over another store: on one
+		// block the graphs coincide; on two, the single-command serializer
+		// orders commands the per-block one lets overlap.
+		{"duplication-2c2b-r2", Config{Protocol: Duplication, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3062},
+		{"duplication-3c1b-r2", Config{Protocol: Duplication, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,7 +207,7 @@ func drainTo(t *testing.T, cfg Config, issues []Action) []Action {
 // fingerprint sequence — the bridge must agree on healthy runs, not just
 // on counterexamples.
 func TestCleanScheduleBridges(t *testing.T) {
-	for _, p := range []Protocol{TwoBit, FullMap} {
+	for _, p := range []Protocol{TwoBit, FullMap, Duplication} {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := Config{Protocol: p, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}
 			acts := drainTo(t, cfg, []Action{
@@ -271,6 +277,7 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.Sets = 3 },
 		func(c *Config) { c.RefsPerProc = 0 },
 		func(c *Config) { c.Protocol = FullMap; c.Hooks = &core.BugHooks{} },
+		func(c *Config) { c.Protocol = Duplication; c.Hooks = &core.BugHooks{} },
 	}
 	for i, f := range mutate {
 		cfg := base

@@ -224,13 +224,8 @@ func DecodeTrace(data []byte) (Trace, error) {
 	if err != nil {
 		return t, err
 	}
-	switch proto {
-	case "two-bit":
-		t.Cfg.Protocol = TwoBit
-	case "full-map":
-		t.Cfg.Protocol = FullMap
-	default:
-		return t, fmt.Errorf("mcheck: unknown protocol %q", proto)
+	if t.Cfg.Protocol, err = ParseProtocol(proto); err != nil {
+		return t, err
 	}
 	if t.Cfg.Caches, err = intField("caches"); err != nil {
 		return t, err

@@ -142,8 +142,11 @@ func (pr *Progress) Status() Status {
 		CheckpointLag: pr.completed - pr.emitted,
 	}
 	if pr.started {
-		elapsed := time.Since(pr.start)
-		st.ElapsedSeconds = elapsed.Seconds()
+		// One clock reading for the whole snapshot: a worker's run starts
+		// no earlier than the campaign, so against the same now its busy
+		// time can never exceed the elapsed time.
+		now := time.Now() //lint:allow determinism wall-clock campaign telemetry measures the orchestrator, not sim time
+		st.ElapsedSeconds = now.Sub(pr.start).Seconds()
 		if st.ElapsedSeconds > 0 {
 			st.RunsPerSecond = float64(pr.completed) / st.ElapsedSeconds
 		}
@@ -153,7 +156,7 @@ func (pr *Progress) Status() Status {
 		for _, ws := range pr.workers {
 			busy := ws.busy
 			if !ws.runFrom.IsZero() {
-				busy += time.Since(ws.runFrom)
+				busy += now.Sub(ws.runFrom)
 			}
 			u := 0.0
 			if st.ElapsedSeconds > 0 {

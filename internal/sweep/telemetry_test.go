@@ -64,15 +64,18 @@ func TestProgressCounts(t *testing.T) {
 // run accrues busy time before the run completes, so utilization never
 // reads zero just because runs are long.
 func TestProgressMidRunUtilization(t *testing.T) {
-	p := NewProgress("unit", 1)
-	p.begin(1)
-	p.noteRunStart(0)
-	st := p.Status()
-	if st.Workers[0].BusySeconds < 0 {
-		t.Errorf("negative busy time: %+v", st.Workers[0])
-	}
-	if st.Workers[0].Utilization < 0 || st.Workers[0].Utilization > 1.0001 {
-		t.Errorf("utilization out of range: %v", st.Workers[0].Utilization)
+	// A reading taken just after a run starts is the hard case: elapsed
+	// is tiny, so if busy and elapsed came from two clock readings the
+	// gap between them would push utilization well past 1. Many fresh
+	// campaigns make that window certain to be hit.
+	for i := 0; i < 5000; i++ {
+		p := NewProgress("unit", 1)
+		p.begin(1)
+		p.noteRunStart(0)
+		w := p.Status().Workers[0]
+		if w.BusySeconds < 0 || w.Utilization < 0 || w.Utilization > 1 {
+			t.Fatalf("iteration %d: busy %vs, utilization %v, want within [0,1]", i, w.BusySeconds, w.Utilization)
+		}
 	}
 }
 

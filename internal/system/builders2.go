@@ -6,7 +6,6 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/cache"
 	"twobit/internal/classical"
-	"twobit/internal/duplication"
 	"twobit/internal/memory"
 	"twobit/internal/proto"
 	"twobit/internal/software"
@@ -88,65 +87,6 @@ func (b *classicalBuilder) checkInvariants(m *Machine) error {
 		for _, cv := range copies {
 			if cv.frame.Modified {
 				return fmt.Errorf("%v: write-through cache %d holds a dirty frame", bl, cv.cacheIdx)
-			}
-		}
-		return nil
-	})
-}
-
-// duplicationBuilder assembles Tang's central-controller machine.
-type duplicationBuilder struct {
-	agents []*proto.CacheAgent
-	ctrl   *duplication.Controller
-	mem    *memory.Module
-}
-
-func (b *duplicationBuilder) buildCaches(m *Machine) []proto.CacheSide {
-	agents, sides := directoryAgents(m, false)
-	b.agents = agents
-	return sides
-}
-
-func (b *duplicationBuilder) buildCtrls(m *Machine) []proto.MemSide {
-	if m.cfg.Modules != 1 {
-		panic("system: the duplication protocol centralizes everything; configure Modules = 1")
-	}
-	b.mem = memory.NewModule(m.space, 0, m.cfg.Lat.Memory)
-	b.ctrl = duplication.New(duplication.Config{
-		Topo:  m.topo,
-		Space: m.space,
-		Lat:   m.cfg.Lat,
-	}, m.kernel, m.net, b.mem)
-	return []proto.MemSide{b.ctrl}
-}
-
-func (b *duplicationBuilder) reset(m *Machine) {
-	resetDirectoryAgents(m, b.agents, false)
-	b.mem.Reset(m.cfg.Lat.Memory)
-	b.ctrl.Reset(duplication.Config{
-		Topo:  m.topo,
-		Space: m.space,
-		Lat:   m.cfg.Lat,
-	})
-}
-
-func (b *duplicationBuilder) checkInvariants(m *Machine) error {
-	if !b.ctrl.Quiescent() {
-		return fmt.Errorf("duplication controller not quiescent")
-	}
-	return checkGenericInvariants(m, b.ctrl.MemVersion, func(bl addr.Block, copies []copyView) error {
-		holders := map[int]bool{}
-		for _, h := range b.ctrl.Holders(bl) {
-			holders[h] = true
-		}
-		for _, cv := range copies {
-			if !holders[cv.cacheIdx] {
-				return fmt.Errorf("%v: cache %d holds a copy the duplicate tags miss", bl, cv.cacheIdx)
-			}
-		}
-		if mb := b.ctrl.ModifiedBy(bl); mb >= 0 {
-			if len(copies) != 1 || copies[0].cacheIdx != mb {
-				return fmt.Errorf("%v: duplicate tags claim cache %d modified it; copies disagree", bl, mb)
 			}
 		}
 		return nil

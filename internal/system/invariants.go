@@ -7,7 +7,6 @@ import (
 	"twobit/internal/cache"
 	"twobit/internal/core"
 	"twobit/internal/directory"
-	"twobit/internal/fullmap"
 )
 
 // copyView is one cache's valid copy of a block, for invariant checks.
@@ -80,11 +79,6 @@ func (m *Machine) checkDataInvariants(b addr.Block, copies []copyView, memVersio
 // caches' actual contents. Present* may legitimately overcount (it means
 // "0 or more copies"); every other state is exact.
 func checkTwoBitInvariants(m *Machine, ctrls []*core.Controller) error {
-	for j, c := range ctrls {
-		if !c.Quiescent() {
-			return fmt.Errorf("controller %d not quiescent", j)
-		}
-	}
 	for blk := 0; blk < m.space.Blocks; blk++ {
 		b := addr.Block(blk)
 		ctrl := ctrls[b.Module(m.space.Modules)]
@@ -127,13 +121,9 @@ func checkTwoBitInvariants(m *Machine, ctrls []*core.Controller) error {
 	return nil
 }
 
-// checkFullMapInvariants verifies the exact n+1-bit map against the caches.
-func checkFullMapInvariants(m *Machine, ctrls []*fullmap.Controller) error {
-	for j, c := range ctrls {
-		if !c.Quiescent() {
-			return fmt.Errorf("controller %d not quiescent", j)
-		}
-	}
+// checkExactInvariants verifies an exact directory — the n+1-bit map or
+// the duplicated cache directories — against the caches.
+func checkExactInvariants(m *Machine, ctrls []*core.Controller) error {
 	for blk := 0; blk < m.space.Blocks; blk++ {
 		b := addr.Block(blk)
 		ctrl := ctrls[b.Module(m.space.Modules)]

@@ -65,7 +65,7 @@ func TestCheckerDetectsDoubleModified(t *testing.T) {
 func TestCheckerDetectsAbsentWithCopy(t *testing.T) {
 	m := healthyMachine(t, TwoBit)
 	// Plant a copy of a block whose directory state is Absent.
-	tb := m.bld.(*twoBitBuilder)
+	tb := m.bld.(*directoryBuilder)
 	var target Block = 0
 	found := false
 	for b := 0; b < m.space.Blocks; b++ {
@@ -113,7 +113,7 @@ func TestCheckerDetectsStaleCleanCopy(t *testing.T) {
 func TestCheckerDetectsFullMapPhantomHolder(t *testing.T) {
 	m := healthyMachine(t, FullMap)
 	// Plant a copy the exact map does not record.
-	fb := m.bld.(*fullMapBuilder)
+	fb := m.bld.(*directoryBuilder)
 	for b := 0; b < m.space.Blocks; b++ {
 		blk := Block(b)
 		ctrl := fb.ctrls[blk.Module(m.space.Modules)]

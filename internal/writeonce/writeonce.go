@@ -103,9 +103,7 @@ func (s *System) transact(from int, kind msg.Kind, b addr.Block, fn func()) {
 	ns := s.bus.Stats()
 	ns.Messages.Inc()
 	ns.Broadcasts.Inc()
-	for range s.agents {
-		// Every attached cache (except the initiator) snoops the slot.
-	}
+	// Every attached cache except the initiator snoops the slot.
 	ns.BroadcastCopies.Add(uint64(len(s.agents) - 1))
 	s.kernel.At(at, fn)
 }

@@ -254,9 +254,10 @@ cmp "$SMOKE/run_big.json" "$SMOKE/run_text.json" || {
     exit 1
 }
 
-echo "==> mcheck: full 2-cache closures (both protocols)"
+echo "==> mcheck: full 2-cache closures (every directory policy)"
 go run ./cmd/mcheck -caches=2 -blocks=2 -refs=2
 go run ./cmd/mcheck -protocol=full-map -caches=2 -blocks=2 -refs=2
+go run ./cmd/mcheck -protocol=duplication -caches=2 -blocks=2 -refs=2
 
 echo "==> mcheck: full 3-cache x 1-block closure"
 go run ./cmd/mcheck -caches=3 -blocks=1 -refs=2
