@@ -7,27 +7,21 @@
 // The *_print benchmarks (run once per invocation) emit the regenerated
 // tables on standard output so `go test -bench` output doubles as the
 // reproduction record.
+//
+// These measure the simulated machine, in the paper's units. How fast the
+// simulator itself runs is measured by one program only, `go run ./bench`
+// (bench/README.md); BenchmarkSimulatorThroughput and
+// BenchmarkProtocolComparison are its paper-8p and spectrum-8p points, kept
+// here for ad-hoc -bench use.
 package twobit
 
 import (
-	"bytes"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
-	"twobit/internal/addr"
-	"twobit/internal/memtrace"
-	"twobit/internal/msg"
-	"twobit/internal/network"
-	"twobit/internal/obs"
 	"twobit/internal/proto"
 	"twobit/internal/sim"
-	"twobit/internal/stats"
-	"twobit/internal/sweep"
-	"twobit/internal/tracegen"
 	"twobit/internal/workload"
 )
 
@@ -373,44 +367,6 @@ func BenchmarkMigration(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep measures the experiment-orchestration engine's campaign
-// throughput (complete simulation runs per second) as the worker pool
-// widens. The engine guarantees byte-identical output at every width, so
-// this curve is pure speedup, not a quality trade. scripts/bench.sh
-// archives it as BENCH_sweep.json.
-func BenchmarkSweep(b *testing.B) {
-	plan := &sweep.Plan{
-		Name:        "bench",
-		Protocols:   []string{TwoBit.String(), FullMap.String()},
-		Qs:          []float64{0.05, 0.10},
-		Ws:          []float64{0.2, 0.3},
-		Procs:       []int{4, 8},
-		Replicates:  1,
-		RefsPerProc: 500,
-		RootSeed:    7,
-	}
-	plan.Normalize()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs() // the pooled-graph contract: reuse, don't reconstruct
-			runs := 0
-			for i := 0; i < b.N; i++ {
-				recs, err := sweep.Collect(plan, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range recs {
-					if r.Err != "" {
-						b.Fatalf("run %d failed: %s", r.RunID, r.Err)
-					}
-				}
-				runs += len(recs)
-			}
-			b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
-		})
-	}
-}
-
 // BenchmarkModelCheck measures the bounded verifier's exploration rate on
 // the §3.2.5 scenario (complete interleavings per second).
 func BenchmarkModelCheck(b *testing.B) {
@@ -435,345 +391,4 @@ func BenchmarkModelCheck(b *testing.B) {
 		paths += res.Paths
 	}
 	b.ReportMetric(float64(paths)/b.Elapsed().Seconds(), "paths/s")
-}
-
-// kernelBenchCaller is a pooled event target for the kernel benchmarks:
-// pointer-shaped, so scheduling it through AtCall never boxes.
-type kernelBenchCaller struct{ sink uint64 }
-
-func (c *kernelBenchCaller) Call(a0, a1 uint64) { c.sink += a0 ^ a1 }
-
-// BenchmarkKernel (E-kernel) measures the event kernel's schedule+drain
-// hot path in isolation: a batch of pooled events pushed with clustered
-// timestamps (so the heap exercises real sift work and tie-breaks), then
-// drained to empty. scripts/check.sh gates this at 0 allocs/op — the
-// kernel path must not allocate once the event array has reached its
-// high-water mark. scripts/bench.sh archives it as BENCH_kernel.json.
-func BenchmarkKernel(b *testing.B) {
-	const batch = 64
-	k := &sim.Kernel{}
-	var c kernelBenchCaller
-	run := func() {
-		now := k.Now()
-		for j := 0; j < batch; j++ {
-			k.AtCall(now+sim.Time(j%8), &c, uint64(j), 1)
-		}
-		for k.Step() {
-		}
-	}
-	run() // grow the event array to its high-water mark
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkBroadcastFanout measures the network delivery path the
-// protocols lean on hardest: one bus broadcast snooped by every node,
-// drained through the kernel. The delivery slab makes the steady state
-// allocation-free regardless of fan-out width.
-func BenchmarkBroadcastFanout(b *testing.B) {
-	for _, nodes := range []int{8, 32} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			k := &sim.Kernel{}
-			bus := network.NewBus(k, 1, 4)
-			var c kernelBenchCaller
-			h := network.HandlerFunc(func(src network.NodeID, m msg.Message) {
-				c.sink += m.Data
-			})
-			for i := 0; i < nodes; i++ {
-				bus.Attach(network.NodeID(i), h)
-			}
-			payload := msg.Message{Kind: msg.KindBroadInv, Data: 1}
-			run := func() {
-				bus.Broadcast(0, payload)
-				for k.Step() {
-				}
-			}
-			run() // grow heap + delivery slab to the high-water mark
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-			b.ReportMetric(float64((nodes-1)*b.N)/b.Elapsed().Seconds(), "deliveries/s")
-		})
-	}
-}
-
-// benchObsSink keeps the compiler from eliding the instrumentation body.
-var benchObsSink uint64
-
-// obsBenchBody is the shared loop for the disabled/enabled pair: one
-// "reference" worth of instrumentation — a span, a counter bump, two
-// histogram observations, an async transaction, and an instant — against
-// whatever recorder it is handed.
-func obsBenchBody(b *testing.B, rec *obs.Recorder) {
-	comp := rec.Component("cache0")
-	refs := rec.Counter("cache0/refs")
-	lat := rec.Histogram("cache0/lat", 4)
-	depth := rec.Histogram("ctrl0/queue_depth", 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := uint64(i)
-		refs.Inc()
-		rec.Begin(comp, "ref read", int64(i&1023))
-		lat.Observe(v & 63)
-		depth.Observe(v & 7)
-		rec.AsyncBegin(comp, "txn READ", int64(i&1023))
-		rec.Emit(comp, "dir to Present1", int64(i&1023), 0)
-		rec.AsyncEnd(comp, "txn READ", int64(i&1023))
-		rec.End(comp, "ref read", int64(i&1023))
-		benchObsSink += refs.Value()
-	}
-}
-
-// BenchmarkObsDisabled (E-obs) measures the price of instrumentation
-// that is compiled in but switched off: every call must dissolve into a
-// nil check. The scripts/check.sh gate fails the build if this path
-// allocates; the ns/op floor is the per-reference overhead an
-// uninstrumented simulation pays for carrying the hooks.
-func BenchmarkObsDisabled(b *testing.B) {
-	obsBenchBody(b, nil)
-}
-
-// BenchmarkObsEnabled is the same body against a live recorder with a
-// 4K-event ring: the marginal cost of actually measuring.
-func BenchmarkObsEnabled(b *testing.B) {
-	obsBenchBody(b, obs.New(1<<12))
-}
-
-// BenchmarkObsMachine runs the same machine with recording off and on,
-// reporting whole-run cycles/s for each, so the end-to-end overhead of
-// the observability layer is tracked where it matters — not just in the
-// microbenchmark above.
-func BenchmarkObsMachine(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run("obs="+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig(TwoBit, 4)
-				cfg.Oracle = false
-				if on {
-					cfg.Obs = obs.New(1 << 12)
-				}
-				res := benchRun(b, cfg, benchGen(4, 0.1, 0.3, 7), 2000)
-				benchObsSink += res.Refs
-			}
-		})
-	}
-}
-
-// benchTraceSpec is the serving-scale scenario the trace benchmarks
-// synthesize and replay.
-func benchTraceSpec(procs int) tracegen.Spec {
-	return tracegen.Resolve(tracegen.Spec{Name: "kv-serving", Procs: procs, Seed: 21})
-}
-
-// BenchmarkTraceSynthesize (E-trace) measures scenario-synthesis
-// throughput: references drawn from the kv-serving scenario and encoded
-// straight into the chunked format, no trace ever held in memory.
-// scripts/bench.sh archives it as BENCH_trace.json.
-func BenchmarkTraceSynthesize(b *testing.B) {
-	spec := benchTraceSpec(8)
-	const refs = 20000
-	for i := 0; i < b.N; i++ {
-		if err := tracegen.Synthesize(io.Discard, spec, refs, 0, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(spec.Procs*refs*b.N)/b.Elapsed().Seconds(), "refs/s")
-}
-
-// BenchmarkTraceDecode measures chunked-format decode throughput: one
-// streaming scan over an encoded trace, chunk by chunk.
-func BenchmarkTraceDecode(b *testing.B) {
-	spec := benchTraceSpec(8)
-	const refs = 20000
-	var buf bytes.Buffer
-	if err := tracegen.Synthesize(&buf, spec, refs, 0, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	total := 0
-	for i := 0; i < b.N; i++ {
-		n := 0
-		_, err := memtrace.ScanChunked(bytes.NewReader(buf.Bytes()), func(proc int, rs []addr.Ref) error {
-			n += len(rs)
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += n
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "refs/s")
-}
-
-// BenchmarkTraceReplay drives the full machine from the same recorded
-// trace twice over — once materialized in memory, once streamed from an
-// on-disk chunked file — so the cost of O(chunk) residency is measured
-// against the in-memory ceiling it must keep up with.
-func BenchmarkTraceReplay(b *testing.B) {
-	spec := benchTraceSpec(8)
-	const refs = 4000
-	tr := memtrace.Record(tracegen.New(spec), spec.Procs, refs)
-	path := filepath.Join(b.TempDir(), "bench.mtrc2")
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := tr.WriteChunked(f, 0); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	run := func(b *testing.B, src TraceSource) {
-		for i := 0; i < b.N; i++ {
-			cfg := DefaultConfig(TwoBit, spec.Procs)
-			if _, err := RunFromTrace(cfg, src, refs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(spec.Procs*refs*b.N)/b.Elapsed().Seconds(), "refs/s")
-	}
-	b.Run("src=memory", func(b *testing.B) {
-		run(b, tr)
-	})
-	b.Run("src=stream", func(b *testing.B) {
-		src, err := OpenTraceFile(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer CloseTraceSource(src)
-		run(b, src)
-	})
-}
-
-// spanBenchBody is the shared loop for the spans pair: one reference
-// worth of span bookkeeping — open, three phase boundaries, close —
-// against whatever span recorder it is handed.
-func spanBenchBody(b *testing.B, sp *obs.SpanRecorder) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := i & 3
-		sp.Start(c, obs.ClassReadMiss, int64(i&1023))
-		sp.Mark(c, obs.PhaseReqTransit)
-		sp.Mark(c, obs.PhaseMemory)
-		sp.Mark(c, obs.PhaseDataReturn)
-		sp.Finish(c)
-	}
-}
-
-// BenchmarkSpansDisabled (E-spans) measures the transaction-span hooks
-// with spans off: like the obs pair above, every call must dissolve
-// into a nil check, and the scripts/check.sh gate fails the build if
-// this path allocates.
-func BenchmarkSpansDisabled(b *testing.B) {
-	spanBenchBody(b, nil)
-}
-
-// BenchmarkSpansEnabled is the same body against a live span recorder
-// in matrix-only mode (no per-span retention — the sweep campaign
-// configuration): the marginal cost of latency attribution.
-func BenchmarkSpansEnabled(b *testing.B) {
-	spanBenchBody(b, obs.New(0).EnableSpans(0))
-}
-
-// tsBenchBody is the shared loop for the time-series pair: one reference
-// worth of coherence-observatory work — a sum-window bump, a queue-depth
-// peak, a census gauge move, and the contention profiler's three touches
-// — against whatever recorder it is handed, with sim time advancing so
-// windows actually roll over.
-func tsBenchBody(b *testing.B, rec *obs.Recorder) {
-	var now sim.Time
-	rec.SetClock(func() sim.Time { return now })
-	refs := rec.Windows().Series("sys/refs", obs.SeriesSum)
-	depth := rec.Windows().Series("ctrl0/queue_depth", obs.SeriesMax)
-	census := rec.Windows().Series("dir/present_m", obs.SeriesGauge)
-	ct := rec.Contention()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = sim.Time(i >> 2)
-		refs.Inc()
-		depth.Observe(uint64(i & 7))
-		census.GaugeAdd(int64(i&1)*2 - 1)
-		ct.Ref(uint64(i & 255))
-		ct.Write(uint64(i&255), i&7, i&3)
-		ct.Invalidation(uint64(i & 255))
-	}
-}
-
-// BenchmarkTimeSeriesDisabled (E-obsts) measures the windowed
-// time-series and contention hooks compiled in but switched off: every
-// call must dissolve into a nil check, and the scripts/check.sh gate
-// fails the build if this path allocates.
-func BenchmarkTimeSeriesDisabled(b *testing.B) {
-	tsBenchBody(b, nil)
-}
-
-// BenchmarkTimeSeriesEnabled is the same body against a recorder with
-// windows and the contention profiler live: the marginal cost of the
-// coherence observatory per instrumented reference.
-func BenchmarkTimeSeriesEnabled(b *testing.B) {
-	rec := obs.New(0)
-	rec.EnableWindows(64)
-	rec.EnableContention(64)
-	tsBenchBody(b, rec)
-}
-
-// BenchmarkTopKUpdate isolates the Space-Saving sketch behind the
-// contention profiler: steady-state updates against a full sketch, where
-// every unseen key evicts the current minimum — the worst case, since the
-// eviction scan is O(K).
-func BenchmarkTopKUpdate(b *testing.B) {
-	sk := stats.NewTopK(64)
-	for k := uint64(0); k < 64; k++ {
-		sk.Observe(k)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// 3/4 hits on tracked keys, 1/4 evictions.
-		sk.Observe(uint64(i) & 255)
-	}
-	benchObsSink += uint64(sk.Len())
-}
-
-// BenchmarkTimeSeriesMachine runs the same machine with the observatory
-// off and on (windows + contention profiler), so the end-to-end overhead
-// of windowed recording is tracked where it matters; scripts/bench.sh
-// derives BENCH_obsts.json's overhead_pct from this pair.
-func BenchmarkTimeSeriesMachine(b *testing.B) {
-	for _, on := range []bool{false, true} {
-		name := "off"
-		if on {
-			name = "on"
-		}
-		b.Run("windows="+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig(TwoBit, 4)
-				cfg.Oracle = false
-				if on {
-					cfg.Obs = obs.New(0)
-					cfg.Obs.EnableWindows(obs.DefaultWindowWidth)
-					cfg.Obs.EnableContention(64)
-				}
-				res := benchRun(b, cfg, benchGen(4, 0.1, 0.3, 7), 2000)
-				benchObsSink += res.Refs
-			}
-		})
-	}
 }

@@ -62,7 +62,7 @@ func run() error {
 	if *planPath == "" {
 		return fmt.Errorf("no -plan given (the same plan file the campaign ran with)")
 	}
-	plan, err := readPlan(*planPath)
+	plan, err := sweep.ReadPlanFile(*planPath)
 	if err != nil {
 		return err
 	}
@@ -164,16 +164,4 @@ func nextPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-func readPlan(path string) (*sweep.Plan, error) {
-	if path == "-" {
-		return sweep.ReadPlan(os.Stdin)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return sweep.ReadPlan(f)
 }

@@ -48,7 +48,7 @@ func run() error {
 	if *planPath == "" {
 		return fmt.Errorf("no -plan given")
 	}
-	plan, err := readPlan(*planPath)
+	plan, err := sweep.ReadPlanFile(*planPath)
 	if err != nil {
 		return err
 	}
@@ -77,18 +77,6 @@ func run() error {
 		return writeJSON(os.Stdout, groups, *stormMin, *stormFactor)
 	}
 	return fmt.Errorf("unknown -format %q (want text, csv or json)", *format)
-}
-
-func readPlan(path string) (*sweep.Plan, error) {
-	if path == "-" {
-		return sweep.ReadPlan(os.Stdin)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return sweep.ReadPlan(f)
 }
 
 func sectionName(g sweep.ObsGroup) string {

@@ -48,39 +48,53 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the telemetry mux
 	"os"
+	"strings"
 	"sync/atomic"
 
 	"twobit/internal/report"
 	"twobit/internal/sweep"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+func main() { os.Exit(cli(os.Args[1:], os.Stderr)) }
+
+// cli runs one invocation and returns its exit status, reporting a
+// failure as one "sweep: ..." line: internal/sweep prefixes its own
+// errors, main's flag errors and the OS's arrive bare.
+func cli(args []string, stderr io.Writer) int {
+	err := run(args)
+	if err == nil {
+		return 0
 	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sweep: ") {
+		msg = "sweep: " + msg
+	}
+	fmt.Fprintln(stderr, msg)
+	return 1
 }
 
-func run() error {
-	planPath := flag.String("plan", "", "campaign plan JSON file ('-' for stdin)")
-	example := flag.Bool("example", false, "print a documented example plan and exit")
-	workers := flag.Int("workers", 1, "worker goroutines (output is identical for any value)")
-	out := flag.String("out", "", "result store path (default <plan name>.jsonl)")
-	resume := flag.Bool("resume", false, "continue an interrupted campaign from the store's checkpoint")
-	format := flag.String("format", "table", "aggregate output: table, csv or json")
-	metric := flag.String("metric", "useless_per_ref", "metric to aggregate (see -metrics)")
-	listMetrics := flag.Bool("metrics", false, "list the aggregatable metrics and exit")
-	spread := flag.Bool("spread", false, "also print min/max grids across replicates")
-	quiet := flag.Bool("quiet", false, "suppress progress output")
-	telemetry := flag.String("telemetry", "", "serve live campaign telemetry (expvar + pprof) on this address, e.g. localhost:6060")
-	sharded := flag.Bool("sharded", false, "write per-worker shard files instead of a single ordered store (shorthand for -shard 0/1)")
-	shardSpec := flag.String("shard", "", "run one slice i/n of the plan's run-id space into the shard dir (e.g. 0/2)")
-	merge := flag.Bool("merge", false, "validate the shard dir and write the canonical single store, then aggregate")
-	shardsDir := flag.String("shards", "", "shard directory (default <plan name>.shards)")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	planPath := fs.String("plan", "", "campaign plan JSON file ('-' for stdin)")
+	example := fs.Bool("example", false, "print a documented example plan and exit")
+	workers := fs.Int("workers", 1, "worker goroutines (output is identical for any value)")
+	out := fs.String("out", "", "result store path (default <plan name>.jsonl)")
+	resume := fs.Bool("resume", false, "continue an interrupted campaign from the store's checkpoint")
+	format := fs.String("format", "table", "aggregate output: table, csv or json")
+	metric := fs.String("metric", "useless_per_ref", "metric to aggregate (see -metrics)")
+	listMetrics := fs.Bool("metrics", false, "list the aggregatable metrics and exit")
+	spread := fs.Bool("spread", false, "also print min/max grids across replicates")
+	quiet := fs.Bool("quiet", false, "suppress progress output")
+	telemetry := fs.String("telemetry", "", "serve live campaign telemetry (expvar + pprof) on this address, e.g. localhost:6060")
+	sharded := fs.Bool("sharded", false, "write per-worker shard files instead of a single ordered store (shorthand for -shard 0/1)")
+	shardSpec := fs.String("shard", "", "run one slice i/n of the plan's run-id space into the shard dir (e.g. 0/2)")
+	merge := fs.Bool("merge", false, "validate the shard dir and write the canonical single store, then aggregate")
+	shardsDir := fs.String("shards", "", "shard directory (default <plan name>.shards)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag is reported, with usage, by Parse itself
 
 	if *example {
 		data, err := sweep.ExamplePlan().MarshalIndent()
@@ -100,7 +114,7 @@ func run() error {
 		return fmt.Errorf("no -plan given (try -example for the format)")
 	}
 
-	plan, err := readPlan(*planPath)
+	plan, err := sweep.ReadPlanFile(*planPath)
 	if err != nil {
 		return err
 	}
@@ -286,18 +300,6 @@ func runMerge(plan *sweep.Plan, dir, storePath, format, metric string, spread, q
 		fmt.Fprintf(os.Stderr, "warning: %d of %d runs failed; see the err fields in %s\n", failed, plan.Size(), storePath)
 	}
 	return render(grids, format, spread, plan.Replicates)
-}
-
-func readPlan(path string) (*sweep.Plan, error) {
-	if path == "-" {
-		return sweep.ReadPlan(os.Stdin)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return sweep.ReadPlan(f)
 }
 
 // selected returns the grids to print: the mean, plus min/max when the

@@ -35,7 +35,6 @@ type AgentConfig struct {
 	Lat   proto.Latencies
 	// BiasFilter enables the repeated-invalidation filter.
 	BiasFilter bool
-	Commit     proto.CommitFunc // unused (commit happens at the controller)
 }
 
 // Agent is a write-through, no-write-allocate cache.

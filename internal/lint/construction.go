@@ -13,11 +13,12 @@ import (
 // caches, memory modules, directories and networks exactly once and
 // resets them between runs; a component constructor reappearing in the
 // orchestrator is per-run construction sneaking back in — the regression
-// the allocation gate in scripts/bench.sh measures after the fact, caught
-// here before the code runs. The sanctioned entry points (the Runner
-// constructor that owns the pool) are listed in cfg.AllowedConstructors;
-// anything else needs a //lint:allow pooled-construction directive with a
-// written reason, as a one-shot path like trace export does.
+// the campaign workload's allocs_per_ref bound (go run ./bench) measures
+// after the fact, caught here before the code runs. The sanctioned entry
+// points (the Runner constructor that owns the pool) are listed in
+// cfg.AllowedConstructors; anything else needs a //lint:allow
+// pooled-construction directive with a written reason, as a one-shot
+// path like trace export does.
 func checkConstruction(mod *module, cfg Config) []Diagnostic {
 	comp := make(map[string]bool, len(cfg.ComponentPaths))
 	for _, c := range cfg.ComponentPaths {

@@ -40,9 +40,9 @@ func kernelScheduleName(p *pkg, call *ast.CallExpr, cfg Config) (string, bool) {
 // kernel At/After call whose function argument is a closure capturing a
 // variable declared in an enclosing loop is a finding. Such a closure
 // cannot be hoisted: it allocates once per iteration, on exactly the
-// paths the zero-allocation gate in scripts/check.sh protects. The fix
-// is the pooled AtCall/AfterCall form, or hoisting the state the
-// closure needs into a reused record.
+// paths the ZeroAlloc tests in sim and network protect. The fix is the
+// pooled AtCall/AfterCall form, or hoisting the state the closure needs
+// into a reused record.
 func checkHotPath(mod *module, cfg Config) []Diagnostic {
 	hot := make(map[string]bool, len(cfg.HotPaths))
 	for _, h := range cfg.HotPaths {

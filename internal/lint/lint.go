@@ -52,10 +52,11 @@
 //     worker's components once and resets them between runs; a component
 //     constructor reappearing in the orchestrator is per-run
 //     construction sneaking back past the pool — the exact regression
-//     the allocation gate in scripts/bench.sh exists to catch, flagged
-//     here before anything runs. The sanctioned pool entry point
-//     (system.NewRunner) is exempt; genuinely one-shot paths carry a
-//     //lint:allow with a written reason.
+//     the campaign workload's allocs_per_ref bound (go run ./bench)
+//     exists to catch, flagged here before anything runs. The
+//     sanctioned pool entry point (system.NewRunner) is exempt;
+//     genuinely one-shot paths carry a //lint:allow with a written
+//     reason.
 //
 // A finding can be suppressed only by an explicit escape hatch on the
 // offending line (or the line above):

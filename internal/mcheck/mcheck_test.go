@@ -327,8 +327,8 @@ func TestCheckLivelockFreedom(t *testing.T) {
 var benchSink Result
 
 // BenchmarkMCheck measures exhaustive-closure throughput (states/s) on
-// the default configuration; scripts/bench.sh publishes it as
-// BENCH_mcheck.json.
+// the default configuration, for ad-hoc -bench use; no stamped baseline
+// is kept.
 func BenchmarkMCheck(b *testing.B) {
 	cfg := DefaultConfig()
 	for i := 0; i < b.N; i++ {

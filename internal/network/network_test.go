@@ -285,6 +285,37 @@ func TestPropertyDeliveryConservation(t *testing.T) {
 	}
 }
 
+// TestZeroAllocBroadcast holds the floor under the delivery path the
+// protocols lean on hardest: one bus broadcast snooped by every node and
+// drained through the kernel allocates nothing once the heap and the
+// delivery slab have grown, whatever the fan-out width.
+func TestZeroAllocBroadcast(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, nodes := range []int{8, 32} {
+		var k sim.Kernel
+		bus := NewBus(&k, 1, 4)
+		var sink uint64
+		h := HandlerFunc(func(_ NodeID, m msg.Message) { sink += m.Data })
+		for i := 0; i < nodes; i++ {
+			bus.Attach(NodeID(i), h)
+		}
+		run := func() {
+			bus.Broadcast(0, mkMsg(msg.KindBroadInv, 1))
+			for k.Step() {
+			}
+		}
+		run() // grow heap + delivery slab to the high-water mark
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("nodes=%d: bus broadcast allocates %v per fan-out, want 0", nodes, allocs)
+		}
+		if sink == 0 {
+			t.Errorf("nodes=%d: no snooper saw the broadcast", nodes)
+		}
+	}
+}
+
 func BenchmarkCrossbarSend(b *testing.B) {
 	var k sim.Kernel
 	n := NewCrossbar(&k, 2)

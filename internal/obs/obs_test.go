@@ -9,6 +9,105 @@ import (
 	"twobit/internal/sim"
 )
 
+// One reference's worth of each instrument family, as the machine's hook
+// sites call them. Each takes the recorder it is handed — nil for the
+// disabled configuration — and returns the per-reference body.
+
+// eventsRef: a span, a counter bump, two histogram observations, an
+// async transaction and an instant.
+func eventsRef(rec *Recorder) func(i int) {
+	comp := rec.Component("cache0")
+	refs := rec.Counter("cache0/refs")
+	lat := rec.Histogram("cache0/lat", 4)
+	depth := rec.Histogram("ctrl0/queue_depth", 1)
+	return func(i int) {
+		v, id := uint64(i), int64(i&1023)
+		refs.Inc()
+		rec.Begin(comp, "ref read", id)
+		lat.Observe(v & 63)
+		depth.Observe(v & 7)
+		rec.AsyncBegin(comp, "txn READ", id)
+		rec.Emit(comp, "dir to Present1", id, 0)
+		rec.AsyncEnd(comp, "txn READ", id)
+		rec.End(comp, "ref read", id)
+	}
+}
+
+// spansRef: open a transaction span, three phase boundaries, close.
+func spansRef(rec *Recorder) func(i int) {
+	sp := rec.Spans()
+	return func(i int) {
+		c := i & 3
+		sp.Start(c, ClassReadMiss, int64(i&1023))
+		sp.Mark(c, PhaseReqTransit)
+		sp.Mark(c, PhaseMemory)
+		sp.Mark(c, PhaseDataReturn)
+		sp.Finish(c)
+	}
+}
+
+// seriesRef: a sum-window bump, a queue-depth peak, a census gauge move
+// and the contention profiler's three touches, with sim time advancing
+// so the publishes land in successive windows.
+func seriesRef(rec *Recorder) func(i int) {
+	var now sim.Time
+	rec.SetClock(func() sim.Time { return now })
+	refs := rec.Windows().Series("sys/refs", SeriesSum)
+	depth := rec.Windows().Series("ctrl0/queue_depth", SeriesMax)
+	census := rec.Windows().Series("dir/present_m", SeriesGauge)
+	ct := rec.Contention()
+	return func(i int) {
+		now = sim.Time(i >> 2)
+		refs.Inc()
+		depth.Observe(uint64(i & 7))
+		census.GaugeAdd(int64(i&1)*2 - 1)
+		ct.Ref(uint64(i & 255))
+		ct.Write(uint64(i&255), i&7, i&3)
+		ct.Invalidation(uint64(i & 255))
+	}
+}
+
+// TestZeroAllocObs holds the package invariant's cost half. Disabled
+// (nil recorder), every hook is a nil check and nothing else — one
+// allocation per call would tax every uninstrumented simulation. Enabled,
+// the instruments write into storage they already own: a warm-up pass
+// fills the event ring and opens every window, span slot and sketch
+// entry the measured passes revisit, after which recording allocates
+// nothing either.
+func TestZeroAllocObs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	matrixOnly := New(0) // no per-span retention: the sweep-campaign configuration
+	matrixOnly.EnableSpans(0)
+	observatory := New(0)
+	observatory.EnableWindows(64)
+	observatory.EnableContention(64)
+	for _, tc := range []struct {
+		name string
+		rec  *Recorder
+		ref  func(*Recorder) func(int)
+	}{
+		{"events/disabled", nil, eventsRef},
+		{"events/enabled", New(1 << 12), eventsRef},
+		{"spans/disabled", nil, spansRef},
+		{"spans/matrix-only", matrixOnly, spansRef},
+		{"series/disabled", nil, seriesRef},
+		{"series/enabled", observatory, seriesRef},
+	} {
+		ref := tc.ref(tc.rec)
+		pass := func() {
+			for i := 0; i < 4096; i++ {
+				ref(i)
+			}
+		}
+		pass()
+		if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
+			t.Errorf("%s: %v allocations per 4096 references, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestNilRecorderIsSafe drives every hot-path entry point through a nil
 // recorder and its nil instruments: the disabled configuration must be
 // inert, not a crash.

@@ -8,8 +8,8 @@
 //
 // The design inherits the package invariant. A nil *SpanRecorder (what
 // Recorder.Spans returns when spans were never enabled) makes Start,
-// Mark and Finish a nil check and nothing else — BenchmarkSpansDisabled
-// pins 0 allocs/op and scripts/check.sh gates it. An enabled recorder
+// Mark and Finish a nil check and nothing else — TestZeroAllocObs pins
+// 0 allocations, disabled and in matrix-only mode. An enabled recorder
 // only writes its own accumulators and histograms; it never schedules
 // (coherencelint's obs-passivity rule covers this file like the rest of
 // the package, with a fixture proving a span-side AtCall is flagged).

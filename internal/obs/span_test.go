@@ -27,20 +27,6 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 }
 
-// TestSpanDisabledAllocs pins the hot-path contract directly (the
-// benchmark gate in scripts/check.sh pins it under -benchmem too).
-func TestSpanDisabledAllocs(t *testing.T) {
-	var sp *SpanRecorder
-	allocs := testing.AllocsPerRun(1000, func() {
-		sp.Start(3, ClassWriteMiss, 9)
-		sp.Mark(3, PhaseQueue)
-		sp.Finish(3)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled span path allocates %v per op", allocs)
-	}
-}
-
 // TestSpanTelescoping drives a synthetic span through a fake clock and
 // checks that every interval lands in exactly one phase and the sums
 // reconcile.

@@ -377,6 +377,37 @@ func TestResetIdenticalToFresh(t *testing.T) {
 	}
 }
 
+// sumCaller is a pointer-shaped event target: scheduling it through
+// AtCall converts it to the Caller interface without boxing.
+type sumCaller struct{ sink uint64 }
+
+func (c *sumCaller) Call(a0, a1 uint64) { c.sink += a0 ^ a1 }
+
+// TestZeroAllocKernel holds the floor every simulated cycle rests on:
+// once the event array has reached its high-water mark, scheduling a
+// batch of pooled events with clustered timestamps (real sift work and
+// tie-breaks) and draining it to empty allocates nothing.
+func TestZeroAllocKernel(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const batch = 64
+	var k Kernel
+	var c sumCaller
+	run := func() {
+		now := k.Now()
+		for j := 0; j < batch; j++ {
+			k.AtCall(now+Time(j%8), &c, uint64(j), 1)
+		}
+		for k.Step() {
+		}
+	}
+	run() // grow the event array to its high-water mark
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("kernel schedule+drain allocates %v per %d-event batch, want 0", allocs, batch)
+	}
+}
+
 func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var k Kernel

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 
 	"twobit/internal/rng"
 	"twobit/internal/sim"
@@ -390,6 +391,20 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 		return nil, err
 	}
 	return &p, nil
+}
+
+// ReadPlanFile is ReadPlan over the file at path, or over standard input
+// when path is "-": the one plan opener every CLI shares.
+func ReadPlanFile(path string) (*Plan, error) {
+	if path == "-" {
+		return ReadPlan(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
+	defer f.Close()
+	return ReadPlan(f)
 }
 
 // MarshalIndent renders the plan as indented JSON (the plan file format).

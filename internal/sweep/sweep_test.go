@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -223,6 +224,52 @@ func TestReadPlanRejectsBadInput(t *testing.T) {
 		if _, err := ReadPlan(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadPlan accepted %s", name, in)
 		}
+	}
+}
+
+// TestReadPlanFile: the shared opener reads a path or, for "-", standard
+// input, and names the file or the JSON fault under the package prefix.
+func TestReadPlanFile(t *testing.T) {
+	data, err := ExamplePlan().MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "plan.json")
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(good, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte(`{"name":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := ReadPlanFile(good)
+	if err != nil || !plansEqual(p, ExamplePlan()) {
+		t.Errorf("ReadPlanFile(file) = %+v, %v", p, err)
+	}
+
+	stdin, err := os.Open(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdin.Close()
+	saved := os.Stdin
+	os.Stdin = stdin
+	p, err = ReadPlanFile("-")
+	os.Stdin = saved
+	if err != nil || !plansEqual(p, ExamplePlan()) {
+		t.Errorf(`ReadPlanFile("-") = %+v, %v`, p, err)
+	}
+
+	missing := filepath.Join(dir, "absent.json")
+	_, err = ReadPlanFile(missing)
+	if !errors.Is(err, os.ErrNotExist) || !strings.HasPrefix(err.Error(), "sweep: open "+missing+": ") {
+		t.Errorf("missing file: %v", err)
+	}
+	_, err = ReadPlanFile(bad)
+	if err == nil || err.Error() != "sweep: parsing plan: unexpected EOF" {
+		t.Errorf("bad JSON: %v", err)
 	}
 }
 
