@@ -108,9 +108,7 @@ type Cache struct {
 	clock  uint64 // logical use counter for LRU/FIFO
 	random *rng.PCG
 	stats  Stats
-	// index accelerates FindBlock: block -> set slot. Maintained on every
-	// fill/invalidate so lookups during broadcasts are O(1).
-	index map[addr.Block]int
+	count  int // valid frames
 }
 
 // New constructs a cache. It panics on an invalid Config (construction is
@@ -123,20 +121,15 @@ func New(cfg Config) *Cache {
 	for i := range sets {
 		sets[i] = make([]Frame, cfg.Assoc)
 	}
-	return &Cache{
-		cfg:    cfg,
-		sets:   sets,
-		random: rng.New(cfg.Seed, 0x5eed),
-		index:  make(map[addr.Block]int, cfg.Blocks()),
-	}
+	return &Cache{cfg: cfg, sets: sets, random: rng.New(cfg.Seed, 0x5eed)}
 }
 
 // Reset restores the cache to its freshly-constructed state under cfg,
-// reusing the frame arrays and the lookup index. The geometry (Sets,
-// Assoc) must match the construction geometry — geometry is machine
-// shape, owned by whoever decides to pool or rebuild; value parameters
-// (Policy, DuplicateDirectory, Seed) may differ freely. It panics on an
-// invalid or geometry-changing Config, mirroring New.
+// reusing the frame arrays. The geometry (Sets, Assoc) must match the
+// construction geometry — geometry is machine shape, owned by whoever
+// decides to pool or rebuild; value parameters (Policy,
+// DuplicateDirectory, Seed) may differ freely. It panics on an invalid
+// or geometry-changing Config, mirroring New.
 func (c *Cache) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -152,7 +145,7 @@ func (c *Cache) Reset(cfg Config) {
 	c.clock = 0
 	c.random.Reseed(cfg.Seed, 0x5eed)
 	c.stats = Stats{}
-	clear(c.index)
+	c.count = 0
 }
 
 // Config returns the construction configuration.
@@ -165,18 +158,25 @@ func (c *Cache) Stats() *Stats { return &c.stats }
 func (c *Cache) setFor(b addr.Block) int { return int(uint64(b) % uint64(c.cfg.Sets)) }
 
 // Lookup returns the frame holding block b, or nil. It counts neither hit
-// nor miss; use Access for processor references.
+// nor miss; use Access for processor references. It compares one set's tags,
+// as the hardware does; which way matches is data no branch predictor learns,
+// so the scan has no early exit and compiles to conditional moves.
 func (c *Cache) Lookup(b addr.Block) *Frame {
-	slot, ok := c.index[b]
-	if !ok {
+	set := c.sets[c.setFor(b)]
+	hit := -1
+	for i := range set {
+		diff := set[i].Block ^ b
+		if !set[i].Valid {
+			diff = 1
+		}
+		if diff == 0 {
+			hit = i
+		}
+	}
+	if hit < 0 {
 		return nil
 	}
-	set := c.setFor(b)
-	f := &c.sets[set][slot]
-	if !f.Valid || f.Block != b {
-		return nil
-	}
-	return f
+	return &set[hit]
 }
 
 // Access performs the local part of a processor reference: on a hit it
@@ -234,7 +234,7 @@ func (c *Cache) Victim(b addr.Block) *Frame {
 // unmodified and non-exclusive; callers set Modified/Exclusive afterwards
 // as their protocol dictates.
 func (c *Cache) Fill(victim *Frame, b addr.Block, data uint64) {
-	if slot, ok := c.index[b]; ok && &c.sets[c.setFor(b)][slot] != victim {
+	if f := c.Lookup(b); f != nil && f != victim {
 		panic(fmt.Sprintf("cache: Fill(%v) would duplicate a resident block", b))
 	}
 	if victim.Valid {
@@ -242,7 +242,8 @@ func (c *Cache) Fill(victim *Frame, b addr.Block, data uint64) {
 		if victim.Modified {
 			c.stats.WritebackEv.Inc()
 		}
-		delete(c.index, victim.Block)
+	} else {
+		c.count++
 	}
 	c.clock++
 	*victim = Frame{
@@ -252,26 +253,15 @@ func (c *Cache) Fill(victim *Frame, b addr.Block, data uint64) {
 		lastUse:  c.clock,
 		filledAt: c.clock,
 	}
-	set := c.setFor(b)
-	for i := range c.sets[set] {
-		if &c.sets[set][i] == victim {
-			c.index[b] = i
-			break
-		}
-	}
 }
 
-// Evict clears a specific frame (obtained from Victim), updating the index
-// if it points at this frame. Unlike Invalidate it cannot be misdirected by
-// the index, so replacement code must use it for the victim.
+// Evict clears a specific frame (from Victim or Lookup): unlike Invalidate it
+// names the frame, not the block, so replacement code uses it for the victim.
 func (c *Cache) Evict(f *Frame) {
 	if !f.Valid {
 		return
 	}
-	set := c.setFor(f.Block)
-	if slot, ok := c.index[f.Block]; ok && &c.sets[set][slot] == f {
-		delete(c.index, f.Block)
-	}
+	c.count--
 	f.Valid = false
 	f.Modified = false
 	f.Exclusive = false
@@ -282,14 +272,10 @@ func (c *Cache) Evict(f *Frame) {
 // invalidating where required).
 func (c *Cache) Invalidate(b addr.Block) bool {
 	f := c.Lookup(b)
-	if f == nil {
-		return false
+	if f != nil {
+		c.Evict(f)
 	}
-	f.Valid = false
-	f.Modified = false
-	f.Exclusive = false
-	delete(c.index, b)
-	return true
+	return f != nil
 }
 
 // Snoop consults the directory on behalf of an external (broadcast or
@@ -322,4 +308,4 @@ func (c *Cache) Contents() []Frame {
 }
 
 // Count returns the number of valid frames.
-func (c *Cache) Count() int { return len(c.index) }
+func (c *Cache) Count() int { return c.count }

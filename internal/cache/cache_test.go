@@ -1,11 +1,15 @@
 package cache
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"twobit/internal/addr"
 	"twobit/internal/rng"
+	"twobit/internal/sim"
 )
 
 func newTest(sets, assoc int, pol ReplacementPolicy) *Cache {
@@ -195,8 +199,8 @@ func TestContentsAndCount(t *testing.T) {
 	}
 }
 
-// Property: under arbitrary fill/invalidate sequences, the index stays
-// consistent with the frames and capacity is never exceeded per set.
+// Property: under arbitrary fill/invalidate sequences, Count and Lookup
+// stay consistent with the frames.
 func TestPropertyIndexConsistency(t *testing.T) {
 	r := rng.New(17, 3)
 	if err := quick.Check(func(opsRaw uint8) bool {
@@ -212,7 +216,7 @@ func TestPropertyIndexConsistency(t *testing.T) {
 				}
 			}
 		}
-		// Every indexed block must be present and vice versa.
+		// Every counted block must be found by Lookup and vice versa.
 		contents := c.Contents()
 		if len(contents) != c.Count() {
 			return false
@@ -294,30 +298,208 @@ func TestEvictByFrameIdentity(t *testing.T) {
 		t.Fatalf("frame not cleared: %+v", f)
 	}
 	if c.Lookup(2) != nil {
-		t.Fatal("index still resolves an evicted block")
+		t.Fatal("Lookup still resolves an evicted block")
 	}
 	// Evicting an invalid frame is a no-op.
 	c.Evict(f)
 }
 
-func TestEvictDoesNotDisturbForeignIndexEntry(t *testing.T) {
-	// Construct the duplicate-frame situation Evict exists to handle: a
-	// stale frame for block b plus a fresh indexed frame. Evicting the
-	// stale frame must leave the fresh one reachable.
+// With no side index there is one notion of residency — a valid frame
+// whose tag matches — so the stale-duplicate situation Evict once had to
+// survive (an index entry pointing at one frame while another still
+// held the block) cannot be built quietly: resurrecting an invalidated
+// frame makes the block resident again, and a Fill of it into any other
+// way is caught before it can create a second copy.
+func TestFillPanicsOnResurrectedDuplicate(t *testing.T) {
 	c := newTest(1, 2, LRU)
-	fill(c, 2, 1) // frame A
+	fill(c, 2, 1)
 	stale := c.Lookup(2)
-	// Manually mimic a stale duplicate: invalidate via index, resurrect
-	// the raw frame, then fill block 2 again into the other way.
 	c.Invalidate(2)
-	stale.Valid = true // simulate the historical bug's leftover
-	fill(c, 2, 9)      // frame B, index points here
-	fresh := c.Lookup(2)
-	if fresh == stale {
-		t.Skip("allocator reused the same frame; scenario not constructible here")
+	if c.Lookup(2) != nil || c.Count() != 0 {
+		t.Fatal("block resident after Invalidate")
 	}
-	c.Evict(stale)
-	if got := c.Lookup(2); got == nil || got.Data != 9 {
-		t.Fatalf("fresh frame lost after evicting the stale one: %+v", got)
+	stale.Valid = true // what no protocol may do: flip the bit behind the cache's back
+	if c.Lookup(2) != stale {
+		t.Fatal("way scan does not see the resurrected frame")
+	}
+	other := &c.sets[0][0]
+	if other == stale {
+		other = &c.sets[0][1]
+	}
+	defer func() {
+		r := recover()
+		if s, _ := r.(string); !strings.Contains(s, "would duplicate a resident block") {
+			t.Fatalf("Fill into a second way: panic = %v, want the duplicate-resident one", r)
+		}
+		if got := c.Lookup(2); got != stale || got.Data != 1 {
+			t.Fatalf("refused Fill disturbed the resident frame: %+v", got)
+		}
+	}()
+	c.Fill(other, 2, 9)
+}
+
+// cacheModel is what a cache must look like from outside: which blocks
+// are resident with which data, and what the counters have seen.
+type cacheModel struct {
+	data  map[addr.Block]uint64
+	dirty map[addr.Block]bool
+	stats Stats
+}
+
+func (m *cacheModel) drop(b addr.Block) { delete(m.data, b); delete(m.dirty, b) }
+
+// check compares everything observable — Count, Contents, a Lookup of
+// every modelled block and of b, and all seven counters.
+func (m *cacheModel) check(t *testing.T, c *Cache, b addr.Block, step int, op string) {
+	t.Helper()
+	if c.Count() != len(m.data) {
+		t.Fatalf("step %d %s: Count = %d, model holds %d", step, op, c.Count(), len(m.data))
+	}
+	contents := c.Contents()
+	if len(contents) != len(m.data) {
+		t.Fatalf("step %d %s: Contents has %d frames, model %d", step, op, len(contents), len(m.data))
+	}
+	for _, f := range contents {
+		d, ok := m.data[f.Block]
+		if !ok || d != f.Data || f.Modified != m.dirty[f.Block] {
+			t.Fatalf("step %d %s: Contents frame %+v, model data %d present %v dirty %v", step, op, f, d, ok, m.dirty[f.Block])
+		}
+		if got := c.Lookup(f.Block); got == nil || *got != f {
+			t.Fatalf("step %d %s: Lookup(%v) = %+v, Contents says %+v", step, op, f.Block, got, f)
+		}
+	}
+	if _, ok := m.data[b]; !ok && c.Lookup(b) != nil {
+		t.Fatalf("step %d %s: Lookup(%v) finds a block the model dropped", step, op, b)
+	}
+	if c.stats != m.stats {
+		t.Fatalf("step %d %s: stats = %+v, model %+v", step, op, c.stats, m.stats)
+	}
+}
+
+// TestCacheModel drives every mutating operation at random against a
+// map model, for every replacement policy, associativity 1/2/4/8 and
+// power-of-two and other set counts, checking the whole observable
+// state after every step; then a Reset cache must equal a New one.
+func TestCacheModel(t *testing.T) {
+	for _, pol := range []ReplacementPolicy{LRU, FIFO, Random} {
+		for _, assoc := range []int{1, 2, 4, 8} {
+			for _, sets := range []int{1, 3, 4, 7} {
+				cfg := Config{Sets: sets, Assoc: assoc, Policy: pol, DuplicateDirectory: (sets+assoc)%2 == 0, Seed: uint64(sets*assoc) + 1}
+				t.Run(fmt.Sprintf("%v/%dx%d", pol, sets, assoc), func(t *testing.T) { cacheModelRun(t, cfg) })
+			}
+		}
+	}
+}
+
+func cacheModelRun(t *testing.T, cfg Config) {
+	c := New(cfg)
+	m := &cacheModel{data: map[addr.Block]uint64{}, dirty: map[addr.Block]bool{}}
+	r := rng.New(cfg.Seed, 0xcac4e)
+	span := 3*cfg.Blocks() + 2 // enough blocks to conflict in every set
+	for step := 0; step < 1500; step++ {
+		b := addr.Block(r.Intn(span))
+		_, resident := m.data[b]
+		var op string
+		switch k := r.Intn(10); {
+		case k < 3:
+			op = "Access"
+			f := c.Access(b)
+			if (f != nil) != resident {
+				t.Fatalf("step %d: Access(%v) hit = %v, model resident = %v", step, b, f != nil, resident)
+			}
+			if resident {
+				m.stats.Hits.Inc()
+				if r.Bool(0.3) {
+					f.Modified, m.dirty[b] = true, true
+				}
+			} else {
+				m.stats.Misses.Inc()
+			}
+		case k < 6:
+			op = "Victim+Fill"
+			if resident {
+				continue
+			}
+			v := c.Victim(b)
+			if v.Valid {
+				if c.setFor(v.Block) != c.setFor(b) {
+					t.Fatalf("step %d: Victim(%v) = %v, another set's frame", step, b, v.Block)
+				}
+				m.stats.Evictions.Inc()
+				if v.Modified {
+					m.stats.WritebackEv.Inc()
+				}
+				m.drop(v.Block)
+			}
+			c.Fill(v, b, uint64(step))
+			m.data[b] = uint64(step)
+		case k < 7:
+			op = "Invalidate"
+			if c.Invalidate(b) != resident {
+				t.Fatalf("step %d: Invalidate(%v) = %v, model resident = %v", step, b, !resident, resident)
+			}
+			m.drop(b)
+		case k < 8:
+			op = "Evict"
+			f := c.Victim(b) // valid or not: Evict of an invalid frame is a no-op
+			if f.Valid {
+				m.drop(f.Block)
+			}
+			c.Evict(f)
+		default:
+			op = "Snoop"
+			if f := c.Snoop(b); (f != nil) != resident {
+				t.Fatalf("step %d: Snoop(%v) hit = %v, model resident = %v", step, b, f != nil, resident)
+			}
+			m.stats.SnoopLookups.Inc()
+			if resident {
+				m.stats.SnoopHits.Inc()
+			}
+			if resident || !cfg.DuplicateDirectory {
+				m.stats.StolenCycles.Inc()
+			}
+		}
+		m.check(t, c, b, step, op)
+	}
+	if c.stats.Hits.Value() == 0 || c.stats.Evictions.Value() == 0 || c.stats.SnoopHits.Value() == 0 {
+		t.Fatalf("run exercised nothing: %+v", c.stats)
+	}
+	next := Config{Sets: cfg.Sets, Assoc: cfg.Assoc, Policy: (cfg.Policy + 1) % 3, Seed: cfg.Seed + 9}
+	c.Reset(next)
+	if !reflect.DeepEqual(c, New(next)) {
+		t.Fatalf("Reset cache differs from a New one:\n reset: %+v\n new:   %+v", c, New(next))
+	}
+}
+
+// TestZeroAllocCache: hits, fills with eviction, snoops and invalidates
+// on a warmed cache allocate nothing.
+func TestZeroAllocCache(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const ops, span = 4096, 1024 // 4× the cache: fills evict
+	c, r := newTest(64, 4, LRU), rng.New(0, 0)
+	pass := func() {
+		r.Reseed(11, 0xcac4e)
+		for i := 0; i < ops; i++ {
+			b := addr.Block(r.Intn(span))
+			switch i % 4 {
+			case 0, 1:
+				if c.Access(b) == nil {
+					c.Fill(c.Victim(b), b, uint64(i))
+				}
+			case 2:
+				c.Snoop(b)
+			default:
+				c.Invalidate(b)
+			}
+		}
+	}
+	pass()
+	if c.Stats().Hits.Value() == 0 || c.Stats().Evictions.Value() == 0 || c.Stats().SnoopHits.Value() == 0 {
+		t.Fatalf("warm-up pass exercised nothing: %+v", c.stats)
+	}
+	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
+		t.Errorf("a warmed cache allocates %v per %d operations, want 0", allocs, ops)
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // Runner is a worker-reusable run entry point. A campaign worker that
 // constructs a fresh machine per run pays the same allocations over and
-// over — the event kernel's heap, the coherence oracle's hash tables,
-// the caches, directories, serializer queues and network slabs of the
+// over — the event kernel's heap, the coherence oracle's tables, the
+// caches, directories, serializer queues and network slabs of the
 // machine graph itself, the results encoder's scratch space — and on a
 // busy pool that recurring garbage serializes every worker behind the
 // collector. A Runner owns those pools and reuses them across runs: the
@@ -37,7 +37,7 @@ type Runner struct {
 
 // NewRunner returns an empty Runner, ready to run.
 func NewRunner() *Runner {
-	return &Runner{oracle: NewOracle()}
+	return &Runner{oracle: NewOracle(0)}
 }
 
 // Run assembles (or reuses) a machine for cfg on the runner's pooled
@@ -51,8 +51,7 @@ func (r *Runner) Run(cfg Config, gen workload.Generator, refsPerProc int) (Resul
 	r.kernel.SetHook(nil)
 	var o *Oracle
 	if cfg.Oracle {
-		r.oracle.Reset()
-		o = r.oracle
+		o = r.oracle // newMachine / Machine.reset size and empty it
 	}
 	if !poolable(cfg) {
 		m, err := newMachine(cfg, gen, &r.kernel, o, nil)

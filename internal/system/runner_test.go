@@ -256,14 +256,14 @@ func TestRunnerPoolProperty(t *testing.T) {
 // TestOracleReset pins Reset: an oracle that has accumulated state must
 // behave exactly like a fresh one after Reset.
 func TestOracleReset(t *testing.T) {
-	o := NewOracle()
+	o := NewOracle(16)
 	o.Commit(3, 1)
 	o.Commit(3, 2)
 	o.Commit(9, 3)
 	if err := o.NoteWrite(0, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	o.Reset()
+	o.Reset(16)
 	if o.Commits() != 0 {
 		t.Errorf("Reset left %d commits", o.Commits())
 	}

@@ -125,7 +125,9 @@ type Config struct {
 	DMA DMAConfig
 
 	Seed uint64
-	// Oracle enables the linearizability checker (small time overhead).
+	// Oracle enables the coherence/linearizability checker. It rides on
+	// every reference; `go run ./bench` prices it per workload as
+	// system.oracle_ns_per_ref (EXPERIMENTS.md, E-oracle).
 	Oracle bool
 	// TraceWriter, when non-nil, receives a log of every network message —
 	// a protocol debugging aid.
@@ -266,10 +268,10 @@ func NewOnKernel(cfg Config, gen workload.Generator, k *sim.Kernel) (*Machine, e
 	return newMachine(cfg, gen, k, nil, nil)
 }
 
-// newMachine is New with an optional kernel, reusable oracle (Reset by
-// the caller; nil allocates a fresh one) and network override; the
-// model-checking tests use the latter to substitute a delivery-choice
-// network.
+// newMachine is New with an optional kernel, reusable oracle (Reset
+// here to the generator's block count; nil allocates a fresh one) and
+// network override; the model-checking tests use the latter to
+// substitute a delivery-choice network.
 func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *Oracle, netFactory func(*sim.Kernel) network.Network) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -309,9 +311,10 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 	}
 	if cfg.Oracle {
 		if oracle != nil {
+			oracle.Reset(blocks)
 			m.oracle = oracle
 		} else {
-			m.oracle = NewOracle()
+			m.oracle = NewOracle(blocks)
 		}
 		// Strict linearizability holds only when invalidations and grants
 		// travel with equal delay; the blocking Omega network and the
@@ -385,6 +388,9 @@ func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
 	m.cfg = cfg
 	m.gen = gen
 	m.oracle = oracle
+	if oracle != nil {
+		oracle.Reset(m.space.Blocks)
+	}
 	m.strict = oracle != nil && cfg.Net != OmegaNet && cfg.NetJitter == 0
 	switch n := m.net.(type) {
 	case *network.Crossbar:
