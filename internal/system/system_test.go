@@ -88,6 +88,38 @@ func TestAllProtocolsAcrossSeeds(t *testing.T) {
 	}
 }
 
+// TestEventsStayOnTheKernelRing holds the traffic assumption the kernel's
+// two-level queue is built on: at the default latencies, on both networks
+// the benchmark uses, under 1% of any protocol's events are scheduled at or
+// beyond the ring's horizon and pay for the overflow heap. A latency or
+// network change that moves the workload off the ring fails here, not in a
+// benchmark.
+func TestEventsStayOnTheKernelRing(t *testing.T) {
+	for name, cfg := range allProtocols() {
+		for _, nk := range []NetKind{CrossbarNet, BusNet} {
+			if cfg.Protocol == WriteOnce && nk != BusNet {
+				continue
+			}
+			t.Run(name+"/"+nk.String(), func(t *testing.T) {
+				cfg := cfg
+				cfg.Net = nk
+				m, err := New(cfg, sharingGen(cfg.Procs, 11))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Run(2000); err != nil {
+					t.Fatal(err)
+				}
+				k := m.Kernel()
+				far, all := k.FarScheduled(), k.Processed()+uint64(k.Pending())
+				if all == 0 || far*100 >= all {
+					t.Fatalf("%d of %d scheduled events took the overflow heap, want < 1%%", far, all)
+				}
+			})
+		}
+	}
+}
+
 // TestKernelWorkloads runs the structured kernels through the two
 // directory protocols.
 func TestKernelWorkloads(t *testing.T) {

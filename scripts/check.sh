@@ -7,7 +7,8 @@
 # to half must converge to those same bytes under -resume. Then the
 # zero-allocation floors run once without the race detector, the model
 # checker closes the small configurations outright and the wire codecs
-# take a 30 s fuzz each. Everything must pass for a change to land.
+# and the kernel's event order take a 30 s fuzz each. Everything must pass
+# for a change to land.
 # Performance is not measured here: that is `go run ./bench`.
 set -eu
 
@@ -131,10 +132,10 @@ echo "==> zero-alloc floors + order oracle + windowed passivity"
 # allocates on its own), so run them once without it: the kernel's
 # schedule+drain path, the bus fan-out, and every obs instrument, disabled
 # and enabled, must not allocate. The order oracle replays the retired
-# container/heap implementation against the inlined 4-ary heap and fails
-# on the first divergent pop; the passivity smoke demands that a run with
-# windows and contention profiling on reproduce the uninstrumented run
-# byte for byte once the snapshot is stripped.
+# container/heap implementation against the kernel's ring and overflow
+# heap and fails on the first divergent pop; the passivity smoke demands
+# that a run with windows and contention profiling on reproduce the
+# uninstrumented run byte for byte once the snapshot is stripped.
 go test -run ZeroAlloc -count=1 ./...
 go test -run '^TestKernelOrderOracle' -count=1 ./internal/sim
 go test -run '^TestTimeSeriesDoesNotPerturb$' -count=1 ./internal/system
@@ -200,5 +201,8 @@ go test -run '^$' -fuzz '^FuzzTraceCodec$' -fuzztime 30s ./internal/mcheck
 
 echo "==> fuzz: chunked trace codec (30s)"
 go test -run '^$' -fuzz '^FuzzChunkedCodec$' -fuzztime 30s ./internal/memtrace
+
+echo "==> fuzz: kernel event order (30s)"
+go test -run '^$' -fuzz '^FuzzKernelOrder$' -fuzztime 30s ./internal/sim
 
 echo "OK"
