@@ -103,8 +103,13 @@ type Stats struct {
 // the event-driven simulator each cache is owned by one component, and the
 // goroutine runtime wraps accesses in its own synchronization.
 type Cache struct {
-	cfg    Config
-	sets   [][]Frame
+	cfg Config
+	// frames is every frame, set-major: set i is frames[i*Assoc:(i+1)*Assoc].
+	frames []Frame
+	// pow2 says Sets is a power of two, so setFor is b & mask (mask is
+	// Sets-1 either way); decided once in New.
+	pow2   bool
+	mask   uint64
 	clock  uint64 // logical use counter for LRU/FIFO
 	random *rng.PCG
 	stats  Stats
@@ -117,11 +122,14 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]Frame, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]Frame, cfg.Assoc)
+	sets := uint64(cfg.Sets)
+	return &Cache{
+		cfg:    cfg,
+		frames: make([]Frame, cfg.Sets*cfg.Assoc),
+		pow2:   sets&(sets-1) == 0,
+		mask:   sets - 1,
+		random: rng.New(cfg.Seed, 0x5eed),
 	}
-	return &Cache{cfg: cfg, sets: sets, random: rng.New(cfg.Seed, 0x5eed)}
 }
 
 // Reset restores the cache to its freshly-constructed state under cfg,
@@ -139,9 +147,7 @@ func (c *Cache) Reset(cfg Config) {
 			cfg.Sets, cfg.Assoc, c.cfg.Sets, c.cfg.Assoc))
 	}
 	c.cfg = cfg
-	for _, set := range c.sets {
-		clear(set)
-	}
+	clear(c.frames)
 	c.clock = 0
 	c.random.Reseed(cfg.Seed, 0x5eed)
 	c.stats = Stats{}
@@ -154,15 +160,27 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a pointer to the cache's counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
-// setFor maps a block to its set index.
-func (c *Cache) setFor(b addr.Block) int { return int(uint64(b) % uint64(c.cfg.Sets)) }
+// setFor maps a block to its set index, b mod Sets: a mask when Sets is a
+// power of two (every benchmark geometry), a divide otherwise.
+func (c *Cache) setFor(b addr.Block) int {
+	if c.pow2 {
+		return int(uint64(b) & c.mask)
+	}
+	return int(uint64(b) % (c.mask + 1))
+}
+
+// set returns the ways of b's set.
+func (c *Cache) set(b addr.Block) []Frame {
+	i := c.setFor(b) * c.cfg.Assoc
+	return c.frames[i : i+c.cfg.Assoc]
+}
 
 // Lookup returns the frame holding block b, or nil. It counts neither hit
 // nor miss; use Access for processor references. It compares one set's tags,
 // as the hardware does; which way matches is data no branch predictor learns,
 // so the scan has no early exit and compiles to conditional moves.
 func (c *Cache) Lookup(b addr.Block) *Frame {
-	set := c.sets[c.setFor(b)]
+	set := c.set(b)
 	hit := -1
 	for i := range set {
 		diff := set[i].Block ^ b
@@ -200,7 +218,7 @@ func (c *Cache) Access(b addr.Block) *Frame {
 // first (no replacement needed). The returned frame may be inspected for
 // the EJECT decision before calling Fill.
 func (c *Cache) Victim(b addr.Block) *Frame {
-	set := c.sets[c.setFor(b)]
+	set := c.set(b)
 	for i := range set {
 		if !set[i].Valid {
 			return &set[i]
@@ -294,18 +312,11 @@ func (c *Cache) Snoop(b addr.Block) *Frame {
 	return f
 }
 
-// Contents returns a snapshot of all valid frames, for invariant checks.
-func (c *Cache) Contents() []Frame {
-	var out []Frame
-	for _, set := range c.sets {
-		for _, f := range set {
-			if f.Valid {
-				out = append(out, f)
-			}
-		}
-	}
-	return out
-}
+// Frames returns every frame, valid or not, set-major, for invariant
+// checks, which index the valid ones without copying them out first. It
+// is the cache's own array, not a copy: callers must not write to it —
+// state changes go through Fill, Evict and Invalidate, which keep Count.
+func (c *Cache) Frames() []Frame { return c.frames }
 
 // Count returns the number of valid frames.
 func (c *Cache) Count() int { return c.count }

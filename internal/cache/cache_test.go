@@ -189,7 +189,7 @@ func TestContentsAndCount(t *testing.T) {
 		t.Fatalf("Count = %d", c.Count())
 	}
 	seen := map[addr.Block]bool{}
-	for _, f := range c.Contents() {
+	for _, f := range validFrames(c) {
 		seen[f.Block] = true
 	}
 	for b := addr.Block(0); b < 5; b++ {
@@ -217,7 +217,7 @@ func TestPropertyIndexConsistency(t *testing.T) {
 			}
 		}
 		// Every counted block must be found by Lookup and vice versa.
-		contents := c.Contents()
+		contents := validFrames(c)
 		if len(contents) != c.Count() {
 			return false
 		}
@@ -247,7 +247,7 @@ func TestPropertyNoDuplicateBlocks(t *testing.T) {
 		}
 	}
 	seen := map[addr.Block]bool{}
-	for _, f := range c.Contents() {
+	for _, f := range validFrames(c) {
 		if seen[f.Block] {
 			t.Fatalf("duplicate frame for %v", f.Block)
 		}
@@ -322,9 +322,9 @@ func TestFillPanicsOnResurrectedDuplicate(t *testing.T) {
 	if c.Lookup(2) != stale {
 		t.Fatal("way scan does not see the resurrected frame")
 	}
-	other := &c.sets[0][0]
+	other := &c.frames[0]
 	if other == stale {
-		other = &c.sets[0][1]
+		other = &c.frames[1]
 	}
 	defer func() {
 		r := recover()
@@ -355,7 +355,7 @@ func (m *cacheModel) check(t *testing.T, c *Cache, b addr.Block, step int, op st
 	if c.Count() != len(m.data) {
 		t.Fatalf("step %d %s: Count = %d, model holds %d", step, op, c.Count(), len(m.data))
 	}
-	contents := c.Contents()
+	contents := validFrames(c)
 	if len(contents) != len(m.data) {
 		t.Fatalf("step %d %s: Contents has %d frames, model %d", step, op, len(contents), len(m.data))
 	}
@@ -502,4 +502,30 @@ func TestZeroAllocCache(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
 		t.Errorf("a warmed cache allocates %v per %d operations, want 0", allocs, ops)
 	}
+}
+
+// TestSetForIsModulo: the set index equals b mod Sets whether Sets takes
+// the mask path (a power of two) or the divide.
+func TestSetForIsModulo(t *testing.T) {
+	r := rng.New(5, 0x5e7)
+	for _, sets := range []int{1, 2, 3, 7, 64, 100, 4096} {
+		c := New(Config{Sets: sets, Assoc: 1})
+		for i := 0; i < 2000; i++ {
+			b := r.Uint64() >> r.Intn(64)
+			if got, want := c.setFor(addr.Block(b)), int(b%uint64(sets)); got != want {
+				t.Fatalf("Sets %d: setFor(%d) = %d, want %d", sets, b, got, want)
+			}
+		}
+	}
+}
+
+// validFrames copies out the valid frames of c.
+func validFrames(c *Cache) []Frame {
+	var out []Frame
+	for _, f := range c.Frames() {
+		if f.Valid {
+			out = append(out, f)
+		}
+	}
+	return out
 }

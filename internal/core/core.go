@@ -131,6 +131,9 @@ type txn struct {
 	phase phase
 	from  directory.State // the block's state when service began
 	at    sim.Time        // when the serializer started the command
+	// rec is the block's record, which holds this txn and so stays the
+	// block's until done clears it.
+	rec *proto.BlockRec[txn]
 	// The put in hand (phStashed onward): who supplied it and its data.
 	// haveData tells the memory phase to store it rather than read.
 	owner     int
@@ -148,18 +151,17 @@ type Controller struct {
 	mem    *memory.Module
 	dir    dir
 	tb     *directory.TranslationBuffer
-	ser    *proto.Serializer
-	stats  proto.CtrlStats
+	// ser serializes commands per block and holds the per-block records:
+	// the open transaction (BlockRec.Txn) and the puts that arrived before
+	// theirs started (BlockRec.Stashed) live beside its busy flag and queue.
+	ser   *proto.Serializer[txn]
+	stats proto.CtrlStats
 
 	// exceptScratch is the reusable broadcast exclusion list; Broadcast
 	// consumes it synchronously, so one buffer per controller suffices.
 	exceptScratch []network.NodeID
 
-	// txns holds the open transaction per block; free recycles records.
-	txns map[addr.Block]*txn
-	free []*txn
-	// stashed buffers puts that arrived before their transaction started.
-	stashed map[addr.Block][]StashedPut
+	free []*txn // recycled transaction records
 
 	rec           *obs.Recorder
 	comp          obs.Component   // "ctrl<j>" trace track
@@ -189,14 +191,12 @@ func New(cfg Config, pol Policy, kernel *sim.Kernel, net network.Network, mem *m
 		panic("core: a central controller requires exactly one module")
 	}
 	c := &Controller{
-		cfg:     cfg,
-		pol:     pol,
-		kernel:  kernel,
-		net:     net,
-		mem:     mem,
-		txns:    make(map[addr.Block]*txn),
-		stashed: make(map[addr.Block][]StashedPut),
-		comp:    obs.NoComponent,
+		cfg:    cfg,
+		pol:    pol,
+		kernel: kernel,
+		net:    net,
+		mem:    mem,
+		comp:   obs.NoComponent,
 	}
 	blocks := cfg.Space.BlocksInModule(cfg.Module)
 	if pol.Holders != nil {
@@ -227,7 +227,7 @@ func New(cfg Config, pol Policy, kernel *sim.Kernel, net network.Network, mem *m
 		}
 	}
 	c.sp = cfg.Obs.Spans()
-	c.ser = proto.NewSerializer(c.mode(), c.begin)
+	c.ser = proto.NewSerializer[txn](c.mode(), cfg.Space, cfg.Module, c.begin)
 	net.Attach(c.node(), c)
 	return c
 }
@@ -254,8 +254,6 @@ func (c *Controller) Reset(cfg Config) {
 	c.dir.reset(cfg.TranslationBufferSize)
 	c.ser.Reset(c.mode())
 	c.stats = proto.CtrlStats{}
-	clear(c.txns)
-	clear(c.stashed)
 }
 
 // mode is the serializer mode: a central controller services one command
@@ -291,19 +289,10 @@ func (c *Controller) State(b addr.Block) directory.State { return c.dir.state(b)
 // exact reports whether the policy names every holder.
 func (c *Controller) exact() bool { return c.pol.Holders != nil }
 
-// Holders returns the exact holder set of block b, for invariants; nil
-// under the two-bit policy, which does not know it.
-func (c *Controller) Holders(b addr.Block) []int {
-	mask, _ := c.dir.entry(b)
-	return directory.MaskToList(mask)
-}
-
-// Modified reports the m bit of block b, for invariants; false under the
-// two-bit policy, whose PresentM state carries it.
-func (c *Controller) Modified(b addr.Block) bool {
-	_, modified := c.dir.entry(b)
-	return modified
-}
+// Entry returns the exact directory entry of block b — the holder bitmask
+// and the m bit — for invariants; zero under the two-bit policy, which
+// knows neither (its PresentM state carries the m bit).
+func (c *Controller) Entry(b addr.Block) (holders uint64, modified bool) { return c.dir.entry(b) }
 
 // MemVersion returns main memory's stored version of b, for invariants.
 func (c *Controller) MemVersion(b addr.Block) uint64 { return c.mem.Read(b) }
@@ -369,11 +358,11 @@ func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 			// confirmation carries no news.
 			return
 		}
-		t := c.txns[m.Block]
-		if t == nil || t.phase != phAck {
+		r := c.ser.Rec(m.Block)
+		if r == nil || r.Txn == nil || r.Txn.phase != phAck {
 			panic(fmt.Sprintf("core: controller %d: stray %v", c.cfg.Module, m))
 		}
-		c.ack(t, m.Ok)
+		c.ack(r.Txn, m.Ok)
 	default:
 		panic(fmt.Sprintf("core: controller %d: unexpected %v", c.cfg.Module, m))
 	}
@@ -389,9 +378,10 @@ func (c *Controller) submit(src network.NodeID, m msg.Message) {
 // handlePut routes a data transfer to the transaction awaiting it, or
 // stashes it for a queued EJECT("write").
 func (c *Controller) handlePut(m msg.Message) {
-	t := c.txns[m.Block]
+	r := c.ser.Track(m.Block)
+	t := r.Txn
 	if t == nil || t.phase != phData {
-		c.stashed[m.Block] = append(c.stashed[m.Block], StashedPut{Cache: m.Cache, Data: m.Data})
+		r.Stashed = append(r.Stashed, StashedPut{Cache: m.Cache, Data: m.Data})
 		return
 	}
 	// If this put belongs to an in-flight eviction whose EJECT is still
@@ -429,8 +419,8 @@ func (c *Controller) begin(p proto.Pending) {
 	} else {
 		t = new(txn)
 	}
-	*t = txn{p: p, at: c.kernel.Now()}
-	c.txns[p.M.Block] = t
+	*t = txn{p: p, at: c.kernel.Now(), rec: c.ser.Rec(p.M.Block)}
+	t.rec.Txn = t
 	if c.rec != nil {
 		c.rec.AsyncBegin(c.comp, txnName(p.M.Kind), int64(p.M.Block))
 	}
@@ -446,7 +436,7 @@ func (c *Controller) schedule(t *txn, ph phase, d sim.Time) {
 // Call implements sim.Caller: the scheduled phase of block a0's
 // transaction has run out.
 func (c *Controller) Call(a0, _ uint64) {
-	t := c.txns[addr.Block(a0)]
+	t := c.ser.Rec(addr.Block(a0)).Txn
 	switch t.phase {
 	case phService:
 		c.service(t)
@@ -738,17 +728,12 @@ func (c *Controller) await(t *txn) {
 // zero-delay event. The SkipStashedPutConsume defect leaves the stash
 // alone.
 func (c *Controller) takeStashed(t *txn) bool {
-	a := t.p.M.Block
-	puts := c.stashed[a]
-	if len(puts) == 0 || (c.cfg.Hooks != nil && c.cfg.Hooks.SkipStashedPutConsume) {
+	r := t.rec
+	if len(r.Stashed) == 0 || (c.cfg.Hooks != nil && c.cfg.Hooks.SkipStashedPutConsume) {
 		return false
 	}
-	if len(puts) == 1 {
-		delete(c.stashed, a)
-	} else {
-		c.stashed[a] = puts[1:]
-	}
-	t.owner, t.data = puts[0].Cache, puts[0].Data
+	t.owner, t.data = r.Stashed[0].Cache, r.Stashed[0].Data
+	r.Stashed = r.Stashed[:copy(r.Stashed, r.Stashed[1:])]
 	c.schedule(t, phStashed, 0)
 	return true
 }
@@ -762,7 +747,7 @@ func (c *Controller) done(t *txn) {
 	if c.rec != nil {
 		c.rec.AsyncEnd(c.comp, txnName(m.Kind), int64(m.Block))
 	}
-	delete(c.txns, m.Block)
+	t.rec.Txn = nil
 	c.free = append(c.free, t)
 	c.ser.Done(m.Block)
 }

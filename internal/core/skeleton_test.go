@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,7 +10,10 @@ import (
 	"twobit/internal/directory"
 	"twobit/internal/duplication"
 	"twobit/internal/fullmap"
+	"twobit/internal/msg"
 	"twobit/internal/proto"
+	"twobit/internal/rng"
+	"twobit/internal/sim"
 )
 
 // The transaction skeleton — serializer, early-put stash, the EJECT ×
@@ -111,7 +115,8 @@ func TestEjectRacesBroadQuery(t *testing.T) {
 			t.Fatalf("state = %v, want a clean-shared state", st)
 		}
 		// Exact bookkeeping must hold: the evicted owner is no holder.
-		for _, h := range r.ctrl.Holders(1) {
+		mask, _ := r.ctrl.Entry(1)
+		for _, h := range directory.MaskToList(mask) {
 			if r.agents[h].Store().Lookup(1) == nil {
 				t.Fatalf("directory records cache %d as holder; its cache disagrees", h)
 			}
@@ -291,4 +296,94 @@ func TestResetEqualsFresh(t *testing.T) {
 			t.Fatalf("run after Reset diverged from a fresh controller:\n reset %+v\n fresh %+v", again, fresh)
 		}
 	})
+}
+
+// chain drives one cache through a seeded stream of references, the
+// next issued when the last completes, through a callback bound once.
+type chain struct {
+	r    *rig
+	k    int
+	left int
+	rnd  *rng.PCG
+	next func(uint64)
+}
+
+func (c *chain) issue() {
+	if c.left == 0 {
+		return
+	}
+	c.left--
+	// 24 blocks over 8 direct-mapped frames: most references miss and
+	// evict, a third are stores.
+	c.r.access(c.k, addr.Block(c.rnd.Intn(24)), c.rnd.Intn(3) == 0, c.next)
+}
+
+// TestZeroAllocController: a Reset controller's second miss-heavy run —
+// early puts stashed, commands queued behind busy blocks, under every
+// policy, so in both serializer modes — allocates nothing: per-block
+// records and their slices come back from the pool.
+func TestZeroAllocController(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const caches, refs = 4, 600
+	eachPolicy(t, caches, directMapped, func(t *testing.T, r *rig) {
+		if r.ctrl.TranslationBuffer() != nil {
+			t.Skip("the §4.4 translation buffer is a map of allocated entries, a cost of its own")
+		}
+		chains := make([]*chain, caches)
+		for k := range chains {
+			c := &chain{r: r, k: k, rnd: rng.New(0, 0)}
+			c.next = func(uint64) { c.issue() }
+			chains[k] = c
+		}
+		stashed := false
+		pass := func(watch bool) {
+			r.reset()
+			for k, c := range chains {
+				c.rnd.Reseed(21, uint64(k))
+				c.left = refs
+				c.issue()
+			}
+			for r.kernel.Step() {
+				for b := addr.Block(0); watch && !stashed && b < 24; b++ {
+					stashed = len(r.ctrl.BlockSnapshot(b).Stashed) > 0
+				}
+			}
+			for _, c := range chains {
+				if c.left != 0 || !r.ctrl.Quiescent() {
+					t.Fatalf("cache %d has %d references left, controller quiescent: %v", c.k, c.left, r.ctrl.Quiescent())
+				}
+			}
+		}
+		pass(true)
+		if s := r.ctrl.CtrlStats(); !stashed || s.MaxQueue == 0 || s.Ejects.Value() == 0 {
+			t.Fatalf("warm-up pass stashed a put: %v, queued at most %d commands, serviced %d EJECTs",
+				stashed, s.MaxQueue, s.Ejects.Value())
+		}
+		if allocs := testing.AllocsPerRun(5, func() { pass(false) }); allocs != 0 {
+			t.Errorf("a warmed controller allocates %v per %d-reference run, want 0", allocs, caches*refs)
+		}
+	})
+}
+
+// TestForeignBlockIsANamedPanic: a command or a put for a block beyond
+// the controller's space names the block and the module, rather than
+// running off the per-block table or landing in another block's slot.
+func TestForeignBlockIsANamedPanic(t *testing.T) {
+	r := newRig(t, 2, rigOpt{})
+	for _, m := range []msg.Message{
+		{Kind: msg.KindRequest, Block: 64},
+		{Kind: msg.KindPut, Block: 1 << 20, Cache: 1},
+	} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("proto: %v is not a block of module 0 in a space of 64 blocks over 1 modules", m.Block)
+				if got := recover(); got != want {
+					t.Errorf("%v: panic %v, want %q", m, got, want)
+				}
+			}()
+			r.ctrl.Deliver(0, m)
+		}()
+	}
 }

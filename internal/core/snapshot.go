@@ -4,6 +4,7 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/directory"
 	"twobit/internal/msg"
+	"twobit/internal/proto"
 )
 
 // BlockSnapshot is the controller's observable state for one block, for
@@ -39,10 +40,7 @@ type BlockSnapshot struct {
 }
 
 // StashedPut is one buffered early put: who sent it and its data.
-type StashedPut struct {
-	Cache int
-	Data  uint64
-}
+type StashedPut = proto.StashedPut
 
 // BlockSnapshot returns the observable controller state for block b.
 func (c *Controller) BlockSnapshot(b addr.Block) BlockSnapshot {
@@ -51,13 +49,15 @@ func (c *Controller) BlockSnapshot(b addr.Block) BlockSnapshot {
 		Mem:   c.mem.Read(b),
 	}
 	s.Holders, s.Modified = c.dir.entry(b)
-	if t := c.txns[b]; t != nil {
-		s.Active = true
-		s.ActiveCmd = t.p.M
-		s.Waiting = t.phase == phData
-		s.AwaitingAck = t.phase == phAck
+	if r := c.ser.Rec(b); r != nil {
+		if t := r.Txn; t != nil {
+			s.Active = true
+			s.ActiveCmd = t.p.M
+			s.Waiting = t.phase == phData
+			s.AwaitingAck = t.phase == phAck
+		}
+		s.Stashed = append(s.Stashed, r.Stashed...)
 	}
-	s.Stashed = append(s.Stashed, c.stashed[b]...)
 	for _, p := range c.ser.QueuedFor(b) {
 		s.Queued = append(s.Queued, p.M)
 	}

@@ -20,6 +20,17 @@ type rig struct {
 	nextV  uint64
 }
 
+// holders and modified read block b's exact directory entry.
+func (r *rig) holders(b addr.Block) []int {
+	mask, _ := r.ctrl.Entry(b)
+	return directory.MaskToList(mask)
+}
+
+func (r *rig) modified(b addr.Block) bool {
+	_, mod := r.ctrl.Entry(b)
+	return mod
+}
+
 func newRig(t *testing.T, n int) *rig {
 	t.Helper()
 	r := &rig{kernel: &sim.Kernel{}}
@@ -62,14 +73,14 @@ func TestDuplicateTagsTrackFillsAndEvictions(t *testing.T) {
 	r := newRig(t, 3)
 	r.do(t, 0, 5, false)
 	r.do(t, 1, 5, false)
-	h := r.ctrl.Holders(5)
+	h := r.holders(5)
 	if len(h) != 2 || h[0] != 0 || h[1] != 1 {
 		t.Fatalf("Holders = %v", h)
 	}
 	// Evict from cache 0 (blocks 21, 37 conflict with 5 mod 8 = 5).
 	r.do(t, 0, 21, false)
 	r.do(t, 0, 37, false)
-	h = r.ctrl.Holders(5)
+	h = r.holders(5)
 	if len(h) != 1 || h[0] != 1 {
 		t.Fatalf("Holders after eviction = %v", h)
 	}
@@ -91,8 +102,8 @@ func TestCentralControllerDirectsCommands(t *testing.T) {
 	if r.ctrl.State(5) != directory.PresentM {
 		t.Fatalf("state = %v", r.ctrl.State(5))
 	}
-	if h := r.ctrl.Holders(5); !r.ctrl.Modified(5) || len(h) != 1 || h[0] != 2 {
-		t.Fatalf("modified = %v by %v, want cache 2 alone", r.ctrl.Modified(5), h)
+	if h := r.holders(5); !r.modified(5) || len(h) != 1 || h[0] != 2 {
+		t.Fatalf("modified = %v by %v, want cache 2 alone", r.modified(5), h)
 	}
 }
 
@@ -106,7 +117,7 @@ func TestModifiedRetrievalThroughCenter(t *testing.T) {
 	if r.ctrl.MemVersion(3) != wv {
 		t.Fatal("write-back missing")
 	}
-	if r.ctrl.Modified(3) {
+	if r.modified(3) {
 		t.Fatal("modified tracking not cleaned after read purge")
 	}
 }

@@ -22,6 +22,17 @@ type rig struct {
 	nextV  uint64
 }
 
+// holders and modified read block b's exact directory entry.
+func (r *rig) holders(b addr.Block) []int {
+	mask, _ := r.ctrl.Entry(b)
+	return directory.MaskToList(mask)
+}
+
+func (r *rig) modified(b addr.Block) bool {
+	_, mod := r.ctrl.Entry(b)
+	return mod
+}
+
 func newRig(t *testing.T, n int, exclusive bool) *rig {
 	t.Helper()
 	r := &rig{kernel: &sim.Kernel{}}
@@ -66,7 +77,7 @@ func TestExactHolderTracking(t *testing.T) {
 	r := newRig(t, 4, false)
 	r.do(t, 0, 5, false)
 	r.do(t, 2, 5, false)
-	h := r.ctrl.Holders(5)
+	h := r.holders(5)
 	if len(h) != 2 || h[0] != 0 || h[1] != 2 {
 		t.Fatalf("Holders = %v, want [0 2]", h)
 	}
@@ -110,10 +121,10 @@ func TestDirectedPurgeOnModified(t *testing.T) {
 	if got != wv {
 		t.Fatalf("reader got v%d, want v%d", got, wv)
 	}
-	if r.ctrl.Modified(3) {
+	if r.modified(3) {
 		t.Fatal("m bit still set after read purge")
 	}
-	h := r.ctrl.Holders(3)
+	h := r.holders(3)
 	if len(h) != 2 {
 		t.Fatalf("Holders = %v, want previous owner + reader", h)
 	}
@@ -127,7 +138,7 @@ func TestEjectClearsPresence(t *testing.T) {
 	r.do(t, 0, 1, false)
 	r.do(t, 0, 17, false)
 	r.do(t, 0, 33, false) // evict block 1
-	if n := len(r.ctrl.Holders(1)); n != 0 {
+	if n := len(r.holders(1)); n != 0 {
 		t.Fatalf("holder count = %d after clean ejection", n)
 	}
 }
@@ -146,7 +157,7 @@ func TestMRequestGrantRequiresPresence(t *testing.T) {
 			s.MRequests.Value(), s.MGrantDenied.Value(), s.DirectedSends.Value())
 	}
 	r.do(t, 0, 8, true) // MREQUEST, granted with directed INV to 1
-	if !r.ctrl.Modified(8) {
+	if !r.modified(8) {
 		t.Fatal("m bit not set after granted MREQUEST")
 	}
 	if r.agents[1].Store().Lookup(8) != nil {
@@ -161,7 +172,7 @@ func TestExclusiveGrantOnColdRead(t *testing.T) {
 	if f == nil || !f.Exclusive {
 		t.Fatalf("cold read did not grant exclusivity: %+v", f)
 	}
-	if !r.ctrl.Modified(6) {
+	if !r.modified(6) {
 		t.Fatal("directory must pessimistically set the m bit for an exclusive grant")
 	}
 	// A silent write must not contact the controller.
@@ -186,7 +197,7 @@ func TestExclusiveOwnerAnswersPurgeWhenClean(t *testing.T) {
 	if f0 == nil || f0.Exclusive || f0.Modified {
 		t.Fatalf("previous exclusive owner frame = %+v, want plain clean copy", f0)
 	}
-	if r.ctrl.Modified(6) {
+	if r.modified(6) {
 		t.Fatal("m bit still set after the purge round")
 	}
 }
@@ -205,7 +216,7 @@ func TestExclusiveCleanEjectClearsPessimisticBit(t *testing.T) {
 	r.do(t, 0, 1, false) // exclusive
 	r.do(t, 0, 17, false)
 	r.do(t, 0, 33, false) // clean eject of the exclusive copy
-	if r.ctrl.Modified(1) {
+	if r.modified(1) {
 		t.Fatal("pessimistic m bit dangles after the exclusive copy was ejected")
 	}
 	// The block must be usable afterwards.

@@ -46,9 +46,15 @@ func pendFor(b addr.Block, kind msg.Kind, cache int) Pending {
 	return Pending{Src: network.NodeID(cache), M: msg.Message{Kind: kind, Block: b, Cache: cache}}
 }
 
+// newSer is a serializer for the sixteen blocks of a one-module space,
+// with no owner transaction type.
+func newSer(mode ConcurrencyMode, start StartFunc) *Serializer[struct{}] {
+	return NewSerializer[struct{}](mode, addr.Space{Blocks: 16, Modules: 1}, 0, start)
+}
+
 func TestSerializerPerBlockConcurrency(t *testing.T) {
 	var started []Pending
-	s := NewSerializer(PerBlock, func(p Pending) { started = append(started, p) })
+	s := newSer(PerBlock, func(p Pending) { started = append(started, p) })
 	s.Submit(pendFor(1, msg.KindRequest, 0))
 	s.Submit(pendFor(2, msg.KindRequest, 1)) // distinct block: runs concurrently
 	s.Submit(pendFor(1, msg.KindRequest, 2)) // same block: queues
@@ -71,7 +77,7 @@ func TestSerializerPerBlockConcurrency(t *testing.T) {
 
 func TestSerializerSingleCommandMode(t *testing.T) {
 	var started []Pending
-	s := NewSerializer(SingleCommand, func(p Pending) { started = append(started, p) })
+	s := newSer(SingleCommand, func(p Pending) { started = append(started, p) })
 	s.Submit(pendFor(1, msg.KindRequest, 0))
 	s.Submit(pendFor(2, msg.KindRequest, 1)) // distinct block still queues
 	if len(started) != 1 || s.QueuedLen() != 1 {
@@ -88,7 +94,7 @@ func TestSerializerDeleteQueuedMRequests(t *testing.T) {
 	// The §3.2.5 scenario: MREQUEST(i,a) is being serviced, MREQUEST(j,a)
 	// is queued; after BROADINV(a,i), the queued one must be deletable.
 	var started []Pending
-	s := NewSerializer(PerBlock, func(p Pending) { started = append(started, p) })
+	s := newSer(PerBlock, func(p Pending) { started = append(started, p) })
 	s.Submit(pendFor(7, msg.KindMRequest, 0)) // i
 	s.Submit(pendFor(7, msg.KindMRequest, 1)) // j, queued
 	s.Submit(pendFor(7, msg.KindRequest, 2))  // unrelated request, queued
@@ -107,7 +113,7 @@ func TestSerializerDeleteQueuedMRequests(t *testing.T) {
 
 func TestSerializerDeleteQueuedSingleCommand(t *testing.T) {
 	var started []Pending
-	s := NewSerializer(SingleCommand, func(p Pending) { started = append(started, p) })
+	s := newSer(SingleCommand, func(p Pending) { started = append(started, p) })
 	s.Submit(pendFor(7, msg.KindRequest, 0))
 	s.Submit(pendFor(7, msg.KindMRequest, 1))
 	s.Submit(pendFor(9, msg.KindMRequest, 2)) // other block must survive
@@ -124,9 +130,9 @@ func TestSerializerDeleteQueuedSingleCommand(t *testing.T) {
 func TestSerializerSynchronousCompletionNoRecursion(t *testing.T) {
 	// A StartFunc that completes immediately must drain a long queue
 	// without stack growth or missed entries.
-	var s *Serializer
+	var s *Serializer[struct{}]
 	count := 0
-	s = NewSerializer(PerBlock, func(p Pending) {
+	s = newSer(PerBlock, func(p Pending) {
 		count++
 		s.Done(p.M.Block)
 	})
@@ -142,7 +148,7 @@ func TestSerializerSynchronousCompletionNoRecursion(t *testing.T) {
 }
 
 func TestSerializerDonePanicsWithoutActive(t *testing.T) {
-	s := NewSerializer(PerBlock, func(Pending) {})
+	s := newSer(PerBlock, func(Pending) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Done without active transaction did not panic")
@@ -153,8 +159,8 @@ func TestSerializerDonePanicsWithoutActive(t *testing.T) {
 
 func TestSerializerFIFOWithinBlock(t *testing.T) {
 	var order []int
-	var s *Serializer
-	s = NewSerializer(PerBlock, func(p Pending) { order = append(order, p.M.Cache) })
+	var s *Serializer[struct{}]
+	s = newSer(PerBlock, func(p Pending) { order = append(order, p.M.Cache) })
 	for i := 0; i < 5; i++ {
 		s.Submit(pendFor(1, msg.KindRequest, i))
 	}

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"math"
 
 	"twobit/internal/addr"
 	"twobit/internal/msg"
@@ -43,16 +44,46 @@ type Pending struct {
 // Serializer.Done(block) exactly once when the transaction completes.
 type StartFunc func(p Pending)
 
+// StashedPut is one buffered early put: who sent it and its data.
+type StashedPut struct {
+	Cache int
+	Data  uint64
+}
+
+// BlockRec is everything a controller holds about one block it has
+// business with: the serializer's busy flag and queue, and the owning
+// controller's open transaction and early puts. A block with none of the
+// four has no record.
+type BlockRec[T any] struct {
+	Txn     *T           // the owner's open transaction on the block, or nil
+	Stashed []StashedPut // puts that arrived before their transaction, oldest first
+
+	busy  bool      // a command for the block is in service
+	queue []Pending // PerBlock: commands waiting behind it
+	local int       // the block's Space.LocalIndex
+}
+
 // Serializer is the controller's command queue: the bit-map controller of
 // §3.2.5 services one request per block (or one per controller) at a time,
 // queueing the rest, with the ability to delete queued entries — the
 // mechanism the paper uses to resolve racing MREQUESTs.
-type Serializer struct {
+//
+// Per-block state is reached as §3.1 reaches the two bits, by index: slots
+// has one entry per block of the module (Space.LocalIndex; 0 = nothing
+// tracked, the common case) naming one of the first live records of recs.
+// A record is released once its block is idle, by swapping it with the
+// last live one, and keeps its slices' capacity for the next block, so a
+// warmed serializer allocates nothing. T is the owner's transaction type.
+type Serializer[T any] struct {
 	mode  ConcurrencyMode
 	start StartFunc
 
-	busy   map[addr.Block]bool
-	queues map[addr.Block][]Pending
+	space  addr.Space
+	module int // whose blocks of space these are
+	slots  []uint16
+	recs   []*BlockRec[T]
+	live   int
+
 	global []Pending // SingleCommand queue
 	active int       // active transactions (0 or 1 in SingleCommand)
 
@@ -62,27 +93,32 @@ type Serializer struct {
 	queued int // total queued entries, for high-water accounting
 }
 
-// NewSerializer returns a serializer in the given mode. start must be
-// non-nil.
-func NewSerializer(mode ConcurrencyMode, start StartFunc) *Serializer {
+// NewSerializer returns a serializer in the given mode for the blocks of
+// one module of space. start must be non-nil.
+func NewSerializer[T any](mode ConcurrencyMode, space addr.Space, module int, start StartFunc) *Serializer[T] {
 	if start == nil {
 		panic("proto: nil StartFunc")
 	}
-	return &Serializer{
+	return &Serializer[T]{
 		mode:   mode,
 		start:  start,
-		busy:   make(map[addr.Block]bool),
-		queues: make(map[addr.Block][]Pending),
+		space:  space,
+		module: module,
+		slots:  make([]uint16, space.BlocksInModule(module)),
 	}
 }
 
-// Reset empties the serializer and switches it to mode, reusing the busy
-// and queue maps and the ready slice. The StartFunc stays bound — it is a
-// method value on the owning controller, which outlives the reset.
-func (s *Serializer) Reset(mode ConcurrencyMode) {
+// Reset empties the serializer and switches it to mode, keeping the slot
+// table, every record with its slices, and the global and ready queues.
+// The StartFunc stays bound — it is a method value on the owning
+// controller, which outlives the reset.
+func (s *Serializer[T]) Reset(mode ConcurrencyMode) {
 	s.mode = mode
-	clear(s.busy)
-	clear(s.queues)
+	for _, r := range s.recs[:s.live] {
+		s.slots[r.local] = 0
+		*r = BlockRec[T]{Stashed: r.Stashed[:0], queue: r.queue[:0]}
+	}
+	s.live = 0
 	s.global = s.global[:0]
 	s.active = 0
 	s.ready = s.ready[:0]
@@ -90,111 +126,147 @@ func (s *Serializer) Reset(mode ConcurrencyMode) {
 	s.queued = 0
 }
 
+// localIndex is Space.LocalIndex for a block that must be this module's
+// li-th: any other would alias another block's slot or run off the table.
+func (s *Serializer[T]) localIndex(b addr.Block) int {
+	li := s.space.LocalIndex(b)
+	if uint64(b) >= uint64(s.space.Blocks) || addr.Block(li*s.space.Modules+s.module) != b {
+		panic(fmt.Sprintf("proto: %v is not a block of module %d in a space of %d blocks over %d modules",
+			b, s.module, s.space.Blocks, s.space.Modules))
+	}
+	return li
+}
+
+// Rec returns block b's record, or nil when nothing is tracked for it.
+// The pointer is good until the record is released.
+func (s *Serializer[T]) Rec(b addr.Block) *BlockRec[T] {
+	if i := s.slots[s.localIndex(b)]; i != 0 {
+		return s.recs[i-1]
+	}
+	return nil
+}
+
+// Track returns block b's record, taking a recycled or new one if b had
+// none. The caller must leave it busy, queued, with a Txn or with a put
+// Stashed: an idle record is only released by its block's next Done.
+func (s *Serializer[T]) Track(b addr.Block) *BlockRec[T] {
+	li := s.localIndex(b)
+	if i := s.slots[li]; i != 0 {
+		return s.recs[i-1]
+	}
+	if s.live == len(s.recs) {
+		if s.live == math.MaxUint16 {
+			panic(fmt.Sprintf("proto: module %d tracks more than %d blocks at once", s.module, s.live))
+		}
+		s.recs = append(s.recs, new(BlockRec[T]))
+	}
+	r := s.recs[s.live]
+	s.live++
+	r.local = li
+	s.slots[li] = uint16(s.live)
+	return r
+}
+
+// release recycles r if its block is idle.
+func (s *Serializer[T]) release(r *BlockRec[T]) {
+	if r.busy || len(r.queue) > 0 || r.Txn != nil || len(r.Stashed) > 0 {
+		return
+	}
+	i, last := int(s.slots[r.local])-1, s.live-1
+	s.recs[i], s.recs[last] = s.recs[last], r
+	s.slots[s.recs[i].local] = uint16(i + 1)
+	s.slots[r.local] = 0
+	s.live = last
+}
+
 // QueuedLen returns the number of queued (not yet started) commands.
-func (s *Serializer) QueuedLen() int { return s.queued }
+func (s *Serializer[T]) QueuedLen() int { return s.queued }
 
 // Active reports whether a transaction is in progress for block b.
-func (s *Serializer) Active(b addr.Block) bool {
+func (s *Serializer[T]) Active(b addr.Block) bool {
 	if s.mode == SingleCommand {
 		return s.active > 0
 	}
-	return s.busy[b]
+	r := s.Rec(b)
+	return r != nil && r.busy
 }
 
 // ActiveCount returns the number of in-progress transactions.
-func (s *Serializer) ActiveCount() int { return s.active }
+func (s *Serializer[T]) ActiveCount() int { return s.active }
 
 // Submit offers a command for service: it starts immediately if its block
 // (or the controller, in SingleCommand mode) is free, otherwise it queues.
-func (s *Serializer) Submit(p Pending) {
-	if s.canRun(p.M.Block) {
-		s.admit(p)
+func (s *Serializer[T]) Submit(p Pending) {
+	if s.mode == SingleCommand {
+		if s.active > 0 {
+			s.queued++
+			s.global = append(s.global, p)
+		} else {
+			s.admit(s.Track(p.M.Block), p)
+		}
+	} else if r := s.Track(p.M.Block); r.busy {
+		s.queued++
+		r.queue = append(r.queue, p)
 	} else {
-		s.enqueue(p)
+		s.admit(r, p)
 	}
 	s.dispatch()
 }
 
-func (s *Serializer) canRun(b addr.Block) bool {
-	if s.mode == SingleCommand {
-		return s.active == 0
-	}
-	return !s.busy[b]
-}
-
-func (s *Serializer) admit(p Pending) {
+func (s *Serializer[T]) admit(r *BlockRec[T], p Pending) {
 	s.active++
-	s.busy[p.M.Block] = true
+	r.busy = true
 	s.ready = append(s.ready, p)
-}
-
-func (s *Serializer) enqueue(p Pending) {
-	s.queued++
-	if s.mode == SingleCommand {
-		s.global = append(s.global, p)
-	} else {
-		s.queues[p.M.Block] = append(s.queues[p.M.Block], p)
-	}
 }
 
 // Done marks the transaction on block b complete and starts the next
 // eligible queued command, if any.
-func (s *Serializer) Done(b addr.Block) {
-	if !s.Active(b) {
+func (s *Serializer[T]) Done(b addr.Block) {
+	r := s.Rec(b)
+	if r == nil || !r.busy {
 		panic(fmt.Sprintf("proto: Done(%v) without active transaction", b))
 	}
 	s.active--
-	delete(s.busy, b)
+	r.busy = false
+	// Queues are popped by moving the rest down: re-slicing the head away
+	// would walk the capacity off the array and reallocate on every append.
 	if s.mode == SingleCommand {
 		if len(s.global) > 0 {
 			p := s.global[0]
-			s.global = s.global[1:]
+			s.global = s.global[:copy(s.global, s.global[1:])]
 			s.queued--
-			s.admit(p)
+			s.admit(s.Track(p.M.Block), p)
 		}
-	} else {
-		if q := s.queues[b]; len(q) > 0 {
-			p := q[0]
-			if len(q) == 1 {
-				delete(s.queues, b)
-			} else {
-				s.queues[b] = q[1:]
-			}
-			s.queued--
-			s.admit(p)
-		}
+	} else if len(r.queue) > 0 {
+		p := r.queue[0]
+		r.queue = r.queue[:copy(r.queue, r.queue[1:])]
+		s.queued--
+		s.admit(r, p)
 	}
+	s.release(r)
 	s.dispatch()
 }
 
 // DeleteQueued removes queued (not yet started) commands on block b for
 // which match returns true, returning how many were removed. This is the
 // §3.2.5 "Deletes MREQUEST(j,a) from the queue" operation.
-func (s *Serializer) DeleteQueued(b addr.Block, match func(Pending) bool) int {
-	filter := func(q []Pending) ([]Pending, int) {
-		kept := q[:0]
-		removed := 0
-		for _, p := range q {
-			if p.M.Block == b && match(p) {
-				removed++
-			} else {
-				kept = append(kept, p)
-			}
+func (s *Serializer[T]) DeleteQueued(b addr.Block, match func(Pending) bool) int {
+	q := &s.global
+	if s.mode != SingleCommand {
+		r := s.Rec(b)
+		if r == nil {
+			return 0
 		}
-		return kept, removed
+		q = &r.queue // a queue is only ever behind a busy block: no release here
 	}
-	var removed int
-	if s.mode == SingleCommand {
-		s.global, removed = filter(s.global)
-	} else {
-		q, r := filter(s.queues[b])
-		removed = r
-		if len(q) == 0 {
-			delete(s.queues, b)
-		} else {
-			s.queues[b] = q
+	kept := (*q)[:0]
+	for _, p := range *q {
+		if p.M.Block != b || !match(p) {
+			kept = append(kept, p)
 		}
 	}
+	removed := len(*q) - len(kept)
+	*q = kept
 	s.queued -= removed
 	return removed
 }
@@ -206,7 +278,7 @@ func (s *Serializer) DeleteQueued(b addr.Block, match func(Pending) bool) int {
 // behind the cursor, and truncating to [:0] at the end keeps the
 // backing array — the hot path admits millions of commands per
 // campaign and must not reallocate the ready queue for each.
-func (s *Serializer) dispatch() {
+func (s *Serializer[T]) dispatch() {
 	if s.dispatching {
 		return
 	}

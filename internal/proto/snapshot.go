@@ -40,12 +40,13 @@ func (a *CacheAgent) Snapshot() AgentSnapshot {
 // QueuedFor returns the queued (not yet started) commands for block b in
 // service order, for state fingerprints. In SingleCommand mode the global
 // queue is filtered to b. The returned slice is freshly allocated.
-func (s *Serializer) QueuedFor(b addr.Block) []Pending {
-	var src []Pending
-	if s.mode == SingleCommand {
-		src = s.global
-	} else {
-		src = s.queues[b]
+func (s *Serializer[T]) QueuedFor(b addr.Block) []Pending {
+	src := s.global
+	if s.mode != SingleCommand {
+		src = nil
+		if r := s.Rec(b); r != nil {
+			src = r.queue
+		}
 	}
 	var out []Pending
 	for _, p := range src {

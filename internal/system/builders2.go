@@ -85,8 +85,8 @@ func (b *classicalBuilder) checkInvariants(m *Machine) error {
 	}
 	return checkGenericInvariants(m, memV, func(bl addr.Block, copies []copyView) error {
 		for _, cv := range copies {
-			if cv.frame.Modified {
-				return fmt.Errorf("%v: write-through cache %d holds a dirty frame", bl, cv.cacheIdx)
+			if cv.modified() {
+				return fmt.Errorf("%v: write-through cache %d holds a dirty frame", bl, cv.cacheIdx())
 			}
 		}
 		return nil
@@ -139,7 +139,7 @@ func (b *writeOnceBuilder) checkInvariants(m *Machine) error {
 	return checkGenericInvariants(m, b.sys.MemVersion, func(bl addr.Block, copies []copyView) error {
 		reserved := 0
 		for _, cv := range copies {
-			if cv.frame.Exclusive && !cv.frame.Modified {
+			if cv.exclusive() && !cv.modified() {
 				reserved++
 			}
 		}

@@ -1,7 +1,10 @@
 package system
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"twobit/internal/addr"
 	"twobit/internal/cache"
@@ -9,28 +12,63 @@ import (
 	"twobit/internal/directory"
 )
 
-// copyView is one cache's valid copy of a block, for invariant checks.
+// copyView is one cache's valid copy of a block, for invariant checks:
+// what the checks read of the frame, packed into 16 bytes so the index of
+// every copy in the machine stays small. key orders copies by (block,
+// cache): block<<8 | cache<<2 | exclusive<<1 | modified (Config.Validate
+// holds caches to 64).
 type copyView struct {
-	cacheIdx int
-	frame    cache.Frame
+	key  uint64
+	data uint64 // the frame's data version
 }
 
-// gatherCopies snapshots every valid copy of block b across the caches
-// into the machine's scratch buffer — the checkers call it once per
-// block per run, and each caller is done with the previous snapshot
-// before asking for the next. Empty results are nil.
-func (m *Machine) gatherCopies(b addr.Block) []copyView {
-	out := m.copyScratch[:0]
+func (cv copyView) block() addr.Block { return addr.Block(cv.key >> 8) }
+func (cv copyView) cacheIdx() int     { return int(cv.key >> 2 & 63) }
+func (cv copyView) exclusive() bool   { return cv.key&2 != 0 }
+func (cv copyView) modified() bool    { return cv.key&1 != 0 }
+
+// sweepCopies calls visit for every block of the space in ascending order
+// with the block's valid copies in cache order. It indexes, not probes:
+// every valid frame of every cache goes into one array — the machine's,
+// kept across runs — sorted by (block, cache), and each block's copies are
+// then the next window of it. That is O(blocks + frames·log frames) where
+// asking every cache about every block was O(blocks × caches × ways).
+func (m *Machine) sweepCopies(visit func(b addr.Block, copies []copyView) error) error {
+	idx := m.copyIndex[:0]
 	for k, cs := range m.caches {
-		if f := cs.Store().Lookup(b); f != nil {
-			out = append(out, copyView{cacheIdx: k, frame: *f})
+		frames := cs.Store().Frames()
+		for i := range frames {
+			if frames[i].Valid {
+				idx = append(idx, viewOf(k, &frames[i]))
+			}
 		}
 	}
-	m.copyScratch = out
-	if len(out) == 0 {
-		return nil
+	slices.SortFunc(idx, func(a, b copyView) int { return cmp.Compare(a.key, b.key) })
+	m.copyIndex = idx
+	i := 0
+	for blk := 0; blk < m.space.Blocks; blk++ {
+		j := i
+		for j < len(idx) && idx[j].block() == addr.Block(blk) {
+			j++
+		}
+		if err := visit(addr.Block(blk), idx[i:j]); err != nil {
+			return err
+		}
+		i = j
 	}
-	return out
+	return nil
+}
+
+// viewOf packs cache k's valid frame f.
+func viewOf(k int, f *cache.Frame) copyView {
+	key := uint64(f.Block)<<8 | uint64(k)<<2
+	if f.Exclusive {
+		key |= 2
+	}
+	if f.Modified {
+		key |= 1
+	}
+	return copyView{key: key, data: f.Data}
 }
 
 // checkDataInvariants verifies the protocol-independent coherence facts at
@@ -41,7 +79,7 @@ func (m *Machine) checkDataInvariants(b addr.Block, copies []copyView, memVersio
 	modified := 0
 	var firstMod copyView
 	for _, cv := range copies {
-		if cv.frame.Modified {
+		if cv.modified() {
 			if modified == 0 {
 				firstMod = cv
 			}
@@ -54,11 +92,11 @@ func (m *Machine) checkDataInvariants(b addr.Block, copies []copyView, memVersio
 	if modified == 1 {
 		if len(copies) != 1 {
 			return fmt.Errorf("%v: modified copy in cache %d coexists with %d other copies",
-				b, firstMod.cacheIdx, len(copies)-1)
+				b, firstMod.cacheIdx(), len(copies)-1)
 		}
-		if m.oracle != nil && firstMod.frame.Data != m.oracle.Latest(b) {
+		if m.oracle != nil && firstMod.data != m.oracle.Latest(b) {
 			return fmt.Errorf("%v: modified copy holds version %d, latest committed is %d",
-				b, firstMod.frame.Data, m.oracle.Latest(b))
+				b, firstMod.data, m.oracle.Latest(b))
 		}
 		return nil
 	}
@@ -67,9 +105,9 @@ func (m *Machine) checkDataInvariants(b addr.Block, copies []copyView, memVersio
 			b, memVersion, m.oracle.Latest(b))
 	}
 	for _, cv := range copies {
-		if cv.frame.Data != memVersion {
+		if cv.data != memVersion {
 			return fmt.Errorf("%v: clean copy in cache %d holds version %d, memory holds %d",
-				b, cv.cacheIdx, cv.frame.Data, memVersion)
+				b, cv.cacheIdx(), cv.data, memVersion)
 		}
 	}
 	return nil
@@ -79,17 +117,13 @@ func (m *Machine) checkDataInvariants(b addr.Block, copies []copyView, memVersio
 // caches' actual contents. Present* may legitimately overcount (it means
 // "0 or more copies"); every other state is exact.
 func checkTwoBitInvariants(m *Machine, ctrls []*core.Controller) error {
-	for blk := 0; blk < m.space.Blocks; blk++ {
-		b := addr.Block(blk)
-		ctrl := ctrls[b.Module(m.space.Modules)]
-		copies := m.gatherCopies(b)
-		if err := m.checkDataInvariants(b, copies, ctrl.MemVersion(b)); err != nil {
-			return err
-		}
-		st := ctrl.State(b)
+	ctrl := func(b addr.Block) *core.Controller { return ctrls[b.Module(m.space.Modules)] }
+	memV := func(b addr.Block) uint64 { return ctrl(b).MemVersion(b) }
+	return checkGenericInvariants(m, memV, func(b addr.Block, copies []copyView) error {
+		st := ctrl(b).State(b)
 		modified := 0
 		for _, cv := range copies {
-			if cv.frame.Modified {
+			if cv.modified() {
 				modified++
 			}
 		}
@@ -117,72 +151,51 @@ func checkTwoBitInvariants(m *Machine, ctrls []*core.Controller) error {
 		if len(copies) >= 2 && st != directory.PresentStar {
 			return fmt.Errorf("%v: %d copies but state is %v", b, len(copies), st)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // checkExactInvariants verifies an exact directory — the n+1-bit map or
 // the duplicated cache directories — against the caches.
 func checkExactInvariants(m *Machine, ctrls []*core.Controller) error {
-	for blk := 0; blk < m.space.Blocks; blk++ {
-		b := addr.Block(blk)
-		ctrl := ctrls[b.Module(m.space.Modules)]
-		copies := m.gatherCopies(b)
-		if err := m.checkDataInvariants(b, copies, ctrl.MemVersion(b)); err != nil {
-			return err
-		}
-		holders := ctrl.Holders(b)
-		holds := func(k int) bool {
-			for _, h := range holders {
-				if h == k {
-					return true
-				}
-			}
-			return false
-		}
+	ctrl := func(b addr.Block) *core.Controller { return ctrls[b.Module(m.space.Modules)] }
+	memV := func(b addr.Block) uint64 { return ctrl(b).MemVersion(b) }
+	return checkGenericInvariants(m, memV, func(b addr.Block, copies []copyView) error {
+		mask, mbit := ctrl(b).Entry(b)
+		holders := bits.OnesCount64(mask)
 		// Every copy must be a known holder (exactness of the map). Extra
 		// presence bits can only exist when clean ejects are disabled.
 		for _, cv := range copies {
-			if !holds(cv.cacheIdx) {
-				return fmt.Errorf("%v: cache %d holds a copy the map does not record", b, cv.cacheIdx)
+			if mask>>cv.cacheIdx()&1 == 0 {
+				return fmt.Errorf("%v: cache %d holds a copy the map does not record", b, cv.cacheIdx())
 			}
 		}
-		if !m.cfg.DisableCleanEject && len(holders) != len(copies) {
-			return fmt.Errorf("%v: map records %d holders but %d copies exist", b, len(holders), len(copies))
+		if !m.cfg.DisableCleanEject && holders != len(copies) {
+			return fmt.Errorf("%v: map records %d holders but %d copies exist", b, holders, len(copies))
 		}
-		if ctrl.Modified(b) {
-			if len(holders) != 1 {
-				return fmt.Errorf("%v: m bit set with %d holders", b, len(holders))
+		if mbit {
+			if holders != 1 {
+				return fmt.Errorf("%v: m bit set with %d holders", b, holders)
 			}
 			// With the Yen–Fu extension the m bit is pessimistic: the sole
 			// holder may hold the block Exclusive (clean). Otherwise the
 			// copy must be modified.
-			if len(copies) == 1 {
-				f := copies[0].frame
-				if !f.Modified && !f.Exclusive {
-					return fmt.Errorf("%v: m bit set but the copy is plainly clean", b)
-				}
+			if len(copies) == 1 && !copies[0].modified() && !copies[0].exclusive() {
+				return fmt.Errorf("%v: m bit set but the copy is plainly clean", b)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// checkGenericInvariants runs only the protocol-independent checks, using
-// memVersion to read back main memory. Used by protocols without a global
-// directory (classical, write-once, software).
+// checkGenericInvariants is the quiescence sweep: for every block, the
+// protocol-independent checks against main memory as memVersion reads it
+// back, then extra, the protocol's own (nil for none).
 func checkGenericInvariants(m *Machine, memVersion func(addr.Block) uint64, extra func(b addr.Block, copies []copyView) error) error {
-	for blk := 0; blk < m.space.Blocks; blk++ {
-		b := addr.Block(blk)
-		copies := m.gatherCopies(b)
-		if err := m.checkDataInvariants(b, copies, memVersion(b)); err != nil {
+	return m.sweepCopies(func(b addr.Block, copies []copyView) error {
+		if err := m.checkDataInvariants(b, copies, memVersion(b)); err != nil || extra == nil {
 			return err
 		}
-		if extra != nil {
-			if err := extra(b, copies); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		return extra(b, copies)
+	})
 }

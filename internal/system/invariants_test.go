@@ -1,10 +1,12 @@
 package system
 
 import (
-	"strings"
+	"fmt"
+	"slices"
 	"testing"
 
 	"twobit/internal/addr"
+	"twobit/internal/sim"
 )
 
 // Block is addr.Block, aliased for brevity in the corruption helpers.
@@ -57,8 +59,8 @@ func TestCheckerDetectsDoubleModified(t *testing.T) {
 	if err == nil {
 		t.Fatalf("checker missed two modified copies of %v", victim)
 	}
-	if !strings.Contains(err.Error(), "modified") {
-		t.Fatalf("unexpected error: %v", err)
+	if want := victim.String() + ": 2 modified copies"; err.Error() != want {
+		t.Fatalf("checker said %q, want %q", err, want)
 	}
 }
 
@@ -71,7 +73,7 @@ func TestCheckerDetectsAbsentWithCopy(t *testing.T) {
 	for b := 0; b < m.space.Blocks; b++ {
 		blk := Block(b)
 		if tb.ctrls[blk.Module(m.space.Modules)].State(blk) == 0 /* Absent */ {
-			if m.gatherCopies(blk) == nil {
+			if m.probeCopies(blk) == nil {
 				target = blk
 				found = true
 				break
@@ -88,8 +90,12 @@ func TestCheckerDetectsAbsentWithCopy(t *testing.T) {
 	}
 	memV := tb.ctrls[target.Module(m.space.Modules)].MemVersion(target)
 	store.Fill(v, target, memV)
-	if err := m.bld.checkInvariants(m); err == nil {
+	err := m.bld.checkInvariants(m)
+	if err == nil {
 		t.Fatal("checker missed a copy of an Absent block")
+	}
+	if want := target.String() + ": state Absent but 1 copies exist"; err.Error() != want {
+		t.Fatalf("checker said %q, want %q", err, want)
 	}
 }
 
@@ -100,8 +106,13 @@ func TestCheckerDetectsStaleCleanCopy(t *testing.T) {
 		for k := range m.caches {
 			if f := m.caches[k].Store().Lookup(Block(b)); f != nil && !f.Modified {
 				f.Data += 12345
-				if err := m.bld.checkInvariants(m); err == nil {
+				err := m.bld.checkInvariants(m)
+				if err == nil {
 					t.Fatal("checker missed a stale clean copy")
+				}
+				want := fmt.Sprintf("%v: clean copy in cache %d holds version %d, memory holds %d", Block(b), k, f.Data, f.Data-12345)
+				if err.Error() != want {
+					t.Fatalf("checker said %q, want %q", err, want)
 				}
 				return
 			}
@@ -117,25 +128,105 @@ func TestCheckerDetectsFullMapPhantomHolder(t *testing.T) {
 	for b := 0; b < m.space.Blocks; b++ {
 		blk := Block(b)
 		ctrl := fb.ctrls[blk.Module(m.space.Modules)]
-		holders := ctrl.Holders(blk)
-		holderSet := map[int]bool{}
-		for _, h := range holders {
-			holderSet[h] = true
-		}
+		holders, modified := ctrl.Entry(blk)
 		for k := range m.caches {
-			if !holderSet[k] && m.caches[k].Store().Lookup(blk) == nil && !ctrl.Modified(blk) {
+			if holders&(1<<uint(k)) == 0 && m.caches[k].Store().Lookup(blk) == nil && !modified {
 				store := m.caches[k].Store()
 				v := store.Victim(blk)
 				if v.Valid {
 					store.Evict(v)
 				}
 				store.Fill(v, blk, ctrl.MemVersion(blk))
-				if err := m.bld.checkInvariants(m); err == nil {
+				err := m.bld.checkInvariants(m)
+				if err == nil {
 					t.Fatal("full-map checker missed an unrecorded holder")
+				}
+				if want := fmt.Sprintf("%v: cache %d holds a copy the map does not record", blk, k); err.Error() != want {
+					t.Fatalf("checker said %q, want %q", err, want)
 				}
 				return
 			}
 		}
 	}
 	t.Skip("no candidate block")
+}
+
+// probeCopies is the sweep's retired way of finding block b's copies —
+// ask every cache — kept as the oracle for the copy index: same copies,
+// same (cache) order, nil when there are none.
+func (m *Machine) probeCopies(b addr.Block) []copyView {
+	var out []copyView
+	for k, cs := range m.caches {
+		if f := cs.Store().Lookup(b); f != nil {
+			out = append(out, viewOf(k, f))
+		}
+	}
+	return out
+}
+
+// TestInvariantIndexMatchesProbe: the sweep visits every block once, in
+// order, with the copies that probing every cache gives it, in the same
+// order — for all seven protocols, in the middle of a run and at
+// quiescence, and again on the next sweep over the reused index.
+func TestInvariantIndexMatchesProbe(t *testing.T) {
+	for name, cfg := range allProtocols() {
+		t.Run(name, func(t *testing.T) {
+			m, err := New(cfg, sharingGen(cfg.Procs, 33))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweep := func(when string) {
+				t.Helper()
+				next, total := Block(0), 0
+				err := m.sweepCopies(func(b Block, copies []copyView) error {
+					if want := m.probeCopies(b); b != next || !slices.Equal(copies, want) {
+						t.Fatalf("%s: visit %v is of %v: the index gives %v, probing the caches %v", when, next, b, copies, want)
+					}
+					next++
+					total += len(copies)
+					return nil
+				})
+				if err != nil || int(next) != m.space.Blocks || total == 0 {
+					t.Fatalf("%s: visited %d of %d blocks and %d copies, error %v", when, next, m.space.Blocks, total, err)
+				}
+			}
+			for p := 0; p < cfg.Procs; p++ {
+				m.issue(p, 1500)
+			}
+			for piece := 0; piece < 4; piece++ {
+				for i := 0; i < 1000 && m.kernel.Step(); i++ {
+				}
+				sweep(fmt.Sprintf("mid-run, %d events in", m.kernel.Processed()))
+			}
+			m.kernel.Run()
+			sweep("quiescent")
+			sweep("quiescent, second sweep")
+		})
+	}
+}
+
+// TestZeroAllocInvariants: the quiescence check of a machine that has
+// been checked before — its copy index grown — allocates nothing, under
+// every protocol's checker.
+func TestZeroAllocInvariants(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for name, cfg := range allProtocols() {
+		m, err := New(cfg, sharingGen(cfg.Procs, 33))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(1500); err != nil { // checks once: the index is at its high-water mark
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := m.bld.checkInvariants(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a repeated invariant check allocates %v, want 0", name, allocs)
+		}
+	}
 }

@@ -33,6 +33,9 @@ type Runner struct {
 	oracle *Oracle
 	buf    bytes.Buffer
 	pool   map[machineShape]*Machine
+	// copyIndex is the one quiescence-sweep index every machine run here
+	// borrows (see run): sized by the largest machine, not once per shape.
+	copyIndex []copyView
 }
 
 // NewRunner returns an empty Runner, ready to run.
@@ -58,7 +61,7 @@ func (r *Runner) Run(cfg Config, gen workload.Generator, refsPerProc int) (Resul
 		if err != nil {
 			return Results{}, err
 		}
-		return m.Run(refsPerProc)
+		return r.run(m, refsPerProc)
 	}
 	// Replicate newMachine's input checks before consulting the pool, so
 	// invalid configs fail identically on both paths.
@@ -72,7 +75,7 @@ func (r *Runner) Run(cfg Config, gen workload.Generator, refsPerProc int) (Resul
 	shape := shapeOf(cfg, blocks)
 	if m := r.pool[shape]; m != nil {
 		m.reset(cfg, gen, o)
-		return m.Run(refsPerProc)
+		return r.run(m, refsPerProc)
 	}
 	m, err := newMachine(cfg, gen, &r.kernel, o, nil)
 	if err != nil {
@@ -82,7 +85,16 @@ func (r *Runner) Run(cfg Config, gen workload.Generator, refsPerProc int) (Resul
 		r.pool = make(map[machineShape]*Machine)
 	}
 	r.pool[shape] = m
-	return m.Run(refsPerProc)
+	return r.run(m, refsPerProc)
+}
+
+// run is m.Run on the runner's copy index, taken back (grown, perhaps)
+// when the run ends.
+func (r *Runner) run(m *Machine, refsPerProc int) (Results, error) {
+	m.copyIndex = r.copyIndex
+	res, err := m.Run(refsPerProc)
+	r.copyIndex, m.copyIndex = m.copyIndex, nil
+	return res, err
 }
 
 // PooledMachines returns the number of machine graphs currently pooled,

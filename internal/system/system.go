@@ -246,7 +246,9 @@ type Machine struct {
 	latencies       stats.Histogram // per-reference latency, cycles
 	sharedLatencies stats.Histogram // latency of shared references only
 
-	copyScratch []copyView // gatherCopies buffer, reused across blocks and runs
+	// copyIndex is sweepCopies' array of every valid cache frame, kept
+	// across runs; a Runner lends its own to the machines it pools.
+	copyIndex []copyView
 
 	obsLatency *obs.Histogram // "sys/ref_latency_cycles" (nil when Obs off)
 }

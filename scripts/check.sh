@@ -6,9 +6,9 @@
 # byte-identical stores at workers=1 and workers=4, and a store truncated
 # to half must converge to those same bytes under -resume. Then the
 # zero-allocation floors run once without the race detector, the model
-# checker closes the small configurations outright and the wire codecs
-# and the kernel's event order take a 30 s fuzz each. Everything must pass
-# for a change to land.
+# checker closes the small configurations outright and the wire codecs,
+# the kernel's event order and the command serializer take a 30 s fuzz
+# each. Everything must pass for a change to land.
 # Performance is not measured here: that is `go run ./bench`.
 set -eu
 
@@ -130,8 +130,9 @@ cmp "$SMOKE/pool_w1.jsonl" "$SMOKE/pool_w4.jsonl" || {
 echo "==> zero-alloc floors + order oracle + windowed passivity"
 # go test -race above skips the ZeroAlloc tests (the race detector
 # allocates on its own), so run them once without it: the kernel's
-# schedule+drain path, the bus fan-out, and every obs instrument, disabled
-# and enabled, must not allocate. The order oracle replays the retired
+# schedule+drain path, the bus fan-out, every obs instrument, disabled
+# and enabled, a warmed directory controller and a repeated invariant
+# sweep must not allocate. The order oracle replays the retired
 # container/heap implementation against the kernel's ring and overflow
 # heap and fails on the first divergent pop; the passivity smoke demands
 # that a run with windows and contention profiling on reproduce the
@@ -204,5 +205,8 @@ go test -run '^$' -fuzz '^FuzzChunkedCodec$' -fuzztime 30s ./internal/memtrace
 
 echo "==> fuzz: kernel event order (30s)"
 go test -run '^$' -fuzz '^FuzzKernelOrder$' -fuzztime 30s ./internal/sim
+
+echo "==> fuzz: command serializer vs its map model (30s)"
+go test -run '^$' -fuzz '^FuzzSerializer$' -fuzztime 30s ./internal/proto
 
 echo "OK"
