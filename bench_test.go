@@ -166,14 +166,7 @@ func BenchmarkProtocolComparison(b *testing.B) {
 		b.Run(p.String(), func(b *testing.B) {
 			var last Results
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig(p, 8)
-				switch p {
-				case Duplication:
-					cfg.Modules = 1
-				case WriteOnce:
-					cfg.Net = BusNet
-				}
-				last = benchRun(b, cfg, benchGen(8, 0.05, 0.2, 7), 4000)
+				last = benchRun(b, DefaultConfig(p, 8), benchGen(8, 0.05, 0.2, 7), 4000)
 			}
 			b.ReportMetric(last.CommandsPerCachePerRef, "cmds/ref")
 			b.ReportMetric(last.CyclesPerRef, "cycles/ref")

@@ -29,22 +29,6 @@ import (
 	"twobit"
 )
 
-var protocols = map[string]twobit.Protocol{
-	"two-bit":     twobit.TwoBit,
-	"full-map":    twobit.FullMap,
-	"full-map+E":  twobit.FullMapExclusive,
-	"classical":   twobit.Classical,
-	"duplication": twobit.Duplication,
-	"write-once":  twobit.WriteOnce,
-	"software":    twobit.Software,
-}
-
-var nets = map[string]twobit.NetKind{
-	"crossbar": twobit.CrossbarNet,
-	"bus":      twobit.BusNet,
-	"omega":    twobit.OmegaNet,
-}
-
 func main() {
 	var (
 		protoName = flag.String("protocol", "two-bit", "protocol: two-bit, full-map, full-map+E, classical, duplication, write-once, software")
@@ -87,13 +71,13 @@ func main() {
 	case *sweep != "":
 		runSweep(*sweep, *refs, *q, *w, *seed)
 	default:
-		p, ok := protocols[*protoName]
-		if !ok {
+		p, err := twobit.ParseProtocol(*protoName)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "coherencesim: unknown protocol %q\n", *protoName)
 			os.Exit(2)
 		}
-		nk, ok := nets[*netName]
-		if !ok {
+		nk, err := twobit.ParseNetKind(*netName)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "coherencesim: unknown network %q\n", *netName)
 			os.Exit(2)
 		}
@@ -119,15 +103,13 @@ func main() {
 			}
 		}
 		cfg := twobit.DefaultConfig(p, *procs)
-		cfg.Net = nk
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "net" { // unset, the protocol's default network stands
+				cfg.Net = nk
+			}
+		})
 		cfg.Seed = *seed
 		cfg.TranslationBufferSize = *tbSize
-		if p == twobit.Duplication {
-			cfg.Modules = 1
-		}
-		if p == twobit.WriteOnce {
-			cfg.Net = twobit.BusNet
-		}
 		if src != nil {
 			res, err := twobit.RunFromTrace(cfg, src, *refs)
 			if err != nil {
@@ -238,19 +220,15 @@ func runCompare(procs, refs int, q, w float64, seed uint64) {
 	fmt.Printf("protocol comparison: n=%d, q=%.2f, w=%.2f, %d refs/proc\n\n", procs, q, w, refs)
 	fmt.Printf("%-12s %10s %12s %12s %12s %12s\n",
 		"protocol", "cycles/ref", "cmds/ref", "useless/ref", "stolen/ref", "netmsgs")
-	for _, name := range []string{"two-bit", "full-map", "full-map+E", "classical", "duplication", "write-once", "software"} {
-		p := protocols[name]
+	for _, p := range []twobit.Protocol{
+		twobit.TwoBit, twobit.FullMap, twobit.FullMapExclusive, twobit.Classical,
+		twobit.Duplication, twobit.WriteOnce, twobit.Software,
+	} {
 		cfg := twobit.DefaultConfig(p, procs)
 		cfg.Seed = seed
-		if p == twobit.Duplication {
-			cfg.Modules = 1
-		}
-		if p == twobit.WriteOnce {
-			cfg.Net = twobit.BusNet
-		}
 		res := run(cfg, procs, refs, q, w, seed)
 		fmt.Printf("%-12s %10.2f %12.4f %12.4f %12.4f %12d\n",
-			name, res.CyclesPerRef, res.CommandsPerCachePerRef,
+			p, res.CyclesPerRef, res.CommandsPerCachePerRef,
 			res.UselessPerCachePerRef, res.StolenCyclesPerRef, res.Net.Messages.Value())
 	}
 }

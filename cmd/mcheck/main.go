@@ -30,8 +30,8 @@ import (
 	"os"
 	"time"
 
-	"twobit/internal/core"
 	"twobit/internal/mcheck"
+	"twobit/internal/proto"
 )
 
 func main() {
@@ -66,11 +66,11 @@ func main() {
 	switch *bug {
 	case "":
 	case "write-miss-invalidate":
-		cfg.Hooks = &core.BugHooks{SkipWriteMissInvalidate: true}
+		cfg.Hooks = &proto.BugHooks{SkipWriteMissInvalidate: true}
 	case "stashed-put-consume":
-		cfg.Hooks = &core.BugHooks{SkipStashedPutConsume: true}
+		cfg.Hooks = &proto.BugHooks{SkipStashedPutConsume: true}
 	case "mrequest-queue-delete":
-		cfg.Hooks = &core.BugHooks{SkipMRequestQueueDelete: true}
+		cfg.Hooks = &proto.BugHooks{SkipMRequestQueueDelete: true}
 	default:
 		fail(2, "unknown -bug %q", *bug)
 	}

@@ -93,14 +93,7 @@ func main() {
 		twobit.Software, twobit.Classical, twobit.Duplication,
 		twobit.FullMap, twobit.FullMapExclusive, twobit.WriteOnce, twobit.TwoBit,
 	} {
-		cfg := twobit.DefaultConfig(p, 8)
-		if p == twobit.Duplication {
-			cfg.Modules = 1
-		}
-		if p == twobit.WriteOnce {
-			cfg.Net = twobit.BusNet
-		}
-		res := run(cfg, gen(8, 0.05, 0.2, 7), 8000)
+		res := run(twobit.DefaultConfig(p, 8), gen(8, 0.05, 0.2, 7), 8000)
 		fmt.Fprintf(out, "%-12s %10.2f %10.4f %12.4f %12d\n",
 			p, res.CyclesPerRef, res.CommandsPerCachePerRef,
 			res.UselessPerCachePerRef, res.Net.Messages.Value())

@@ -34,12 +34,6 @@ func main() {
 	fmt.Printf("%-22s %10s %10s %12s %12s\n", "scheme", "cycles/ref", "cmds/ref", "useless/ref", "net msgs")
 	for _, e := range entries {
 		cfg := twobit.DefaultConfig(e.p, procs)
-		if e.p == twobit.Duplication {
-			cfg.Modules = 1
-		}
-		if e.p == twobit.WriteOnce {
-			cfg.Net = twobit.BusNet
-		}
 		gen := twobit.NewSharedPrivateWorkload(twobit.SharedPrivateConfig{
 			Procs: procs, SharedBlocks: 16, Q: 0.05, W: 0.2,
 			PrivateHit: 0.9, PrivateWrite: 0.3, HotBlocks: 64, ColdBlocks: 512, Seed: 7,

@@ -18,6 +18,7 @@ package classical
 
 import (
 	"fmt"
+	"math"
 
 	"twobit/internal/addr"
 	"twobit/internal/cache"
@@ -28,89 +29,48 @@ import (
 	"twobit/internal/sim"
 )
 
-// AgentConfig configures a classical cache agent.
-type AgentConfig struct {
-	Index int
-	Topo  proto.Topology
-	Lat   proto.Latencies
-	// BiasFilter enables the repeated-invalidation filter.
-	BiasFilter bool
-}
-
 // Agent is a write-through, no-write-allocate cache.
 type Agent struct {
-	cfg    AgentConfig
-	kernel *sim.Kernel
-	net    network.Network
-	store  *cache.Cache
-	stats  proto.CacheSideStats
+	proto.AgentBase
 
-	pend     *pendingOp
 	lastInv  addr.Block // BIAS memory: last invalidated block
 	hasLast  bool
 	Filtered uint64 // invalidations short-circuited by the BIAS filter
 }
 
-type pendingOp struct {
-	ref  addr.Ref
-	done func(uint64)
-}
-
 // NewAgent wires a classical cache to the network.
-func NewAgent(cfg AgentConfig, kernel *sim.Kernel, net network.Network, store *cache.Cache) *Agent {
-	a := &Agent{cfg: cfg, kernel: kernel, net: net, store: store}
-	net.Attach(cfg.Topo.CacheNode(cfg.Index), a)
+func NewAgent(cfg proto.AgentConfig, kernel *sim.Kernel, net network.Network, store *cache.Cache) *Agent {
+	a := &Agent{}
+	a.Init(cfg, kernel, net, store, a)
 	return a
 }
 
-// Reset restores the agent to its freshly-constructed state under cfg,
-// keeping the network attachment (Index and Topo must match
-// construction). The cache store is reset separately by its owner.
-func (a *Agent) Reset(cfg AgentConfig) {
-	if cfg.Index != a.cfg.Index || cfg.Topo != a.cfg.Topo {
-		panic("classical: Agent.Reset shape differs from construction")
-	}
-	a.cfg = cfg
-	a.stats = proto.CacheSideStats{}
-	a.pend = nil
-	a.lastInv = 0
-	a.hasLast = false
-	a.Filtered = 0
+// Reset restores the agent to its freshly-constructed state under cfg
+// (see proto.AgentBase.Reset).
+func (a *Agent) Reset(cfg proto.AgentConfig) {
+	a.AgentBase.Reset(cfg)
+	a.lastInv, a.hasLast, a.Filtered = 0, false, 0
 }
-
-// Store implements proto.CacheSide.
-func (a *Agent) Store() *cache.Cache { return a.store }
-
-// SideStats implements proto.CacheSide.
-func (a *Agent) SideStats() *proto.CacheSideStats { return &a.stats }
-
-func (a *Agent) node() network.NodeID { return a.cfg.Topo.CacheNode(a.cfg.Index) }
 
 // Access implements proto.CacheSide.
 func (a *Agent) Access(ref addr.Ref, writeVersion uint64, done func(uint64)) {
-	if a.pend != nil {
-		panic(fmt.Sprintf("classical: cache %d: overlapping references", a.cfg.Index))
-	}
-	a.stats.References.Inc()
+	a.Begin(ref, writeVersion, done)
 	if ref.Write {
-		a.stats.Writes.Inc()
 		// Write-through: every store goes to memory; completion arrives
 		// after all other caches acknowledged the invalidation.
-		a.pend = &pendingOp{ref: ref, done: done}
-		a.net.Send(a.node(), a.cfg.Topo.CtrlFor(ref.Block), msg.Message{
-			Kind: msg.KindWriteThrough, Block: ref.Block, Cache: a.cfg.Index, Data: writeVersion,
+		a.Waiting = true
+		a.Send(a.Topo.CtrlFor(ref.Block), msg.Message{
+			Kind: msg.KindWriteThrough, Block: ref.Block, Cache: a.Index, Data: writeVersion,
 		})
 		return
 	}
-	a.stats.Reads.Inc()
-	if f := a.store.Access(ref.Block); f != nil {
-		v := f.Data
-		a.kernel.After(a.cfg.Lat.CacheHit, func() { done(v) })
+	if f := a.Store().Access(ref.Block); f != nil {
+		a.Complete(f.Data)
 		return
 	}
-	a.pend = &pendingOp{ref: ref, done: done}
-	a.net.Send(a.node(), a.cfg.Topo.CtrlFor(ref.Block), msg.Message{
-		Kind: msg.KindRequest, Block: ref.Block, Cache: a.cfg.Index, RW: msg.Read,
+	a.Waiting = true
+	a.Send(a.Topo.CtrlFor(ref.Block), msg.Message{
+		Kind: msg.KindRequest, Block: ref.Block, Cache: a.Index, RW: msg.Read,
 	})
 }
 
@@ -118,225 +78,215 @@ func (a *Agent) Access(ref addr.Ref, writeVersion uint64, done func(uint64)) {
 func (a *Agent) Deliver(src network.NodeID, m msg.Message) {
 	switch m.Kind {
 	case msg.KindInvAll:
-		a.stats.CommandsReceived.Inc()
-		if a.cfg.BiasFilter && a.hasLast && a.lastInv == m.Block && a.store.Lookup(m.Block) == nil {
+		a.Stats.CommandsReceived.Inc()
+		if a.BiasFilter && a.hasLast && a.lastInv == m.Block && a.Store().Lookup(m.Block) == nil {
 			// The BIAS memory filters the repeated invalidation: no
 			// directory cycle is stolen.
 			a.Filtered++
-		} else if f := a.store.Snoop(m.Block); f != nil {
-			a.store.Invalidate(m.Block)
-			a.stats.InvalidationsApplied.Inc()
+		} else if f := a.Store().Snoop(m.Block); f != nil {
+			a.Store().Invalidate(m.Block)
+			a.Stats.InvalidationsApplied.Inc()
 		} else {
-			a.stats.UselessCommands.Inc()
+			a.Stats.UselessCommands.Inc()
 		}
 		a.lastInv, a.hasLast = m.Block, true
 		// Acknowledge so the writer's store can complete.
-		a.net.Send(a.node(), src, msg.Message{Kind: msg.KindInvAck, Block: m.Block, Cache: a.cfg.Index})
+		a.Send(src, msg.Message{Kind: msg.KindInvAck, Block: m.Block, Cache: a.Index})
 	case msg.KindGet:
-		if a.pend == nil {
-			panic(fmt.Sprintf("classical: cache %d: unsolicited %v", a.cfg.Index, m))
+		if !a.Waiting {
+			panic(fmt.Sprintf("classical: cache %d: unsolicited %v", a.Index, m))
 		}
-		p := a.pend
-		a.pend = nil
-		if p.ref.Write {
+		a.Waiting = false
+		b := a.Ref.Block
+		if a.Ref.Write {
 			// Write completion. Write-through no-write-allocate: update a
 			// present copy, never fill on a write miss.
-			if f := a.store.Lookup(p.ref.Block); f != nil {
+			if f := a.Store().Lookup(b); f != nil {
 				f.Data = m.Data
 			}
-			a.kernel.After(a.cfg.Lat.CacheHit, func() { p.done(m.Data) })
-			return
+		} else {
+			victim := a.Store().Victim(b)
+			if victim.Valid {
+				a.Stats.EvictionsClean.Inc() // write-through frames are never dirty
+			}
+			a.Store().Fill(victim, b, m.Data)
 		}
-		victim := a.store.Victim(p.ref.Block)
-		if victim.Valid {
-			a.stats.EvictionsClean.Inc() // write-through frames are never dirty
-		}
-		a.store.Fill(victim, p.ref.Block, m.Data)
-		a.kernel.After(a.cfg.Lat.CacheHit, func() { p.done(m.Data) })
+		a.Complete(m.Data)
 	default:
-		panic(fmt.Sprintf("classical: cache %d: unexpected %v", a.cfg.Index, m))
+		panic(fmt.Sprintf("classical: cache %d: unexpected %v", a.Index, m))
 	}
-}
-
-// Config configures a classical memory controller.
-type Config struct {
-	Module int
-	Topo   proto.Topology
-	Space  addr.Space
-	Lat    proto.Latencies
-	Commit proto.CommitFunc
 }
 
 // Controller is the memory side: it applies write-throughs, broadcasts
 // invalidations, gates write completion on the acknowledgements, and
 // serves read misses.
 type Controller struct {
-	cfg    Config
-	kernel *sim.Kernel
-	net    network.Network
-	mem    *memory.Module
-	stats  proto.CtrlStats
+	proto.CtrlBase
 
-	// pending write-throughs awaiting acks, per block (serialized per
-	// block: a second write to the same block queues).
-	writes map[addr.Block][]*wtState
-	// reads queued behind pending writes on the same block: serving them
+	// blocks holds a blockState for every block with a write-through or a
+	// read in flight.
+	blocks proto.BlockTable[blockState]
+
+	// except is the invalidation broadcast's exclusion list — the writing
+	// cache, patched in per broadcast, then the other controllers.
+	// Broadcast consumes it synchronously, so one buffer suffices.
+	except []network.NodeID
+}
+
+// blockState is what the controller holds about one block with work in
+// flight.
+type blockState struct {
+	// writes are the pending write-throughs, serialized per block: the
+	// head is awaiting acks (it has acks of them) or, with all in, its
+	// memory write; a second write to the block queues behind it.
+	writes []write
+	acks   int
+	// reads are caches whose read misses wait behind writes: serving them
 	// from stale memory would install a copy the in-flight invalidation
 	// has already passed by.
-	reads map[addr.Block][]int
+	reads []int
 	// readsInFlight gates writes: a read being served (its get not yet
 	// sent, delayed by the memory latency) must not be overtaken by an
 	// invalidation broadcast, or the freshly filled copy would escape it.
-	readsInFlight map[addr.Block]int
+	readsInFlight int
 }
 
-type wtState struct {
+type write struct {
 	cache   int
 	version uint64
-	acks    int
-	need    int
 }
 
 // New wires a classical controller to the network.
-func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
+func New(cfg proto.CtrlConfig, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
 	c := &Controller{
-		cfg: cfg, kernel: kernel, net: net, mem: mem,
-		writes:        make(map[addr.Block][]*wtState),
-		reads:         make(map[addr.Block][]int),
-		readsInFlight: make(map[addr.Block]int),
+		blocks: proto.NewBlockTable[blockState](cfg.Space, cfg.Module),
+		except: make([]network.NodeID, 1, cfg.Topo.Modules),
 	}
-	net.Attach(cfg.Topo.CtrlNode(cfg.Module), c)
+	c.Init(cfg, kernel, net, mem, c)
+	for j := 0; j < cfg.Topo.Modules; j++ {
+		if j != cfg.Module {
+			c.except = append(c.except, cfg.Topo.CtrlNode(j))
+		}
+	}
 	return c
 }
 
 // Reset restores the controller to its freshly-constructed state under
-// cfg, keeping the network attachment (Module, Topo and Space must match
-// construction).
-func (c *Controller) Reset(cfg Config) {
-	if cfg.Module != c.cfg.Module || cfg.Topo != c.cfg.Topo || cfg.Space != c.cfg.Space {
-		panic("classical: Controller.Reset shape differs from construction")
-	}
-	c.cfg = cfg
-	c.stats = proto.CtrlStats{}
-	clear(c.writes)
-	clear(c.reads)
-	clear(c.readsInFlight)
+// cfg (see proto.CtrlBase.Reset).
+func (c *Controller) Reset(cfg proto.CtrlConfig) {
+	c.CtrlBase.Reset(cfg)
+	c.blocks.ReleaseAll(func(st *blockState) { // only a failed run leaves any
+		*st = blockState{writes: st.writes[:0], reads: st.reads[:0]}
+	})
 }
 
-// CtrlStats implements proto.MemSide.
-func (c *Controller) CtrlStats() *proto.CtrlStats { return &c.stats }
-
-// MemVersion returns memory's version of b, for invariants.
-func (c *Controller) MemVersion(b addr.Block) uint64 { return c.mem.Read(b) }
-
 // Quiescent reports whether no write-through or read is in flight.
-func (c *Controller) Quiescent() bool { return len(c.writes) == 0 && len(c.readsInFlight) == 0 }
+func (c *Controller) Quiescent() bool { return c.blocks.Len() == 0 }
 
-func (c *Controller) node() network.NodeID { return c.cfg.Topo.CtrlNode(c.cfg.Module) }
+// idle releases block b's state st once nothing is in flight on it.
+func (c *Controller) idle(b addr.Block, st *blockState) {
+	if len(st.writes) == 0 && st.readsInFlight == 0 {
+		c.blocks.Release(b)
+	}
+}
 
 // Deliver implements network.Handler.
 func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 	switch m.Kind {
 	case msg.KindRequest: // read miss
-		c.stats.Requests.Inc()
-		c.stats.ReadMisses.Inc()
-		if len(c.writes[m.Block]) > 0 {
-			c.reads[m.Block] = append(c.reads[m.Block], m.Cache)
+		c.Stats.Requests.Inc()
+		c.Stats.ReadMisses.Inc()
+		if st := c.blocks.Rec(m.Block); st != nil && len(st.writes) > 0 {
+			st.reads = append(st.reads, m.Cache)
 			return
 		}
 		c.serveRead(m.Block, m.Cache)
 	case msg.KindWriteThrough:
-		c.stats.Requests.Inc()
-		c.stats.WriteMisses.Inc() // every write is a memory write here
-		q := c.writes[m.Block]
-		c.writes[m.Block] = append(q, &wtState{cache: m.Cache, version: m.Data, need: c.cfg.Topo.Caches - 1})
-		if len(q) == 0 && c.readsInFlight[m.Block] == 0 {
+		c.Stats.Requests.Inc()
+		c.Stats.WriteMisses.Inc() // every write is a memory write here
+		st := c.blocks.Track(m.Block)
+		st.writes = append(st.writes, write{cache: m.Cache, version: m.Data})
+		if len(st.writes) == 1 && st.readsInFlight == 0 {
 			c.launch(m.Block)
 		}
 	case msg.KindInvAck:
-		c.ack(m.Block)
+		st := c.blocks.Rec(m.Block)
+		if st == nil || len(st.writes) == 0 {
+			panic(fmt.Sprintf("classical: controller %d: stray ack for %v", c.Module, m.Block))
+		}
+		st.acks++
+		if st.acks == c.Topo.Caches-1 {
+			c.complete(m.Block)
+		}
 	default:
-		panic(fmt.Sprintf("classical: controller %d: unexpected %v", c.cfg.Module, m))
+		panic(fmt.Sprintf("classical: controller %d: unexpected %v", c.Module, m))
 	}
 }
 
 // launch broadcasts the invalidation for the head write on block b.
 func (c *Controller) launch(b addr.Block) {
-	st := c.writes[b][0]
-	if st.need == 0 {
+	if c.Topo.Caches == 1 {
 		// Single-processor system: complete immediately.
 		c.complete(b)
 		return
 	}
-	c.stats.Broadcasts.Inc()
-	c.net.Broadcast(c.node(), msg.Message{Kind: msg.KindInvAll, Block: b, Cache: st.cache},
-		c.exceptList(st.cache)...)
+	k := c.blocks.Rec(b).writes[0].cache
+	c.Stats.Broadcasts.Inc()
+	c.except[0] = c.Topo.CacheNode(k)
+	c.Net.Broadcast(c.Node(), msg.Message{Kind: msg.KindInvAll, Block: b, Cache: k}, c.except...)
 }
 
-func (c *Controller) ack(b addr.Block) {
-	q := c.writes[b]
-	if len(q) == 0 {
-		panic(fmt.Sprintf("classical: controller %d: stray ack for %v", c.cfg.Module, b))
-	}
-	st := q[0]
-	st.acks++
-	if st.acks == st.need {
-		c.complete(b)
-	}
-}
+// headWrite as the cache argument of a memory event selects the head
+// write's completion over a read's.
+const headWrite = math.MaxUint64
 
-// complete performs the memory write (the store's linearization point),
-// notifies the writer, and launches the next queued write on the block.
+// complete starts the memory write of block b's head write, whose
+// invalidation every other cache has acknowledged.
 func (c *Controller) complete(b addr.Block) {
-	st := c.writes[b][0]
-	c.kernel.After(c.cfg.Lat.Memory, func() {
-		c.mem.Write(b, st.version)
-		if c.cfg.Commit != nil {
-			c.cfg.Commit(b, st.version)
-		}
-		c.net.Send(c.node(), c.cfg.Topo.CacheNode(st.cache), msg.Message{
-			Kind: msg.KindGet, Block: b, Cache: st.cache, Data: st.version,
+	c.Kernel.AfterCall(c.Lat.Memory, c, uint64(b), headWrite)
+}
+
+// serveRead answers cache k's read miss from (now up-to-date) memory,
+// holding any write on the block back until the get is on the wire.
+func (c *Controller) serveRead(b addr.Block, k int) {
+	c.blocks.Track(b).readsInFlight++
+	c.Kernel.AfterCall(c.Lat.Memory, c, uint64(b), uint64(k))
+}
+
+// Call implements sim.Caller: the memory access scheduled by complete or
+// serveRead has finished.
+func (c *Controller) Call(block, k uint64) {
+	b := addr.Block(block)
+	st := c.blocks.Rec(b)
+	if k != headWrite {
+		c.Send(c.Topo.CacheNode(int(k)), msg.Message{
+			Kind: msg.KindGet, Block: b, Cache: int(k), Data: c.Mem.Read(b),
 		})
-		q := c.writes[b][1:]
-		if len(q) == 0 {
-			delete(c.writes, b)
-			for _, k := range c.reads[b] {
-				c.serveRead(b, k)
-			}
-			delete(c.reads, b)
-		} else {
-			c.writes[b] = q
+		st.readsInFlight--
+		if st.readsInFlight == 0 && len(st.writes) > 0 {
 			c.launch(b)
 		}
-	})
-}
-
-// serveRead answers a read miss from (now up-to-date) memory, holding any
-// write on the block back until the get is on the wire.
-func (c *Controller) serveRead(b addr.Block, k int) {
-	c.readsInFlight[b]++
-	c.kernel.After(c.cfg.Lat.Memory, func() {
-		c.net.Send(c.node(), c.cfg.Topo.CacheNode(k), msg.Message{
-			Kind: msg.KindGet, Block: b, Cache: k, Data: c.mem.Read(b),
-		})
-		c.readsInFlight[b]--
-		if c.readsInFlight[b] == 0 {
-			delete(c.readsInFlight, b)
-			if len(c.writes[b]) > 0 {
-				c.launch(b)
-			}
-		}
-	})
-}
-
-// exceptList excludes the writing cache and the other controllers from an
-// invalidation broadcast.
-func (c *Controller) exceptList(k int) []network.NodeID {
-	except := []network.NodeID{c.cfg.Topo.CacheNode(k)}
-	for j := 0; j < c.cfg.Topo.Modules; j++ {
-		if j != c.cfg.Module {
-			except = append(except, c.cfg.Topo.CtrlNode(j))
-		}
+		c.idle(b, st)
+		return
 	}
-	return except
+	// The memory write is the store's linearization point: perform it,
+	// notify the writer, and launch the next queued write on the block —
+	// or, with none, serve the reads that waited.
+	w := st.writes[0]
+	c.Mem.Write(b, w.version)
+	c.Committed(b, w.version)
+	c.Send(c.Topo.CacheNode(w.cache), msg.Message{
+		Kind: msg.KindGet, Block: b, Cache: w.cache, Data: w.version,
+	})
+	st.writes = st.writes[:copy(st.writes, st.writes[1:])]
+	st.acks = 0
+	if len(st.writes) > 0 {
+		c.launch(b)
+		return
+	}
+	for _, k := range st.reads {
+		c.serveRead(b, k)
+	}
+	st.reads = st.reads[:0]
+	c.idle(b, st)
 }

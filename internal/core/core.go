@@ -65,50 +65,6 @@ func txnName(k msg.Kind) string {
 	return "txn"
 }
 
-// Config configures one memory controller.
-type Config struct {
-	Module int // which memory module this controller serves
-	Topo   proto.Topology
-	Space  addr.Space
-	Lat    proto.Latencies
-	Mode   proto.ConcurrencyMode
-	// TranslationBufferSize enables the §4.4 owner cache when > 0
-	// (two-bit policy only).
-	TranslationBufferSize int
-	// Commit is the oracle hook for writes that linearize at the
-	// controller (uncached I/O); may be nil.
-	Commit proto.CommitFunc
-	// Obs is the observability recorder; nil leaves the controller
-	// uninstrumented at zero cost.
-	Obs *obs.Recorder
-	// Hooks injects deliberate protocol defects. Production configurations
-	// leave it nil; the model checker's tests use it to prove the checker
-	// finds the bugs each defense exists to prevent. See BugHooks.
-	Hooks *BugHooks
-}
-
-// BugHooks disables individual protocol defenses, one per field — a
-// test-only surface for internal/mcheck, which must demonstrate that
-// removing a defense yields a counterexample (or, for the defenses that
-// are performance optimizations backed by a deeper defense, that it does
-// not). A nil *BugHooks is the production configuration.
-type BugHooks struct {
-	// SkipWriteMissInvalidate drops the §3.2.3 invalidation on a write
-	// miss to a Present1/Present* block: the writer is granted the block
-	// while stale clean copies survive — a single-writer violation.
-	SkipWriteMissInvalidate bool
-	// SkipStashedPutConsume makes the controller ignore stashed puts when
-	// a transaction needs data (§3.2.5 EJECT × BROADQUERY): the query
-	// broadcast finds no owner (it already evicted) and the transaction
-	// waits forever — a deadlock.
-	SkipStashedPutConsume bool
-	// SkipMRequestQueueDelete drops the §3.2.5 "deletes MREQUEST(j,a)
-	// from the queue" rule. The deny-on-service path and the MACK
-	// confirmation still defend the directory, so this one should yield
-	// no counterexample — the deletion is an optimization.
-	SkipMRequestQueueDelete bool
-}
-
 // phase is where a transaction stands. The scheduled phases have exactly
 // one kernel event in flight, which advances the transaction when it
 // fires; the parked phases wait for a message.
@@ -144,18 +100,14 @@ type txn struct {
 
 // Controller is the memory controller K_j of Figure 3-1.
 type Controller struct {
-	cfg    Config
-	pol    Policy
-	kernel *sim.Kernel
-	net    network.Network
-	mem    *memory.Module
-	dir    dir
-	tb     *directory.TranslationBuffer
+	proto.CtrlBase
+	pol Policy
+	dir dir
+	tb  *directory.TranslationBuffer
 	// ser serializes commands per block and holds the per-block records:
 	// the open transaction (BlockRec.Txn) and the puts that arrived before
 	// theirs started (BlockRec.Stashed) live beside its busy flag and queue.
-	ser   *proto.Serializer[txn]
-	stats proto.CtrlStats
+	ser *proto.Serializer[txn]
 
 	// exceptScratch is the reusable broadcast exclusion list; Broadcast
 	// consumes it synchronously, so one buffer per controller suffices.
@@ -180,24 +132,11 @@ type Controller struct {
 
 // New constructs the controller under pol, wires it to the network, and
 // returns it.
-func New(cfg Config, pol Policy, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
-	if err := cfg.Topo.Validate(); err != nil {
-		panic(err)
-	}
-	if err := cfg.Space.Validate(); err != nil {
-		panic(err)
-	}
+func New(cfg proto.CtrlConfig, pol Policy, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
 	if pol.Central && cfg.Topo.Modules != 1 {
 		panic("core: a central controller requires exactly one module")
 	}
-	c := &Controller{
-		cfg:    cfg,
-		pol:    pol,
-		kernel: kernel,
-		net:    net,
-		mem:    mem,
-		comp:   obs.NoComponent,
-	}
+	c := &Controller{pol: pol, comp: obs.NoComponent}
 	blocks := cfg.Space.BlocksInModule(cfg.Module)
 	if pol.Holders != nil {
 		c.dir = &exactDir{store: pol.Holders(blocks, cfg.Topo.Caches), space: cfg.Space}
@@ -205,7 +144,7 @@ func New(cfg Config, pol Policy, kernel *sim.Kernel, net network.Network, mem *m
 		if cfg.TranslationBufferSize > 0 {
 			c.tb = directory.NewTranslationBuffer(cfg.TranslationBufferSize)
 		}
-		c.dir = &twoBitDir{bits: directory.NewTwoBitMap(blocks), tb: c.tb, space: cfg.Space, stats: &c.stats}
+		c.dir = &twoBitDir{bits: directory.NewTwoBitMap(blocks), tb: c.tb, space: cfg.Space, stats: &c.Stats}
 	}
 	if cfg.Obs != nil {
 		c.rec = cfg.Obs
@@ -227,33 +166,28 @@ func New(cfg Config, pol Policy, kernel *sim.Kernel, net network.Network, mem *m
 		}
 	}
 	c.sp = cfg.Obs.Spans()
+	c.Init(cfg, kernel, net, mem, c)
 	c.ser = proto.NewSerializer[txn](c.mode(), cfg.Space, cfg.Module, c.begin)
-	net.Attach(c.node(), c)
 	return c
 }
 
 // Reset restores the controller to its freshly-constructed state under
-// cfg, keeping the policy, the network attachment and the
-// directory/serializer/transaction-record backing storage. Module, Topo
-// and Space are machine shape and must match construction, as must
-// translation-buffer presence (size > 0 or not — the buffer itself
-// resizes freely). Pooled machines run without instrumentation or defect
-// injection, so cfg.Obs and cfg.Hooks must be nil; such configs rebuild
-// the machine instead.
-func (c *Controller) Reset(cfg Config) {
+// cfg (see proto.CtrlBase.Reset), keeping the policy and the
+// directory/serializer/transaction-record backing storage.
+// Translation-buffer presence (size > 0 or not — the buffer itself resizes
+// freely) must match construction. Pooled machines run without
+// instrumentation or defect injection, so cfg.Obs and cfg.Hooks must be
+// nil; such configs rebuild the machine instead.
+func (c *Controller) Reset(cfg proto.CtrlConfig) {
 	if cfg.Obs != nil || cfg.Hooks != nil {
 		panic("core: Reset with Obs or Hooks set — rebuild instead")
-	}
-	if cfg.Module != c.cfg.Module || cfg.Topo != c.cfg.Topo || cfg.Space != c.cfg.Space {
-		panic("core: Reset shape differs from construction")
 	}
 	if c.pol.Holders == nil && (cfg.TranslationBufferSize > 0) != (c.tb != nil) {
 		panic("core: Reset cannot toggle the translation buffer — rebuild instead")
 	}
-	c.cfg = cfg
+	c.CtrlBase.Reset(cfg)
 	c.dir.reset(cfg.TranslationBufferSize)
 	c.ser.Reset(c.mode())
-	c.stats = proto.CtrlStats{}
 }
 
 // mode is the serializer mode: a central controller services one command
@@ -262,7 +196,7 @@ func (c *Controller) mode() proto.ConcurrencyMode {
 	if c.pol.Central {
 		return proto.SingleCommand
 	}
-	return c.cfg.Mode
+	return c.Mode
 }
 
 // serviceTime is the controller's per-command service time. A central
@@ -271,13 +205,10 @@ func (c *Controller) mode() proto.ConcurrencyMode {
 // power" the paper notes Tang's scheme needs.
 func (c *Controller) serviceTime() sim.Time {
 	if c.pol.Central {
-		return c.cfg.Lat.CtrlService * sim.Time(1+c.cfg.Topo.Caches/8)
+		return c.Lat.CtrlService * sim.Time(1+c.Topo.Caches/8)
 	}
-	return c.cfg.Lat.CtrlService
+	return c.Lat.CtrlService
 }
-
-// CtrlStats implements proto.MemSide.
-func (c *Controller) CtrlStats() *proto.CtrlStats { return &c.stats }
 
 // TranslationBuffer returns the §4.4 owner cache, or nil when disabled.
 func (c *Controller) TranslationBuffer() *directory.TranslationBuffer { return c.tb }
@@ -294,17 +225,10 @@ func (c *Controller) exact() bool { return c.pol.Holders != nil }
 // knows neither (its PresentM state carries the m bit).
 func (c *Controller) Entry(b addr.Block) (holders uint64, modified bool) { return c.dir.entry(b) }
 
-// MemVersion returns main memory's stored version of b, for invariants.
-func (c *Controller) MemVersion(b addr.Block) uint64 { return c.mem.Read(b) }
-
 // Quiescent reports whether no transaction is active or queued.
 func (c *Controller) Quiescent() bool {
 	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0
 }
-
-func (c *Controller) node() network.NodeID { return c.cfg.Topo.CtrlNode(c.cfg.Module) }
-
-func (c *Controller) send(dst network.NodeID, m msg.Message) { c.net.Send(c.node(), dst, m) }
 
 // pre samples block a's state before a directory update and moved, called
 // after it, reports the transition to the recorder if the state changed.
@@ -360,17 +284,17 @@ func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 		}
 		r := c.ser.Rec(m.Block)
 		if r == nil || r.Txn == nil || r.Txn.phase != phAck {
-			panic(fmt.Sprintf("core: controller %d: stray %v", c.cfg.Module, m))
+			panic(fmt.Sprintf("core: controller %d: stray %v", c.Module, m))
 		}
 		c.ack(r.Txn, m.Ok)
 	default:
-		panic(fmt.Sprintf("core: controller %d: unexpected %v", c.cfg.Module, m))
+		panic(fmt.Sprintf("core: controller %d: unexpected %v", c.Module, m))
 	}
 }
 
 func (c *Controller) submit(src network.NodeID, m msg.Message) {
 	c.ser.Submit(proto.Pending{Src: src, M: m})
-	c.stats.NoteQueue(c.ser.QueuedLen())
+	c.Stats.NoteQueue(c.ser.QueuedLen())
 	c.obsQueue.Observe(uint64(c.ser.QueuedLen()))
 	c.tsQueue.Observe(uint64(c.ser.QueuedLen()))
 }
@@ -419,7 +343,7 @@ func (c *Controller) begin(p proto.Pending) {
 	} else {
 		t = new(txn)
 	}
-	*t = txn{p: p, at: c.kernel.Now(), rec: c.ser.Rec(p.M.Block)}
+	*t = txn{p: p, at: c.Kernel.Now(), rec: c.ser.Rec(p.M.Block)}
 	t.rec.Txn = t
 	if c.rec != nil {
 		c.rec.AsyncBegin(c.comp, txnName(p.M.Kind), int64(p.M.Block))
@@ -430,7 +354,7 @@ func (c *Controller) begin(p proto.Pending) {
 // schedule moves t to a scheduled phase and arms its one kernel event.
 func (c *Controller) schedule(t *txn, ph phase, d sim.Time) {
 	t.phase = ph
-	c.kernel.AfterCall(d, c, uint64(t.p.M.Block), 0)
+	c.Kernel.AfterCall(d, c, uint64(t.p.M.Block), 0)
 }
 
 // Call implements sim.Caller: the scheduled phase of block a0's
@@ -445,7 +369,7 @@ func (c *Controller) Call(a0, _ uint64) {
 	case phMemory:
 		c.complete(t)
 	default:
-		panic(fmt.Sprintf("core: controller %d: event for %v in parked phase %d", c.cfg.Module, t.p.M, t.phase))
+		panic(fmt.Sprintf("core: controller %d: event for %v in parked phase %d", c.Module, t.p.M, t.phase))
 	}
 }
 
@@ -454,29 +378,29 @@ func (c *Controller) service(t *txn) {
 	t.from = c.State(m.Block)
 	switch m.Kind {
 	case msg.KindRequest:
-		c.stats.Requests.Inc()
+		c.Stats.Requests.Inc()
 		c.sp.Mark(m.Cache, obs.PhaseQueue)
 		if m.RW == msg.Read {
-			c.stats.ReadMisses.Inc()
+			c.Stats.ReadMisses.Inc()
 		} else {
-			c.stats.WriteMisses.Inc()
+			c.Stats.WriteMisses.Inc()
 		}
 		c.access(t, m.RW)
 	case msg.KindUncachedRead:
-		c.stats.DMAReads.Inc()
+		c.Stats.DMAReads.Inc()
 		c.access(t, msg.Read)
 	case msg.KindUncachedWrite:
-		c.stats.DMAWrites.Inc()
+		c.Stats.DMAWrites.Inc()
 		c.access(t, msg.Write)
 	case msg.KindMRequest:
-		c.stats.MRequests.Inc()
+		c.Stats.MRequests.Inc()
 		c.sp.Mark(m.Cache, obs.PhaseQueue)
 		c.mrequest(t)
 	case msg.KindEject:
-		c.stats.Ejects.Inc()
+		c.Stats.Ejects.Inc()
 		c.eject(t)
 	default:
-		panic(fmt.Sprintf("core: controller %d: cannot service %v", c.cfg.Module, m))
+		panic(fmt.Sprintf("core: controller %d: cannot service %v", c.Module, m))
 	}
 }
 
@@ -492,14 +416,14 @@ func (c *Controller) access(t *txn, rw msg.RW) {
 		return
 	}
 	if rw == msg.Write {
-		hooked := c.cfg.Hooks != nil && c.cfg.Hooks.SkipWriteMissInvalidate && m.Kind == msg.KindRequest
+		hooked := c.Hooks != nil && c.Hooks.SkipWriteMissInvalidate && m.Kind == msg.KindRequest
 		if c.invalidates(t) && !hooked {
 			c.invalidate(m.Block, m.Cache)
 		}
 	} else if m.Kind == msg.KindRequest {
 		t.exclusive = c.pol.Exclusive && t.from == directory.Absent
 	}
-	c.schedule(t, phMemory, c.cfg.Lat.Memory)
+	c.schedule(t, phMemory, c.Lat.Memory)
 }
 
 // invalidates reports whether a write-type command that found the block
@@ -525,7 +449,7 @@ func (c *Controller) gotData(t *txn) {
 		c.sp.Mark(t.p.M.Cache, obs.PhaseWriteback)
 	}
 	t.haveData = true
-	c.schedule(t, phMemory, c.cfg.Lat.Memory)
+	c.schedule(t, phMemory, c.Lat.Memory)
 }
 
 // complete is the back half of every data-moving transaction, run when
@@ -538,7 +462,7 @@ func (c *Controller) complete(t *txn) {
 	switch m.Kind {
 	case msg.KindRequest:
 		c.sp.Mark(k, obs.PhaseMemory)
-		c.send(c.cfg.Topo.CacheNode(k), msg.Message{
+		c.Send(c.Topo.CacheNode(k), msg.Message{
 			Kind: msg.KindGet, Block: a, Cache: k, Data: c.settle(t), Ok: t.exclusive,
 		})
 		switch {
@@ -551,25 +475,23 @@ func (c *Controller) complete(t *txn) {
 		}
 	case msg.KindEject:
 		// §3.2.1 case 3: the write-back.
-		c.mem.Write(a, t.data)
+		c.Mem.Write(a, t.data)
 		c.dir.wroteBack(a, k)
 	case msg.KindUncachedRead:
 		// The device needs the most recent value but caches nothing.
-		c.send(t.p.Src, msg.Message{Kind: msg.KindGet, Block: a, Cache: k, Data: c.settle(t)})
+		c.Send(t.p.Src, msg.Message{Kind: msg.KindGet, Block: a, Cache: k, Data: c.settle(t)})
 		if t.haveData {
 			c.dir.cleaned(a, t.owner, -1)
 		}
 	case msg.KindUncachedWrite:
 		// A whole-block write: a drained owner's data is discarded — the
 		// device's overwrites it. The write linearizes here.
-		c.mem.Write(a, m.Data)
-		if c.cfg.Commit != nil {
-			c.cfg.Commit(a, m.Data)
-		}
-		c.send(t.p.Src, msg.Message{Kind: msg.KindGet, Block: a, Cache: k, Data: m.Data})
+		c.Mem.Write(a, m.Data)
+		c.Committed(a, m.Data)
+		c.Send(t.p.Src, msg.Message{Kind: msg.KindGet, Block: a, Cache: k, Data: m.Data})
 		c.dir.cleared(a)
 	default:
-		panic(fmt.Sprintf("core: controller %d: %v has no memory phase", c.cfg.Module, m))
+		panic(fmt.Sprintf("core: controller %d: %v has no memory phase", c.Module, m))
 	}
 	c.moved(a, old)
 	c.done(t)
@@ -579,9 +501,9 @@ func (c *Controller) complete(t *txn) {
 // owner's write-back if one is in hand, else what memory already holds.
 func (c *Controller) settle(t *txn) uint64 {
 	if !t.haveData {
-		return c.mem.Read(t.p.M.Block)
+		return c.Mem.Read(t.p.M.Block)
 	}
-	c.mem.Write(t.p.M.Block, t.data)
+	c.Mem.Write(t.p.M.Block, t.data)
 	return t.data
 }
 
@@ -600,7 +522,7 @@ func (c *Controller) mrequest(t *txn) {
 	if c.invalidates(t) {
 		c.invalidate(m.Block, m.Cache)
 	}
-	c.send(c.cfg.Topo.CacheNode(m.Cache), msg.Message{
+	c.Send(c.Topo.CacheNode(m.Cache), msg.Message{
 		Kind: msg.KindMGranted, Block: m.Block, Cache: m.Cache, Ok: true,
 	})
 	if c.exact() {
@@ -616,8 +538,8 @@ func (c *Controller) mrequest(t *txn) {
 }
 
 func (c *Controller) deny(m msg.Message) {
-	c.stats.MGrantDenied.Inc()
-	c.send(c.cfg.Topo.CacheNode(m.Cache), msg.Message{
+	c.Stats.MGrantDenied.Inc()
+	c.Send(c.Topo.CacheNode(m.Cache), msg.Message{
 		Kind: msg.KindMGranted, Block: m.Block, Cache: m.Cache, Ok: false,
 	})
 }
@@ -634,7 +556,7 @@ func (c *Controller) ack(t *txn, ok bool) {
 		// REQUEST, already queued behind us, will reload it. The Present*
 		// path broadcast BROADINV before granting, so every other copy is
 		// doomed too: the block is Absent.
-		c.stats.MGrantDenied.Inc()
+		c.Stats.MGrantDenied.Inc()
 		c.dir.cleared(a)
 	default:
 		// The Present1 grant sent no invalidation. The denial proves the
@@ -643,7 +565,7 @@ func (c *Controller) ack(t *txn, ok bool) {
 		// here would let the sender's queued write REQUEST be serviced
 		// without BROADINV, stranding that live copy stale forever (found
 		// by internal/mcheck).
-		c.stats.MGrantDenied.Inc()
+		c.Stats.MGrantDenied.Inc()
 		c.dir.distrust(a)
 	}
 	c.moved(a, old)
@@ -670,17 +592,17 @@ func (c *Controller) eject(t *txn) {
 func (c *Controller) command(a addr.Block, k int, directed, broadcast msg.Kind, rw msg.RW) uint64 {
 	mask, known := c.dir.holders(a)
 	if !known {
-		c.stats.Broadcasts.Inc()
+		c.Stats.Broadcasts.Inc()
 		c.obsBroadcasts.Inc()
-		c.net.Broadcast(c.node(), msg.Message{Kind: broadcast, Block: a, Cache: k, RW: rw},
+		c.Net.Broadcast(c.Node(), msg.Message{Kind: broadcast, Block: a, Cache: k, RW: rw},
 			c.broadcastExcept(k)...)
 		return 0
 	}
 	mask &^= bit(k)
 	for rest := mask; rest != 0; rest &= rest - 1 {
 		o := bits.TrailingZeros64(rest)
-		c.stats.DirectedSends.Inc()
-		c.send(c.cfg.Topo.CacheNode(o), msg.Message{Kind: directed, Block: a, Cache: o, RW: rw})
+		c.Stats.DirectedSends.Inc()
+		c.Send(c.Topo.CacheNode(o), msg.Message{Kind: directed, Block: a, Cache: o, RW: rw})
 	}
 	return mask
 }
@@ -690,13 +612,13 @@ func (c *Controller) command(a addr.Block, k int, directed, broadcast msg.Kind, 
 // those caches convert on the invalidation themselves.
 func (c *Controller) invalidate(a addr.Block, k int) {
 	c.drop(a, c.command(a, k, msg.KindInv, msg.KindBroadInv, msg.Read))
-	if c.cfg.Hooks != nil && c.cfg.Hooks.SkipMRequestQueueDelete {
+	if c.Hooks != nil && c.Hooks.SkipMRequestQueueDelete {
 		return
 	}
 	if n := c.ser.DeleteQueued(a, func(p proto.Pending) bool {
 		return p.M.Kind == msg.KindMRequest && p.M.Cache != k
 	}); n > 0 {
-		c.stats.DeletedMRequests.Add(uint64(n))
+		c.Stats.DeletedMRequests.Add(uint64(n))
 	}
 }
 
@@ -729,7 +651,7 @@ func (c *Controller) await(t *txn) {
 // alone.
 func (c *Controller) takeStashed(t *txn) bool {
 	r := t.rec
-	if len(r.Stashed) == 0 || (c.cfg.Hooks != nil && c.cfg.Hooks.SkipStashedPutConsume) {
+	if len(r.Stashed) == 0 || (c.Hooks != nil && c.Hooks.SkipStashedPutConsume) {
 		return false
 	}
 	t.owner, t.data = r.Stashed[0].Cache, r.Stashed[0].Data
@@ -741,8 +663,8 @@ func (c *Controller) takeStashed(t *txn) bool {
 // done completes transaction t.
 func (c *Controller) done(t *txn) {
 	m := t.p.M
-	busy := uint64(c.kernel.Now() - t.at)
-	c.stats.BusyCycles.Add(busy)
+	busy := uint64(c.Kernel.Now() - t.at)
+	c.Stats.BusyCycles.Add(busy)
 	c.obsTxn.Observe(busy)
 	if c.rec != nil {
 		c.rec.AsyncEnd(c.comp, txnName(m.Kind), int64(m.Block))
@@ -759,15 +681,15 @@ func (c *Controller) done(t *txn) {
 func (c *Controller) broadcastExcept(k int) []network.NodeID {
 	except := c.exceptScratch[:0]
 	if k >= 0 {
-		except = append(except, c.cfg.Topo.CacheNode(k))
+		except = append(except, c.Topo.CacheNode(k))
 	}
-	for j := 0; j < c.cfg.Topo.Modules; j++ {
-		if j != c.cfg.Module {
-			except = append(except, c.cfg.Topo.CtrlNode(j))
+	for j := 0; j < c.Topo.Modules; j++ {
+		if j != c.Module {
+			except = append(except, c.Topo.CtrlNode(j))
 		}
 	}
-	for d := 0; d < c.cfg.Topo.DMA; d++ {
-		except = append(except, c.cfg.Topo.DMANode(d))
+	for d := 0; d < c.Topo.DMA; d++ {
+		except = append(except, c.Topo.DMANode(d))
 	}
 	c.exceptScratch = except
 	return except

@@ -60,7 +60,7 @@ func newRig(t *testing.T, n int, opt rigOpt) *rig {
 	}
 	space := addr.Space{Blocks: 64, Modules: 1}
 	lat := proto.Latencies{CacheHit: 1, Memory: 5, CtrlService: 1}
-	ccfg := core.Config{
+	ccfg := proto.CtrlConfig{
 		Module: 0, Topo: r.topo, Space: space, Lat: lat, Mode: proto.PerBlock,
 		TranslationBufferSize: opt.tb,
 	}
@@ -78,7 +78,6 @@ func newRig(t *testing.T, n int, opt rigOpt) *rig {
 	r.reset = func() {
 		r.kernel.Reset()
 		r.net.Reset(1, 0, 0)
-		mem.Reset(lat.Memory)
 		r.ctrl.Reset(ccfg)
 		for k, a := range r.agents {
 			a.Store().Reset(geometry)

@@ -35,6 +35,40 @@ type Policy struct {
 	Central bool
 }
 
+// FullMap is the baseline the paper compares against: the full
+// distributed map of Censier & Feautrier (§2.4.2), in which each memory
+// block carries an n+1-bit tag — one presence bit per cache plus a
+// modified bit. Because the directory knows exactly which caches hold
+// copies, every coherence command is directed (PURGE, INV); no broadcasts
+// are ever needed.
+//
+// With exclusive set the controller additionally grants the Yen–Fu local
+// state (§2.4.3): a read miss on an uncached block returns the copy
+// exclusively, and the cache may later modify it without consulting the
+// global table. The directory pessimistically marks such blocks modified,
+// so a future miss always queries the (possibly still clean) owner — the
+// standard resolution of the synchronization problems [10] leaves open.
+func FullMap(exclusive bool) Policy {
+	return Policy{
+		Holders:   func(blocks, caches int) HolderStore { return directory.NewFullMap(blocks, caches) },
+		Exclusive: exclusive,
+	}
+}
+
+// Duplication is Tang's scheme (§2.4.1): a single central memory
+// controller keeps a duplicate copy of every cache's directory and
+// consults all of them to determine a block's global state. Knowledge is
+// exact, so all commands are directed like the full map's; the cost is the
+// centralization the paper criticizes — one controller serves every block,
+// searches n directories per command, and (per the published design's
+// simplicity assumptions) services one command at a time.
+func Duplication() Policy {
+	return Policy{
+		Holders: func(_, caches int) HolderStore { return directory.NewDupTagStore(caches) },
+		Central: true,
+	}
+}
+
 // HolderStore is an exact directory: per block, the set of holding caches
 // and a modified bit. directory.FullMap and directory.DupTagStore
 // implement it.

@@ -8,8 +8,6 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/core"
 	"twobit/internal/directory"
-	"twobit/internal/duplication"
-	"twobit/internal/fullmap"
 	"twobit/internal/msg"
 	"twobit/internal/proto"
 	"twobit/internal/rng"
@@ -28,9 +26,9 @@ var policies = []struct {
 }{
 	{"two-bit", rigOpt{}},
 	{"two-bit+tb", rigOpt{tb: 16}},
-	{"full-map", rigOpt{pol: fullmap.Policy(false)}},
-	{"full-map+E", rigOpt{pol: fullmap.Policy(true)}},
-	{"duplication", rigOpt{pol: duplication.Policy()}},
+	{"full-map", rigOpt{pol: core.FullMap(false)}},
+	{"full-map+E", rigOpt{pol: core.FullMap(true)}},
+	{"duplication", rigOpt{pol: core.Duplication()}},
 }
 
 // eachPolicy runs fn on a fresh n-cache rig per policy; vary adjusts the

@@ -46,7 +46,7 @@ type StashedPut = proto.StashedPut
 func (c *Controller) BlockSnapshot(b addr.Block) BlockSnapshot {
 	s := BlockSnapshot{
 		State: c.State(b),
-		Mem:   c.mem.Read(b),
+		Mem:   c.Mem.Read(b),
 	}
 	s.Holders, s.Modified = c.dir.entry(b)
 	if r := c.ser.Rec(b); r != nil {

@@ -39,7 +39,7 @@ func newRig(t *testing.T, n int) *rig {
 	space := addr.Space{Blocks: 64, Modules: 1}
 	lat := proto.Latencies{CacheHit: 1, Memory: 5, CtrlService: 1}
 	mem := memory.NewModule(space, 0, lat.Memory)
-	r.ctrl = core.New(core.Config{Topo: topo, Space: space, Lat: lat}, Policy(), r.kernel, net, mem)
+	r.ctrl = core.New(proto.CtrlConfig{Topo: topo, Space: space, Lat: lat}, core.Duplication(), r.kernel, net, mem)
 	for k := 0; k < n; k++ {
 		store := cache.New(cache.Config{Sets: 8, Assoc: 2})
 		r.agents = append(r.agents, proto.NewCacheAgent(proto.AgentConfig{
@@ -165,7 +165,7 @@ func TestRequiresSingleModule(t *testing.T) {
 	var k sim.Kernel
 	net := network.NewCrossbar(&k, 1)
 	space := addr.Space{Blocks: 8, Modules: 2}
-	core.New(core.Config{Topo: proto.Topology{Caches: 2, Modules: 2}, Space: space,
-		Lat: proto.DefaultLatencies()}, Policy(), &k, net,
+	core.New(proto.CtrlConfig{Topo: proto.Topology{Caches: 2, Modules: 2}, Space: space,
+		Lat: proto.DefaultLatencies()}, core.Duplication(), &k, net,
 		memory.NewModule(space, 0, 1))
 }

@@ -41,9 +41,9 @@ func newRig(t *testing.T, n int, exclusive bool) *rig {
 	space := addr.Space{Blocks: 64, Modules: 1}
 	lat := proto.Latencies{CacheHit: 1, Memory: 5, CtrlService: 1}
 	mem := memory.NewModule(space, 0, lat.Memory)
-	r.ctrl = core.New(core.Config{
+	r.ctrl = core.New(proto.CtrlConfig{
 		Module: 0, Topo: topo, Space: space, Lat: lat, Mode: proto.PerBlock,
-	}, Policy(exclusive), r.kernel, r.net, mem)
+	}, core.FullMap(exclusive), r.kernel, r.net, mem)
 	for k := 0; k < n; k++ {
 		store := cache.New(cache.Config{Sets: 8, Assoc: 2})
 		r.agents = append(r.agents, proto.NewCacheAgent(proto.AgentConfig{

@@ -38,12 +38,12 @@
 //     never perturb the event schedule they measure.
 //
 //   - closure-in-hotpath: packages on the simulator's allocation-gated
-//     hot path (the network and core fan-out layers) must not pass the
-//     kernel At/After a closure that captures a loop variable — such a
-//     closure allocates once per iteration, exactly the cost the
-//     zero-allocation benchmark gate exists to forbid. The pooled
-//     AtCall/AfterCall form, or hoisting the captured state into a
-//     reused record, is the fix.
+//     hot path (the network, and every package that implements a cache
+//     or memory side of a protocol) must not schedule through the
+//     kernel's closure form At/After at all — a closure per event is
+//     exactly the cost the ZeroAlloc tests exist to forbid. The pooled
+//     AtCall/AfterCall form, with the state in the component's fields or
+//     a reused record, is the fix.
 //
 //   - pooled-construction: orchestrator packages (the campaign engine)
 //     must not call exported New* constructors declared in the
@@ -157,18 +157,17 @@ type Config struct {
 	// still applies to them. Default: <module>/internal/sweep.
 	Orchestrators []string
 	// HotPaths lists packages on the simulator's allocation-gated hot
-	// path: a kernel At/After call there whose closure captures a loop
-	// variable is a finding, because it allocates once per iteration —
-	// the pooled AtCall/AfterCall form exists for exactly that shape.
-	// Default: <module>/internal/network and <module>/internal/core.
+	// path: a closure-form kernel At/After call there is a finding — the
+	// pooled AtCall/AfterCall form exists for exactly those paths.
+	// Default (nil): NetPath plus every package declaring a CacheIface or
+	// MemIface implementation.
 	HotPaths []string
 	// ComponentPaths lists the machine-component packages whose exported
 	// New* constructors the orchestrators must not call: component
 	// lifetimes belong to the pooled machine graph, which is built once
 	// per worker and reset between runs. Default: the cache, memory,
-	// core, proto, network, directory and system packages (core's one
-	// controller serves every directory protocol; internal/fullmap and
-	// internal/duplication only supply its policy).
+	// core, classical, writeonce, software, proto, network, directory and
+	// system packages.
 	ComponentPaths []string
 	// AllowedConstructors lists fully qualified constructors ("path.Func")
 	// exempt from the pooled-construction rule — the sanctioned entry
@@ -203,14 +202,14 @@ func (c *Config) fill(mod *module) {
 	if c.Orchestrators == nil {
 		c.Orchestrators = []string{mod.path + "/internal/sweep"}
 	}
-	if c.HotPaths == nil {
-		c.HotPaths = []string{mod.path + "/internal/network", mod.path + "/internal/core"}
-	}
 	if c.ComponentPaths == nil {
 		c.ComponentPaths = []string{
 			mod.path + "/internal/cache",
 			mod.path + "/internal/memory",
 			mod.path + "/internal/core",
+			mod.path + "/internal/classical",
+			mod.path + "/internal/writeonce",
+			mod.path + "/internal/software",
 			mod.path + "/internal/proto",
 			mod.path + "/internal/network",
 			mod.path + "/internal/directory",

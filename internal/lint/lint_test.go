@@ -149,8 +149,7 @@ func TestObsPassivityFixture(t *testing.T) {
 }
 
 func TestHotPathFixtures(t *testing.T) {
-	// Pooled scheduling, hoisted closures, and a documented //lint:allow
-	// are all clean.
+	// Pooled scheduling and a documented //lint:allow are clean.
 	expect(t, run(t, lint.Config{
 		Dir:      fixture(t, "hotpathgood"),
 		SimPath:  "hotpathgood/sim",
@@ -158,16 +157,17 @@ func TestHotPathFixtures(t *testing.T) {
 		HotPaths: []string{"hotpathgood/net"},
 	}), nil)
 
-	// A closure capturing loop-scoped state inside a hot-path package is
-	// a finding, whether the loop is a range or a classic for.
+	// Every closure-form scheduling call inside a hot-path package is a
+	// finding, whatever its closure captures.
 	expect(t, run(t, lint.Config{
 		Dir:      fixture(t, "hotpathbad"),
 		SimPath:  "hotpathbad/sim",
 		Scope:    "hotpathbad",
 		HotPaths: []string{"hotpathbad/net"},
 	}), []string{
-		"net/net.go:19:3: [closure-in-hotpath] hot-path package hotpathbad/net passes At a closure capturing loop variable d: one allocation per iteration; use the pooled AtCall form or hoist the state",
-		"net/net.go:23:3: [closure-in-hotpath] hot-path package hotpathbad/net passes After a closure capturing loop variable dst: one allocation per iteration; use the pooled AfterCall form or hoist the state",
+		"net/net.go:19:3: [closure-in-hotpath] hot-path package hotpathbad/net schedules a closure through At: one allocation per event; use the pooled AtCall form with the state in a field or reused record",
+		"net/net.go:23:3: [closure-in-hotpath] hot-path package hotpathbad/net schedules a closure through After: one allocation per event; use the pooled AfterCall form with the state in a field or reused record",
+		"net/net.go:32:3: [closure-in-hotpath] hot-path package hotpathbad/net schedules a closure through After: one allocation per event; use the pooled AfterCall form with the state in a field or reused record",
 	})
 
 	// Outside the declared hot paths the same shape is legal: closures in

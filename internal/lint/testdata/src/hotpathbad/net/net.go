@@ -1,5 +1,6 @@
-// Package net is a hot-path package exhibiting the per-iteration closure
-// allocations the analyzer must reject; the test pins the positions.
+// Package net is a hot-path package scheduling through the kernel's
+// closure form, which the analyzer must reject wherever it appears; the
+// test pins the positions.
 package net
 
 import "hotpathbad/sim"
@@ -12,8 +13,7 @@ type Net struct {
 
 func deliver(dst, m int) {}
 
-// Fanout schedules one delivery per destination. Both closures capture
-// the range variable, so each iteration allocates a fresh closure.
+// Fanout schedules one delivery per destination, a fresh closure each.
 func (n *Net) Fanout(m int) {
 	for _, d := range n.dsts {
 		n.k.At(int64(d), func() { deliver(d, m) })
@@ -24,8 +24,8 @@ func (n *Net) Fanout(m int) {
 	}
 }
 
-// Hoisted captures only function-scope state: the closure allocates once
-// per call, not per iteration, so the loop below it is clean.
+// Hoisted allocates its closure once per call, not per iteration — still
+// once per message on a hot path, and still a finding.
 func (n *Net) Hoisted(m int) {
 	fn := func() { deliver(0, m) }
 	for i := 0; i < 4; i++ {

@@ -1,6 +1,6 @@
 // Package net is the hot-path package written the way the analyzer
-// demands: pooled scheduling in loops, closures only for per-call state,
-// and one documented //lint:allow for a cold loop.
+// demands: pooled scheduling throughout, and one documented //lint:allow
+// for a cold loop.
 package net
 
 import "hotpathgood/sim"
@@ -23,18 +23,8 @@ func (n *Net) Fanout(m uint64) {
 	}
 }
 
-// Hoisted captures only function-scope state, which is legal even in a
-// hot-path package: the closure allocates once per call, not per
-// iteration.
-func (n *Net) Hoisted(m uint64) {
-	fn := func() { deliver(0, m) }
-	for i := 0; i < 4; i++ {
-		n.k.After(int64(i), fn)
-	}
-}
-
-// Setup runs once at construction; the per-iteration closure is a
-// deliberate, documented exception.
+// Setup runs once at construction; its closures are a deliberate,
+// documented exception.
 func (n *Net) Setup() {
 	for _, d := range n.dsts {
 		dd := uint64(d)

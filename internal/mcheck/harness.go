@@ -85,7 +85,7 @@ func newHarness(cfg Config, kernel *sim.Kernel) *harness {
 			Commit: commit,
 		}, kernel, h.net, store)
 	}
-	h.ctl = core.New(core.Config{
+	h.ctl = core.New(proto.CtrlConfig{
 		Module: 0, Topo: h.top, Space: h.space, Lat: lat,
 		Mode: proto.PerBlock, Commit: commit, Hooks: cfg.Hooks,
 	}, cfg.Protocol.policy(), kernel, h.net, memory.NewModule(h.space, 0, lat.Memory))

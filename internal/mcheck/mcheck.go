@@ -45,8 +45,7 @@ import (
 
 	"twobit/internal/addr"
 	"twobit/internal/core"
-	"twobit/internal/duplication"
-	"twobit/internal/fullmap"
+	"twobit/internal/proto"
 	"twobit/internal/system"
 )
 
@@ -72,8 +71,8 @@ var protocols = [...]struct {
 	policy core.Policy
 }{
 	TwoBit:      {system.TwoBit, core.Policy{}},
-	FullMap:     {system.FullMap, fullmap.Policy(false)},
-	Duplication: {system.Duplication, duplication.Policy()},
+	FullMap:     {system.FullMap, core.FullMap(false)},
+	Duplication: {system.Duplication, core.Duplication()},
 }
 
 // String names the protocol, matching system.Protocol's spelling.
@@ -126,7 +125,7 @@ type Config struct {
 	MaxDepth int
 	// Hooks injects deliberate two-bit protocol defects (test-only; nil
 	// in production). TwoBit only.
-	Hooks *core.BugHooks
+	Hooks *proto.BugHooks
 }
 
 // DefaultConfig is a small exhaustive configuration: 2 caches × 2 blocks

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"twobit/internal/core"
+	"twobit/internal/proto"
 	"twobit/internal/sim"
 )
 
@@ -96,7 +96,7 @@ func TestBoundedMode(t *testing.T) {
 // full simulator — the acceptance loop of the whole package.
 func TestSeededBugProducesCounterexample(t *testing.T) {
 	cfg := Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 2,
-		Hooks: &core.BugHooks{SkipWriteMissInvalidate: true}}
+		Hooks: &proto.BugHooks{SkipWriteMissInvalidate: true}}
 	res, err := Check(cfg)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
@@ -152,7 +152,7 @@ func TestDefenseEconomyHooks(t *testing.T) {
 	}
 
 	cfg := base
-	cfg.Hooks = &core.BugHooks{SkipMRequestQueueDelete: true}
+	cfg.Hooks = &proto.BugHooks{SkipMRequestQueueDelete: true}
 	res, err := Check(cfg)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
@@ -164,7 +164,7 @@ func TestDefenseEconomyHooks(t *testing.T) {
 		t.Errorf("skip-mrequest-queue-delete unreached: %d states with and without", res.States)
 	}
 
-	cfg.Hooks = &core.BugHooks{SkipStashedPutConsume: true}
+	cfg.Hooks = &proto.BugHooks{SkipStashedPutConsume: true}
 	res, err = Check(cfg)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
@@ -276,8 +276,8 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.Blocks = 0 },
 		func(c *Config) { c.Sets = 3 },
 		func(c *Config) { c.RefsPerProc = 0 },
-		func(c *Config) { c.Protocol = FullMap; c.Hooks = &core.BugHooks{} },
-		func(c *Config) { c.Protocol = Duplication; c.Hooks = &core.BugHooks{} },
+		func(c *Config) { c.Protocol = FullMap; c.Hooks = &proto.BugHooks{} },
+		func(c *Config) { c.Protocol = Duplication; c.Hooks = &proto.BugHooks{} },
 	}
 	for i, f := range mutate {
 		cfg := base

@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"twobit/internal/addr"
-	"twobit/internal/core"
+	"twobit/internal/proto"
 	"twobit/internal/sim"
 )
 
@@ -106,7 +106,7 @@ const (
 	hookQueueDelete  = "skip-mrequest-queue-delete"
 )
 
-func hooksString(h *core.BugHooks) string {
+func hooksString(h *proto.BugHooks) string {
 	if h == nil {
 		return ""
 	}
@@ -123,8 +123,8 @@ func hooksString(h *core.BugHooks) string {
 	return strings.Join(parts, ",")
 }
 
-func parseHooks(s string) (*core.BugHooks, error) {
-	h := &core.BugHooks{}
+func parseHooks(s string) (*proto.BugHooks, error) {
+	h := &proto.BugHooks{}
 	for _, part := range strings.Split(s, ",") {
 		switch part {
 		case hookWriteMissInv:

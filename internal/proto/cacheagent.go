@@ -25,26 +25,6 @@ func refName(write bool) string {
 	return refReadName
 }
 
-// AgentConfig configures a CacheAgent.
-type AgentConfig struct {
-	Index int      // k: this cache's index
-	Topo  Topology // node layout
-	Lat   Latencies
-	// DisableCleanEject drops EJECT(k,olda,"read") entirely — the paper
-	// notes the protocols remain correct without it, at the cost of more
-	// broadcasts (Present1 blocks can no longer return to Absent).
-	DisableCleanEject bool
-	// ExclusiveGrants enables the Yen–Fu local state (§2.4.3): a get whose
-	// Ok flag is set confers exclusivity, and a write hit on an Exclusive
-	// frame upgrades to Modified silently, with no MREQUEST.
-	ExclusiveGrants bool
-	// Commit is the oracle hook; may be nil.
-	Commit CommitFunc
-	// Obs is the observability recorder; nil leaves the agent
-	// uninstrumented at zero cost.
-	Obs *obs.Recorder
-}
-
 // CacheAgent is the cache-side coherence logic shared by the directory
 // protocols (two-bit and full map). It implements the P_i–C_i column of
 // Table 3-1: it issues REQUEST/MREQUEST/EJECT and the put data transfer,
@@ -53,23 +33,12 @@ type AgentConfig struct {
 // observation when it notes that cache-side invalidation logic matches the
 // classical solution's.
 type CacheAgent struct {
-	cfg    AgentConfig
-	kernel *sim.Kernel
-	net    network.Network
-	store  *cache.Cache
-	stats  CacheSideStats
+	AgentBase
 
-	// pend is the in-flight processor reference; a value field (guarded
-	// by pendActive) so issuing a reference allocates nothing.
-	pend       pendingRef
-	pendActive bool
-
-	// Deferred completion scheduled through the kernel's pooled event
-	// form (see complete). At most one reference is outstanding per
-	// agent, so one slot suffices and the hot path never allocates a
-	// closure per completion.
-	compDone  func(uint64)
-	compBlock int64
+	// What the outstanding remote transaction awaits (meaningful while
+	// Waiting) and when it was issued.
+	phase    pendPhase
+	issuedAt sim.Time
 
 	rec       *obs.Recorder
 	comp      obs.Component  // "cache<k>" trace track
@@ -94,24 +63,10 @@ const (
 	pendAwaitGet                     // REQUEST outstanding
 )
 
-type pendingRef struct {
-	ref          addr.Ref
-	writeVersion uint64
-	done         func(uint64)
-	phase        pendPhase
-	issuedAt     sim.Time // when the remote transaction was issued
-}
-
 // NewCacheAgent wires a cache agent to the network. store must be a
 // freshly constructed cache dedicated to this agent.
 func NewCacheAgent(cfg AgentConfig, kernel *sim.Kernel, net network.Network, store *cache.Cache) *CacheAgent {
-	if err := cfg.Topo.Validate(); err != nil {
-		panic(err)
-	}
-	if cfg.Index < 0 || cfg.Index >= cfg.Topo.Caches {
-		panic(fmt.Sprintf("proto: agent index %d outside [0,%d)", cfg.Index, cfg.Topo.Caches))
-	}
-	a := &CacheAgent{cfg: cfg, kernel: kernel, net: net, store: store, comp: obs.NoComponent}
+	a := &CacheAgent{comp: obs.NoComponent}
 	if cfg.Obs != nil {
 		a.rec = cfg.Obs
 		a.comp = cfg.Obs.Component(fmt.Sprintf("cache%d", cfg.Index))
@@ -126,86 +81,41 @@ func NewCacheAgent(cfg AgentConfig, kernel *sim.Kernel, net network.Network, sto
 		a.cont = cfg.Obs.Contention()
 	}
 	a.sp = cfg.Obs.Spans()
-	net.Attach(cfg.Topo.CacheNode(cfg.Index), a)
+	a.Init(cfg, kernel, net, store, a)
 	return a
 }
 
-// Reset restores the agent to its freshly-constructed state under cfg,
-// keeping the network attachment (Index and Topo are machine shape and
-// must match construction). Pooled machines run uninstrumented, so
-// cfg.Obs must be nil; instrumented configs rebuild the machine instead.
-// The cache store is reset separately by its owner.
+// Reset restores the agent to its freshly-constructed state under cfg
+// (see AgentBase.Reset). Pooled machines run uninstrumented, so cfg.Obs
+// must be nil; instrumented configs rebuild the machine instead.
 func (a *CacheAgent) Reset(cfg AgentConfig) {
 	if cfg.Obs != nil {
 		panic("proto: CacheAgent.Reset with Obs set — rebuild instead")
 	}
-	if cfg.Index != a.cfg.Index || cfg.Topo != a.cfg.Topo {
-		panic(fmt.Sprintf("proto: CacheAgent.Reset shape (%d,%+v) differs from construction (%d,%+v)",
-			cfg.Index, cfg.Topo, a.cfg.Index, a.cfg.Topo))
-	}
-	a.cfg = cfg
-	a.stats = CacheSideStats{}
-	a.pend = pendingRef{}
-	a.pendActive = false
-	a.compDone = nil
-	a.compBlock = 0
+	a.AgentBase.Reset(cfg)
 }
 
-// Store implements CacheSide.
-func (a *CacheAgent) Store() *cache.Cache { return a.store }
-
-// SideStats implements CacheSide.
-func (a *CacheAgent) SideStats() *CacheSideStats { return &a.stats }
-
-// Busy reports whether a processor reference is outstanding.
-func (a *CacheAgent) Busy() bool { return a.pendActive }
-
-func (a *CacheAgent) node() network.NodeID { return a.cfg.Topo.CacheNode(a.cfg.Index) }
-
-func (a *CacheAgent) send(dst network.NodeID, m msg.Message) {
-	a.net.Send(a.node(), dst, m)
-}
-
-func (a *CacheAgent) commit(b addr.Block, v uint64) {
-	if a.cfg.Commit != nil {
-		a.cfg.Commit(b, v)
-	}
-}
-
-// Access implements CacheSide. It panics if a reference is already
-// outstanding: the simulated processors block on memory accesses, and an
-// overlap always indicates a harness bug.
+// Access implements CacheSide.
 func (a *CacheAgent) Access(ref addr.Ref, writeVersion uint64, done func(uint64)) {
-	if a.pendActive {
-		panic(fmt.Sprintf("proto: cache %d: overlapping references", a.cfg.Index))
-	}
-	if done == nil {
-		panic("proto: nil done callback")
-	}
-	a.stats.References.Inc()
-	if ref.Write {
-		a.stats.Writes.Inc()
-	} else {
-		a.stats.Reads.Inc()
-	}
+	a.Begin(ref, writeVersion, done)
 	a.obsRefs.Inc()
 	a.tsRefs.Inc()
 	a.cont.Ref(uint64(ref.Block))
 	if ref.Write {
-		a.cont.Write(uint64(ref.Block), ref.Disp, a.cfg.Index)
+		a.cont.Write(uint64(ref.Block), ref.Disp, a.Index)
 	}
 	a.rec.Begin(a.comp, refName(ref.Write), int64(ref.Block))
 
 	f := a.store.Access(ref.Block)
 	if a.sp != nil {
-		a.sp.Start(a.cfg.Index, spanClass(ref, f, a.cfg.ExclusiveGrants), int64(ref.Block))
+		a.sp.Start(a.Index, spanClass(ref, f, a.ExclusiveGrants), int64(ref.Block))
 	}
 	if f != nil {
-		a.hit(ref, f, writeVersion, done)
+		a.hit(f)
 		return
 	}
 	a.tsMisses.Inc()
-	a.miss(ref, writeVersion, done)
+	a.miss()
 }
 
 // spanClass classifies a reference for latency attribution exactly the
@@ -228,79 +138,68 @@ func spanClass(ref addr.Ref, f *cache.Frame, exclusiveGrants bool) obs.RefClass 
 	}
 }
 
-// complete closes the reference span and runs done after the fill/hit
-// latency — the single completion path all references share, so every
-// Begin emitted by Access is closed by exactly one End. The deferral
-// rides the kernel's pooled event form: the processor blocks until done
-// runs, so one completion slot per agent is enough and no closure is
-// allocated.
-func (a *CacheAgent) complete(ref addr.Ref, v uint64, done func(uint64)) {
-	if a.compDone != nil {
-		panic(fmt.Sprintf("proto: cache %d: overlapping completions", a.cfg.Index))
-	}
-	a.compDone = done
-	a.compBlock = int64(ref.Block)
-	var w uint64
-	if ref.Write {
-		w = 1
-	}
-	a.kernel.AfterCall(a.cfg.Lat.CacheHit, a, v, w)
+// Complete shadows the scaffold's so that the completion event lands on
+// this agent's Call, which closes the reference span first: every Begin
+// emitted by Access is closed by exactly one End.
+func (a *CacheAgent) Complete(v uint64) {
+	a.Kernel.AfterCall(a.Lat.CacheHit, a, v, 0)
 }
 
-// Call implements sim.Caller: it runs the deferred completion scheduled
-// by complete. a0 carries the value returned to the processor; a1 is 1
-// for a write reference (it selects the span name).
-func (a *CacheAgent) Call(a0, a1 uint64) {
-	done := a.compDone
-	a.compDone = nil
-	a.rec.End(a.comp, refName(a1 == 1), a.compBlock)
-	a.sp.Finish(a.cfg.Index)
-	done(a0)
+// Call implements sim.Caller: the completion event scheduled by Complete.
+func (a *CacheAgent) Call(v, _ uint64) {
+	a.rec.End(a.comp, refName(a.Ref.Write), int64(a.Ref.Block))
+	a.sp.Finish(a.Index)
+	a.AgentBase.Call(v, 0)
 }
 
 // hit handles the two purely local cases (read hit; write hit on modified)
 // plus the MREQUEST and Yen–Fu exclusive-upgrade paths.
-func (a *CacheAgent) hit(ref addr.Ref, f *cache.Frame, writeVersion uint64, done func(uint64)) {
+func (a *CacheAgent) hit(f *cache.Frame) {
+	ref := a.Ref
 	if !ref.Write {
-		a.complete(ref, f.Data, done)
+		a.Complete(f.Data)
 		return
 	}
 	if f.Modified {
-		f.Data = writeVersion
-		a.commit(ref.Block, writeVersion)
-		a.complete(ref, writeVersion, done)
+		f.Data = a.Version
+		a.Committed(ref.Block, a.Version)
+		a.Complete(a.Version)
 		return
 	}
-	if a.cfg.ExclusiveGrants && f.Exclusive {
+	if a.ExclusiveGrants && f.Exclusive {
 		f.Modified = true
-		f.Data = writeVersion
-		a.stats.ExclusiveWrites.Inc()
-		a.commit(ref.Block, writeVersion)
-		a.complete(ref, writeVersion, done)
+		f.Data = a.Version
+		a.Stats.ExclusiveWrites.Inc()
+		a.Committed(ref.Block, a.Version)
+		a.Complete(a.Version)
 		return
 	}
 	// §3.2.4: write hit on previously unmodified block — MREQUEST.
-	a.pend = pendingRef{ref: ref, writeVersion: writeVersion, done: done, phase: pendAwaitMGrant, issuedAt: a.kernel.Now()}
-	a.pendActive = true
-	a.stats.MRequestsSent.Inc()
+	a.await(pendAwaitMGrant)
+	a.Stats.MRequestsSent.Inc()
 	a.tsUpgrades.Inc()
-	a.send(a.cfg.Topo.CtrlFor(ref.Block), msg.Message{
-		Kind: msg.KindMRequest, Block: ref.Block, Cache: a.cfg.Index,
+	a.Send(a.Topo.CtrlFor(ref.Block), msg.Message{
+		Kind: msg.KindMRequest, Block: ref.Block, Cache: a.Index,
 	})
 }
 
 // miss performs §3.2.1 replacement, then issues the REQUEST.
-func (a *CacheAgent) miss(ref addr.Ref, writeVersion uint64, done func(uint64)) {
+func (a *CacheAgent) miss() {
+	ref := a.Ref
 	a.evictFor(ref.Block)
 	rw := msg.Read
 	if ref.Write {
 		rw = msg.Write
 	}
-	a.pend = pendingRef{ref: ref, writeVersion: writeVersion, done: done, phase: pendAwaitGet, issuedAt: a.kernel.Now()}
-	a.pendActive = true
-	a.send(a.cfg.Topo.CtrlFor(ref.Block), msg.Message{
-		Kind: msg.KindRequest, Block: ref.Block, Cache: a.cfg.Index, RW: rw,
+	a.await(pendAwaitGet)
+	a.Send(a.Topo.CtrlFor(ref.Block), msg.Message{
+		Kind: msg.KindRequest, Block: ref.Block, Cache: a.Index, RW: rw,
 	})
+}
+
+// await parks the outstanding reference on a remote reply.
+func (a *CacheAgent) await(ph pendPhase) {
+	a.phase, a.issuedAt, a.Waiting = ph, a.Kernel.Now(), true
 }
 
 // evictFor frees a frame for block b, running the §3.2.1 replacement
@@ -310,23 +209,23 @@ func (a *CacheAgent) evictFor(b addr.Block) {
 	if !victim.Valid {
 		return
 	}
-	a.sp.Mark(a.cfg.Index, obs.PhaseReplacement)
+	a.sp.Mark(a.Index, obs.PhaseReplacement)
 	olda := victim.Block
-	ctrl := a.cfg.Topo.CtrlFor(olda)
+	ctrl := a.Topo.CtrlFor(olda)
 	if victim.Modified || victim.Exclusive {
 		// Case 3: EJECT(k,olda,"write") followed by put(b_k,olda).
 		// An Exclusive (Yen–Fu) frame takes this path even when clean: the
 		// directory pessimistically believes it modified, and a silent
 		// drop would leave a directed PURGE with no one to answer it.
-		a.stats.EvictionsDirty.Inc()
+		a.Stats.EvictionsDirty.Inc()
 		data := victim.Data
-		a.send(ctrl, msg.Message{Kind: msg.KindEject, Block: olda, Cache: a.cfg.Index, RW: msg.Write})
-		a.send(ctrl, msg.Message{Kind: msg.KindPut, Block: olda, Cache: a.cfg.Index, Data: data})
+		a.Send(ctrl, msg.Message{Kind: msg.KindEject, Block: olda, Cache: a.Index, RW: msg.Write})
+		a.Send(ctrl, msg.Message{Kind: msg.KindPut, Block: olda, Cache: a.Index, Data: data})
 	} else {
 		// Case 2: EJECT(k,olda,"read"), optional per the paper's note.
-		a.stats.EvictionsClean.Inc()
-		if !a.cfg.DisableCleanEject {
-			a.send(ctrl, msg.Message{Kind: msg.KindEject, Block: olda, Cache: a.cfg.Index, RW: msg.Read})
+		a.Stats.EvictionsClean.Inc()
+		if !a.DisableCleanEject {
+			a.Send(ctrl, msg.Message{Kind: msg.KindEject, Block: olda, Cache: a.Index, RW: msg.Read})
 		}
 	}
 	a.store.Evict(victim)
@@ -344,13 +243,13 @@ func (a *CacheAgent) Deliver(src network.NodeID, m msg.Message) {
 	case msg.KindGet:
 		a.handleGet(m)
 	default:
-		panic(fmt.Sprintf("proto: cache %d: unexpected %v", a.cfg.Index, m))
+		panic(fmt.Sprintf("proto: cache %d: unexpected %v", a.Index, m))
 	}
 }
 
 func (a *CacheAgent) handleInvalidate(m msg.Message) {
-	a.stats.CommandsReceived.Inc()
-	if m.Kind == msg.KindBroadInv && m.Cache == a.cfg.Index {
+	a.Stats.CommandsReceived.Inc()
+	if m.Kind == msg.KindBroadInv && m.Cache == a.Index {
 		// The exempted cache k; the network normally excludes us, so this
 		// is defensive (and free of side effects, per §3.2.4's rationale
 		// for the parameter k).
@@ -358,29 +257,29 @@ func (a *CacheAgent) handleInvalidate(m msg.Message) {
 	}
 	if f := a.store.Snoop(m.Block); f != nil {
 		a.store.Invalidate(m.Block)
-		a.stats.InvalidationsApplied.Inc()
+		a.Stats.InvalidationsApplied.Inc()
 		a.tsInvs.Inc()
 		a.cont.Invalidation(uint64(m.Block))
 		a.rec.Emit(a.comp, "inv applied", int64(m.Block), 0)
 	} else {
-		a.stats.UselessCommands.Inc()
+		a.Stats.UselessCommands.Inc()
 	}
 	// §3.2.5: a BROADINV overtaking our MREQUEST acts as MGRANTED(·,false).
-	if a.pendActive && a.pend.phase == pendAwaitMGrant && a.pend.ref.Block == m.Block {
-		a.stats.MRequestsConverted.Inc()
+	if a.Waiting && a.phase == pendAwaitMGrant && a.Ref.Block == m.Block {
+		a.Stats.MRequestsConverted.Inc()
 		a.rec.Emit(a.comp, "mreq converted", int64(m.Block), 0)
 		// The BROADINV stands in for MGRANTED(·,false): the grant wait
 		// ends here, like on the explicit denial path.
-		a.sp.Mark(a.cfg.Index, obs.PhaseDataReturn)
+		a.sp.Mark(a.Index, obs.PhaseDataReturn)
 		a.reissueAsWriteMiss()
 	}
 }
 
 func (a *CacheAgent) handleQuery(src network.NodeID, m msg.Message) {
-	a.stats.CommandsReceived.Inc()
+	a.Stats.CommandsReceived.Inc()
 	f := a.store.Snoop(m.Block)
 	if f == nil {
-		a.stats.UselessCommands.Inc()
+		a.Stats.UselessCommands.Inc()
 		return
 	}
 	// Only the cache holding the block modified (or exclusively, under
@@ -388,9 +287,9 @@ func (a *CacheAgent) handleQuery(src network.NodeID, m msg.Message) {
 	if !f.Modified && !f.Exclusive {
 		return
 	}
-	a.stats.QueriesAnswered.Inc()
+	a.Stats.QueriesAnswered.Inc()
 	a.rec.Emit(a.comp, "query answered", int64(m.Block), 0)
-	a.send(src, msg.Message{Kind: msg.KindPut, Block: m.Block, Cache: a.cfg.Index, Data: f.Data})
+	a.Send(src, msg.Message{Kind: msg.KindPut, Block: m.Block, Cache: a.Index, Data: f.Data})
 	if m.RW == msg.Read {
 		// §3.2.2 case 2: reset the modified bit, keep the (now clean) copy.
 		f.Modified = false
@@ -402,7 +301,7 @@ func (a *CacheAgent) handleQuery(src network.NodeID, m msg.Message) {
 }
 
 func (a *CacheAgent) handleMGranted(m msg.Message) {
-	if !a.pendActive || a.pend.phase != pendAwaitMGrant || a.pend.ref.Block != m.Block {
+	if !a.Waiting || a.phase != pendAwaitMGrant || a.Ref.Block != m.Block {
 		// Spurious: we already converted on a BROADINV (§3.2.5) or the
 		// denial crossed our retry. The conversion path has taken over; a
 		// positive grant must be refused so the controller does not record
@@ -412,9 +311,9 @@ func (a *CacheAgent) handleMGranted(m msg.Message) {
 		}
 		return
 	}
-	a.sp.Mark(a.cfg.Index, obs.PhaseDataReturn)
+	a.sp.Mark(a.Index, obs.PhaseDataReturn)
 	if !m.Ok {
-		a.stats.Retries.Inc()
+		a.Stats.Retries.Inc()
 		a.rec.Emit(a.comp, "retry", int64(m.Block), 0)
 		a.reissueAsWriteMiss()
 		return
@@ -425,15 +324,15 @@ func (a *CacheAgent) handleMGranted(m msg.Message) {
 		// grant and retry as a write miss. (Cannot occur under per-pair
 		// FIFO delivery, kept as a defensive path.)
 		a.sendMAck(m.Block, false)
-		a.stats.Retries.Inc()
+		a.Stats.Retries.Inc()
 		a.reissueAsWriteMiss()
 		return
 	}
 	f.Modified = true
-	f.Data = a.pend.writeVersion
-	a.commit(m.Block, a.pend.writeVersion)
+	f.Data = a.Version
+	a.Committed(m.Block, a.Version)
 	a.sendMAck(m.Block, true)
-	a.finish(a.pend.writeVersion)
+	a.finish(a.Version)
 }
 
 // sendMAck confirms (or refuses) an MGRANTED(k,true): the two-bit
@@ -441,8 +340,8 @@ func (a *CacheAgent) handleMGranted(m msg.Message) {
 // acknowledgement, which closes the phantom-owner race (an MREQUEST whose
 // sender was invalidated after the §3.2.5 queue deletion ran).
 func (a *CacheAgent) sendMAck(b addr.Block, ok bool) {
-	a.send(a.cfg.Topo.CtrlFor(b), msg.Message{
-		Kind: msg.KindMAck, Block: b, Cache: a.cfg.Index, Ok: ok,
+	a.Send(a.Topo.CtrlFor(b), msg.Message{
+		Kind: msg.KindMAck, Block: b, Cache: a.Index, Ok: ok,
 	})
 }
 
@@ -452,18 +351,18 @@ func (a *CacheAgent) sendMAck(b addr.Block, ok bool) {
 // us yet, and keeping the doomed copy while refilling would leave a stale
 // duplicate frame behind.
 func (a *CacheAgent) reissueAsWriteMiss() {
-	a.store.Invalidate(a.pend.ref.Block)
-	a.pend.phase = pendAwaitGet
-	a.send(a.cfg.Topo.CtrlFor(a.pend.ref.Block), msg.Message{
-		Kind: msg.KindRequest, Block: a.pend.ref.Block, Cache: a.cfg.Index, RW: msg.Write,
+	a.store.Invalidate(a.Ref.Block)
+	a.phase = pendAwaitGet
+	a.Send(a.Topo.CtrlFor(a.Ref.Block), msg.Message{
+		Kind: msg.KindRequest, Block: a.Ref.Block, Cache: a.Index, RW: msg.Write,
 	})
 }
 
 func (a *CacheAgent) handleGet(m msg.Message) {
-	if !a.pendActive || a.pend.phase != pendAwaitGet || a.pend.ref.Block != m.Block {
-		panic(fmt.Sprintf("proto: cache %d: unsolicited %v", a.cfg.Index, m))
+	if !a.Waiting || a.phase != pendAwaitGet || a.Ref.Block != m.Block {
+		panic(fmt.Sprintf("proto: cache %d: unsolicited %v", a.Index, m))
 	}
-	a.sp.Mark(a.cfg.Index, obs.PhaseDataReturn)
+	a.sp.Mark(a.Index, obs.PhaseDataReturn)
 	// The frame freed at miss time is still free (only gets fill frames,
 	// and we have at most one outstanding reference), but run the
 	// replacement defensively in case a conflicting block was filled.
@@ -471,14 +370,14 @@ func (a *CacheAgent) handleGet(m msg.Message) {
 	victim := a.store.Victim(m.Block)
 	a.store.Fill(victim, m.Block, m.Data)
 	f := a.store.Lookup(m.Block)
-	if a.cfg.ExclusiveGrants && m.Ok && !a.pend.ref.Write {
+	if a.ExclusiveGrants && m.Ok && !a.Ref.Write {
 		f.Exclusive = true
 	}
-	if a.pend.ref.Write {
+	if a.Ref.Write {
 		f.Modified = true
-		f.Data = a.pend.writeVersion
-		a.commit(m.Block, a.pend.writeVersion)
-		a.finish(a.pend.writeVersion)
+		f.Data = a.Version
+		a.Committed(m.Block, a.Version)
+		a.finish(a.Version)
 		return
 	}
 	a.finish(m.Data)
@@ -486,9 +385,7 @@ func (a *CacheAgent) handleGet(m msg.Message) {
 
 // finish completes the outstanding reference after the fill latency.
 func (a *CacheAgent) finish(v uint64) {
-	a.obsRemote.Observe(uint64(a.kernel.Now() - a.pend.issuedAt))
-	ref, done := a.pend.ref, a.pend.done
-	a.pend = pendingRef{}
-	a.pendActive = false
-	a.complete(ref, v, done)
+	a.obsRemote.Observe(uint64(a.Kernel.Now() - a.issuedAt))
+	a.Waiting = false
+	a.Complete(v)
 }

@@ -60,7 +60,96 @@ type BlockRec[T any] struct {
 
 	busy  bool      // a command for the block is in service
 	queue []Pending // PerBlock: commands waiting behind it
-	local int       // the block's Space.LocalIndex
+}
+
+// BlockTable holds a record of type R for each block of one memory module
+// that its owner has business with, reached as §3.1 reaches the two bits,
+// by index: slots has one entry per block of the module (Space.LocalIndex;
+// 0 = nothing tracked, the common case) naming one of the first live
+// records of recs. A record is released, by swapping it with the last live
+// one, when its owner says the block is idle, and comes back as it was
+// left — the owner empties it but keeps its slices' capacity for the next
+// block, so a warmed table allocates nothing.
+type BlockTable[R any] struct {
+	space  addr.Space
+	module int // whose blocks of space these are
+	slots  []uint16
+	recs   []*tracked[R]
+	live   int
+}
+
+// tracked is a record and, while it is live, its block's Space.LocalIndex.
+type tracked[R any] struct {
+	rec   R
+	local int
+}
+
+// NewBlockTable returns an empty table for the blocks of one module of
+// space.
+func NewBlockTable[R any](space addr.Space, module int) BlockTable[R] {
+	return BlockTable[R]{space: space, module: module, slots: make([]uint16, space.BlocksInModule(module))}
+}
+
+// localIndex is Space.LocalIndex for a block that must be this module's
+// li-th: any other would alias another block's slot or run off the table.
+func (t *BlockTable[R]) localIndex(b addr.Block) int {
+	li := t.space.LocalIndex(b)
+	if uint64(b) >= uint64(t.space.Blocks) || addr.Block(li*t.space.Modules+t.module) != b {
+		panic(fmt.Sprintf("proto: %v is not a block of module %d in a space of %d blocks over %d modules",
+			b, t.module, t.space.Blocks, t.space.Modules))
+	}
+	return li
+}
+
+// Rec returns block b's record, or nil when nothing is tracked for it.
+// The pointer is good until the record is released.
+func (t *BlockTable[R]) Rec(b addr.Block) *R {
+	if i := t.slots[t.localIndex(b)]; i != 0 {
+		return &t.recs[i-1].rec
+	}
+	return nil
+}
+
+// Track returns block b's record, taking a recycled or new one if b had
+// none.
+func (t *BlockTable[R]) Track(b addr.Block) *R {
+	li := t.localIndex(b)
+	if i := t.slots[li]; i != 0 {
+		return &t.recs[i-1].rec
+	}
+	if t.live == len(t.recs) {
+		if t.live == math.MaxUint16 {
+			panic(fmt.Sprintf("proto: module %d tracks more than %d blocks at once", t.module, t.live))
+		}
+		t.recs = append(t.recs, new(tracked[R]))
+	}
+	r := t.recs[t.live]
+	r.local = li
+	t.live++
+	t.slots[li] = uint16(t.live)
+	return &r.rec
+}
+
+// Release recycles block b's record, which the owner has emptied.
+func (t *BlockTable[R]) Release(b addr.Block) {
+	li := t.localIndex(b)
+	i, last := int(t.slots[li])-1, t.live-1
+	t.recs[i], t.recs[last] = t.recs[last], t.recs[i]
+	t.slots[t.recs[i].local] = uint16(i + 1)
+	t.slots[li] = 0
+	t.live = last
+}
+
+// Len returns the number of records in use.
+func (t *BlockTable[R]) Len() int { return t.live }
+
+// ReleaseAll recycles every record, after empty has emptied it.
+func (t *BlockTable[R]) ReleaseAll(empty func(*R)) {
+	for _, r := range t.recs[:t.live] {
+		empty(&r.rec)
+		t.slots[r.local] = 0
+	}
+	t.live = 0
 }
 
 // Serializer is the controller's command queue: the bit-map controller of
@@ -68,21 +157,14 @@ type BlockRec[T any] struct {
 // queueing the rest, with the ability to delete queued entries — the
 // mechanism the paper uses to resolve racing MREQUESTs.
 //
-// Per-block state is reached as §3.1 reaches the two bits, by index: slots
-// has one entry per block of the module (Space.LocalIndex; 0 = nothing
-// tracked, the common case) naming one of the first live records of recs.
-// A record is released once its block is idle, by swapping it with the
-// last live one, and keeps its slices' capacity for the next block, so a
-// warmed serializer allocates nothing. T is the owner's transaction type.
+// Per-block state lives in the embedded BlockTable. A record is released
+// by the Done that leaves its block idle, so an owner that Tracks a block
+// itself must leave the record busy, queued, with a Txn or with a put
+// Stashed. T is the owner's transaction type.
 type Serializer[T any] struct {
+	BlockTable[BlockRec[T]]
 	mode  ConcurrencyMode
 	start StartFunc
-
-	space  addr.Space
-	module int // whose blocks of space these are
-	slots  []uint16
-	recs   []*BlockRec[T]
-	live   int
 
 	global []Pending // SingleCommand queue
 	active int       // active transactions (0 or 1 in SingleCommand)
@@ -99,13 +181,7 @@ func NewSerializer[T any](mode ConcurrencyMode, space addr.Space, module int, st
 	if start == nil {
 		panic("proto: nil StartFunc")
 	}
-	return &Serializer[T]{
-		mode:   mode,
-		start:  start,
-		space:  space,
-		module: module,
-		slots:  make([]uint16, space.BlocksInModule(module)),
-	}
+	return &Serializer[T]{BlockTable: NewBlockTable[BlockRec[T]](space, module), mode: mode, start: start}
 }
 
 // Reset empties the serializer and switches it to mode, keeping the slot
@@ -114,69 +190,14 @@ func NewSerializer[T any](mode ConcurrencyMode, space addr.Space, module int, st
 // controller, which outlives the reset.
 func (s *Serializer[T]) Reset(mode ConcurrencyMode) {
 	s.mode = mode
-	for _, r := range s.recs[:s.live] {
-		s.slots[r.local] = 0
+	s.ReleaseAll(func(r *BlockRec[T]) {
 		*r = BlockRec[T]{Stashed: r.Stashed[:0], queue: r.queue[:0]}
-	}
-	s.live = 0
+	})
 	s.global = s.global[:0]
 	s.active = 0
 	s.ready = s.ready[:0]
 	s.dispatching = false
 	s.queued = 0
-}
-
-// localIndex is Space.LocalIndex for a block that must be this module's
-// li-th: any other would alias another block's slot or run off the table.
-func (s *Serializer[T]) localIndex(b addr.Block) int {
-	li := s.space.LocalIndex(b)
-	if uint64(b) >= uint64(s.space.Blocks) || addr.Block(li*s.space.Modules+s.module) != b {
-		panic(fmt.Sprintf("proto: %v is not a block of module %d in a space of %d blocks over %d modules",
-			b, s.module, s.space.Blocks, s.space.Modules))
-	}
-	return li
-}
-
-// Rec returns block b's record, or nil when nothing is tracked for it.
-// The pointer is good until the record is released.
-func (s *Serializer[T]) Rec(b addr.Block) *BlockRec[T] {
-	if i := s.slots[s.localIndex(b)]; i != 0 {
-		return s.recs[i-1]
-	}
-	return nil
-}
-
-// Track returns block b's record, taking a recycled or new one if b had
-// none. The caller must leave it busy, queued, with a Txn or with a put
-// Stashed: an idle record is only released by its block's next Done.
-func (s *Serializer[T]) Track(b addr.Block) *BlockRec[T] {
-	li := s.localIndex(b)
-	if i := s.slots[li]; i != 0 {
-		return s.recs[i-1]
-	}
-	if s.live == len(s.recs) {
-		if s.live == math.MaxUint16 {
-			panic(fmt.Sprintf("proto: module %d tracks more than %d blocks at once", s.module, s.live))
-		}
-		s.recs = append(s.recs, new(BlockRec[T]))
-	}
-	r := s.recs[s.live]
-	s.live++
-	r.local = li
-	s.slots[li] = uint16(s.live)
-	return r
-}
-
-// release recycles r if its block is idle.
-func (s *Serializer[T]) release(r *BlockRec[T]) {
-	if r.busy || len(r.queue) > 0 || r.Txn != nil || len(r.Stashed) > 0 {
-		return
-	}
-	i, last := int(s.slots[r.local])-1, s.live-1
-	s.recs[i], s.recs[last] = s.recs[last], r
-	s.slots[s.recs[i].local] = uint16(i + 1)
-	s.slots[r.local] = 0
-	s.live = last
 }
 
 // QueuedLen returns the number of queued (not yet started) commands.
@@ -243,7 +264,9 @@ func (s *Serializer[T]) Done(b addr.Block) {
 		s.queued--
 		s.admit(r, p)
 	}
-	s.release(r)
+	if !r.busy && len(r.queue) == 0 && r.Txn == nil && len(r.Stashed) == 0 {
+		s.Release(b)
+	}
 	s.dispatch()
 }
 

@@ -342,15 +342,15 @@ func (x *serMirror) check() {
 		if want := m.busy[b] || len(m.queues[b]) > 0 || len(x.stash[b]) > 0; (r != nil) != want {
 			fail("%v has a record: %v; has something to track: %v", b, r != nil, want)
 		}
-		if r != nil && (r.local != serSpace.LocalIndex(b) || s.recs[s.slots[r.local]-1] != r) {
-			fail("%v's record says local index %d, its slot %d", b, r.local, s.slots[r.local])
+		if li := serSpace.LocalIndex(b); r != nil && (s.recs[s.slots[li]-1].local != li || &s.recs[s.slots[li]-1].rec != r) {
+			fail("%v's slot %d names a record of local index %d", b, s.slots[li], s.recs[s.slots[li]-1].local)
 		}
 	}
 	if tracked != s.live {
 		fail("%d live records, %d blocks tracked", s.live, tracked)
 	}
-	for _, r := range s.recs[s.live:] {
-		if r.busy || r.Txn != nil || len(r.queue) > 0 || len(r.Stashed) > 0 {
+	for _, tr := range s.recs[s.live:] {
+		if r := tr.rec; r.busy || r.Txn != nil || len(r.queue) > 0 || len(r.Stashed) > 0 {
 			fail("a recycled record is not empty: %+v", r)
 		}
 	}

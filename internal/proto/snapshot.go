@@ -25,15 +25,15 @@ type AgentSnapshot struct {
 
 // Snapshot returns the agent's observable in-flight state.
 func (a *CacheAgent) Snapshot() AgentSnapshot {
-	if !a.pendActive {
+	if !a.Waiting {
 		return AgentSnapshot{}
 	}
 	return AgentSnapshot{
 		Busy:          true,
-		Block:         a.pend.ref.Block,
-		Write:         a.pend.ref.Write,
-		WriteVersion:  a.pend.writeVersion,
-		AwaitingGrant: a.pend.phase == pendAwaitMGrant,
+		Block:         a.Ref.Block,
+		Write:         a.Ref.Write,
+		WriteVersion:  a.Version,
+		AwaitingGrant: a.phase == pendAwaitMGrant,
 	}
 }
 

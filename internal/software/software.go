@@ -20,160 +20,98 @@ import (
 	"twobit/internal/sim"
 )
 
-// AgentConfig configures a software-scheme cache agent.
-type AgentConfig struct {
-	Index  int
-	Topo   proto.Topology
-	Lat    proto.Latencies
-	Commit proto.CommitFunc
-}
-
 // Agent caches private blocks write-back and bypasses the cache for shared
 // blocks.
 type Agent struct {
-	cfg    AgentConfig
-	kernel *sim.Kernel
-	net    network.Network
-	store  *cache.Cache
-	stats  proto.CacheSideStats
-
-	pend *pendingOp
-}
-
-type pendingOp struct {
-	ref     addr.Ref
-	version uint64
-	done    func(uint64)
+	proto.AgentBase
 }
 
 // NewAgent wires the agent to the network.
-func NewAgent(cfg AgentConfig, kernel *sim.Kernel, net network.Network, store *cache.Cache) *Agent {
-	a := &Agent{cfg: cfg, kernel: kernel, net: net, store: store}
-	net.Attach(cfg.Topo.CacheNode(cfg.Index), a)
+func NewAgent(cfg proto.AgentConfig, kernel *sim.Kernel, net network.Network, store *cache.Cache) *Agent {
+	a := &Agent{}
+	a.Init(cfg, kernel, net, store, a)
 	return a
 }
 
-// Reset restores the agent to its freshly-constructed state under cfg,
-// keeping the network attachment (Index and Topo must match
-// construction). The cache store is reset separately by its owner.
-func (a *Agent) Reset(cfg AgentConfig) {
-	if cfg.Index != a.cfg.Index || cfg.Topo != a.cfg.Topo {
-		panic("software: Agent.Reset shape differs from construction")
-	}
-	a.cfg = cfg
-	a.stats = proto.CacheSideStats{}
-	a.pend = nil
-}
-
-// Store implements proto.CacheSide.
-func (a *Agent) Store() *cache.Cache { return a.store }
-
-// SideStats implements proto.CacheSide.
-func (a *Agent) SideStats() *proto.CacheSideStats { return &a.stats }
-
-func (a *Agent) node() network.NodeID { return a.cfg.Topo.CacheNode(a.cfg.Index) }
-
 // Access implements proto.CacheSide.
 func (a *Agent) Access(ref addr.Ref, writeVersion uint64, done func(uint64)) {
-	if a.pend != nil {
-		panic(fmt.Sprintf("software: cache %d: overlapping references", a.cfg.Index))
-	}
-	a.stats.References.Inc()
-	if ref.Write {
-		a.stats.Writes.Inc()
-	} else {
-		a.stats.Reads.Inc()
-	}
-	ctrl := a.cfg.Topo.CtrlFor(ref.Block)
+	a.Begin(ref, writeVersion, done)
+	ctrl := a.Topo.CtrlFor(ref.Block)
 	if ref.Shared {
 		// Public block: uncached, always served by memory.
-		a.pend = &pendingOp{ref: ref, version: writeVersion, done: done}
+		a.Waiting = true
 		kind := msg.KindUncachedRead
 		if ref.Write {
 			kind = msg.KindUncachedWrite
 		}
-		a.net.Send(a.node(), ctrl, msg.Message{
-			Kind: kind, Block: ref.Block, Cache: a.cfg.Index, Data: writeVersion,
+		a.Send(ctrl, msg.Message{
+			Kind: kind, Block: ref.Block, Cache: a.Index, Data: writeVersion,
 		})
 		return
 	}
 	// Private block: ordinary uniprocessor write-back cache behavior.
-	if f := a.store.Access(ref.Block); f != nil {
+	if f := a.Store().Access(ref.Block); f != nil {
 		if ref.Write {
-			f.Data = writeVersion
-			f.Modified = true
-			if a.cfg.Commit != nil {
-				a.cfg.Commit(ref.Block, writeVersion)
-			}
-			a.kernel.After(a.cfg.Lat.CacheHit, func() { done(writeVersion) })
+			a.write(f)
 			return
 		}
-		v := f.Data
-		a.kernel.After(a.cfg.Lat.CacheHit, func() { done(v) })
+		a.Complete(f.Data)
 		return
 	}
 	a.evictFor(ref.Block)
-	a.pend = &pendingOp{ref: ref, version: writeVersion, done: done}
-	a.net.Send(a.node(), ctrl, msg.Message{
-		Kind: msg.KindRequest, Block: ref.Block, Cache: a.cfg.Index, RW: msg.Read,
+	a.Waiting = true
+	a.Send(ctrl, msg.Message{
+		Kind: msg.KindRequest, Block: ref.Block, Cache: a.Index, RW: msg.Read,
 	})
 }
 
+// write performs the outstanding private store on its frame.
+func (a *Agent) write(f *cache.Frame) {
+	f.Data = a.Version
+	f.Modified = true
+	a.Committed(a.Ref.Block, a.Version)
+	a.Complete(a.Version)
+}
+
 func (a *Agent) evictFor(b addr.Block) {
-	victim := a.store.Victim(b)
+	victim := a.Store().Victim(b)
 	if !victim.Valid {
 		return
 	}
 	old := victim.Block
 	if victim.Modified {
-		a.stats.EvictionsDirty.Inc()
-		ctrl := a.cfg.Topo.CtrlFor(old)
-		a.net.Send(a.node(), ctrl, msg.Message{Kind: msg.KindEject, Block: old, Cache: a.cfg.Index, RW: msg.Write})
-		a.net.Send(a.node(), ctrl, msg.Message{Kind: msg.KindPut, Block: old, Cache: a.cfg.Index, Data: victim.Data})
+		a.Stats.EvictionsDirty.Inc()
+		ctrl := a.Topo.CtrlFor(old)
+		a.Send(ctrl, msg.Message{Kind: msg.KindEject, Block: old, Cache: a.Index, RW: msg.Write})
+		a.Send(ctrl, msg.Message{Kind: msg.KindPut, Block: old, Cache: a.Index, Data: victim.Data})
 	} else {
-		a.stats.EvictionsClean.Inc()
+		a.Stats.EvictionsClean.Inc()
 	}
-	a.store.Evict(victim)
+	a.Store().Evict(victim)
 }
 
 // Deliver implements network.Handler.
 func (a *Agent) Deliver(src network.NodeID, m msg.Message) {
 	if m.Kind != msg.KindGet {
-		panic(fmt.Sprintf("software: cache %d: unexpected %v", a.cfg.Index, m))
+		panic(fmt.Sprintf("software: cache %d: unexpected %v", a.Index, m))
 	}
-	if a.pend == nil {
-		panic(fmt.Sprintf("software: cache %d: unsolicited %v", a.cfg.Index, m))
+	if !a.Waiting {
+		panic(fmt.Sprintf("software: cache %d: unsolicited %v", a.Index, m))
 	}
-	p := a.pend
-	a.pend = nil
-	if p.ref.Shared {
+	a.Waiting = false
+	if a.Ref.Shared {
 		// Uncached completion; nothing enters the cache.
-		a.kernel.After(a.cfg.Lat.CacheHit, func() { p.done(m.Data) })
+		a.Complete(m.Data)
 		return
 	}
-	a.evictFor(p.ref.Block)
-	victim := a.store.Victim(p.ref.Block)
-	a.store.Fill(victim, p.ref.Block, m.Data)
-	if p.ref.Write {
-		f := a.store.Lookup(p.ref.Block)
-		f.Modified = true
-		f.Data = p.version
-		if a.cfg.Commit != nil {
-			a.cfg.Commit(p.ref.Block, p.version)
-		}
-		a.kernel.After(a.cfg.Lat.CacheHit, func() { p.done(p.version) })
+	b := a.Ref.Block
+	a.evictFor(b)
+	a.Store().Fill(a.Store().Victim(b), b, m.Data)
+	if a.Ref.Write {
+		a.write(a.Store().Lookup(b))
 		return
 	}
-	a.kernel.After(a.cfg.Lat.CacheHit, func() { p.done(m.Data) })
-}
-
-// Config configures a software-scheme memory controller.
-type Config struct {
-	Module int
-	Topo   proto.Topology
-	Space  addr.Space
-	Lat    proto.Latencies
-	Commit proto.CommitFunc
+	a.Complete(m.Data)
 }
 
 // Controller serves uncached shared accesses and private fills/write-backs.
@@ -181,71 +119,55 @@ type Config struct {
 // being processed atomically per delivery) keeps the scheme coherent
 // without any protocol.
 type Controller struct {
-	cfg    Config
-	kernel *sim.Kernel
-	net    network.Network
-	mem    *memory.Module
-	stats  proto.CtrlStats
+	proto.CtrlBase
 }
 
 // New wires the controller to the network.
-func New(cfg Config, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
-	c := &Controller{cfg: cfg, kernel: kernel, net: net, mem: mem}
-	net.Attach(cfg.Topo.CtrlNode(cfg.Module), c)
+func New(cfg proto.CtrlConfig, kernel *sim.Kernel, net network.Network, mem *memory.Module) *Controller {
+	c := &Controller{}
+	c.Init(cfg, kernel, net, mem, c)
 	return c
 }
 
-// Reset restores the controller to its freshly-constructed state under
-// cfg, keeping the network attachment (Module, Topo and Space must match
-// construction).
-func (c *Controller) Reset(cfg Config) {
-	if cfg.Module != c.cfg.Module || cfg.Topo != c.cfg.Topo || cfg.Space != c.cfg.Space {
-		panic("software: Controller.Reset shape differs from construction")
-	}
-	c.cfg = cfg
-	c.stats = proto.CtrlStats{}
+// Quiescent is always true: the controller holds nothing between a
+// command and its reply but the reply's kernel event.
+func (c *Controller) Quiescent() bool { return true }
+
+// reply sends get(k, b, v) after the memory latency; the event carries all
+// three, the block and the cache packed into one argument (a machine has
+// at most 64 caches).
+func (c *Controller) reply(k int, b addr.Block, v uint64) {
+	c.Kernel.AfterCall(c.Lat.Memory, c, uint64(b)<<8|uint64(k), v)
 }
 
-// CtrlStats implements proto.MemSide.
-func (c *Controller) CtrlStats() *proto.CtrlStats { return &c.stats }
-
-// MemVersion returns memory's version of b, for invariants.
-func (c *Controller) MemVersion(b addr.Block) uint64 { return c.mem.Read(b) }
-
-func (c *Controller) node() network.NodeID { return c.cfg.Topo.CtrlNode(c.cfg.Module) }
-
-func (c *Controller) reply(k int, b addr.Block, v uint64) {
-	c.kernel.After(c.cfg.Lat.Memory, func() {
-		c.net.Send(c.node(), c.cfg.Topo.CacheNode(k), msg.Message{
-			Kind: msg.KindGet, Block: b, Cache: k, Data: v,
-		})
-	})
+// Call implements sim.Caller: the reply scheduled by reply is due.
+func (c *Controller) Call(to, v uint64) {
+	k, b := int(to&0xff), addr.Block(to>>8)
+	c.Send(c.Topo.CacheNode(k), msg.Message{Kind: msg.KindGet, Block: b, Cache: k, Data: v})
 }
 
 // Deliver implements network.Handler.
 func (c *Controller) Deliver(src network.NodeID, m msg.Message) {
 	switch m.Kind {
 	case msg.KindUncachedRead:
-		c.stats.Requests.Inc()
-		c.stats.ReadMisses.Inc()
-		c.reply(m.Cache, m.Block, c.mem.Read(m.Block))
+		c.Stats.Requests.Inc()
+		c.Stats.ReadMisses.Inc()
+		c.reply(m.Cache, m.Block, c.Mem.Read(m.Block))
 	case msg.KindUncachedWrite:
-		c.stats.Requests.Inc()
-		c.stats.WriteMisses.Inc()
+		c.Stats.Requests.Inc()
+		c.Stats.WriteMisses.Inc()
 		// Linearization point: the write is performed on arrival.
-		c.mem.Write(m.Block, m.Data)
-		if c.cfg.Commit != nil {
-			c.cfg.Commit(m.Block, m.Data)
-		}
+		c.Mem.Write(m.Block, m.Data)
+		c.Committed(m.Block, m.Data)
 		c.reply(m.Cache, m.Block, m.Data)
 	case msg.KindRequest: // private fill
-		c.stats.Requests.Inc()
-		c.reply(m.Cache, m.Block, c.mem.Read(m.Block))
+		c.Stats.Requests.Inc()
+		c.reply(m.Cache, m.Block, c.Mem.Read(m.Block))
 	case msg.KindEject:
-		c.stats.Ejects.Inc() // data arrives in the following put
+		c.Stats.Ejects.Inc() // data arrives in the following put
 	case msg.KindPut:
-		c.mem.Write(m.Block, m.Data)
+		c.Mem.Write(m.Block, m.Data)
 	default:
-		panic(fmt.Sprintf("software: controller %d: unexpected %v", c.cfg.Module, m))
+		panic(fmt.Sprintf("software: controller %d: unexpected %v", c.Module, m))
 	}
 }

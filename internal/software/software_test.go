@@ -26,10 +26,10 @@ func newRig(t *testing.T, n int) *rig {
 	space := addr.Space{Blocks: 64, Modules: 1}
 	lat := proto.Latencies{CacheHit: 1, Memory: 5, CtrlService: 1}
 	mem := memory.NewModule(space, 0, lat.Memory)
-	r.ctrl = New(Config{Module: 0, Topo: topo, Space: space, Lat: lat}, r.kernel, net, mem)
+	r.ctrl = New(proto.CtrlConfig{Module: 0, Topo: topo, Space: space, Lat: lat}, r.kernel, net, mem)
 	for k := 0; k < n; k++ {
 		store := cache.New(cache.Config{Sets: 8, Assoc: 2})
-		r.agents = append(r.agents, NewAgent(AgentConfig{
+		r.agents = append(r.agents, NewAgent(proto.AgentConfig{
 			Index: k, Topo: topo, Lat: lat,
 		}, r.kernel, net, store))
 	}

@@ -80,14 +80,7 @@ func TestDMAUnderJitter(t *testing.T) {
 // TestDMARejectedForUnsupportedProtocols checks the validation.
 func TestDMARejectedForUnsupportedProtocols(t *testing.T) {
 	for _, p := range []Protocol{Classical, Software, WriteOnce, Duplication} {
-		cfg := dmaCfg(p, 4, 1)
-		if p == WriteOnce {
-			cfg.Net = BusNet
-		}
-		if p == Duplication {
-			cfg.Modules = 1
-		}
-		if _, err := New(cfg, sharingGen(4, 1)); err == nil {
+		if _, err := New(dmaCfg(p, 4, 1), sharingGen(4, 1)); err == nil {
 			t.Errorf("%v accepted DMA devices", p)
 		}
 	}

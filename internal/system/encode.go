@@ -23,9 +23,9 @@ import (
 
 // ParseProtocol inverts Protocol.String.
 func ParseProtocol(s string) (Protocol, error) {
-	for p := TwoBit; p <= Software; p++ {
-		if p.String() == s {
-			return p, nil
+	for p := range protocols {
+		if protocols[p].name == s {
+			return Protocol(p), nil
 		}
 	}
 	return 0, fmt.Errorf("system: unknown protocol %q", s)

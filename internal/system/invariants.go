@@ -3,13 +3,10 @@ package system
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"twobit/internal/addr"
 	"twobit/internal/cache"
-	"twobit/internal/core"
-	"twobit/internal/directory"
 )
 
 // copyView is one cache's valid copy of a block, for invariant checks:
@@ -111,91 +108,4 @@ func (m *Machine) checkDataInvariants(b addr.Block, copies []copyView, memVersio
 		}
 	}
 	return nil
-}
-
-// checkTwoBitInvariants verifies the two-bit global states against the
-// caches' actual contents. Present* may legitimately overcount (it means
-// "0 or more copies"); every other state is exact.
-func checkTwoBitInvariants(m *Machine, ctrls []*core.Controller) error {
-	ctrl := func(b addr.Block) *core.Controller { return ctrls[b.Module(m.space.Modules)] }
-	memV := func(b addr.Block) uint64 { return ctrl(b).MemVersion(b) }
-	return checkGenericInvariants(m, memV, func(b addr.Block, copies []copyView) error {
-		st := ctrl(b).State(b)
-		modified := 0
-		for _, cv := range copies {
-			if cv.modified() {
-				modified++
-			}
-		}
-		switch st {
-		case directory.Absent:
-			if len(copies) != 0 {
-				return fmt.Errorf("%v: state Absent but %d copies exist", b, len(copies))
-			}
-		case directory.Present1:
-			if len(copies) > 1 || modified != 0 {
-				return fmt.Errorf("%v: state Present1 but %d copies (%d modified)", b, len(copies), modified)
-			}
-		case directory.PresentStar:
-			if modified != 0 {
-				return fmt.Errorf("%v: state Present* but a modified copy exists", b)
-			}
-		case directory.PresentM:
-			if len(copies) != 1 || modified != 1 {
-				return fmt.Errorf("%v: state PresentM but %d copies (%d modified)", b, len(copies), modified)
-			}
-		}
-		if modified == 1 && st != directory.PresentM {
-			return fmt.Errorf("%v: modified copy exists but state is %v", b, st)
-		}
-		if len(copies) >= 2 && st != directory.PresentStar {
-			return fmt.Errorf("%v: %d copies but state is %v", b, len(copies), st)
-		}
-		return nil
-	})
-}
-
-// checkExactInvariants verifies an exact directory — the n+1-bit map or
-// the duplicated cache directories — against the caches.
-func checkExactInvariants(m *Machine, ctrls []*core.Controller) error {
-	ctrl := func(b addr.Block) *core.Controller { return ctrls[b.Module(m.space.Modules)] }
-	memV := func(b addr.Block) uint64 { return ctrl(b).MemVersion(b) }
-	return checkGenericInvariants(m, memV, func(b addr.Block, copies []copyView) error {
-		mask, mbit := ctrl(b).Entry(b)
-		holders := bits.OnesCount64(mask)
-		// Every copy must be a known holder (exactness of the map). Extra
-		// presence bits can only exist when clean ejects are disabled.
-		for _, cv := range copies {
-			if mask>>cv.cacheIdx()&1 == 0 {
-				return fmt.Errorf("%v: cache %d holds a copy the map does not record", b, cv.cacheIdx())
-			}
-		}
-		if !m.cfg.DisableCleanEject && holders != len(copies) {
-			return fmt.Errorf("%v: map records %d holders but %d copies exist", b, holders, len(copies))
-		}
-		if mbit {
-			if holders != 1 {
-				return fmt.Errorf("%v: m bit set with %d holders", b, holders)
-			}
-			// With the Yen–Fu extension the m bit is pessimistic: the sole
-			// holder may hold the block Exclusive (clean). Otherwise the
-			// copy must be modified.
-			if len(copies) == 1 && !copies[0].modified() && !copies[0].exclusive() {
-				return fmt.Errorf("%v: m bit set but the copy is plainly clean", b)
-			}
-		}
-		return nil
-	})
-}
-
-// checkGenericInvariants is the quiescence sweep: for every block, the
-// protocol-independent checks against main memory as memVersion reads it
-// back, then extra, the protocol's own (nil for none).
-func checkGenericInvariants(m *Machine, memVersion func(addr.Block) uint64, extra func(b addr.Block, copies []copyView) error) error {
-	return m.sweepCopies(func(b addr.Block, copies []copyView) error {
-		if err := m.checkDataInvariants(b, copies, memVersion(b)); err != nil || extra == nil {
-			return err
-		}
-		return extra(b, copies)
-	})
 }

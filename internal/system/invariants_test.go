@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"twobit/internal/addr"
+	"twobit/internal/core"
 	"twobit/internal/sim"
 )
 
@@ -55,7 +56,7 @@ func TestCheckerDetectsDoubleModified(t *testing.T) {
 	if !found {
 		t.Skip("no cached block to corrupt")
 	}
-	err := m.bld.checkInvariants(m)
+	err := m.checkInvariants()
 	if err == nil {
 		t.Fatalf("checker missed two modified copies of %v", victim)
 	}
@@ -67,12 +68,11 @@ func TestCheckerDetectsDoubleModified(t *testing.T) {
 func TestCheckerDetectsAbsentWithCopy(t *testing.T) {
 	m := healthyMachine(t, TwoBit)
 	// Plant a copy of a block whose directory state is Absent.
-	tb := m.bld.(*directoryBuilder)
 	var target Block = 0
 	found := false
 	for b := 0; b < m.space.Blocks; b++ {
 		blk := Block(b)
-		if tb.ctrls[blk.Module(m.space.Modules)].State(blk) == 0 /* Absent */ {
+		if m.ctrlFor(blk).(*core.Controller).State(blk) == 0 /* Absent */ {
 			if m.probeCopies(blk) == nil {
 				target = blk
 				found = true
@@ -88,9 +88,9 @@ func TestCheckerDetectsAbsentWithCopy(t *testing.T) {
 	if v.Valid {
 		store.Evict(v)
 	}
-	memV := tb.ctrls[target.Module(m.space.Modules)].MemVersion(target)
+	memV := m.ctrlFor(target).MemVersion(target)
 	store.Fill(v, target, memV)
-	err := m.bld.checkInvariants(m)
+	err := m.checkInvariants()
 	if err == nil {
 		t.Fatal("checker missed a copy of an Absent block")
 	}
@@ -106,7 +106,7 @@ func TestCheckerDetectsStaleCleanCopy(t *testing.T) {
 		for k := range m.caches {
 			if f := m.caches[k].Store().Lookup(Block(b)); f != nil && !f.Modified {
 				f.Data += 12345
-				err := m.bld.checkInvariants(m)
+				err := m.checkInvariants()
 				if err == nil {
 					t.Fatal("checker missed a stale clean copy")
 				}
@@ -124,10 +124,9 @@ func TestCheckerDetectsStaleCleanCopy(t *testing.T) {
 func TestCheckerDetectsFullMapPhantomHolder(t *testing.T) {
 	m := healthyMachine(t, FullMap)
 	// Plant a copy the exact map does not record.
-	fb := m.bld.(*directoryBuilder)
 	for b := 0; b < m.space.Blocks; b++ {
 		blk := Block(b)
-		ctrl := fb.ctrls[blk.Module(m.space.Modules)]
+		ctrl := m.ctrlFor(blk).(*core.Controller)
 		holders, modified := ctrl.Entry(blk)
 		for k := range m.caches {
 			if holders&(1<<uint(k)) == 0 && m.caches[k].Store().Lookup(blk) == nil && !modified {
@@ -137,7 +136,7 @@ func TestCheckerDetectsFullMapPhantomHolder(t *testing.T) {
 					store.Evict(v)
 				}
 				store.Fill(v, blk, ctrl.MemVersion(blk))
-				err := m.bld.checkInvariants(m)
+				err := m.checkInvariants()
 				if err == nil {
 					t.Fatal("full-map checker missed an unrecorded holder")
 				}
@@ -221,7 +220,7 @@ func TestZeroAllocInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if err := m.bld.checkInvariants(m); err != nil {
+			if err := m.checkInvariants(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -210,7 +210,7 @@ func ModelCheck(sc MCScenario) (MCResult, error) {
 			return 0, fmt.Errorf("modelcheck: deadlock on path %v: %d of %d processors finished",
 				prefix, m.completed, cfg.Procs)
 		}
-		if err := m.bld.checkInvariants(m); err != nil {
+		if err := m.checkInvariants(); err != nil {
 			return 0, fmt.Errorf("modelcheck: path %v: %w", prefix, err)
 		}
 		if step > res.MaxDepth {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"twobit/internal/addr"
 	"twobit/internal/cache"
 	"twobit/internal/obs"
 	"twobit/internal/rng"
@@ -278,5 +279,75 @@ func TestOracleReset(t *testing.T) {
 	o.Commit(3, 5)
 	if err := o.CheckLoad(1, 3, 0, 5, false); err != nil {
 		t.Errorf("post-Reset load rejected: %v", err)
+	}
+}
+
+// churnGen is a seeded reference stream over 64 blocks for caches of 8
+// frames: most references miss and evict, a third are stores, a quarter
+// go to the shared blocks. Reseeding replays it, so a second pass touches
+// exactly what the first one warmed.
+type churnGen struct{ rnd []*rng.PCG }
+
+func (g *churnGen) Blocks() int { return 64 }
+
+func (g *churnGen) Next(p int) addr.Ref {
+	b := g.rnd[p].Intn(64)
+	return addr.Ref{Block: addr.Block(b), Write: g.rnd[p].Intn(3) == 0, Shared: b < 16}
+}
+
+// TestZeroAllocBaselines: on a warmed machine the three baseline engines
+// — classical, write-once, software — run a whole reference stream without
+// allocating: the hit path, and the read-miss, write-through-and-ack,
+// uncached, write-back and bus-transaction paths each was checked to have
+// taken. The directory engine's floor is TestZeroAllocController. The
+// oracle is off: its commit hook is a method value made per reset, not by
+// the engines.
+func TestZeroAllocBaselines(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const procs, refs = 4, 1500
+	for _, p := range []Protocol{Classical, WriteOnce, Software} {
+		cfg := DefaultConfig(p, procs)
+		cfg.CacheSets, cfg.CacheAssoc, cfg.Oracle = 4, 2, false
+		gen := &churnGen{rnd: make([]*rng.PCG, procs)}
+		for k := range gen.rnd {
+			gen.rnd[k] = rng.New(0, 0)
+		}
+		m, err := New(cfg, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := func() {
+			m.kernel.Reset()
+			m.reset(cfg, gen, nil)
+			for k, r := range gen.rnd {
+				r.Reseed(21, uint64(k))
+				m.issue(k, refs)
+			}
+			m.kernel.Run()
+			if m.completed != procs {
+				t.Fatalf("%v: %d of %d processors finished", p, m.completed, procs)
+			}
+		}
+		pass()
+		var hits, dirty, retries uint64
+		for _, a := range m.caches {
+			hits += a.Store().Stats().Hits.Value()
+			dirty += a.SideStats().EvictionsDirty.Value()
+			retries += a.SideStats().Retries.Value()
+		}
+		cs := m.ctrls[0].CtrlStats()
+		took := map[Protocol]bool{
+			Classical: cs.Broadcasts.Value() > 0 && cs.ReadMisses.Value() > 0,
+			WriteOnce: cs.ReadMisses.Value() > 0 && cs.WriteMisses.Value() > 0 && cs.MRequests.Value() > 0 && dirty > 0 && retries > 0,
+			Software:  cs.ReadMisses.Value() > 0 && cs.WriteMisses.Value() > 0 && cs.Ejects.Value() > 0 && dirty > 0,
+		}
+		if hits == 0 || !took[p] {
+			t.Fatalf("%v: the warm-up pass skipped a path: %d hits, %d dirty evictions, %d retries, controller 0 %+v", p, hits, dirty, retries, *cs)
+		}
+		if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+			t.Errorf("%v: a warmed machine allocates %v per %d-reference run, want 0", p, allocs, procs*refs)
+		}
 	}
 }

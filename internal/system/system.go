@@ -14,7 +14,6 @@ import (
 
 	"twobit/internal/addr"
 	"twobit/internal/cache"
-	"twobit/internal/core"
 	"twobit/internal/network"
 	"twobit/internal/obs"
 	"twobit/internal/proto"
@@ -46,21 +45,8 @@ const (
 
 // String names the protocol.
 func (p Protocol) String() string {
-	switch p {
-	case TwoBit:
-		return "two-bit"
-	case FullMap:
-		return "full-map"
-	case FullMapExclusive:
-		return "full-map+E"
-	case Classical:
-		return "classical"
-	case Duplication:
-		return "duplication"
-	case WriteOnce:
-		return "write-once"
-	case Software:
-		return "software"
+	if int(p) < len(protocols) {
+		return protocols[p].name
 	}
 	return fmt.Sprintf("Protocol(%d)", uint8(p))
 }
@@ -116,7 +102,7 @@ type Config struct {
 	// CoreHooks injects deliberate two-bit protocol defects so
 	// model-checker counterexamples replay in the simulator (test-only;
 	// nil in production). TwoBit only.
-	CoreHooks *core.BugHooks
+	CoreHooks *proto.BugHooks
 	// DisableCleanEject drops EJECT(·,·,"read"), the paper's optional part
 	// of the replacement protocol.
 	DisableCleanEject bool
@@ -139,9 +125,11 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
-// DefaultConfig returns a ready-to-run configuration for n processors.
+// DefaultConfig returns a ready-to-run configuration for n processors:
+// four memory modules on a crossbar, or what the protocol requires instead
+// (one module under a central controller, the bus for a bus protocol).
 func DefaultConfig(protocol Protocol, procs int) Config {
-	return Config{
+	cfg := Config{
 		Protocol:   protocol,
 		Procs:      procs,
 		Modules:    4,
@@ -155,10 +143,23 @@ func DefaultConfig(protocol Protocol, procs int) Config {
 		Seed:       1,
 		Oracle:     true,
 	}
+	if spec, err := protocol.spec(); err == nil {
+		if spec.central {
+			cfg.Modules = 1
+		}
+		if spec.bus {
+			cfg.Net = BusNet
+		}
+	}
+	return cfg
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	spec, err := c.Protocol.spec()
+	if err != nil {
+		return err
+	}
 	if c.Procs < 1 {
 		return fmt.Errorf("system: Procs must be ≥ 1, got %d", c.Procs)
 	}
@@ -171,48 +172,25 @@ func (c Config) Validate() error {
 	if c.CacheSets < 1 || c.CacheAssoc < 1 {
 		return fmt.Errorf("system: cache geometry %dx%d invalid", c.CacheSets, c.CacheAssoc)
 	}
-	if c.Protocol == WriteOnce && c.Net != BusNet {
-		return errors.New("system: the write-once protocol requires the bus network")
+	if spec.bus && c.Net != BusNet {
+		return fmt.Errorf("system: the %s protocol requires the bus network", spec.name)
 	}
-	if c.Protocol == Duplication && c.Modules != 1 {
-		return errors.New("system: the duplication protocol is centralized; set Modules = 1")
+	if spec.central && c.Modules != 1 {
+		return fmt.Errorf("system: the %s protocol is centralized; set Modules = 1", spec.name)
 	}
-	if c.TranslationBufferSize > 0 && c.Protocol != TwoBit {
+	if c.TranslationBufferSize > 0 && !spec.twoBit {
 		return errors.New("system: translation buffer applies to the two-bit protocol only")
 	}
-	if c.CoreHooks != nil && c.Protocol != TwoBit {
+	if c.CoreHooks != nil && !spec.twoBit {
 		return errors.New("system: core hooks apply to the two-bit protocol only")
 	}
 	if err := c.DMA.Validate(); err != nil {
 		return err
 	}
-	if c.DMA.Devices > 0 {
-		switch c.Protocol {
-		case TwoBit, FullMap, FullMapExclusive:
-		default:
-			return fmt.Errorf("system: DMA devices are supported by the directory protocols, not %v", c.Protocol)
-		}
+	if c.DMA.Devices > 0 && !spec.dma {
+		return fmt.Errorf("system: DMA devices are supported by the directory protocols, not %s", spec.name)
 	}
 	return nil
-}
-
-// builder constructs a protocol's cache and controller sides. Each
-// protocol package is adapted by one builder in builders.go.
-type builder interface {
-	// buildCaches constructs all cache sides (attached to the network).
-	buildCaches(m *Machine) []proto.CacheSide
-	// buildCtrls constructs all memory controllers (attached).
-	buildCtrls(m *Machine) []proto.MemSide
-	// reset restores every component the builder constructed to its
-	// freshly-constructed state under m's current (already updated)
-	// config, without re-attaching anything to the network. The machine
-	// shape — protocol, topology, address space, cache geometry — must be
-	// unchanged since construction; value parameters (latencies, seeds,
-	// policies, hooks) are re-derived from m.cfg.
-	reset(m *Machine)
-	// checkInvariants verifies protocol-specific global invariants at
-	// quiescence.
-	checkInvariants(m *Machine) error
 }
 
 // Machine is an assembled multiprocessor.
@@ -223,10 +201,10 @@ type Machine struct {
 	net    network.Network
 	topo   proto.Topology
 	space  addr.Space
-	bld    builder
+	spec   *protocolSpec // cfg.Protocol's row of the assembly table
 
-	caches []proto.CacheSide
-	ctrls  []proto.MemSide
+	caches []agent
+	ctrls  []controller
 	dmas   []*dmaDevice
 	oracle *Oracle
 	strict bool // strict (linearizability) oracle mode; see Oracle
@@ -239,6 +217,7 @@ type Machine struct {
 
 	nextVersion uint64
 	completed   int
+	ran         bool // Run was called since construction or the last reset
 	issuedRefs  uint64
 	errs        []error
 	refDone     func(p int) // replay hook: runs as each reference completes
@@ -291,6 +270,8 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 		kernel: kernel,
 		topo:   proto.Topology{Caches: cfg.Procs, Modules: cfg.Modules, DMA: cfg.DMA.Devices},
 		space:  addr.Space{Blocks: blocks, Modules: cfg.Modules},
+		spec:   &protocols[cfg.Protocol], // Validate vouched for it
+		caches: make([]agent, cfg.Procs),
 	}
 	switch {
 	case netFactory != nil:
@@ -324,13 +305,7 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 		// paper-exact) coherence check. See the Oracle doc.
 		m.strict = cfg.Net != OmegaNet && cfg.NetJitter == 0
 	}
-	bld, err := builderFor(cfg.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	m.bld = bld
-	m.caches = bld.buildCaches(m)
-	m.ctrls = bld.buildCtrls(m)
+	m.spec.build(m)
 	for d := 0; d < cfg.DMA.Devices; d++ {
 		m.dmas = append(m.dmas, newDMADevice(m, d))
 	}
@@ -404,12 +379,13 @@ func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
 	default:
 		panic(fmt.Sprintf("system: cannot reset network %T — rebuild instead", m.net))
 	}
-	m.bld.reset(m)
+	m.resetComponents()
 	for _, d := range m.dmas {
 		d.reset()
 	}
 	m.nextVersion = 0
 	m.completed = 0
+	m.ran = false
 	m.issuedRefs = 0
 	m.errs = m.errs[:0]
 	m.refDone = nil
@@ -472,13 +448,23 @@ func (m *Machine) cacheConfig(k int) cache.Config {
 	}
 }
 
+// ErrMachineRan is returned by a second Run on one machine: its counters,
+// histograms and completion tally are spent. Build a new machine, or use a
+// Runner, which resets pooled machines between runs.
+var ErrMachineRan = errors.New("system: machine already ran — build a new one or use a Runner")
+
 // Run drives every processor through refsPerProc references and returns
 // the aggregated results. It returns an error if the simulation deadlocks,
 // a load violates coherence, or a protocol invariant fails at quiescence.
+// A machine runs once.
 func (m *Machine) Run(refsPerProc int) (Results, error) {
 	if refsPerProc < 1 {
 		return Results{}, fmt.Errorf("system: refsPerProc must be ≥ 1, got %d", refsPerProc)
 	}
+	if m.ran {
+		return Results{}, ErrMachineRan
+	}
+	m.ran = true
 	for p := 0; p < m.cfg.Procs; p++ {
 		m.issue(p, refsPerProc)
 	}
@@ -494,7 +480,7 @@ func (m *Machine) Run(refsPerProc int) (Results, error) {
 	if len(m.errs) > 0 {
 		return Results{}, fmt.Errorf("system: %d coherence violations, first: %w", len(m.errs), m.errs[0])
 	}
-	if err := m.bld.checkInvariants(m); err != nil {
+	if err := m.checkInvariants(); err != nil {
 		return Results{}, fmt.Errorf("system: invariant violation at quiescence: %w", err)
 	}
 	return m.collect(refsPerProc), nil

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -11,27 +12,49 @@ import (
 	"twobit/internal/workload"
 )
 
-// allProtocols lists every protocol with a config adjusted to its needs.
+// allProtocols lists every protocol's default config, by name.
 func allProtocols() map[string]Config {
-	mk := func(p Protocol) Config {
-		cfg := DefaultConfig(p, 4)
+	out := make(map[string]Config, len(protocols))
+	for p := range protocols {
+		cfg := DefaultConfig(Protocol(p), 4)
 		cfg.Seed = 42
-		switch p {
-		case Duplication:
-			cfg.Modules = 1
-		case WriteOnce:
-			cfg.Net = BusNet
-		}
-		return cfg
+		out[cfg.Protocol.String()] = cfg
 	}
-	return map[string]Config{
-		"two-bit":     mk(TwoBit),
-		"full-map":    mk(FullMap),
-		"full-map+E":  mk(FullMapExclusive),
-		"classical":   mk(Classical),
-		"duplication": mk(Duplication),
-		"write-once":  mk(WriteOnce),
-		"software":    mk(Software),
+	return out
+}
+
+// TestDefaultConfigValidates: the default is runnable as it stands under
+// every protocol, so no caller patches Modules or Net by protocol.
+func TestDefaultConfigValidates(t *testing.T) {
+	for name, cfg := range allProtocols() {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if p, err := ParseProtocol(name); err != nil || p != cfg.Protocol {
+			t.Errorf("ParseProtocol(%q) = %v, %v", name, p, err)
+		}
+	}
+	if len(protocols) != int(Software)+1 {
+		t.Errorf("the assembly table has %d rows, want one per Protocol constant (%d)", len(protocols), int(Software)+1)
+	}
+}
+
+// TestMachineRunsOnce: a second Run on one machine is refused by name
+// before anything is issued, rather than reported as a deadlock.
+func TestMachineRunsOnce(t *testing.T) {
+	m, err := New(DefaultConfig(TwoBit, 2), sharingGen(2, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(200); err != nil {
+		t.Fatal(err)
+	}
+	events := m.Kernel().Processed()
+	if _, err := m.Run(200); !errors.Is(err, ErrMachineRan) {
+		t.Fatalf("second Run returned %v, want ErrMachineRan", err)
+	}
+	if m.Kernel().Processed() != events || m.Kernel().Pending() != 0 {
+		t.Fatal("the refused Run scheduled events")
 	}
 }
 
@@ -422,11 +445,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad, sharingGen(1, 1)); err == nil {
 		t.Error("Procs=0 accepted")
 	}
-	bad = DefaultConfig(WriteOnce, 4) // crossbar: invalid
+	bad = DefaultConfig(WriteOnce, 4)
+	bad.Net = CrossbarNet
 	if _, err := New(bad, sharingGen(4, 1)); err == nil {
 		t.Error("write-once on crossbar accepted")
 	}
-	bad = DefaultConfig(Duplication, 4) // modules=4: invalid
+	bad = DefaultConfig(Duplication, 4)
+	bad.Modules = 4
 	if _, err := New(bad, sharingGen(4, 1)); err == nil {
 		t.Error("duplication with 4 modules accepted")
 	}

@@ -24,10 +24,10 @@ func newRig(t *testing.T, n int) *rig {
 	topo := proto.Topology{Caches: n, Modules: 1}
 	space := addr.Space{Blocks: 64, Modules: 1}
 	lat := proto.Latencies{CacheHit: 1, Memory: 5, CtrlService: 1}
-	r.sys = NewSystem(Config{Topo: topo, Space: space, Lat: lat}, r.kernel, bus)
+	r.sys = NewSystem(proto.CtrlConfig{Topo: topo, Space: space, Lat: lat}, r.kernel, bus)
 	for k := 0; k < n; k++ {
 		store := cache.New(cache.Config{Sets: 8, Assoc: 2})
-		r.agents = append(r.agents, NewAgent(r.sys, k, store))
+		r.agents = append(r.agents, NewAgent(r.sys, proto.AgentConfig{Index: k, Topo: topo, Lat: lat}, store))
 	}
 	return r
 }

@@ -32,7 +32,7 @@ trap 'rm -rf "$SMOKE"' EXIT
 cat > "$SMOKE/plan.json" <<'EOF'
 {
   "name": "smoke",
-  "protocols": ["two-bit", "full-map"],
+  "protocols": ["two-bit", "full-map", "full-map+E", "classical", "duplication", "write-once", "software"],
   "qs": [0.05, 0.10],
   "ws": [0.3],
   "procs": [4],

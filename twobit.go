@@ -117,10 +117,18 @@ type DuboisConfig = model.DuboisConfig
 
 // DefaultConfig returns a runnable configuration for the given protocol
 // and processor count: 4 memory modules, 128-block 4-way caches, crossbar
-// network, per-block controller concurrency, oracle checking enabled.
+// network, per-block controller concurrency, oracle checking enabled — or
+// what the protocol requires instead (one module for Duplication, the bus
+// for WriteOnce).
 func DefaultConfig(p Protocol, procs int) Config {
 	return system.DefaultConfig(p, procs)
 }
+
+// ParseProtocol inverts Protocol.String ("two-bit", "full-map", ...).
+func ParseProtocol(name string) (Protocol, error) { return system.ParseProtocol(name) }
+
+// ParseNetKind inverts NetKind.String ("crossbar", "bus", "omega").
+func ParseNetKind(name string) (NetKind, error) { return system.ParseNetKind(name) }
 
 // NewMachine assembles a machine running gen under cfg.
 func NewMachine(cfg Config, gen Generator) (*Machine, error) {

@@ -27,12 +27,6 @@ func TestQuickstartFlow(t *testing.T) {
 func TestAllPublicProtocolsRun(t *testing.T) {
 	for _, p := range []Protocol{TwoBit, FullMap, FullMapExclusive, Classical, Duplication, WriteOnce, Software} {
 		cfg := DefaultConfig(p, 4)
-		if p == Duplication {
-			cfg.Modules = 1
-		}
-		if p == WriteOnce {
-			cfg.Net = BusNet
-		}
 		gen := NewSharedPrivateWorkload(SharedPrivateConfig{
 			Procs: 4, SharedBlocks: 8, Q: 0.1, W: 0.3,
 			PrivateHit: 0.9, PrivateWrite: 0.3, HotBlocks: 16, ColdBlocks: 64, Seed: 2,
