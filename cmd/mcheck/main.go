@@ -16,7 +16,7 @@
 //	mcheck -protocol full-map
 //	mcheck -caches 3 -blocks 2 -maxstates 200000
 //
-// Re-check a recorded counterexample against the checker's harness:
+// Re-check a recorded counterexample, step by step:
 //
 //	mcheck -replay counterexample.trace
 //
@@ -128,11 +128,7 @@ func replay(path string) {
 	if err := mcheck.Replay(t); err != nil {
 		fail(1, "%v", err)
 	}
-	fmt.Println("mcheck: harness replay ok — every step reproduced its recorded fingerprint")
-	if err := mcheck.ReplayInSim(t); err != nil {
-		fail(1, "%v", err)
-	}
-	fmt.Println("mcheck: simulator replay ok — the full machine walked the same state sequence")
+	fmt.Println("mcheck: replay ok — every step reproduced its recorded fingerprint, and the recorded outcome held")
 }
 
 func onOff(b bool) string {

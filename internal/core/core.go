@@ -175,12 +175,12 @@ func New(cfg proto.CtrlConfig, pol Policy, kernel *sim.Kernel, net network.Netwo
 // cfg (see proto.CtrlBase.Reset), keeping the policy and the
 // directory/serializer/transaction-record backing storage.
 // Translation-buffer presence (size > 0 or not — the buffer itself resizes
-// freely) must match construction. Pooled machines run without
-// instrumentation or defect injection, so cfg.Obs and cfg.Hooks must be
-// nil; such configs rebuild the machine instead.
+// freely) must match construction. Defect hooks are values like the
+// latencies. Pooled machines run without instrumentation, so cfg.Obs must
+// be nil; such configs rebuild the machine instead.
 func (c *Controller) Reset(cfg proto.CtrlConfig) {
-	if cfg.Obs != nil || cfg.Hooks != nil {
-		panic("core: Reset with Obs or Hooks set — rebuild instead")
+	if cfg.Obs != nil {
+		panic("core: Reset with Obs set — rebuild instead")
 	}
 	if c.pol.Holders == nil && (cfg.TranslationBufferSize > 0) != (c.tb != nil) {
 		panic("core: Reset cannot toggle the translation buffer — rebuild instead")

@@ -15,7 +15,9 @@ package livesim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"twobit/internal/addr"
 	"twobit/internal/msg"
@@ -49,20 +51,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// envelope is one message in flight. A non-nil flush marks a quiesce
-// token: the controller closes it once all earlier traffic is serviced.
-type envelope struct {
-	from  int // cache index or ^module for controllers
-	m     msg.Message
-	flush chan struct{}
-}
-
 // Machine is the live multiprocessor.
 type Machine struct {
 	cfg    Config
 	caches []*cacheNode
 	ctrls  []*ctrlNode
 	oracle *liveOracle
+
+	// inflight counts the messages sent and not yet done with: each is
+	// counted from its send until its handler returns or a controller
+	// discards it. Handlers send only while their own message is counted,
+	// so once the processors have finished, zero is final.
+	inflight atomic.Int64
 
 	// Violations found by the oracle (read after Run returns).
 	mu         sync.Mutex
@@ -91,6 +91,15 @@ func (m *Machine) ctrlFor(b addr.Block) *ctrlNode {
 	return m.ctrls[int(uint64(b))%m.cfg.Modules]
 }
 
+// send queues cmd in inbox, counting it in flight.
+func (m *Machine) send(inbox chan msg.Message, cmd msg.Message) {
+	m.inflight.Add(1)
+	inbox <- cmd
+}
+
+// done marks one message handled or discarded.
+func (m *Machine) done() { m.inflight.Add(-1) }
+
 func (m *Machine) violation(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -117,12 +126,12 @@ func (m *Machine) Run(fn func(proc int, access func(ref addr.Ref) uint64)) error
 		}(p)
 	}
 	wg.Wait()
-	// Quiesce: fire-and-forget write-backs may still sit in controller
-	// inboxes. A flush token per controller drains them before shutdown.
-	for _, c := range m.ctrls {
-		done := make(chan struct{})
-		c.inbox <- envelope{flush: done}
-		<-done
+	// Quiesce: fire-and-forget traffic — write-backs, MACKs, invalidations
+	// and queries queued for a cache — may still be in flight. Nothing may
+	// stop until all of it is handled: a cache that quit with a BROADINV
+	// in its inbox would keep a copy the directory no longer counts.
+	for m.inflight.Load() != 0 {
+		runtime.Gosched()
 	}
 	for _, c := range m.caches {
 		close(c.quit)

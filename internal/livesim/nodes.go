@@ -33,7 +33,7 @@ type procReq struct {
 type cacheNode struct {
 	m       *Machine
 	idx     int
-	inbox   chan envelope
+	inbox   chan msg.Message
 	reqCh   chan *procReq
 	quit    chan struct{}
 	stopped chan struct{}
@@ -56,7 +56,7 @@ func newCacheNode(m *Machine, idx int) *cacheNode {
 	c := &cacheNode{
 		m:       m,
 		idx:     idx,
-		inbox:   make(chan envelope, m.cfg.ChanDepth),
+		inbox:   make(chan msg.Message, m.cfg.ChanDepth),
 		reqCh:   make(chan *procReq),
 		quit:    make(chan struct{}),
 		stopped: make(chan struct{}),
@@ -93,8 +93,9 @@ func (c *cacheNode) loop() {
 		select {
 		case <-c.quit:
 			return
-		case env := <-c.inbox:
-			c.handleMsg(env)
+		case m := <-c.inbox:
+			c.handleMsg(m)
+			c.m.done()
 		case req := <-c.reqCh:
 			c.handleReq(req)
 		}
@@ -102,7 +103,7 @@ func (c *cacheNode) loop() {
 }
 
 func (c *cacheNode) sendCtrl(b addr.Block, m msg.Message) {
-	c.m.ctrlFor(b).inbox <- envelope{from: c.idx, m: m}
+	c.m.send(c.m.ctrlFor(b).inbox, m)
 }
 
 // handleReq runs the §3.2 cache-side protocol for one reference, servicing
@@ -164,8 +165,9 @@ func (c *cacheNode) evictFor(b addr.Block) {
 func (c *cacheNode) waitPend() {
 	for c.pend != nil {
 		select {
-		case env := <-c.inbox:
-			c.handleMsg(env)
+		case m := <-c.inbox:
+			c.handleMsg(m)
+			c.m.done()
 		case <-c.quit:
 			return
 		}
@@ -178,8 +180,7 @@ func (c *cacheNode) finish(v uint64) {
 	req.resp <- v
 }
 
-func (c *cacheNode) handleMsg(env envelope) {
-	m := env.m
+func (c *cacheNode) handleMsg(m msg.Message) {
 	switch m.Kind {
 	case msg.KindBroadInv:
 		if m.Cache == c.idx {
@@ -249,12 +250,12 @@ func (c *cacheNode) handleMsg(env envelope) {
 type ctrlNode struct {
 	m       *Machine
 	idx     int
-	inbox   chan envelope
+	inbox   chan msg.Message
 	quit    chan struct{}
 	stopped chan struct{}
 	states  map[addr.Block]uint8
 	memory  map[addr.Block]uint64
-	buffer  []envelope // commands deferred while a transaction waits
+	buffer  []msg.Message // commands deferred while a transaction waits
 
 	// obs counters, registered before the goroutine starts and written
 	// only by it. Names mirror the deterministic simulator's.
@@ -270,7 +271,7 @@ func newCtrlNode(m *Machine, idx int) *ctrlNode {
 	c := &ctrlNode{
 		m:       m,
 		idx:     idx,
-		inbox:   make(chan envelope, m.cfg.ChanDepth),
+		inbox:   make(chan msg.Message, m.cfg.ChanDepth),
 		quit:    make(chan struct{}),
 		stopped: make(chan struct{}),
 		states:  make(map[addr.Block]uint8),
@@ -296,23 +297,23 @@ func (c *ctrlNode) setState(b addr.Block, st uint8) {
 func (c *ctrlNode) loop() {
 	defer close(c.stopped)
 	for {
+		var m msg.Message
 		if len(c.buffer) > 0 {
-			env := c.buffer[0]
-			c.buffer = c.buffer[1:]
-			c.service(env)
-			continue
+			m, c.buffer = c.buffer[0], c.buffer[1:]
+		} else {
+			select {
+			case <-c.quit:
+				return
+			case m = <-c.inbox:
+			}
 		}
-		select {
-		case <-c.quit:
-			return
-		case env := <-c.inbox:
-			c.service(env)
-		}
+		c.service(m)
+		c.m.done()
 	}
 }
 
 func (c *ctrlNode) sendCache(k int, m msg.Message) {
-	c.m.caches[k].inbox <- envelope{from: ^c.idx, m: m}
+	c.m.send(c.m.caches[k].inbox, m)
 }
 
 // broadcast sends m to every cache except k.
@@ -332,50 +333,39 @@ func (c *ctrlNode) broadcast(m msg.Message, k int) {
 // buffering unrelated commands. A put produced by a racing eviction
 // subsumes that eviction's EJECT, which is dropped from the buffer.
 func (c *ctrlNode) awaitPut(b addr.Block) uint64 {
-	take := func(e envelope) uint64 {
-		kept := c.buffer[:0]
-		for _, o := range c.buffer {
-			if o.m.Kind == msg.KindEject && o.m.RW == msg.Write &&
-				o.m.Block == b && o.m.Cache == e.m.Cache {
-				continue // its write-back is this put; drop it
-			}
-			kept = append(kept, o)
-		}
-		c.buffer = kept
-		return e.m.Data
+	take := func(put msg.Message) uint64 {
+		c.m.done()
+		c.dropEject(b, put.Cache) // its write-back is this put
+		return put.Data
 	}
-	for i, e := range c.buffer {
-		if e.m.Kind == msg.KindPut && e.m.Block == b {
+	for i, m := range c.buffer {
+		if m.Kind == msg.KindPut && m.Block == b {
 			c.buffer = append(c.buffer[:i], c.buffer[i+1:]...)
-			return take(e)
+			return take(m)
 		}
 	}
 	for {
-		env := <-c.inbox
-		if env.m.Kind == msg.KindPut && env.m.Block == b {
-			return take(env)
+		m := <-c.inbox
+		if m.Kind == msg.KindPut && m.Block == b {
+			return take(m)
 		}
-		c.buffer = append(c.buffer, env)
+		c.buffer = append(c.buffer, m)
 	}
 }
 
 // awaitMAck consumes inbox traffic until the MACK for block b arrives.
 func (c *ctrlNode) awaitMAck(b addr.Block) bool {
 	for {
-		env := <-c.inbox
-		if env.m.Kind == msg.KindMAck && env.m.Block == b {
-			return env.m.Ok
+		m := <-c.inbox
+		if m.Kind == msg.KindMAck && m.Block == b {
+			c.m.done()
+			return m.Ok
 		}
-		c.buffer = append(c.buffer, env)
+		c.buffer = append(c.buffer, m)
 	}
 }
 
-func (c *ctrlNode) service(env envelope) {
-	if env.flush != nil {
-		close(env.flush)
-		return
-	}
-	m := env.m
+func (c *ctrlNode) service(m msg.Message) {
 	b := m.Block
 	k := m.Cache
 	switch m.Kind {
@@ -411,14 +401,7 @@ func (c *ctrlNode) service(env envelope) {
 		if c.states[b] == stPresentM {
 			c.setState(b, stAbsent)
 		}
-		kept := c.buffer[:0]
-		for _, e := range c.buffer {
-			if e.m.Kind == msg.KindEject && e.m.RW == msg.Write && e.m.Block == b && e.m.Cache == k {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		c.buffer = kept
+		c.dropEject(b, k)
 	case msg.KindMAck:
 		panic(fmt.Sprintf("livesim: controller %d: stray %v", c.idx, m))
 	default:
@@ -485,12 +468,29 @@ func (c *ctrlNode) mrequest(k int, b addr.Block) {
 // deleteQueuedMRequests is the §3.2.5 queue deletion, applied to the
 // deferred-command buffer.
 func (c *ctrlNode) deleteQueuedMRequests(b addr.Block, except int) {
+	c.discard(func(m msg.Message) bool {
+		return m.Kind == msg.KindMRequest && m.Block == b && m.Cache != except
+	})
+}
+
+// dropEject discards cache k's buffered EJECT(k,b,"write"), whose
+// write-back a put has just performed.
+func (c *ctrlNode) dropEject(b addr.Block, k int) {
+	c.discard(func(m msg.Message) bool {
+		return m.Kind == msg.KindEject && m.RW == msg.Write && m.Block == b && m.Cache == k
+	})
+}
+
+// discard removes the buffered commands drop selects; they count as
+// handled.
+func (c *ctrlNode) discard(drop func(msg.Message) bool) {
 	kept := c.buffer[:0]
-	for _, e := range c.buffer {
-		if e.m.Kind == msg.KindMRequest && e.m.Block == b && e.m.Cache != except {
+	for _, m := range c.buffer {
+		if drop(m) {
+			c.m.done()
 			continue
 		}
-		kept = append(kept, e)
+		kept = append(kept, m)
 	}
 	c.buffer = kept
 }

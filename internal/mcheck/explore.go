@@ -1,16 +1,12 @@
 package mcheck
 
-import (
-	"fmt"
-
-	"twobit/internal/sim"
-)
+import "fmt"
 
 // stateRec is one canonical state in the reachable graph. The concrete
-// machine is never stored — controller continuations are closures and
-// cannot be snapshotted — so each record keeps only the action that
-// discovered it plus a parent pointer, and the machine is rebuilt by
-// replaying the action path on a reused kernel.
+// machine is never stored — components are not snapshotted — so each
+// record keeps only the action that discovered it plus a parent pointer,
+// and the state is rebuilt by resetting the one machine and replaying the
+// action path.
 type stateRec struct {
 	parent int32
 	act    Action
@@ -26,7 +22,7 @@ type edge struct {
 type explorer struct {
 	cfg     Config
 	enc     *encoder
-	kernel  *sim.Kernel
+	m       *machine
 	ids     map[string]int32
 	recs    []stateRec
 	edges   []edge
@@ -39,14 +35,15 @@ type explorer struct {
 // trace. The error return is for configuration and internal replay
 // errors only; a refuted property is reported in Result.Violation.
 func Check(cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	m, err := newMachine(cfg)
+	if err != nil {
 		return Result{}, err
 	}
 	e := &explorer{
-		cfg:    cfg,
-		enc:    newEncoder(cfg),
-		kernel: &sim.Kernel{},
-		ids:    make(map[string]int32),
+		cfg: cfg,
+		enc: newEncoder(cfg),
+		m:   m,
+		ids: make(map[string]int32),
 	}
 	return e.run()
 }
@@ -63,17 +60,17 @@ func (e *explorer) path(id int32) []Action {
 	return e.scratch
 }
 
-// rebuild replays id's action path onto a fresh harness. Replaying a
-// path that was applied successfully once cannot fail; an error here is
-// an internal defect (e.g. a nondeterministic component).
-func (e *explorer) rebuild(id int32) (*harness, error) {
-	h := newHarness(e.cfg, e.kernel)
+// rebuild resets the machine and replays id's action path on it.
+// Replaying a path that was applied successfully once cannot fail; an
+// error here is an internal defect (e.g. a nondeterministic component).
+func (e *explorer) rebuild(id int32) error {
+	e.m.rm.Reset()
 	for i, a := range e.path(id) {
-		if err := h.apply(a); err != nil {
-			return nil, fmt.Errorf("mcheck: replay diverged at step %d (%v): %w", i, a, err)
+		if err := e.m.apply(a); err != nil {
+			return fmt.Errorf("mcheck: replay diverged at step %d (%v): %w", i, a, err)
 		}
 	}
-	return h, nil
+	return nil
 }
 
 // violation finalizes a property refutation: the counterexample trace
@@ -96,7 +93,8 @@ func (e *explorer) violation(v *Violation, id int32, extra *Action) (*Violation,
 // fingerprint after each step. A step that panics (possible only under
 // injected defects) records fingerprint 0 and must be last.
 func (e *explorer) buildTrace(actions []Action, v *Violation) (Trace, error) {
-	h := newHarness(e.cfg, e.kernel)
+	h := e.m
+	h.rm.Reset()
 	t := Trace{
 		Cfg:       e.cfg,
 		Init:      e.enc.fingerprint(h),
@@ -119,7 +117,7 @@ func (e *explorer) buildTrace(actions []Action, v *Violation) (Trace, error) {
 func (e *explorer) run() (Result, error) {
 	var res Result
 
-	h := newHarness(e.cfg, e.kernel)
+	h := e.m
 	e.ids[e.enc.canonicalKey(h)] = 0
 	e.recs = append(e.recs, stateRec{parent: -1, rest: len(h.deliverOptions()) == 0})
 	if v := checkState(h, e.recs[0].rest); v != nil {
@@ -139,22 +137,21 @@ func (e *explorer) run() (Result, error) {
 			res.Truncated = true
 			continue
 		}
-		cur, err := e.rebuild(id)
-		if err != nil {
+		if err := e.rebuild(id); err != nil {
 			return res, err
 		}
-		opts = append(opts[:0], cur.deliverOptions()...)
-		opts = append(opts, cur.issueOptions()...)
+		opts = append(opts[:0], h.deliverOptions()...)
+		opts = append(opts, h.issueOptions()...)
 		for oi := range opts {
 			a := opts[oi]
 			// Each option needs the pre-state back; applying mutates the
-			// harness, so every sibling after the first replays the path.
+			// machine, so every sibling after the first replays the path.
 			if oi > 0 {
-				if cur, err = e.rebuild(id); err != nil {
+				if err := e.rebuild(id); err != nil {
 					return res, err
 				}
 			}
-			if err := cur.apply(a); err != nil {
+			if err := h.apply(a); err != nil {
 				v, verr := e.violation(&Violation{Kind: "crash", Detail: err.Error()}, id, &a)
 				if verr != nil {
 					return res, verr
@@ -162,7 +159,7 @@ func (e *explorer) run() (Result, error) {
 				res.Violation = v
 				break
 			}
-			key := e.enc.canonicalKey(cur)
+			key := e.enc.canonicalKey(h)
 			if to, ok := e.ids[key]; ok {
 				e.edges = append(e.edges, edge{from: id, to: to, deliver: a.Kind == ActDeliver})
 				continue
@@ -175,10 +172,10 @@ func (e *explorer) run() (Result, error) {
 			e.ids[key] = nid
 			e.recs = append(e.recs, stateRec{
 				parent: id, act: a, depth: depth + 1,
-				rest: len(cur.deliverOptions()) == 0,
+				rest: len(h.deliverOptions()) == 0,
 			})
 			e.edges = append(e.edges, edge{from: id, to: nid, deliver: a.Kind == ActDeliver})
-			if v := checkState(cur, e.recs[nid].rest); v != nil {
+			if v := checkState(h, e.recs[nid].rest); v != nil {
 				v, verr := e.violation(v, nid, nil)
 				if verr != nil {
 					return res, verr

@@ -8,9 +8,9 @@ import (
 	"twobit/internal/network"
 )
 
-// encoder serializes a view into a canonical byte string — the state's
-// identity for deduplication. Scratch buffers are reused across calls;
-// one encoder serves the whole exploration.
+// encoder serializes a machine's observable state into a canonical byte
+// string — the state's identity for deduplication. Scratch buffers are
+// reused across calls; one encoder serves the whole exploration.
 //
 // Two normalizations make the reachable graph close over executions that
 // differ only in bookkeeping:
@@ -79,7 +79,7 @@ func permutations(n int) [][]int {
 // canonicalKey returns the state's canonical identity: the least
 // encoding over the configured permutations, with versions normalized.
 // The returned string is freshly allocated (it is used as a map key).
-func (e *encoder) canonicalKey(v view) string {
+func (e *encoder) canonicalKey(v *machine) string {
 	e.best = e.best[:0]
 	for i, perm := range e.perms {
 		e.buf = e.encode(v, perm, true, e.buf[:0])
@@ -91,10 +91,9 @@ func (e *encoder) canonicalKey(v view) string {
 }
 
 // fingerprint hashes the identity encoding (no permutation, raw
-// versions) — the per-step value a Trace records and the sim bridge
-// recomputes on its own machine.
-func (e *encoder) fingerprint(v view) uint64 {
-	e.buf = e.encode(v, identityPerm(v.caches()), false, e.buf[:0])
+// versions) — the per-step value a Trace records and Replay recomputes.
+func (e *encoder) fingerprint(v *machine) uint64 {
+	e.buf = e.encode(v, identityPerm(v.cfg.Caches), false, e.buf[:0])
 	// FNV-1a.
 	h := uint64(14695981039346656037)
 	for _, b := range e.buf {
@@ -120,8 +119,8 @@ func lessBytes(a, b []byte) bool {
 // encode walks the machine in a fixed order. perm[pos] is the concrete
 // cache index occupying canonical position pos; normalize relabels
 // versions in first-encounter order.
-func (e *encoder) encode(v view, perm []int, normalize bool, buf []byte) []byte {
-	n := v.caches()
+func (e *encoder) encode(v *machine, perm []int, normalize bool, buf []byte) []byte {
+	n := v.cfg.Caches
 	for pos, k := range perm {
 		e.inv[k] = pos
 	}
@@ -130,7 +129,7 @@ func (e *encoder) encode(v view, perm []int, normalize bool, buf []byte) []byte 
 	if normalize {
 		need := 1
 		for k := 0; k < n; k++ {
-			need += v.issuedOf(k)
+			need += v.rm.Issued(k)
 		}
 		if cap(e.vmap) < need+1 {
 			e.vmap = make([]uint64, need+1)
@@ -177,13 +176,13 @@ func (e *encoder) encode(v view, perm []int, normalize bool, buf []byte) []byte 
 		u(ver(m.Data))
 	}
 
-	buf = append(buf, byte(v.protocol()))
+	buf = append(buf, byte(v.cfg.Protocol))
 	// Per-cache sections in canonical position order.
 	for pos := 0; pos < n; pos++ {
 		k := perm[pos]
-		b8(v.busyProc(k))
-		u(uint64(v.issuedOf(k)))
-		s := v.agent(k).Snapshot()
+		b8(v.rm.Busy(k))
+		u(uint64(v.rm.Issued(k)))
+		s := v.agents[k].Snapshot()
 		b8(s.Busy)
 		if s.Busy {
 			u(uint64(s.Block))
@@ -191,8 +190,8 @@ func (e *encoder) encode(v view, perm []int, normalize bool, buf []byte) []byte 
 			b8(s.AwaitingGrant)
 			u(ver(s.WriteVersion))
 		}
-		store := v.agent(k).Store()
-		for b := 0; b < v.blocks(); b++ {
+		store := v.agents[k].Store()
+		for b := 0; b < v.cfg.Blocks; b++ {
 			f := store.Lookup(addr.Block(b))
 			if f == nil {
 				b8(false)
@@ -205,8 +204,8 @@ func (e *encoder) encode(v view, perm []int, normalize bool, buf []byte) []byte 
 		}
 	}
 	// Controller and committed-version sections per block.
-	for b := 0; b < v.blocks(); b++ {
-		cb := v.ctrl().BlockSnapshot(addr.Block(b))
+	for b := 0; b < v.cfg.Blocks; b++ {
+		cb := v.ctl.BlockSnapshot(addr.Block(b))
 		u(uint64(cb.State))
 		// Remap the full-map presence bitmask through the permutation.
 		var holders uint64
@@ -237,7 +236,7 @@ func (e *encoder) encode(v view, perm []int, normalize bool, buf []byte) []byte 
 	}
 	// Network queues in canonical pair order: canonical node pos → node
 	// id through the permutation (the controller node is fixed).
-	top := v.topo()
+	top := v.top
 	node := func(pos int) network.NodeID {
 		if pos < n {
 			return top.CacheNode(perm[pos])
@@ -246,7 +245,7 @@ func (e *encoder) encode(v view, perm []int, normalize bool, buf []byte) []byte 
 	}
 	for s := 0; s <= n; s++ {
 		for d := 0; d <= n; d++ {
-			q := v.pending(node(s), node(d))
+			q := v.rm.Pending(node(s), node(d))
 			u(uint64(len(q)))
 			for _, m := range q {
 				emitMsg(asMsgLike(m))

@@ -15,9 +15,9 @@ import (
 // doomed copies — the two-bit protocol's invalidations are
 // fire-and-forget, so a stale copy with its invalidation in flight is
 // the designed behavior (§3.2.3), not a defect.
-func doomed(v view, b addr.Block, k int) bool {
-	top := v.topo()
-	for _, m := range v.pending(top.CtrlNode(0), top.CacheNode(k)) {
+func doomed(v *machine, b addr.Block, k int) bool {
+	top := v.top
+	for _, m := range v.rm.Pending(top.CtrlNode(0), top.CacheNode(k)) {
 		if m.Block != b {
 			continue
 		}
@@ -38,14 +38,14 @@ func doomed(v view, b addr.Block, k int) bool {
 //	    and while it exists every other copy of the block is doomed.
 //	I2/I3 (stale-read): every live copy — modified or clean — holds the
 //	    block's current committed version.
-func checkCoherence(v view) *Violation {
-	for b := 0; b < v.blocks(); b++ {
+func checkCoherence(v *machine) *Violation {
+	for b := 0; b < v.cfg.Blocks; b++ {
 		blk := addr.Block(b)
 		cur := v.currentOf(blk)
 		owner := -1    // cache with a live modified copy
 		liveClean := 0 // live clean copies
-		for k := 0; k < v.caches(); k++ {
-			f := v.agent(k).Store().Lookup(blk)
+		for k := 0; k < v.cfg.Caches; k++ {
+			f := v.agents[k].Store().Lookup(blk)
 			if f == nil {
 				continue
 			}
@@ -84,22 +84,22 @@ func checkCoherence(v view) *Violation {
 // processor reference completed, every cache agent idle, the controller
 // quiescent (no active transaction, no queued command, no stashed put,
 // no parked continuation).
-func checkDeadlock(v view) *Violation {
-	for k := 0; k < v.caches(); k++ {
-		if v.busyProc(k) {
+func checkDeadlock(v *machine) *Violation {
+	for k := 0; k < v.cfg.Caches; k++ {
+		if v.rm.Busy(k) {
 			return &Violation{Kind: "deadlock", Detail: fmt.Sprintf(
 				"processor %d has a reference outstanding but nothing is deliverable", k)}
 		}
-		if v.agent(k).Snapshot().Busy {
+		if v.agents[k].Snapshot().Busy {
 			return &Violation{Kind: "deadlock", Detail: fmt.Sprintf(
 				"cache agent %d mid-transaction but nothing is deliverable", k)}
 		}
 	}
-	if !v.ctrl().Quiescent() {
+	if !v.ctl.Quiescent() {
 		return &Violation{Kind: "deadlock", Detail: "controller not quiescent but nothing is deliverable"}
 	}
-	for b := 0; b < v.blocks(); b++ {
-		cb := v.ctrl().BlockSnapshot(addr.Block(b))
+	for b := 0; b < v.cfg.Blocks; b++ {
+		cb := v.ctl.BlockSnapshot(addr.Block(b))
 		if cb.Active || cb.Waiting || cb.AwaitingAck || len(cb.Stashed) > 0 || len(cb.Queued) > 0 {
 			return &Violation{Kind: "deadlock", Detail: fmt.Sprintf(
 				"controller block %d has residual transaction state but nothing is deliverable", b)}
@@ -113,15 +113,15 @@ func checkDeadlock(v view) *Violation {
 // must agree with ground truth. For the two-bit scheme the agreement is
 // exactly as loose as §3.1 allows (Present* may overcount); the exact
 // directories (full map, duplication) must be exact.
-func checkConformance(v view) *Violation {
-	for b := 0; b < v.blocks(); b++ {
+func checkConformance(v *machine) *Violation {
+	for b := 0; b < v.cfg.Blocks; b++ {
 		blk := addr.Block(b)
-		cb := v.ctrl().BlockSnapshot(blk)
+		cb := v.ctl.BlockSnapshot(blk)
 		cur := v.currentOf(blk)
 		copies, modified := 0, 0
 		var holders uint64
-		for k := 0; k < v.caches(); k++ {
-			f := v.agent(k).Store().Lookup(blk)
+		for k := 0; k < v.cfg.Caches; k++ {
+			f := v.agents[k].Store().Lookup(blk)
 			if f == nil {
 				continue
 			}
@@ -135,7 +135,7 @@ func checkConformance(v view) *Violation {
 			return &Violation{Kind: "conformance", Detail: fmt.Sprintf(
 				"block %d in %v: ", b, cb.State) + fmt.Sprintf(format, args...)}
 		}
-		if v.protocol() != TwoBit {
+		if v.cfg.Protocol != TwoBit {
 			if cb.Holders != holders {
 				return bad("presence bits %b but actual holders %b", cb.Holders, holders)
 			}
@@ -182,7 +182,7 @@ func checkConformance(v view) *Violation {
 
 // checkState runs every per-state property: coherence always, and the
 // deadlock + conformance obligations when the state is at rest.
-func checkState(v view, rest bool) *Violation {
+func checkState(v *machine, rest bool) *Violation {
 	if viol := checkCoherence(v); viol != nil {
 		return viol
 	}

@@ -14,16 +14,17 @@
 //     state is reachable by message deliveries alone — no new processor
 //     references are ever needed to drain the machine.
 //
-// The transition rules are not a hand-written abstraction: each state is
-// reconstructed by replaying its action prefix through the very
-// CacheAgent and Controller objects the simulator runs
-// (internal/proto, internal/core under each directory policy), driven
-// through a delivery-choice network. A choice point is a *drained* machine — all
-// timed events run, so the only nondeterminism left is which processor
-// issues next and which queued message is delivered next; this is sound
-// because concurrency enters the protocols only through message
-// deliveries (timers never race: each delivery's cascade runs
-// sequentially).
+// The transition rules are not a hand-written abstraction: the checked
+// machine is the simulator's own — a system.ReplayMachine, assembled by
+// the protocol table the experiments run (internal/proto's CacheAgent,
+// internal/core's Controller under each directory policy) on its
+// delivery-choice network — and each state is reconstructed by resetting
+// it and replaying the state's action prefix. A choice point is a
+// *drained* machine — all timed events run, so the only nondeterminism
+// left is which processor issues next and which queued message is
+// delivered next; this is sound because concurrency enters the protocols
+// only through message deliveries (timers never race: each delivery's
+// cascade runs sequentially).
 //
 // Exhaustiveness is bounded in exactly one way: each processor issues at
 // most RefsPerProc references. Within that bound the closure is complete
@@ -34,10 +35,8 @@
 // caches are symmetric, so each state is reduced to its lexicographically
 // least representative under cache-index permutation.
 //
-// Every violation is emitted as a counterexample Trace that replays
-// step-for-step both in this package's harness (Replay) and in the full
-// internal/system simulator with its coherence oracle (ReplayInSim) —
-// the proof and the performance model validate each other.
+// Every violation is emitted as a counterexample Trace that Replay
+// re-walks step for step, re-checking its recorded verdict.
 package mcheck
 
 import (
@@ -181,7 +180,7 @@ type Violation struct {
 	// Detail is a human-readable description of the violated check.
 	Detail string
 	// Trace is the concrete action path from the initial state to the
-	// violating state; it replays in the harness and the simulator.
+	// violating state; Replay re-walks it.
 	Trace Trace
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"twobit/internal/proto"
-	"twobit/internal/sim"
 )
 
 // TestClosureCounts pins the exact canonical state-space sizes of the
@@ -15,19 +14,19 @@ import (
 // first, which is the point: the closure is part of the spec.
 func TestClosureCounts(t *testing.T) {
 	cases := []struct {
-		name   string
-		cfg    Config
-		states int
+		name                string
+		cfg                 Config
+		states, edges, rest int
 	}{
-		{"twobit-2c1b-r1", Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1}, 37},
-		{"twobit-2c2b-r2", Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3886},
-		{"fullmap-2c2b-r2", Config{Protocol: FullMap, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 2990},
-		{"fullmap-3c1b-r2", Config{Protocol: FullMap, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240},
+		{"twobit-2c1b-r1", Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1}, 37, 56, 7},
+		{"twobit-2c2b-r2", Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3886, 8226, 164},
+		{"fullmap-2c2b-r2", Config{Protocol: FullMap, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 2990, 6742, 103},
+		{"fullmap-3c1b-r2", Config{Protocol: FullMap, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240, 13108, 45},
 		// Duplication is full-map's policy over another store: on one
 		// block the graphs coincide; on two, the single-command serializer
 		// orders commands the per-block one lets overlap.
-		{"duplication-2c2b-r2", Config{Protocol: Duplication, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3062},
-		{"duplication-3c1b-r2", Config{Protocol: Duplication, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240},
+		{"duplication-2c2b-r2", Config{Protocol: Duplication, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3062, 6842, 103},
+		{"duplication-3c1b-r2", Config{Protocol: Duplication, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240, 13108, 45},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -41,11 +40,9 @@ func TestClosureCounts(t *testing.T) {
 			if res.Truncated {
 				t.Fatal("closure truncated")
 			}
-			if res.States != tc.states {
-				t.Errorf("states = %d, want %d", res.States, tc.states)
-			}
-			if res.RestStates < 1 {
-				t.Errorf("rest states = %d, want ≥ 1", res.RestStates)
+			if res.States != tc.states || res.Edges != tc.edges || res.RestStates != tc.rest {
+				t.Errorf("%d states, %d edges, %d rest; want %d, %d, %d",
+					res.States, res.Edges, res.RestStates, tc.states, tc.edges, tc.rest)
 			}
 		})
 	}
@@ -92,8 +89,8 @@ func TestBoundedMode(t *testing.T) {
 // TestSeededBugProducesCounterexample injects the deliberate §3.2.3
 // defect (a write miss that skips its invalidation) and requires (a) the
 // checker refutes a property, (b) the counterexample replays
-// step-for-step in the harness, and (c) it replays step-for-step in the
-// full simulator — the acceptance loop of the whole package.
+// step-for-step to the recorded violation, and (c) it survives the codec
+// — the acceptance loop of the whole package.
 func TestSeededBugProducesCounterexample(t *testing.T) {
 	cfg := Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 2,
 		Hooks: &proto.BugHooks{SkipWriteMissInvalidate: true}}
@@ -110,10 +107,13 @@ func TestSeededBugProducesCounterexample(t *testing.T) {
 	tr := res.Violation.Trace
 	t.Logf("violation %v after %d steps", res.Violation, len(tr.Steps))
 	if err := Replay(tr); err != nil {
-		t.Errorf("harness replay: %v", err)
+		t.Errorf("replay: %v", err)
 	}
-	if err := ReplayInSim(tr); err != nil {
-		t.Errorf("simulator replay: %v", err)
+	// Replay holds the recorded verdict too, not just the fingerprints.
+	wrong := tr
+	wrong.Violation = "swmr: not what happened"
+	if err := Replay(wrong); err == nil {
+		t.Error("replay accepted a trace whose recorded violation is wrong")
 	}
 	// The codec must round-trip the counterexample exactly.
 	dec, err := DecodeTrace(EncodeTrace(tr))
@@ -150,6 +150,10 @@ func TestDefenseEconomyHooks(t *testing.T) {
 	if clean.Violation != nil {
 		t.Fatalf("clean closure: %v", clean.Violation)
 	}
+	if clean.Truncated || clean.States != 19670 || clean.Edges != 60638 || clean.RestStates != 45 {
+		t.Fatalf("clean closure: %d states, %d edges, %d rest (truncated %v); want 19670, 60638, 45",
+			clean.States, clean.Edges, clean.RestStates, clean.Truncated)
+	}
 
 	cfg := base
 	cfg.Hooks = &proto.BugHooks{SkipMRequestQueueDelete: true}
@@ -182,7 +186,10 @@ func TestDefenseEconomyHooks(t *testing.T) {
 // machine is at rest.
 func drainTo(t *testing.T, cfg Config, issues []Action) []Action {
 	t.Helper()
-	h := newHarness(cfg, &sim.Kernel{})
+	h, err := newMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	acts := make([]Action, 0, len(issues))
 	for _, a := range issues {
 		if err := h.apply(a); err != nil {
@@ -203,9 +210,9 @@ func drainTo(t *testing.T, cfg Config, issues []Action) []Action {
 }
 
 // TestCleanScheduleBridges runs a violation-free schedule through
-// TraceOfSchedule and requires both replayers to walk the identical
-// fingerprint sequence — the bridge must agree on healthy runs, not just
-// on counterexamples.
+// TraceOfSchedule and requires Replay to walk the identical fingerprint
+// sequence with the oracle silent — healthy runs must replay, not just
+// counterexamples.
 func TestCleanScheduleBridges(t *testing.T) {
 	for _, p := range []Protocol{TwoBit, FullMap, Duplication} {
 		t.Run(p.String(), func(t *testing.T) {
@@ -225,10 +232,7 @@ func TestCleanScheduleBridges(t *testing.T) {
 				t.Fatalf("schedule drained in %d steps; expected real protocol traffic", len(tr.Steps))
 			}
 			if err := Replay(tr); err != nil {
-				t.Errorf("harness replay: %v", err)
-			}
-			if err := ReplayInSim(tr); err != nil {
-				t.Errorf("simulator replay: %v", err)
+				t.Errorf("replay: %v", err)
 			}
 		})
 	}
@@ -291,13 +295,16 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestActionIssueBeyondBudgetStillApplies documents that apply() does not
-// enforce RefsPerProc (the explorer's issueOptions does): replaying a
-// hand-built schedule may exceed the bound, but never target a busy
-// processor or a block outside the space.
+// TestApplyGuards documents that apply() does not enforce RefsPerProc (the
+// explorer's issueOptions does): replaying a hand-built schedule may
+// exceed the bound, but never target a busy processor or a block outside
+// the space.
 func TestApplyGuards(t *testing.T) {
 	cfg := Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1}
-	h := newHarness(cfg, &sim.Kernel{})
+	h, err := newMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := h.apply(Action{Kind: ActIssue, Proc: 0, Block: 5}); err == nil {
 		t.Error("issue beyond block space accepted")
 	}
@@ -342,10 +349,9 @@ func BenchmarkMCheck(b *testing.B) {
 }
 
 func TestIssueVersionParity(t *testing.T) {
-	// The bridge's fingerprint parity silently depends on the harness and
-	// the simulator assigning write versions in the same order (both
-	// increment a global counter per write at issue). Pin the discipline:
-	// interleaved writes from both processors must replay in the sim.
+	// Fingerprints carry raw write versions, which the machine assigns
+	// from one global counter per write at issue. Pin the discipline:
+	// interleaved writes from both processors must replay exactly.
 	cfg := Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 3}
 	acts := drainTo(t, cfg, []Action{
 		{Kind: ActIssue, Proc: 0, Write: true, Block: 0},
@@ -358,7 +364,7 @@ func TestIssueVersionParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TraceOfSchedule: %v", err)
 	}
-	if err := ReplayInSim(tr); err != nil {
-		t.Errorf("simulator replay: %v", err)
+	if err := Replay(tr); err != nil {
+		t.Errorf("replay: %v", err)
 	}
 }

@@ -19,7 +19,7 @@ package mcheck
 // graph; (2) the race condition itself is asserted mid-schedule (both
 // racing messages simultaneously in flight); (3) the schedule's trace is
 // golden-pinned under testdata/ and must replay fingerprint-for-
-// fingerprint in the full simulator. Regenerate goldens with
+// fingerprint with the oracle silent. Regenerate goldens with
 // `go test ./internal/mcheck -run TestRaceSchedules -update`.
 
 import (
@@ -32,7 +32,6 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/msg"
 	"twobit/internal/network"
-	"twobit/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden race traces")
@@ -41,7 +40,7 @@ var update = flag.Bool("update", false, "rewrite golden race traces")
 // drained state it lands on.
 type raceStep struct {
 	act   Action
-	check func(t *testing.T, h *harness)
+	check func(t *testing.T, h *machine)
 }
 
 func issue(p int, write bool, b int) Action {
@@ -53,8 +52,8 @@ func deliver(src, dst int) Action {
 }
 
 // hasKind reports whether a message of kind k is queued from src to dst.
-func hasKind(h *harness, src, dst int, k msg.Kind) bool {
-	for _, m := range h.pending(network.NodeID(src), network.NodeID(dst)) {
+func hasKind(h *machine, src, dst int, k msg.Kind) bool {
+	for _, m := range h.rm.Pending(network.NodeID(src), network.NodeID(dst)) {
 		if m.Kind == k {
 			return true
 		}
@@ -63,18 +62,18 @@ func hasKind(h *harness, src, dst int, k msg.Kind) bool {
 }
 
 // wantInFlight asserts a message kind is in flight on the (src,dst) queue.
-func wantInFlight(t *testing.T, h *harness, src, dst int, k msg.Kind) {
+func wantInFlight(t *testing.T, h *machine, src, dst int, k msg.Kind) {
 	t.Helper()
 	if !hasKind(h, src, dst, k) {
 		t.Fatalf("race not armed: no %v in flight %d->%d; queue: %v",
-			k, src, dst, h.pending(network.NodeID(src), network.NodeID(dst)))
+			k, src, dst, h.rm.Pending(network.NodeID(src), network.NodeID(dst)))
 	}
 }
 
 // legalOption asserts act is among the explorer's enabled actions at the
 // current choice point — the proof that the scripted path lies inside
 // the exhaustively checked state graph.
-func legalOption(t *testing.T, h *harness, act Action) {
+func legalOption(t *testing.T, h *machine, act Action) {
 	t.Helper()
 	for _, o := range append(h.issueOptions(), h.deliverOptions()...) {
 		if o == act {
@@ -104,16 +103,16 @@ func TestRaceSchedules(t *testing.T) {
 			script: []raceStep{
 				{act: issue(0, false, 0)},
 				{act: deliver(0, ctrl)},
-				{act: deliver(ctrl, 0), check: func(t *testing.T, h *harness) {
-					if h.busyProc(0) {
+				{act: deliver(ctrl, 0), check: func(t *testing.T, h *machine) {
+					if h.rm.Busy(0) {
 						t.Fatal("p0 read should have completed")
 					}
 				}},
 				{act: issue(1, true, 0)},
-				{act: deliver(1, ctrl), check: func(t *testing.T, h *harness) {
+				{act: deliver(1, ctrl), check: func(t *testing.T, h *machine) {
 					wantInFlight(t, h, ctrl, 0, msg.KindBroadInv)
 				}},
-				{act: issue(0, true, 0), check: func(t *testing.T, h *harness) {
+				{act: issue(0, true, 0), check: func(t *testing.T, h *machine) {
 					// The race is armed: MREQUEST outbound while the
 					// BROADINV that dooms it is inbound.
 					wantInFlight(t, h, 0, ctrl, msg.KindMRequest)
@@ -138,10 +137,10 @@ func TestRaceSchedules(t *testing.T) {
 				{act: deliver(0, ctrl)},
 				{act: deliver(ctrl, 0)},
 				{act: issue(1, false, 0)},
-				{act: deliver(1, ctrl), check: func(t *testing.T, h *harness) {
+				{act: deliver(1, ctrl), check: func(t *testing.T, h *machine) {
 					wantInFlight(t, h, ctrl, 0, msg.KindBroadQuery)
 				}},
-				{act: issue(0, false, 1), check: func(t *testing.T, h *harness) {
+				{act: issue(0, false, 1), check: func(t *testing.T, h *machine) {
 					// The race is armed: the modified copy's EJECT is
 					// outbound while the query for it is inbound.
 					wantInFlight(t, h, 0, ctrl, msg.KindEject)
@@ -156,10 +155,13 @@ func TestRaceSchedules(t *testing.T) {
 
 	for _, rc := range races {
 		t.Run(rc.name, func(t *testing.T) {
-			// 1. Walk the script on a harness, checking each action is an
-			// explorer option and asserting the race checkpoints; then
-			// drain greedily (deterministically) to rest.
-			h := newHarness(rc.cfg, &sim.Kernel{})
+			// 1. Walk the script, checking each action is an explorer
+			// option and asserting the race checkpoints; then drain
+			// greedily (deterministically) to rest.
+			h, err := newMachine(rc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var acts []Action
 			for _, s := range rc.script {
 				legalOption(t, h, s.act)
@@ -182,7 +184,7 @@ func TestRaceSchedules(t *testing.T) {
 				acts = append(acts, opts[0])
 			}
 			for p := 0; p < rc.cfg.Caches; p++ {
-				if h.busyProc(p) {
+				if h.rm.Busy(p) {
 					t.Fatalf("processor %d still busy at rest", p)
 				}
 			}
@@ -201,8 +203,7 @@ func TestRaceSchedules(t *testing.T) {
 				t.Fatalf("exhaustive check: %v", res.Violation)
 			}
 
-			// 3. Pin the schedule as a golden trace and replay it in
-			// both machines.
+			// 3. Pin the schedule as a golden trace and replay it.
 			tr, err := TraceOfSchedule(rc.cfg, acts)
 			if err != nil {
 				t.Fatal(err)
@@ -226,10 +227,7 @@ func TestRaceSchedules(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := Replay(dec); err != nil {
-				t.Errorf("harness replay: %v", err)
-			}
-			if err := ReplayInSim(dec); err != nil {
-				t.Errorf("simulator replay: %v", err)
+				t.Errorf("replay: %v", err)
 			}
 		})
 	}

@@ -7,7 +7,6 @@ import (
 
 	"twobit/internal/addr"
 	"twobit/internal/proto"
-	"twobit/internal/sim"
 )
 
 // Step is one trace action plus the state fingerprint reached by it. A
@@ -20,9 +19,7 @@ type Step struct {
 
 // Trace is a replayable counterexample: the configuration, the action
 // path from the initial state, and the identity fingerprint after every
-// step. Any machine that implements the same protocol — this package's
-// harness (Replay) or the full simulator (ReplayInSim) — must reproduce
-// each fingerprint exactly.
+// step. Replay must reproduce each fingerprint exactly.
 type Trace struct {
 	Cfg       Config
 	Init      uint64
@@ -30,15 +27,18 @@ type Trace struct {
 	Violation string
 }
 
-// Replay re-runs the trace on a fresh harness and verifies the state
-// fingerprint after every step. It returns an error on the first
-// divergence; a clean return means the harness walked the exact state
-// sequence the trace records.
+// Replay re-runs the trace on a fresh machine and verifies the state
+// fingerprint after every step, returning an error on the first
+// divergence. At the end it also requires the recorded outcome: a crash
+// step must crash; a recorded per-state violation (swmr, stale-read,
+// deadlock, conformance) must hold on the final state; and a clean trace
+// must leave the coherence oracle silent. A livelock has no per-state
+// witness, so for it the fingerprint sequence is the whole check.
 func Replay(t Trace) error {
-	if err := t.Cfg.Validate(); err != nil {
+	h, err := newMachine(t.Cfg)
+	if err != nil {
 		return err
 	}
-	h := newHarness(t.Cfg, &sim.Kernel{})
 	enc := newEncoder(t.Cfg)
 	if fp := enc.fingerprint(h); fp != t.Init {
 		return fmt.Errorf("mcheck: initial state fingerprint %#x, trace says %#x", fp, t.Init)
@@ -57,19 +57,35 @@ func Replay(t Trace) error {
 			return fmt.Errorf("mcheck: step %d (%v) reached state %#x, trace says %#x", i, s.Act, fp, s.Fp)
 		}
 	}
+	if t.Violation == "" {
+		if errs := h.rm.Errs(); len(errs) > 0 {
+			return fmt.Errorf("mcheck: the oracle flagged a clean trace: %w", errs[0])
+		}
+		return nil
+	}
+	kind, _, _ := strings.Cut(t.Violation, ":")
+	switch kind {
+	case "swmr", "stale-read", "deadlock", "conformance":
+		viol := checkState(h, len(h.deliverOptions()) == 0)
+		if viol == nil {
+			return fmt.Errorf("mcheck: violation %q did not reproduce on the final state", t.Violation)
+		}
+		if viol.Kind != kind {
+			return fmt.Errorf("mcheck: final state violates %q, trace says %q", viol.Kind, kind)
+		}
+	}
 	return nil
 }
 
-// TraceOfSchedule runs a fixed action schedule through the harness and
-// records the fingerprint after every step, producing a replayable
-// (violation-free) trace. The §3.2.5 race-schedule tests use this to pin
-// named interleavings as golden traces that must replay in the
-// simulator.
+// TraceOfSchedule runs a fixed action schedule and records the
+// fingerprint after every step, producing a replayable (violation-free)
+// trace. The §3.2.5 race-schedule tests use this to pin named
+// interleavings as golden traces.
 func TraceOfSchedule(cfg Config, acts []Action) (Trace, error) {
-	if err := cfg.Validate(); err != nil {
+	h, err := newMachine(cfg)
+	if err != nil {
 		return Trace{}, err
 	}
-	h := newHarness(cfg, &sim.Kernel{})
 	enc := newEncoder(cfg)
 	t := Trace{Cfg: cfg, Init: enc.fingerprint(h)}
 	for i, a := range acts {

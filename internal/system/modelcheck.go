@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"twobit/internal/addr"
-	"twobit/internal/msg"
 	"twobit/internal/network"
-	"twobit/internal/obs"
-	"twobit/internal/sim"
 )
 
 // The paper closes: "The protocols and associated hardware design need to
@@ -17,7 +14,7 @@ import (
 // per-(source,destination) FIFO guarantee the protocols assume — and
 // verifies, on every complete interleaving, that all references finish
 // (no deadlock), the coherence oracle holds, and the quiescent
-// invariants hold. Replay-based DFS: each path rebuilds the machine and
+// invariants hold. Replay-based DFS: each path resets the machine and
 // replays the choice prefix, so components need no snapshotting.
 
 // MCScenario is a model-checking scenario: fixed per-processor scripts on
@@ -54,101 +51,6 @@ func (g *mcGen) Next(proc int) addr.Ref {
 	return r
 }
 
-// choiceNet is a Network whose deliveries are externally chosen. Messages
-// queue per (source, destination) pair; at any point the deliverable set
-// is the head of every nonempty queue.
-type choiceNet struct {
-	handlers map[network.NodeID]network.Handler
-	order    []network.NodeID
-	queues   map[[2]network.NodeID][]pendingMsg
-	pairs    [][2]network.NodeID // first-use order, for deterministic options
-	stats    network.Stats
-}
-
-type pendingMsg struct {
-	src network.NodeID
-	m   msg.Message
-}
-
-func newChoiceNet() *choiceNet {
-	return &choiceNet{
-		handlers: make(map[network.NodeID]network.Handler),
-		queues:   make(map[[2]network.NodeID][]pendingMsg),
-	}
-}
-
-func (c *choiceNet) Attach(id network.NodeID, h network.Handler) {
-	if _, dup := c.handlers[id]; dup {
-		panic(fmt.Sprintf("modelcheck: node %d attached twice", id))
-	}
-	c.handlers[id] = h
-	c.order = append(c.order, id)
-}
-
-func (c *choiceNet) enqueue(src, dst network.NodeID, m msg.Message) {
-	key := [2]network.NodeID{src, dst}
-	if _, seen := c.queues[key]; !seen {
-		c.pairs = append(c.pairs, key)
-	}
-	c.queues[key] = append(c.queues[key], pendingMsg{src: src, m: m})
-}
-
-func (c *choiceNet) Send(src, dst network.NodeID, m msg.Message) {
-	if _, ok := c.handlers[dst]; !ok {
-		panic(fmt.Sprintf("modelcheck: send to unattached node %d", dst))
-	}
-	c.stats.Messages.Inc()
-	c.enqueue(src, dst, m)
-}
-
-func (c *choiceNet) Broadcast(src network.NodeID, m msg.Message, except ...network.NodeID) int {
-	c.stats.Broadcasts.Inc()
-	n := 0
-	for _, id := range c.order {
-		skip := id == src
-		for _, e := range except {
-			if id == e {
-				skip = true
-			}
-		}
-		if skip {
-			continue
-		}
-		c.Send(src, id, m)
-		n++
-	}
-	return n
-}
-
-func (c *choiceNet) Stats() *network.Stats { return &c.stats }
-
-// Observe implements network.Network. The model checker's network stays
-// uninstrumented: exploration rebuilds the machine per path and cares
-// about states, not timings.
-func (c *choiceNet) Observe(*obs.Recorder, func(network.NodeID) string) {}
-
-// options returns the deliverable pairs (nonempty queues) in stable order.
-func (c *choiceNet) options() [][2]network.NodeID {
-	var out [][2]network.NodeID
-	for _, key := range c.pairs {
-		if len(c.queues[key]) > 0 {
-			out = append(out, key)
-		}
-	}
-	return out
-}
-
-// deliver pops the head of the i-th deliverable pair and hands it to the
-// destination.
-func (c *choiceNet) deliver(i int) {
-	opts := c.options()
-	key := opts[i]
-	q := c.queues[key]
-	pm := q[0]
-	c.queues[key] = q[1:]
-	c.handlers[key[1]].Deliver(pm.src, pm.m)
-}
-
 // ModelCheck exhaustively explores sc and returns the exploration summary.
 // It returns an error describing the first interleaving (as a choice
 // sequence) on which a deadlock, coherence violation, or invariant
@@ -164,22 +66,19 @@ func ModelCheck(sc MCScenario) (MCResult, error) {
 	if maxPaths <= 0 {
 		maxPaths = 1 << 20
 	}
+	gen := &mcGen{scripts: sc.Scripts, pos: make([]int, len(sc.Scripts)), blocks: sc.Blocks}
+	m, cn, err := newChoiceMachine(sc.Config, gen)
+	if err != nil {
+		return MCResult{}, err
+	}
 	var res MCResult
+	var opts [][2]network.NodeID
 
-	// runPrefix rebuilds the machine, replays the choice prefix, and
+	// runPrefix resets the machine, replays the choice prefix, and
 	// returns the branching factor at its end (0 = path complete).
 	runPrefix := func(prefix []uint16) (int, error) {
-		cfg := sc.Config
-		cfg.Oracle = true
-		cfg.TraceWriter = nil
-		cfg.Obs = nil
-		cn := newChoiceNet()
-		gen := &mcGen{scripts: sc.Scripts, pos: make([]int, len(sc.Scripts)), blocks: sc.Blocks}
-		m, err := newMachine(cfg, gen, nil, nil, func(*sim.Kernel) network.Network { return cn })
-		if err != nil {
-			return 0, err
-		}
-		m.strict = false // arbitrary delivery orders: coherence, not linearizability
+		m.resetChoice()
+		clear(gen.pos)
 		for p := range sc.Scripts {
 			if len(sc.Scripts[p]) > 0 {
 				m.issue(p, len(sc.Scripts[p]))
@@ -193,12 +92,15 @@ func ModelCheck(sc MCScenario) (MCResult, error) {
 			if len(m.errs) > 0 {
 				return 0, fmt.Errorf("modelcheck: path %v: %w", prefix, m.errs[0])
 			}
-			opts := cn.options()
+			opts = cn.deliverable(opts[:0])
 			if len(opts) == 0 {
 				break
 			}
 			if step < len(prefix) {
-				cn.deliver(int(prefix[step]))
+				o := opts[prefix[step]]
+				if err := cn.deliver(o[0], o[1]); err != nil {
+					return 0, err
+				}
 				step++
 				continue
 			}
@@ -206,9 +108,9 @@ func ModelCheck(sc MCScenario) (MCResult, error) {
 		}
 		// Path complete: every reference must have finished and the
 		// protocol invariants must hold.
-		if m.completed != cfg.Procs {
+		if m.completed != sc.Config.Procs {
 			return 0, fmt.Errorf("modelcheck: deadlock on path %v: %d of %d processors finished",
-				prefix, m.completed, cfg.Procs)
+				prefix, m.completed, sc.Config.Procs)
 		}
 		if err := m.checkInvariants(); err != nil {
 			return 0, fmt.Errorf("modelcheck: path %v: %w", prefix, err)

@@ -6,17 +6,146 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/msg"
 	"twobit/internal/network"
-	"twobit/internal/sim"
+	"twobit/internal/obs"
+	"twobit/internal/proto"
+	"twobit/internal/workload"
 )
 
-// Replay support for internal/mcheck: the model checker proves properties
-// over a small machine built from the same protocol components, and every
-// counterexample it emits is an action schedule — processor issues
-// interleaved with per-(source,destination) message deliveries.
-// ReplayMachine runs such a schedule through a *full* system Machine
-// (real builders, coherence oracle on) one action at a time, so the
-// checker's state sequence can be cross-validated against the simulator
-// fingerprint by fingerprint.
+// Choice machines: a Machine assembled from the protocol table as usual,
+// with the coherence oracle on, over a network whose deliveries are
+// chosen from outside. ModelCheck drives one over fixed per-processor
+// scripts; internal/mcheck drives a ReplayMachine one action at a time.
+// Both reset the machine between replays instead of rebuilding it.
+
+// choiceNet is a Network whose deliveries are externally chosen. Messages
+// queue per (source, destination) pair; at any point the deliverable set
+// is the head of every nonempty queue.
+type choiceNet struct {
+	nodes    int
+	handlers []network.Handler // by node id
+	order    []network.NodeID  // attach order, for Broadcast fan-out
+	queues   [][]msg.Message   // by src*nodes + dst
+	stats    network.Stats
+}
+
+func newChoiceNet(nodes int) *choiceNet {
+	return &choiceNet{
+		nodes:    nodes,
+		handlers: make([]network.Handler, nodes),
+		queues:   make([][]msg.Message, nodes*nodes),
+	}
+}
+
+func (c *choiceNet) Attach(id network.NodeID, h network.Handler) {
+	if c.handlers[id] != nil {
+		panic(fmt.Sprintf("system: choice network node %d attached twice", id))
+	}
+	c.handlers[id] = h
+	c.order = append(c.order, id)
+}
+
+func (c *choiceNet) Send(src, dst network.NodeID, m msg.Message) {
+	if c.handlers[dst] == nil {
+		panic(fmt.Sprintf("system: choice network send to unattached node %d", dst))
+	}
+	c.stats.Messages.Inc()
+	i := int(src)*c.nodes + int(dst)
+	c.queues[i] = append(c.queues[i], m)
+}
+
+func (c *choiceNet) Broadcast(src network.NodeID, m msg.Message, except ...network.NodeID) int {
+	c.stats.Broadcasts.Inc()
+	n := 0
+	for _, id := range c.order {
+		skip := id == src
+		for _, e := range except {
+			if id == e {
+				skip = true
+			}
+		}
+		if skip {
+			continue
+		}
+		c.Send(src, id, m)
+		n++
+	}
+	return n
+}
+
+func (c *choiceNet) Stats() *network.Stats { return &c.stats }
+
+// Observe implements network.Network. The choice network stays
+// uninstrumented: exploration cares about states, not timings.
+func (c *choiceNet) Observe(*obs.Recorder, func(network.NodeID) string) {}
+
+// reset empties every queue, keeping the attachments.
+func (c *choiceNet) reset() {
+	for i := range c.queues {
+		c.queues[i] = c.queues[i][:0]
+	}
+	c.stats = network.Stats{}
+}
+
+// pending returns the messages queued from src to dst, in delivery order;
+// the caller must not retain or mutate them.
+func (c *choiceNet) pending(src, dst network.NodeID) []msg.Message {
+	if uint(src) >= uint(c.nodes) || uint(dst) >= uint(c.nodes) {
+		return nil
+	}
+	return c.queues[int(src)*c.nodes+int(dst)]
+}
+
+// deliverable appends the (src,dst) pairs with a message queued to out,
+// in (src,dst) order.
+func (c *choiceNet) deliverable(out [][2]network.NodeID) [][2]network.NodeID {
+	for i, q := range c.queues {
+		if len(q) > 0 {
+			out = append(out, [2]network.NodeID{network.NodeID(i / c.nodes), network.NodeID(i % c.nodes)})
+		}
+	}
+	return out
+}
+
+// deliver pops the head of the (src,dst) queue and hands it to dst.
+func (c *choiceNet) deliver(src, dst network.NodeID) error {
+	q := c.pending(src, dst)
+	if len(q) == 0 {
+		return fmt.Errorf("system: nothing queued from node %d to node %d", src, dst)
+	}
+	m := q[0]
+	copy(q, q[1:])
+	c.queues[int(src)*c.nodes+int(dst)] = q[:len(q)-1]
+	c.handlers[dst].Deliver(src, m)
+	return nil
+}
+
+// newChoiceMachine assembles cfg running gen on a delivery-choice
+// network, with the oracle on in coherence (non-strict) mode — schedules
+// reorder deliveries arbitrarily — and tracing, observability and jitter
+// off.
+func newChoiceMachine(cfg Config, gen workload.Generator) (*Machine, *choiceNet, error) {
+	cfg.Oracle = true
+	cfg.TraceWriter = nil
+	cfg.Obs = nil
+	cfg.NetJitter = 0
+	var cn *choiceNet
+	m, err := newMachine(cfg, gen, nil, nil, func(t proto.Topology) network.Network {
+		cn = newChoiceNet(t.Nodes())
+		return cn
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	m.strict = false
+	return m, cn, nil
+}
+
+// resetChoice restores a choice machine to its freshly-built state.
+func (m *Machine) resetChoice() {
+	m.kernel.Reset()
+	m.reset(m.cfg, m.gen, m.oracle)
+	m.strict = false
+}
 
 // ReplayStep is one externally chosen action: either one processor
 // reference issue or the delivery of the head of one (src,dst) queue.
@@ -42,8 +171,8 @@ func (g *replayGen) Next(int) addr.Ref { return g.next }
 
 // ReplayMachine drives a Machine one schedule action at a time over a
 // delivery-choice network. Between steps every timed event has run, so
-// the machine sits at exactly the drained choice points the model
-// checker enumerates.
+// the machine sits at exactly the drained choice points internal/mcheck
+// enumerates.
 type ReplayMachine struct {
 	m      *Machine
 	cn     *choiceNet
@@ -58,17 +187,11 @@ type ReplayMachine struct {
 // coherence (non-strict) mode, and tracing and observability are
 // disabled.
 func NewReplayMachine(cfg Config, blocks int) (*ReplayMachine, error) {
-	cfg.Oracle = true
-	cfg.TraceWriter = nil
-	cfg.Obs = nil
-	cfg.NetJitter = 0
-	cn := newChoiceNet()
 	gen := &replayGen{blocks: blocks}
-	m, err := newMachine(cfg, gen, nil, nil, func(*sim.Kernel) network.Network { return cn })
+	m, cn, err := newChoiceMachine(cfg, gen)
 	if err != nil {
 		return nil, err
 	}
-	m.strict = false // schedules reorder deliveries arbitrarily
 	r := &ReplayMachine{
 		m: m, cn: cn, gen: gen,
 		busy:   make([]bool, cfg.Procs),
@@ -78,15 +201,18 @@ func NewReplayMachine(cfg Config, blocks int) (*ReplayMachine, error) {
 	return r, nil
 }
 
-// Step applies one schedule action and drains all resulting timed
-// events. A protocol handler panic (possible only under injected
-// defects) is converted to an error.
-func (r *ReplayMachine) Step(s ReplayStep) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("protocol panic on %+v: %v", s, rec)
-		}
-	}()
+// Reset returns the machine to its freshly-built state by resetting every
+// component in place, as a Runner resets a pooled machine.
+func (r *ReplayMachine) Reset() {
+	r.m.resetChoice()
+	clear(r.busy)
+	clear(r.issued)
+}
+
+// Step applies one schedule action and drains all resulting timed events.
+// A protocol handler's panic propagates; the machine must be Reset before
+// it is used again.
+func (r *ReplayMachine) Step(s ReplayStep) error {
 	if s.Issue {
 		if s.Proc < 0 || s.Proc >= r.m.cfg.Procs {
 			return fmt.Errorf("system: replay issue to processor %d of %d", s.Proc, r.m.cfg.Procs)
@@ -101,10 +227,8 @@ func (r *ReplayMachine) Step(s ReplayStep) (err error) {
 		r.busy[s.Proc] = true
 		r.issued[s.Proc]++
 		r.m.issue(s.Proc, 1)
-	} else {
-		if err := r.cn.deliverPair(s.Src, s.Dst); err != nil {
-			return err
-		}
+	} else if err := r.cn.deliver(s.Src, s.Dst); err != nil {
+		return err
 	}
 	r.m.kernel.Run()
 	return nil
@@ -120,35 +244,11 @@ func (r *ReplayMachine) Busy(p int) bool { return r.busy[p] }
 func (r *ReplayMachine) Issued(p int) int { return r.issued[p] }
 
 // Pending returns the in-flight messages queued from src to dst, in
-// delivery order.
+// delivery order. The slice is the queue itself: read it before the next
+// Step or Reset, and do not modify it.
 func (r *ReplayMachine) Pending(src, dst network.NodeID) []msg.Message {
-	return r.cn.pendingFor(src, dst)
+	return r.cn.pending(src, dst)
 }
 
 // Errs returns the coherence violations the oracle has recorded so far.
 func (r *ReplayMachine) Errs() []error { return r.m.errs }
-
-// pendingFor returns the messages queued from src to dst, in order.
-func (c *choiceNet) pendingFor(src, dst network.NodeID) []msg.Message {
-	q := c.queues[[2]network.NodeID{src, dst}]
-	if len(q) == 0 {
-		return nil
-	}
-	out := make([]msg.Message, len(q))
-	for i, pm := range q {
-		out[i] = pm.m
-	}
-	return out
-}
-
-// deliverPair pops the head of the (src,dst) queue and hands it to dst.
-func (c *choiceNet) deliverPair(src, dst network.NodeID) error {
-	key := [2]network.NodeID{src, dst}
-	q := c.queues[key]
-	if len(q) == 0 {
-		return fmt.Errorf("system: nothing queued from node %d to node %d", src, dst)
-	}
-	c.queues[key] = q[1:]
-	c.handlers[dst].Deliver(q[0].src, q[0].m)
-	return nil
-}

@@ -22,7 +22,7 @@ import (
 // (protocol, topology, cache geometry, block count; see machineShape) as
 // an earlier run reuses that machine behind component Reset methods,
 // constructing nothing. Configs that bind construction-time recorders
-// (Obs, TraceWriter, CoreHooks) fall back to a fresh machine.
+// (Obs, TraceWriter) fall back to a fresh machine.
 //
 // A Runner is confined to one goroutine; give each worker its own. Runs
 // through a Runner are byte-identical to runs through New — pinned by

@@ -7,6 +7,7 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/cache"
 	"twobit/internal/obs"
+	"twobit/internal/proto"
 	"twobit/internal/rng"
 	"twobit/internal/sim"
 	"twobit/internal/workload"
@@ -39,6 +40,13 @@ func TestRunnerReuse(t *testing.T) {
 		{"full-map/8", FullMap, 8, false, 7, nil},
 		{"two-bit/4+obs", TwoBit, 4, true, 42, nil},
 		{"two-bit/4 again", TwoBit, 4, false, 42, nil}, // after obs: the hook must not leak; pool hit
+		// Defect hooks are value parameters: a pool hit that sets them, then
+		// one that clears them. At seed 30 the hook changes the results, so
+		// a reset that dropped or kept it would diverge from fresh.
+		{"two-bit/4+hooks", TwoBit, 4, false, 30, func(c *Config) {
+			c.CoreHooks = &proto.BugHooks{SkipMRequestQueueDelete: true}
+		}},
+		{"two-bit/4 seed30", TwoBit, 4, false, 30, nil},
 		{"classical/2", Classical, 2, false, 3, nil},
 		{"full-map+E/4", FullMapExclusive, 4, false, 11, nil},
 		{"duplication/2", Duplication, 2, false, 5, func(c *Config) { c.Modules = 1 }},

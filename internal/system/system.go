@@ -99,9 +99,8 @@ type Config struct {
 
 	// TranslationBufferSize enables the §4.4 owner cache (TwoBit only).
 	TranslationBufferSize int
-	// CoreHooks injects deliberate two-bit protocol defects so
-	// model-checker counterexamples replay in the simulator (test-only;
-	// nil in production). TwoBit only.
+	// CoreHooks injects deliberate two-bit protocol defects — the model
+	// checker's -bug runs (test-only; nil in production). TwoBit only.
 	CoreHooks *proto.BugHooks
 	// DisableCleanEject drops EJECT(·,·,"read"), the paper's optional part
 	// of the replacement protocol.
@@ -220,7 +219,7 @@ type Machine struct {
 	ran         bool // Run was called since construction or the last reset
 	issuedRefs  uint64
 	errs        []error
-	refDone     func(p int) // replay hook: runs as each reference completes
+	refDone     func(p int) // ReplayMachine's hook, run as each reference completes; kept across resets
 
 	latencies       stats.Histogram // per-reference latency, cycles
 	sharedLatencies stats.Histogram // latency of shared references only
@@ -251,9 +250,9 @@ func NewOnKernel(cfg Config, gen workload.Generator, k *sim.Kernel) (*Machine, e
 
 // newMachine is New with an optional kernel, reusable oracle (Reset
 // here to the generator's block count; nil allocates a fresh one) and
-// network override; the model-checking tests use the latter to
-// substitute a delivery-choice network.
-func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *Oracle, netFactory func(*sim.Kernel) network.Network) (*Machine, error) {
+// network override, which the choice machines use to substitute a
+// delivery-choice network sized by the topology.
+func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *Oracle, newNet func(proto.Topology) network.Network) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -274,8 +273,8 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 		caches: make([]agent, cfg.Procs),
 	}
 	switch {
-	case netFactory != nil:
-		m.net = netFactory(m.kernel)
+	case newNet != nil:
+		m.net = newNet(m.topo)
 	case cfg.Net == BusNet:
 		m.net = network.NewBus(m.kernel, cfg.BusCycle, cfg.NetLatency)
 	case cfg.Net == OmegaNet:
@@ -312,14 +311,14 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 	return m, nil
 }
 
-// poolable reports whether cfg can run on a pooled machine. The three
+// poolable reports whether cfg can run on a pooled machine. The two
 // excluded features bind external recorders or wrappers at construction
-// time (the obs recorder threads through every component, the trace
-// writer wraps the network, and bug hooks rewire controller defenses),
-// so configs using them rebuild the machine instead. None of them appear
-// on the sweep hot path unless instrumentation was requested.
+// time (the obs recorder threads through every component, and the trace
+// writer wraps the network), so configs using them rebuild the machine
+// instead. Neither appears on the sweep hot path unless instrumentation
+// was requested.
 func poolable(cfg Config) bool {
-	return cfg.Obs == nil && cfg.TraceWriter == nil && cfg.CoreHooks == nil
+	return cfg.Obs == nil && cfg.TraceWriter == nil
 }
 
 // machineShape is the structural identity of a machine: the parameters
@@ -376,6 +375,8 @@ func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
 		n.Reset(cfg.BusCycle, cfg.NetLatency)
 	case *network.Omega:
 		n.Reset(maxTime(1, cfg.NetLatency))
+	case *choiceNet:
+		n.reset()
 	default:
 		panic(fmt.Sprintf("system: cannot reset network %T — rebuild instead", m.net))
 	}
@@ -388,7 +389,6 @@ func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
 	m.ran = false
 	m.issuedRefs = 0
 	m.errs = m.errs[:0]
-	m.refDone = nil
 	m.latencies.Reset()
 	m.sharedLatencies.Reset()
 }

@@ -1,12 +1,14 @@
 #!/bin/sh
 # check.sh — the full verification gauntlet, in increasing cost order:
 # compile, vet, coherencelint (static protocol analysis), the test suite
-# under the race detector, then a sweep smoke stage that exercises the
+# under the race detector, a stress of the goroutine witness (livesim)
+# under it, then a sweep smoke stage that exercises the
 # experiment-orchestration engine end to end: a tiny campaign must produce
 # byte-identical stores at workers=1 and workers=4, and a store truncated
 # to half must converge to those same bytes under -resume. Then the
 # zero-allocation floors run once without the race detector, the model
-# checker closes the small configurations outright and the wire codecs,
+# checker closes the small configurations outright and round-trips a
+# seeded counterexample through -trace and -replay, and the wire codecs,
 # the kernel's event order and the command serializer take a 30 s fuzz
 # each. Everything must pass for a change to land.
 # Performance is not measured here: that is `go run ./bench`.
@@ -25,6 +27,12 @@ go run ./cmd/coherencelint ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> livesim stress (600 race-enabled runs)"
+# The goroutine witness depends on the Go scheduler: one run proves
+# little. Its shutdown must wait for every message in flight, or a cache
+# can quit with an invalidation queued and fail the quiescent invariants.
+go test -race -count=200 -cpu 1,2,4 -run '^TestRandomSharingCoherent$' ./internal/livesim
 
 echo "==> sweep smoke (determinism + resume)"
 SMOKE="$(mktemp -d)"
@@ -190,6 +198,18 @@ go run ./cmd/mcheck -caches=3 -blocks=1 -refs=2
 
 echo "==> mcheck: bounded 3-cache x 2-block prefix (wall-clock budget)"
 go run ./cmd/mcheck -caches=3 -blocks=2 -refs=2 -maxstates=100000
+
+echo "==> mcheck: counterexample round trip (-bug, -trace, -replay)"
+# A seeded defect must be caught (exit 1, not a usage error's 2), and the
+# trace it writes must replay to the same verdict (exit 0).
+go build -o "$SMOKE/mcheck" ./cmd/mcheck
+STATUS=0
+"$SMOKE/mcheck" -caches=2 -blocks=1 -bug=write-miss-invalidate -trace "$SMOKE/ce.trace" > /dev/null || STATUS=$?
+[ "$STATUS" -eq 1 ] || {
+    echo "check.sh: mcheck -bug exited $STATUS, want 1 (violation found)" >&2
+    exit 1
+}
+"$SMOKE/mcheck" -replay "$SMOKE/ce.trace"
 
 echo "==> fuzz: results codec (30s)"
 go test -run '^$' -fuzz '^FuzzDecodeResults$' -fuzztime 30s ./internal/system
