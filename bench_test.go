@@ -359,29 +359,3 @@ func BenchmarkMigration(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkModelCheck measures the bounded verifier's exploration rate on
-// the §3.2.5 scenario (complete interleavings per second).
-func BenchmarkModelCheck(b *testing.B) {
-	cfg := DefaultConfig(TwoBit, 2)
-	cfg.Modules = 1
-	cfg.CacheSets = 4
-	cfg.CacheAssoc = 1
-	sc := MCScenario{
-		Config: cfg,
-		Blocks: 16,
-		Scripts: [][]Ref{
-			{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-			{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-		},
-	}
-	paths := 0
-	for i := 0; i < b.N; i++ {
-		res, err := ModelCheck(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		paths += res.Paths
-	}
-	b.ReportMetric(float64(paths)/b.Elapsed().Seconds(), "paths/s")
-}

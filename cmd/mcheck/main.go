@@ -11,9 +11,9 @@
 //
 //	mcheck -caches 2 -blocks 2 -sets 1
 //
-// Check the full-map baseline, or a bounded slice of a larger machine:
+// Check another protocol, or a bounded slice of a larger machine:
 //
-//	mcheck -protocol full-map
+//	mcheck -protocol classical
 //	mcheck -caches 3 -blocks 2 -maxstates 200000
 //
 // Re-check a recorded counterexample, step by step:
@@ -25,34 +25,74 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"twobit/internal/mcheck"
 	"twobit/internal/proto"
+	"twobit/internal/system"
 )
 
-func main() {
+// checkable lists the protocols the checker admits: all but the bus one.
+const checkable = "two-bit, full-map, full-map+E, classical, duplication or software"
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, explores (or replays), reports on
+// stdout and stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		protoName = flag.String("protocol", "two-bit", "protocol: two-bit, full-map or duplication")
-		caches    = flag.Int("caches", 2, "processor-cache pairs (2-5)")
-		blocks    = flag.Int("blocks", 2, "blocks in the address space (1-4)")
-		sets      = flag.Int("sets", 1, "cache sets, 1-way (sets < blocks forces ejects)")
-		refs      = flag.Int("refs", 2, "references per processor — the exhaustiveness bound (1-8)")
-		nosym     = flag.Bool("nosymmetry", false, "disable the cache-permutation reduction")
-		maxStates = flag.Int("maxstates", 0, "stop after this many states (0 = run to closure)")
-		maxDepth  = flag.Int("maxdepth", 0, "stop expanding beyond this action depth (0 = unlimited)")
-		traceOut  = flag.String("trace", "", "write the counterexample trace to this file")
-		replayIn  = flag.String("replay", "", "replay a recorded trace instead of exploring")
-		bug       = flag.String("bug", "", "inject a protocol defect: write-miss-invalidate, stashed-put-consume, or mrequest-queue-delete")
+		protoName = fs.String("protocol", "two-bit", "protocol: "+checkable)
+		caches    = fs.Int("caches", 2, "processor-cache pairs (2-5)")
+		blocks    = fs.Int("blocks", 2, "blocks in the address space (1-4)")
+		sets      = fs.Int("sets", 1, "cache sets, 1-way (sets < blocks forces ejects)")
+		refs      = fs.Int("refs", 2, "references per processor — the exhaustiveness bound (1-8)")
+		nosym     = fs.Bool("nosymmetry", false, "disable the cache-permutation reduction")
+		maxStates = fs.Int("maxstates", 0, "stop after this many states (0 = run to closure)")
+		maxDepth  = fs.Int("maxdepth", 0, "stop expanding beyond this action depth (0 = unlimited)")
+		traceOut  = fs.String("trace", "", "write the counterexample trace to this file")
+		replayIn  = fs.String("replay", "", "replay a recorded trace instead of exploring")
+		bug       = fs.String("bug", "", "inject a two-bit protocol defect: write-miss-invalidate, stashed-put-consume, or mrequest-queue-delete")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// fail reports err on one line with one "mcheck: " prefix, whether or
+	// not internal/mcheck minted it.
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "mcheck: "+strings.TrimPrefix(err.Error(), "mcheck: "))
+		return code
+	}
 
 	if *replayIn != "" {
-		replay(*replayIn)
-		return
+		data, err := os.ReadFile(*replayIn)
+		if err != nil {
+			return fail(2, err)
+		}
+		t, err := mcheck.DecodeTrace(data)
+		if err != nil {
+			return fail(2, err)
+		}
+		fmt.Fprintf(stdout, "mcheck: replaying %d steps (%s, %d caches x %d blocks)\n",
+			len(t.Steps), t.Cfg.Protocol, t.Cfg.Caches, t.Cfg.Blocks)
+		if t.Violation != "" {
+			fmt.Fprintf(stdout, "mcheck: recorded violation: %s\n", t.Violation)
+		}
+		if err := mcheck.Replay(t); err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintln(stdout, "mcheck: replay ok — every step reproduced its recorded fingerprint, and the recorded outcome held")
+		return 0
 	}
 
 	cfg := mcheck.Config{
@@ -60,8 +100,8 @@ func main() {
 		NoSymmetry: *nosym, MaxStates: *maxStates, MaxDepth: *maxDepth,
 	}
 	var err error
-	if cfg.Protocol, err = mcheck.ParseProtocol(*protoName); err != nil {
-		fail(2, "%v (want two-bit, full-map or duplication)", err)
+	if cfg.Protocol, err = system.ParseProtocol(*protoName); err != nil {
+		return fail(2, fmt.Errorf("%v (want %s)", err, checkable))
 	}
 	switch *bug {
 	case "":
@@ -72,15 +112,18 @@ func main() {
 	case "mrequest-queue-delete":
 		cfg.Hooks = &proto.BugHooks{SkipMRequestQueueDelete: true}
 	default:
-		fail(2, "unknown -bug %q", *bug)
+		return fail(2, fmt.Errorf("unknown -bug %q", *bug))
+	}
+	if err := cfg.Validate(); err != nil {
+		return fail(2, err)
 	}
 
-	fmt.Printf("mcheck: %s, %d caches x %d blocks (%d sets), %d refs/proc, symmetry %s\n",
-		cfg.Protocol, cfg.Caches, cfg.Blocks, cfg.Sets, cfg.RefsPerProc, onOff(!cfg.NoSymmetry))
+	fmt.Fprintf(stdout, "mcheck: %s, %d caches x %d blocks (%d sets), %d refs/proc, symmetry %s\n",
+		cfg.Protocol, cfg.Caches, cfg.Blocks, cfg.Sets, cfg.RefsPerProc, onOff(cfg.Symmetric()))
 	start := time.Now()
 	res, err := mcheck.Check(cfg)
 	if err != nil {
-		fail(2, "%v", err)
+		return fail(2, err)
 	}
 	elapsed := time.Since(start)
 
@@ -88,47 +131,27 @@ func main() {
 	if res.Truncated {
 		closure = "TRUNCATED (bounds hit; properties proven only over the explored prefix)"
 	}
-	fmt.Printf("mcheck: %d states, %d edges, %d rest states, depth %d — %s\n",
+	fmt.Fprintf(stdout, "mcheck: %d states, %d edges, %d rest states, depth %d — %s\n",
 		res.States, res.Edges, res.RestStates, res.Depth, closure)
-	fmt.Printf("mcheck: %.2fs, %.0f states/s\n",
+	fmt.Fprintf(stdout, "mcheck: %.2fs, %.0f states/s\n",
 		elapsed.Seconds(), float64(res.States)/elapsed.Seconds())
 
 	if res.Violation == nil {
-		fmt.Println("mcheck: no violations — coherence, deadlock freedom and progress hold")
-		return
+		fmt.Fprintln(stdout, "mcheck: no violations — coherence, deadlock freedom and progress hold")
+		return 0
 	}
-	fmt.Printf("mcheck: VIOLATION %s\n", res.Violation)
-	fmt.Printf("mcheck: counterexample (%d steps):\n", len(res.Violation.Trace.Steps))
+	fmt.Fprintf(stdout, "mcheck: VIOLATION %s\n", res.Violation)
+	fmt.Fprintf(stdout, "mcheck: counterexample (%d steps):\n", len(res.Violation.Trace.Steps))
 	for i, s := range res.Violation.Trace.Steps {
-		fmt.Printf("  %3d. %v\n", i+1, s.Act)
+		fmt.Fprintf(stdout, "  %3d. %v\n", i+1, s.Act)
 	}
 	if *traceOut != "" {
 		if err := os.WriteFile(*traceOut, mcheck.EncodeTrace(res.Violation.Trace), 0o644); err != nil {
-			fail(2, "writing trace: %v", err)
+			return fail(2, fmt.Errorf("writing trace: %w", err))
 		}
-		fmt.Printf("mcheck: trace written to %s\n", *traceOut)
+		fmt.Fprintf(stdout, "mcheck: trace written to %s\n", *traceOut)
 	}
-	os.Exit(1)
-}
-
-func replay(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail(2, "%v", err)
-	}
-	t, err := mcheck.DecodeTrace(data)
-	if err != nil {
-		fail(2, "%v", err)
-	}
-	fmt.Printf("mcheck: replaying %d steps (%s, %d caches x %d blocks)\n",
-		len(t.Steps), t.Cfg.Protocol, t.Cfg.Caches, t.Cfg.Blocks)
-	if t.Violation != "" {
-		fmt.Printf("mcheck: recorded violation: %s\n", t.Violation)
-	}
-	if err := mcheck.Replay(t); err != nil {
-		fail(1, "%v", err)
-	}
-	fmt.Println("mcheck: replay ok — every step reproduced its recorded fingerprint, and the recorded outcome held")
+	return 1
 }
 
 func onOff(b bool) string {
@@ -136,9 +159,4 @@ func onOff(b bool) string {
 		return "on"
 	}
 	return "off"
-}
-
-func fail(code int, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mcheck: "+format+"\n", args...)
-	os.Exit(code)
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"twobit"
+	"twobit/internal/proto"
 )
 
 func main() {
@@ -100,35 +101,34 @@ func main() {
 	}
 	fmt.Fprintln(out, "```")
 
-	section(out, "E8 — Bounded model checking")
+	section(out, "E8 — Exhaustive model checking")
 	fmt.Fprintln(out, "```")
+	fmt.Fprintf(out, "%-30s %8s %8s %6s %6s\n", "closure", "states", "edges", "rest", "depth")
 	mc := func(name string, sc twobit.MCScenario) {
 		res, err := twobit.ModelCheck(sc)
-		if err != nil {
-			fmt.Fprintf(out, "%-30s VIOLATION: %v\n", name, err)
-			return
+		switch {
+		case err != nil:
+			fmt.Fprintf(out, "%-30s ERROR: %v\n", name, err)
+		case res.Violation != nil:
+			fmt.Fprintf(out, "%-30s VIOLATION: %v\n", name, res.Violation)
+		default:
+			fmt.Fprintf(out, "%-30s %8d %8d %6d %6d\n", name, res.States, res.Edges, res.RestStates, res.Depth)
 		}
-		fmt.Fprintf(out, "%-30s %8d interleavings, max depth %d\n", name, res.Paths, res.MaxDepth)
 	}
-	mcCfg := twobit.DefaultConfig(twobit.TwoBit, 2)
-	mcCfg.Modules = 1
-	mcCfg.CacheSets = 4
-	mcCfg.CacheAssoc = 1
-	sharedRW := func(write bool) twobit.Ref { return twobit.Ref{Block: 0, Write: write, Shared: true} }
-	mc("racing MREQUESTs (§3.2.5)", twobit.MCScenario{
-		Config: mcCfg, Blocks: 16,
-		Scripts: [][]twobit.Ref{
-			{sharedRW(false), sharedRW(true)},
-			{sharedRW(false), sharedRW(true)},
-		},
-	})
-	mc("eviction vs BROADQUERY", twobit.MCScenario{
-		Config: mcCfg, Blocks: 16,
-		Scripts: [][]twobit.Ref{
-			{sharedRW(true), {Block: 4}, {Block: 8}},
-			{sharedRW(false)},
-		},
-	})
+	for _, p := range []twobit.Protocol{
+		twobit.TwoBit, twobit.FullMap, twobit.FullMapExclusive,
+		twobit.Classical, twobit.Duplication, twobit.Software,
+	} {
+		for _, caches := range []int{2, 3} {
+			blocks := 4 - caches // 2c2b and 3c1b
+			mc(fmt.Sprintf("%s %dc%db/r2", p, caches, blocks),
+				twobit.MCScenario{Protocol: p, Caches: caches, Blocks: blocks, Sets: 1, RefsPerProc: 2})
+		}
+	}
+	single := twobit.MCScenario{Protocol: twobit.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2, Mode: proto.SingleCommand}
+	mc("two-bit single-command 2c2b/r2", single)
+	noEject := twobit.MCScenario{Protocol: twobit.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2, DisableCleanEject: true}
+	mc("two-bit no clean EJECT 2c2b/r2", noEject)
 	fmt.Fprintln(out, "```")
 
 	section(out, "E9 — Coherent I/O (DMA)")

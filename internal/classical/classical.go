@@ -183,6 +183,28 @@ func (c *Controller) Reset(cfg proto.CtrlConfig) {
 // Quiescent reports whether no write-through or read is in flight.
 func (c *Controller) Quiescent() bool { return c.blocks.Len() == 0 }
 
+// EncodeBlock writes memory's version of b and the block's queued work to
+// e (see proto.StateEncoder). A read in flight is not written: it is
+// always a scheduled memory access, and the encoder sees only drained
+// machines.
+func (c *Controller) EncodeBlock(e proto.StateEncoder, b addr.Block) {
+	c.CtrlBase.EncodeBlock(e, b)
+	st := c.blocks.Rec(b)
+	if st == nil {
+		st = &blockState{}
+	}
+	e.Uint(uint64(len(st.writes)))
+	for _, w := range st.writes {
+		e.Cache(w.cache)
+		e.Version(w.version)
+	}
+	e.Uint(uint64(st.acks))
+	e.Uint(uint64(len(st.reads)))
+	for _, k := range st.reads {
+		e.Cache(k)
+	}
+}
+
 // idle releases block b's state st once nothing is in flight on it.
 func (c *Controller) idle(b addr.Block, st *blockState) {
 	if len(st.writes) == 0 && st.readsInFlight == 0 {

@@ -225,10 +225,10 @@ func (c *Controller) exact() bool { return c.pol.Holders != nil }
 // knows neither (its PresentM state carries the m bit).
 func (c *Controller) Entry(b addr.Block) (holders uint64, modified bool) { return c.dir.entry(b) }
 
-// Quiescent reports whether no transaction is active or queued.
-func (c *Controller) Quiescent() bool {
-	return c.ser.ActiveCount() == 0 && c.ser.QueuedLen() == 0
-}
+// Quiescent reports whether the controller holds nothing: no transaction
+// active or queued, and no put stashed for one. The serializer keeps a
+// record for exactly the blocks with one of those, so it must have none.
+func (c *Controller) Quiescent() bool { return c.ser.Len() == 0 }
 
 // pre samples block a's state before a directory update and moved, called
 // after it, reports the transition to the recorder if the state changed.

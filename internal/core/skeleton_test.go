@@ -190,6 +190,25 @@ func TestEarlyPutStashedThenConsumed(t *testing.T) {
 	})
 }
 
+// TestStashedPutIsNotQuiescent: a put that arrives with no transaction to
+// take it is stashed, and a controller holding one is not at rest — the
+// simulator's end-of-run check and the model checker's deadlock check
+// share this one definition.
+func TestStashedPutIsNotQuiescent(t *testing.T) {
+	eachPolicy(t, 2, nil, func(t *testing.T, r *rig) {
+		r.net.Send(r.topo.CacheNode(0), r.topo.CtrlNode(0), msg.Message{
+			Kind: msg.KindPut, Block: 1, Cache: 0, Data: 7,
+		})
+		r.kernel.Run()
+		if len(r.ctrl.BlockSnapshot(1).Stashed) != 1 {
+			t.Fatal("the early put was not stashed")
+		}
+		if r.ctrl.Quiescent() {
+			t.Fatal("controller holding a stashed put reports quiescent")
+		}
+	})
+}
+
 func TestDMAReadDrainsModifiedOwner(t *testing.T) {
 	eachPolicy(t, 2, withDMA, func(t *testing.T, r *rig) {
 		wv := r.do(t, 0, 3, true) // cache 0 owns block 3 modified

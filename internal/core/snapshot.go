@@ -7,11 +7,11 @@ import (
 	"twobit/internal/proto"
 )
 
-// BlockSnapshot is the controller's observable state for one block, for
-// the model checker's fingerprints (internal/mcheck). Together with the
-// cache frames and the in-flight messages it determines the controller's
-// future behavior at a drained instant: the open transaction is a plain
-// record, and only it mutates its block's directory state.
+// BlockSnapshot is the controller's observable state for one block.
+// Together with the cache frames and the in-flight messages it determines
+// the controller's future behavior at a drained instant: the open
+// transaction is a plain record, and only it mutates its block's
+// directory state.
 type BlockSnapshot struct {
 	// State is the directory state — for an exact policy, the two-bit
 	// abstraction of (Holders, Modified).
@@ -62,4 +62,29 @@ func (c *Controller) BlockSnapshot(b addr.Block) BlockSnapshot {
 		s.Queued = append(s.Queued, p.M)
 	}
 	return s
+}
+
+// EncodeBlock writes block b's BlockSnapshot to e, field by field (see
+// proto.StateEncoder).
+func (c *Controller) EncodeBlock(e proto.StateEncoder, b addr.Block) {
+	s := c.BlockSnapshot(b)
+	e.Uint(uint64(s.State))
+	e.Holders(s.Holders)
+	e.Bool(s.Modified)
+	e.Version(s.Mem)
+	e.Bool(s.Active)
+	if s.Active {
+		e.Msg(s.ActiveCmd)
+	}
+	e.Bool(s.Waiting)
+	e.Bool(s.AwaitingAck)
+	e.Uint(uint64(len(s.Stashed)))
+	for _, p := range s.Stashed {
+		e.Cache(p.Cache)
+		e.Version(p.Data)
+	}
+	e.Uint(uint64(len(s.Queued)))
+	for _, m := range s.Queued {
+		e.Msg(m)
+	}
 }

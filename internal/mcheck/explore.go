@@ -30,7 +30,8 @@ type explorer struct {
 }
 
 // Check enumerates every state reachable within cfg's reference bound
-// and proves coherence, deadlock freedom and progress over the closure,
+// and proves coherence, value correctness on every explored transition,
+// deadlock freedom and progress over the closure,
 // or returns the first violation with a replayable counterexample
 // trace. The error return is for configuration and internal replay
 // errors only; a refuted property is reported in Result.Violation.
@@ -151,8 +152,17 @@ func (e *explorer) run() (Result, error) {
 					return res, err
 				}
 			}
+			var viol *Violation
 			if err := h.apply(a); err != nil {
-				v, verr := e.violation(&Violation{Kind: "crash", Detail: err.Error()}, id, &a)
+				viol = &Violation{Kind: "crash", Detail: err.Error()}
+			} else {
+				// The oracle judges the transition, not the state it reaches,
+				// so it must run before deduplication can merge the state
+				// with one reached cleanly.
+				viol = checkOracle(h)
+			}
+			if viol != nil {
+				v, verr := e.violation(viol, id, &a)
 				if verr != nil {
 					return res, verr
 				}

@@ -6,11 +6,15 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/msg"
 	"twobit/internal/network"
+	"twobit/internal/system"
 )
 
 // encoder serializes a machine's observable state into a canonical byte
-// string — the state's identity for deduplication. Scratch buffers are
-// reused across calls; one encoder serves the whole exploration.
+// string — the state's identity for deduplication. It walks the caches,
+// the controller and the network in a fixed order; each cache agent and
+// the controller write their own protocol state into it through
+// proto.StateEncoder, which it implements. Scratch buffers are reused
+// across calls; one encoder serves the whole exploration.
 //
 // Two normalizations make the reachable graph close over executions that
 // differ only in bookkeeping:
@@ -20,29 +24,38 @@ import (
 //     move them — so two states with the same equality pattern are
 //     bisimilar: versions are relabeled in first-encounter order of the
 //     encoding walk (0, the initial-memory version, stays 0).
-//   - The caches are interchangeable. With symmetry enabled the encoder
-//     emits the lexicographically least encoding over all cache-index
-//     permutations; every permuted field (per-cache sections, cache
-//     indices inside messages, full-map presence bits, network pair
-//     order) is mapped consistently.
+//   - The caches are interchangeable (see Config.Symmetric). With
+//     symmetry enabled the encoder emits the lexicographically least
+//     encoding over all cache-index permutations; every permuted field
+//     (per-cache sections, cache indices inside messages, full-map
+//     presence bits, network pair order) is mapped consistently.
 type encoder struct {
 	perms [][]int  // all cache permutations (or just identity)
-	inv   []int    // scratch: concrete cache index → canonical position
-	vmap  []uint64 // scratch: raw version → canonical label
-	buf   []byte   // scratch: current encoding
+	inv   []int    // concrete cache index → canonical position, this walk
+	vmap  []uint64 // raw version → canonical label, this walk
+	label uint64   // the last label handed out, this walk
+	norm  bool     // relabel versions, this walk
+	buf   []byte   // the current encoding
 	best  []byte   // scratch: least encoding so far
 }
 
 const versionUnmapped = ^uint64(0)
 
+// protocolTag leads every encoding. The values predate the admission of
+// full-map+E, classical and software and are kept, so fingerprints
+// recorded before then still replay.
+var protocolTag = [...]byte{
+	system.TwoBit: 0, system.FullMap: 1, system.Duplication: 2,
+	system.FullMapExclusive: 3, system.Classical: 4, system.Software: 5,
+}
+
 func newEncoder(cfg Config) *encoder {
-	e := &encoder{}
-	if cfg.NoSymmetry {
-		e.perms = [][]int{identityPerm(cfg.Caches)}
-	} else {
+	e := &encoder{inv: make([]int, cfg.Caches)}
+	if cfg.Symmetric() {
 		e.perms = permutations(cfg.Caches)
+	} else {
+		e.perms = [][]int{identityPerm(cfg.Caches)}
 	}
-	e.inv = make([]int, cfg.Caches)
 	return e
 }
 
@@ -82,7 +95,7 @@ func permutations(n int) [][]int {
 func (e *encoder) canonicalKey(v *machine) string {
 	e.best = e.best[:0]
 	for i, perm := range e.perms {
-		e.buf = e.encode(v, perm, true, e.buf[:0])
+		e.encode(v, perm, true)
 		if i == 0 || lessBytes(e.buf, e.best) {
 			e.best = append(e.best[:0], e.buf...)
 		}
@@ -93,7 +106,7 @@ func (e *encoder) canonicalKey(v *machine) string {
 // fingerprint hashes the identity encoding (no permutation, raw
 // versions) — the per-step value a Trace records and Replay recomputes.
 func (e *encoder) fingerprint(v *machine) uint64 {
-	e.buf = e.encode(v, identityPerm(v.cfg.Caches), false, e.buf[:0])
+	e.encode(v, identityPerm(v.cfg.Caches), false)
 	// FNV-1a.
 	h := uint64(14695981039346656037)
 	for _, b := range e.buf {
@@ -116,16 +129,17 @@ func lessBytes(a, b []byte) bool {
 	return len(a) < len(b)
 }
 
-// encode walks the machine in a fixed order. perm[pos] is the concrete
-// cache index occupying canonical position pos; normalize relabels
-// versions in first-encounter order.
-func (e *encoder) encode(v *machine, perm []int, normalize bool, buf []byte) []byte {
+// encode walks the machine into e.buf in a fixed order. perm[pos] is the
+// concrete cache index occupying canonical position pos; normalize
+// relabels versions in first-encounter order.
+func (e *encoder) encode(v *machine, perm []int, normalize bool) {
 	n := v.cfg.Caches
 	for pos, k := range perm {
 		e.inv[k] = pos
 	}
-	// Version relabeling state. Raw versions are bounded by the number of
-	// write issues, which is bounded by n × RefsPerProc; size generously.
+	e.buf, e.label, e.norm = e.buf[:0], 0, normalize
+	// Raw versions are bounded by the number of write issues, which is
+	// bounded by the references issued; size generously.
 	if normalize {
 		need := 1
 		for k := 0; k < n; k++ {
@@ -140,138 +154,104 @@ func (e *encoder) encode(v *machine, perm []int, normalize bool, buf []byte) []b
 		}
 		e.vmap[0] = 0
 	}
-	var nextLabel uint64
-	ver := func(raw uint64) uint64 {
-		if !normalize {
-			return raw
-		}
-		if e.vmap[raw] == versionUnmapped {
-			nextLabel++
-			e.vmap[raw] = nextLabel
-		}
-		return e.vmap[raw]
-	}
-	mapCache := func(c int) uint64 {
-		if c < 0 || c >= n {
-			return uint64(255) // DMA / "no exemption" sentinel
-		}
-		return uint64(e.inv[c])
-	}
-	u := func(x uint64) {
-		buf = binary.AppendUvarint(buf, x)
-	}
-	b8 := func(x bool) {
-		if x {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	emitMsg := func(m msgLike) {
-		u(uint64(m.Kind))
-		u(uint64(m.Block))
-		u(mapCache(m.Cache))
-		u(uint64(m.RW))
-		b8(m.Ok)
-		u(ver(m.Data))
-	}
 
-	buf = append(buf, byte(v.cfg.Protocol))
+	e.buf = append(e.buf, protocolTag[v.cfg.Protocol])
 	// Per-cache sections in canonical position order.
-	for pos := 0; pos < n; pos++ {
-		k := perm[pos]
-		b8(v.rm.Busy(k))
-		u(uint64(v.rm.Issued(k)))
-		s := v.agents[k].Snapshot()
-		b8(s.Busy)
-		if s.Busy {
-			u(uint64(s.Block))
-			b8(s.Write)
-			b8(s.AwaitingGrant)
-			u(ver(s.WriteVersion))
-		}
-		store := v.agents[k].Store()
+	for _, k := range perm {
+		e.Bool(v.rm.Busy(k))
+		e.Uint(uint64(v.rm.Issued(k)))
+		v.rm.EncodeAgent(k, e)
+		store := v.store(k)
 		for b := 0; b < v.cfg.Blocks; b++ {
 			f := store.Lookup(addr.Block(b))
-			if f == nil {
-				b8(false)
-				continue
+			e.Bool(f != nil)
+			if f != nil {
+				e.Bool(f.Modified)
+				e.Bool(f.Exclusive)
+				e.Version(f.Data)
 			}
-			b8(true)
-			b8(f.Modified)
-			b8(f.Exclusive)
-			u(ver(f.Data))
 		}
 	}
 	// Controller and committed-version sections per block.
 	for b := 0; b < v.cfg.Blocks; b++ {
-		cb := v.ctl.BlockSnapshot(addr.Block(b))
-		u(uint64(cb.State))
-		// Remap the full-map presence bitmask through the permutation.
-		var holders uint64
-		for k := 0; k < n; k++ {
-			if cb.Holders&(1<<uint(k)) != 0 {
-				holders |= 1 << uint(e.inv[k])
-			}
-		}
-		u(holders)
-		b8(cb.Modified)
-		u(ver(cb.Mem))
-		b8(cb.Active)
-		if cb.Active {
-			emitMsg(asMsgLike(cb.ActiveCmd))
-		}
-		b8(cb.Waiting)
-		b8(cb.AwaitingAck)
-		u(uint64(len(cb.Stashed)))
-		for _, p := range cb.Stashed {
-			u(mapCache(p.Cache))
-			u(ver(p.Data))
-		}
-		u(uint64(len(cb.Queued)))
-		for _, m := range cb.Queued {
-			emitMsg(asMsgLike(m))
-		}
-		u(ver(v.currentOf(addr.Block(b))))
+		v.rm.EncodeBlock(addr.Block(b), e)
+		e.Version(v.currentOf(addr.Block(b)))
 	}
 	// Network queues in canonical pair order: canonical node pos → node
 	// id through the permutation (the controller node is fixed).
-	top := v.top
 	node := func(pos int) network.NodeID {
 		if pos < n {
-			return top.CacheNode(perm[pos])
+			return v.top.CacheNode(perm[pos])
 		}
-		return top.CtrlNode(0)
+		return v.top.CtrlNode(0)
 	}
 	for s := 0; s <= n; s++ {
 		for d := 0; d <= n; d++ {
 			q := v.rm.Pending(node(s), node(d))
-			u(uint64(len(q)))
+			e.Uint(uint64(len(q)))
 			for _, m := range q {
-				emitMsg(asMsgLike(m))
+				e.Msg(m)
 			}
 		}
 	}
-	return buf
 }
 
-// msgLike is the subset of msg.Message the encoder reads, decoupled so
-// emitMsg has one shape for queued, active and in-flight messages. The
-// Txn field is deliberately dropped: transaction ids are tracing
-// bookkeeping with no protocol effect, and including them would (like
-// raw versions) keep bisimilar states distinct forever.
-type msgLike struct {
-	Kind  uint8
-	Block addr.Block
-	Cache int
-	RW    uint8
-	Ok    bool
-	Data  uint64
-}
+// Uint implements proto.StateEncoder.
+func (e *encoder) Uint(x uint64) { e.buf = binary.AppendUvarint(e.buf, x) }
 
-func asMsgLike(m msg.Message) msgLike {
-	return msgLike{
-		Kind: uint8(m.Kind), Block: m.Block, Cache: m.Cache,
-		RW: uint8(m.RW), Ok: m.Ok, Data: m.Data,
+// Bool implements proto.StateEncoder.
+func (e *encoder) Bool(x bool) {
+	if x {
+		e.buf = append(e.buf, 1)
+	} else {
+		e.buf = append(e.buf, 0)
 	}
+}
+
+// Version implements proto.StateEncoder: a raw version, or its label
+// when the walk normalizes.
+func (e *encoder) Version(raw uint64) {
+	if e.norm {
+		if e.vmap[raw] == versionUnmapped {
+			e.label++
+			e.vmap[raw] = e.label
+		}
+		raw = e.vmap[raw]
+	}
+	e.Uint(raw)
+}
+
+// Cache implements proto.StateEncoder: the cache's canonical position, or
+// a sentinel for an index naming no cache (DMA, "no exemption").
+func (e *encoder) Cache(k int) {
+	if k < 0 || k >= len(e.inv) {
+		e.Uint(255)
+		return
+	}
+	e.Uint(uint64(e.inv[k]))
+}
+
+// Holders implements proto.StateEncoder: a presence bitmask remapped
+// through the permutation.
+func (e *encoder) Holders(mask uint64) {
+	var out uint64
+	for k, pos := range e.inv {
+		if mask&(1<<uint(k)) != 0 {
+			out |= 1 << uint(pos)
+		}
+	}
+	e.Uint(out)
+}
+
+// Msg implements proto.StateEncoder. The Txn field is deliberately
+// dropped: transaction ids are tracing bookkeeping with no protocol
+// effect, and including them would (like raw versions) keep bisimilar
+// states distinct forever.
+func (e *encoder) Msg(m msg.Message) {
+	e.Uint(uint64(m.Kind))
+	e.Uint(uint64(m.Block))
+	e.Cache(m.Cache)
+	e.Uint(uint64(m.RW))
+	e.Bool(m.Ok)
+	e.Version(m.Data)
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"twobit/internal/addr"
-	"twobit/internal/core"
+	"twobit/internal/cache"
 	"twobit/internal/network"
 	"twobit/internal/proto"
 	"twobit/internal/system"
@@ -13,49 +13,23 @@ import (
 // machine is the checked machine: the simulator's own schedule-driven
 // system.ReplayMachine, assembled by the simulator's protocol table with
 // its coherence oracle on. One is built per exploration (or replay) and
-// reset in place (rm.Reset) before each replayed action prefix. The
-// fingerprint encoder and the invariant checkers read its components
-// through the typed fields.
+// reset in place (rm.Reset) before each replayed action prefix.
 type machine struct {
-	cfg    Config
-	rm     *system.ReplayMachine
-	top    proto.Topology
-	agents []*proto.CacheAgent
-	ctl    *core.Controller
+	cfg Config
+	rm  *system.ReplayMachine
+	top proto.Topology
 }
 
-// newMachine validates cfg and assembles its machine: one memory module,
-// direct-mapped caches of Sets sets, default latencies and per-block
-// concurrency.
+// newMachine validates cfg and assembles its machine.
 func newMachine(cfg Config) (*machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rm, err := system.NewReplayMachine(system.Config{
-		Protocol:   cfg.Protocol.system(),
-		Procs:      cfg.Caches,
-		Modules:    1,
-		CacheSets:  cfg.Sets,
-		CacheAssoc: 1,
-		Lat:        proto.DefaultLatencies(),
-		Mode:       proto.PerBlock,
-		Seed:       1,
-		CoreHooks:  cfg.Hooks,
-	}, cfg.Blocks)
+	rm, err := system.NewReplayMachine(cfg.machine(), cfg.Blocks)
 	if err != nil {
 		return nil, err
 	}
-	h := &machine{
-		cfg:    cfg,
-		rm:     rm,
-		top:    proto.Topology{Caches: cfg.Caches, Modules: 1},
-		agents: make([]*proto.CacheAgent, cfg.Caches),
-		ctl:    rm.Machine().MemSide(0).(*core.Controller),
-	}
-	for k := range h.agents {
-		h.agents[k] = rm.Machine().CacheSide(k).(*proto.CacheAgent)
-	}
-	return h, nil
+	return &machine{cfg: cfg, rm: rm, top: proto.Topology{Caches: cfg.Caches, Modules: 1}}, nil
 }
 
 // apply performs one action and drains every resulting timed event, so
@@ -72,7 +46,8 @@ func (h *machine) apply(a Action) (err error) {
 	}()
 	s := system.ReplayStep{Src: network.NodeID(a.Src), Dst: network.NodeID(a.Dst)}
 	if a.Kind == ActIssue {
-		s = system.ReplayStep{Issue: true, Proc: a.Proc, Ref: addr.Ref{Block: a.Block, Write: a.Write}}
+		public := h.cfg.partitioned() && a.Block == 0
+		s = system.ReplayStep{Issue: true, Proc: a.Proc, Ref: addr.Ref{Block: a.Block, Write: a.Write, Shared: public}}
 	}
 	return h.rm.Step(s)
 }
@@ -93,14 +68,19 @@ func (h *machine) deliverOptions() []Action {
 }
 
 // issueOptions returns the enabled processor issues: every idle
-// processor with budget left may read or write any block.
+// processor with budget left may read or write any block — under the
+// software partition, any block but another processor's private ones.
 func (h *machine) issueOptions() []Action {
 	var out []Action
 	for p := 0; p < h.cfg.Caches; p++ {
 		if h.rm.Busy(p) || h.rm.Issued(p) >= h.cfg.RefsPerProc {
 			continue
 		}
-		for b := 0; b < h.cfg.Blocks; b++ {
+		blocks := h.cfg.Blocks
+		if p > 0 && h.cfg.partitioned() {
+			blocks = 1 // the public block
+		}
+		for b := 0; b < blocks; b++ {
 			out = append(out,
 				Action{Kind: ActIssue, Proc: p, Block: addr.Block(b)},
 				Action{Kind: ActIssue, Proc: p, Write: true, Block: addr.Block(b)})
@@ -108,6 +88,9 @@ func (h *machine) issueOptions() []Action {
 	}
 	return out
 }
+
+// store returns cache k's frames.
+func (h *machine) store(k int) *cache.Cache { return h.rm.Machine().CacheSide(k).Store() }
 
 // currentOf returns the last committed version of b (0 initially), as the
 // oracle recorded it.

@@ -1,30 +1,33 @@
 // Package mcheck is an explicit-state model checker for the coherence
 // protocols: it enumerates every reachable state of a small configured
 // machine — all interleavings of processor reads and writes, the cache
-// ejects they force, and in-flight network messages — and proves three
+// ejects they force, and in-flight network messages — and proves four
 // properties over the reachable state graph:
 //
 //   - Single-writer/no-stale-reader: never two caches with a modified
 //     copy of a block, and every live (not-being-invalidated) copy holds
 //     the block's current committed version.
-//   - Deadlock freedom: every state with work outstanding has a
-//     deliverable message, and at every rest state (nothing deliverable)
-//     the machine is fully quiescent.
+//   - Value correctness: on every explored transition the simulator's
+//     coherence oracle accepts every value returned to a processor.
+//   - Deadlock freedom: at every rest state (nothing deliverable) every
+//     processor reference has completed, every controller is quiescent,
+//     and the machine passes the simulator's own quiescence check — the
+//     one every simulation run ends with.
 //   - Progress (livelock freedom): from every reachable state a rest
 //     state is reachable by message deliveries alone — no new processor
 //     references are ever needed to drain the machine.
 //
 // The transition rules are not a hand-written abstraction: the checked
 // machine is the simulator's own — a system.ReplayMachine, assembled by
-// the protocol table the experiments run (internal/proto's CacheAgent,
-// internal/core's Controller under each directory policy) on its
-// delivery-choice network — and each state is reconstructed by resetting
-// it and replaying the state's action prefix. A choice point is a
-// *drained* machine — all timed events run, so the only nondeterminism
-// left is which processor issues next and which queued message is
-// delivered next; this is sound because concurrency enters the protocols
-// only through message deliveries (timers never race: each delivery's
-// cascade runs sequentially).
+// the protocol table the experiments run, on its delivery-choice network —
+// and each state is reconstructed by resetting it and replaying the
+// state's action prefix. Every protocol that exchanges messages is
+// checked: two-bit, full-map, full-map+E, classical, duplication and
+// software. A choice point is a *drained* machine — all timed events run,
+// so the only nondeterminism left is which processor issues next and
+// which queued message is delivered next; this is sound because
+// concurrency enters the protocols only through message deliveries
+// (timers never race: each delivery's cascade runs sequentially).
 //
 // Exhaustiveness is bounded in exactly one way: each processor issues at
 // most RefsPerProc references. Within that bound the closure is complete
@@ -33,7 +36,10 @@
 // relabeled in first-encounter order (the protocols only move versions,
 // never compare them, so the equality pattern is the state), and the
 // caches are symmetric, so each state is reduced to its lexicographically
-// least representative under cache-index permutation.
+// least representative under cache-index permutation. The oracle's
+// per-processor history is not part of the state, so its check runs on
+// each transition before deduplication: it covers every explored edge,
+// not every path.
 //
 // Every violation is emitted as a counterexample Trace that Replay
 // re-walks step for step, re-checking its recorded verdict.
@@ -43,57 +49,9 @@ import (
 	"fmt"
 
 	"twobit/internal/addr"
-	"twobit/internal/core"
 	"twobit/internal/proto"
 	"twobit/internal/system"
 )
-
-// Protocol selects the checked protocol.
-type Protocol uint8
-
-const (
-	// TwoBit is the paper's two-bit directory scheme.
-	TwoBit Protocol = iota
-	// FullMap is the Censier–Feautrier baseline, checked to prove the
-	// framework is not specialized to one protocol.
-	FullMap
-	// Duplication is Tang's central duplicate-directory baseline: the
-	// same exact-holder policy over a different store, under the
-	// single-command serializer.
-	Duplication
-)
-
-// protocols maps each checked protocol to its simulator twin (whose
-// spelling String and the trace codec share) and its controller policy.
-var protocols = [...]struct {
-	sys    system.Protocol
-	policy core.Policy
-}{
-	TwoBit:      {system.TwoBit, core.Policy{}},
-	FullMap:     {system.FullMap, core.FullMap(false)},
-	Duplication: {system.Duplication, core.Duplication()},
-}
-
-// String names the protocol, matching system.Protocol's spelling.
-func (p Protocol) String() string {
-	if int(p) >= len(protocols) {
-		return fmt.Sprintf("Protocol(%d)", uint8(p))
-	}
-	return p.system().String()
-}
-
-func (p Protocol) system() system.Protocol { return protocols[p].sys }
-func (p Protocol) policy() core.Policy     { return protocols[p].policy }
-
-// ParseProtocol inverts String.
-func ParseProtocol(name string) (Protocol, error) {
-	for p := range protocols {
-		if Protocol(p).String() == name {
-			return Protocol(p), nil
-		}
-	}
-	return 0, fmt.Errorf("mcheck: unknown protocol %q", name)
-}
 
 // Config bounds the checked machine. The cache geometry is Sets sets ×
 // 1 way: direct-mapped, so victim selection is deterministic and the
@@ -101,7 +59,9 @@ func ParseProtocol(name string) (Protocol, error) {
 // an ejection on every conflicting miss, which is how the EJECT races
 // are covered.
 type Config struct {
-	Protocol Protocol
+	// Protocol is any protocol that exchanges messages — every one but
+	// write-once, whose agents transact on the snooping bus.
+	Protocol system.Protocol
 	// Caches is the number of processor-cache pairs (n ≥ 2 to exercise
 	// coherence; the state graph grows steeply with n).
 	Caches int
@@ -113,6 +73,11 @@ type Config struct {
 	// RefsPerProc bounds each processor's reference count — the one
 	// exhaustiveness bound (see the package comment).
 	RefsPerProc int
+	// Mode is the directory controller's §3.2.5 serializer design.
+	Mode proto.ConcurrencyMode
+	// DisableCleanEject drops EJECT(·,·,"read"), the paper's optional part
+	// of the replacement protocol.
+	DisableCleanEject bool
 	// NoSymmetry disables the cache-permutation reduction (for testing
 	// the reduction itself: violations found must not change).
 	NoSymmetry bool
@@ -130,14 +95,14 @@ type Config struct {
 // DefaultConfig is a small exhaustive configuration: 2 caches × 2 blocks
 // with a 1-block cache, 2 references per processor.
 func DefaultConfig() Config {
-	return Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}
+	return Config{Protocol: system.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors: the bounds below, then anything
+// the simulator refuses to assemble as a replay machine — an unknown
+// protocol, the bus protocol (system.ErrBusProtocol), hooks on a protocol
+// other than two-bit.
 func (c Config) Validate() error {
-	if int(c.Protocol) >= len(protocols) {
-		return fmt.Errorf("mcheck: unknown protocol %d", c.Protocol)
-	}
 	if c.Caches < 2 || c.Caches > 5 {
 		return fmt.Errorf("mcheck: Caches must be in [2,5], got %d", c.Caches)
 	}
@@ -150,11 +115,38 @@ func (c Config) Validate() error {
 	if c.RefsPerProc < 1 || c.RefsPerProc > 8 {
 		return fmt.Errorf("mcheck: RefsPerProc must be in [1,8], got %d", c.RefsPerProc)
 	}
-	if c.Hooks != nil && c.Protocol != TwoBit {
-		return fmt.Errorf("mcheck: Hooks apply to the two-bit protocol only")
+	if c.Mode > proto.SingleCommand {
+		return fmt.Errorf("mcheck: unknown concurrency mode %v", c.Mode)
 	}
-	return nil
+	return system.ValidateReplay(c.machine())
 }
+
+// machine is the simulator configuration c checks: one memory module,
+// direct-mapped caches of Sets sets and default latencies.
+func (c Config) machine() system.Config {
+	return system.Config{
+		Protocol:          c.Protocol,
+		Procs:             c.Caches,
+		Modules:           1,
+		CacheSets:         c.Sets,
+		CacheAssoc:        1,
+		Lat:               proto.DefaultLatencies(),
+		Mode:              c.Mode,
+		DisableCleanEject: c.DisableCleanEject,
+		Seed:              1,
+		CoreHooks:         c.Hooks,
+	}
+}
+
+// partitioned reports whether c's protocol is checked under §2.2's static
+// partition — the software scheme, correct only under it. Block 0 is then
+// public (shared, never cached) and every other block is private to
+// processor 0.
+func (c Config) partitioned() bool { return c.Protocol == system.Software }
+
+// Symmetric reports whether states are reduced under cache permutation:
+// unless NoSymmetry asks otherwise or a partition tells the caches apart.
+func (c Config) Symmetric() bool { return !c.NoSymmetry && !c.partitioned() }
 
 // Result summarizes an exploration.
 type Result struct {
@@ -175,7 +167,7 @@ type Result struct {
 // Violation is a refuted property with its counterexample.
 type Violation struct {
 	// Kind is one of "swmr", "stale-read", "deadlock", "livelock",
-	// "conformance".
+	// "conformance", "oracle" or "crash".
 	Kind string
 	// Detail is a human-readable description of the violated check.
 	Detail string

@@ -1,11 +1,13 @@
 package mcheck
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"twobit/internal/proto"
+	"twobit/internal/system"
 )
 
 // TestClosureCounts pins the exact canonical state-space sizes of the
@@ -18,15 +20,26 @@ func TestClosureCounts(t *testing.T) {
 		cfg                 Config
 		states, edges, rest int
 	}{
-		{"twobit-2c1b-r1", Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1}, 37, 56, 7},
-		{"twobit-2c2b-r2", Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3886, 8226, 164},
-		{"fullmap-2c2b-r2", Config{Protocol: FullMap, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 2990, 6742, 103},
-		{"fullmap-3c1b-r2", Config{Protocol: FullMap, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240, 13108, 45},
+		{"twobit-2c1b-r1", Config{Protocol: system.TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1}, 37, 56, 7},
+		{"twobit-2c2b-r2", Config{Protocol: system.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3886, 8226, 164},
+		{"fullmap-2c2b-r2", Config{Protocol: system.FullMap, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 2990, 6742, 103},
+		{"fullmap-3c1b-r2", Config{Protocol: system.FullMap, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240, 13108, 45},
 		// Duplication is full-map's policy over another store: on one
 		// block the graphs coincide; on two, the single-command serializer
 		// orders commands the per-block one lets overlap.
-		{"duplication-2c2b-r2", Config{Protocol: Duplication, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3062, 6842, 103},
-		{"duplication-3c1b-r2", Config{Protocol: Duplication, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240, 13108, 45},
+		{"duplication-2c2b-r2", Config{Protocol: system.Duplication, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3062, 6842, 103},
+		{"duplication-3c1b-r2", Config{Protocol: system.Duplication, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4240, 13108, 45},
+		{"fullmap+e-2c2b-r2", Config{Protocol: system.FullMapExclusive, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 3078, 6458, 142},
+		{"fullmap+e-3c1b-r2", Config{Protocol: system.FullMapExclusive, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 3715, 11142, 46},
+		{"classical-2c2b-r2", Config{Protocol: system.Classical, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 2359, 4526, 72},
+		{"classical-3c1b-r2", Config{Protocol: system.Classical, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4545, 11902, 41},
+		// Software runs under its static partition, which also turns the
+		// symmetry reduction off (Config.partitioned).
+		{"software-2c2b-r2", Config{Protocol: system.Software, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}, 658, 1498, 39},
+		{"software-3c1b-r2", Config{Protocol: system.Software, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}, 4430, 14007, 53},
+		// The §3.2.5 option-1 controller and the optional clean EJECT.
+		{"twobit-single-command-2c2b-r2", Config{Protocol: system.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2, Mode: proto.SingleCommand}, 3990, 8338, 164},
+		{"twobit-no-clean-eject-2c2b-r2", Config{Protocol: system.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2, DisableCleanEject: true}, 3436, 7154, 180},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,7 +65,7 @@ func TestClosureCounts(t *testing.T) {
 // cache-permutation reduction disabled: the verdict must not change, and
 // the unreduced graph must be at least as large.
 func TestSymmetryReductionSound(t *testing.T) {
-	cfg := Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}
+	cfg := Config{Protocol: system.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}
 	sym, err := Check(cfg)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
@@ -73,7 +86,7 @@ func TestSymmetryReductionSound(t *testing.T) {
 // TestBoundedMode verifies MaxStates truncation is reported rather than
 // silently passed off as a proof.
 func TestBoundedMode(t *testing.T) {
-	cfg := Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2, MaxStates: 100}
+	cfg := Config{Protocol: system.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2, MaxStates: 100}
 	res, err := Check(cfg)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
@@ -92,7 +105,7 @@ func TestBoundedMode(t *testing.T) {
 // step-for-step to the recorded violation, and (c) it survives the codec
 // — the acceptance loop of the whole package.
 func TestSeededBugProducesCounterexample(t *testing.T) {
-	cfg := Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 2,
+	cfg := Config{Protocol: system.TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 2,
 		Hooks: &proto.BugHooks{SkipWriteMissInvalidate: true}}
 	res, err := Check(cfg)
 	if err != nil {
@@ -142,7 +155,7 @@ func TestSeededBugProducesCounterexample(t *testing.T) {
 // A protocol change that makes either hook start producing violations
 // (or start reaching the stash) shows up here.
 func TestDefenseEconomyHooks(t *testing.T) {
-	base := Config{Protocol: TwoBit, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}
+	base := Config{Protocol: system.TwoBit, Caches: 3, Blocks: 1, Sets: 1, RefsPerProc: 2}
 	clean, err := Check(base)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
@@ -212,9 +225,10 @@ func drainTo(t *testing.T, cfg Config, issues []Action) []Action {
 // TestCleanScheduleBridges runs a violation-free schedule through
 // TraceOfSchedule and requires Replay to walk the identical fingerprint
 // sequence with the oracle silent — healthy runs must replay, not just
-// counterexamples.
+// counterexamples. (The schedule has processor 1 write block 1, which
+// the software partition reserves for processor 0.)
 func TestCleanScheduleBridges(t *testing.T) {
-	for _, p := range []Protocol{TwoBit, FullMap, Duplication} {
+	for _, p := range []system.Protocol{system.TwoBit, system.FullMap, system.FullMapExclusive, system.Classical, system.Duplication} {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := Config{Protocol: p, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2}
 			acts := drainTo(t, cfg, []Action{
@@ -233,6 +247,10 @@ func TestCleanScheduleBridges(t *testing.T) {
 			}
 			if err := Replay(tr); err != nil {
 				t.Errorf("replay: %v", err)
+			}
+			tr.Violation = "oracle: not what happened"
+			if err := Replay(tr); err == nil {
+				t.Error("replay accepted an oracle verdict the oracle never gave")
 			}
 		})
 	}
@@ -259,6 +277,11 @@ func TestDecodeTraceRejects(t *testing.T) {
 		{"bad-fp", strings.Replace(good, "abc", "0ABC", 1), "fingerprint"},
 		{"trailing", good + "extra\n", "trailing"},
 		{"truncated", strings.TrimSuffix(good, "\nend\n"), "missing"},
+		// Optional lines carry only non-default values, so the default
+		// spelled out is non-canonical.
+		{"default-mode", strings.Replace(good, "refs 2\n", "refs 2\nmode per-block\n", 1), "bad mode"},
+		{"default-clean-eject", strings.Replace(good, "refs 2\n", "refs 2\nclean-eject on\n", 1), "bad clean-eject"},
+		{"bus-protocol", strings.Replace(good, "two-bit", "write-once", 1), "snooping bus"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,8 +303,11 @@ func TestValidateRejects(t *testing.T) {
 		func(c *Config) { c.Blocks = 0 },
 		func(c *Config) { c.Sets = 3 },
 		func(c *Config) { c.RefsPerProc = 0 },
-		func(c *Config) { c.Protocol = FullMap; c.Hooks = &proto.BugHooks{} },
-		func(c *Config) { c.Protocol = Duplication; c.Hooks = &proto.BugHooks{} },
+		func(c *Config) { c.Protocol = system.FullMap; c.Hooks = &proto.BugHooks{} },
+		func(c *Config) { c.Protocol = system.Duplication; c.Hooks = &proto.BugHooks{} },
+		func(c *Config) { c.Protocol = system.Classical; c.Hooks = &proto.BugHooks{} },
+		func(c *Config) { c.Mode = 2 },
+		func(c *Config) { c.Protocol = system.WriteOnce },
 	}
 	for i, f := range mutate {
 		cfg := base
@@ -289,6 +315,11 @@ func TestValidateRejects(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
+	}
+	cfg := base
+	cfg.Protocol = system.WriteOnce
+	if _, err := Check(cfg); !errors.Is(err, system.ErrBusProtocol) {
+		t.Errorf("Check(write-once) = %v, want system.ErrBusProtocol", err)
 	}
 	if err := base.Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
@@ -300,7 +331,7 @@ func TestValidateRejects(t *testing.T) {
 // exceed the bound, but never target a busy processor or a block outside
 // the space.
 func TestApplyGuards(t *testing.T) {
-	cfg := Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1}
+	cfg := Config{Protocol: system.TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1}
 	h, err := newMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +353,7 @@ func TestApplyGuards(t *testing.T) {
 func TestCheckLivelockFreedom(t *testing.T) {
 	// The progress check is part of every closure above; this pins that
 	// rest states exist and are reported for the tiniest configuration.
-	res, err := Check(Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1})
+	res, err := Check(Config{Protocol: system.TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 1})
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -352,7 +383,7 @@ func TestIssueVersionParity(t *testing.T) {
 	// Fingerprints carry raw write versions, which the machine assigns
 	// from one global counter per write at issue. Pin the discipline:
 	// interleaved writes from both processors must replay exactly.
-	cfg := Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 3}
+	cfg := Config{Protocol: system.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 3}
 	acts := drainTo(t, cfg, []Action{
 		{Kind: ActIssue, Proc: 0, Write: true, Block: 0},
 		{Kind: ActIssue, Proc: 1, Write: true, Block: 1},

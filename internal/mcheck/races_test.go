@@ -32,6 +32,7 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/msg"
 	"twobit/internal/network"
+	"twobit/internal/system"
 )
 
 var update = flag.Bool("update", false, "rewrite golden race traces")
@@ -99,7 +100,7 @@ func TestRaceSchedules(t *testing.T) {
 			// invalidation. The invalidation lands first, so the
 			// MREQUEST that arrives is a phantom and must be denied.
 			name: "mrequest-vs-broadinv",
-			cfg:  Config{Protocol: TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 2},
+			cfg:  Config{Protocol: system.TwoBit, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 2},
 			script: []raceStep{
 				{act: issue(0, false, 0)},
 				{act: deliver(0, ctrl)},
@@ -131,7 +132,7 @@ func TestRaceSchedules(t *testing.T) {
 			// lands on a doomed copy and must go unanswered; the data
 			// arrives via the eject path.
 			name: "eject-vs-broadquery",
-			cfg:  Config{Protocol: TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2},
+			cfg:  Config{Protocol: system.TwoBit, Caches: 2, Blocks: 2, Sets: 1, RefsPerProc: 2},
 			script: []raceStep{
 				{act: issue(0, true, 0)},
 				{act: deliver(0, ctrl)},

@@ -7,6 +7,7 @@ import (
 
 	"twobit/internal/addr"
 	"twobit/internal/proto"
+	"twobit/internal/system"
 )
 
 // Step is one trace action plus the state fingerprint reached by it. A
@@ -31,9 +32,10 @@ type Trace struct {
 // fingerprint after every step, returning an error on the first
 // divergence. At the end it also requires the recorded outcome: a crash
 // step must crash; a recorded per-state violation (swmr, stale-read,
-// deadlock, conformance) must hold on the final state; and a clean trace
-// must leave the coherence oracle silent. A livelock has no per-state
-// witness, so for it the fingerprint sequence is the whole check.
+// deadlock, conformance) must hold on the final state; an oracle
+// violation must have been flagged on the way; and a clean trace must
+// leave the coherence oracle silent. A livelock has no per-state witness,
+// so for it the fingerprint sequence is the whole check.
 func Replay(t Trace) error {
 	h, err := newMachine(t.Cfg)
 	if err != nil {
@@ -57,22 +59,26 @@ func Replay(t Trace) error {
 			return fmt.Errorf("mcheck: step %d (%v) reached state %#x, trace says %#x", i, s.Act, fp, s.Fp)
 		}
 	}
-	if t.Violation == "" {
-		if errs := h.rm.Errs(); len(errs) > 0 {
-			return fmt.Errorf("mcheck: the oracle flagged a clean trace: %w", errs[0])
-		}
-		return nil
-	}
+	var viol *Violation
 	kind, _, _ := strings.Cut(t.Violation, ":")
 	switch kind {
+	case "":
+		if viol = checkOracle(h); viol != nil {
+			return fmt.Errorf("mcheck: the oracle flagged a clean trace: %s", viol.Detail)
+		}
+		return nil
+	case "oracle":
+		viol = checkOracle(h)
 	case "swmr", "stale-read", "deadlock", "conformance":
-		viol := checkState(h, len(h.deliverOptions()) == 0)
-		if viol == nil {
-			return fmt.Errorf("mcheck: violation %q did not reproduce on the final state", t.Violation)
-		}
-		if viol.Kind != kind {
-			return fmt.Errorf("mcheck: final state violates %q, trace says %q", viol.Kind, kind)
-		}
+		viol = checkState(h, len(h.deliverOptions()) == 0)
+	default:
+		return nil
+	}
+	if viol == nil {
+		return fmt.Errorf("mcheck: violation %q did not reproduce", t.Violation)
+	}
+	if viol.Kind != kind {
+		return fmt.Errorf("mcheck: final state violates %q, trace says %q", viol.Kind, kind)
 	}
 	return nil
 }
@@ -99,7 +105,9 @@ func TraceOfSchedule(cfg Config, acts []Action) (Trace, error) {
 
 // The codec below is a line-oriented text format, chosen over anything
 // binary so counterexamples are directly readable in a terminal and
-// diffable as golden files:
+// diffable as golden files. An optional line appears only when its value
+// is not the default, so it never changes the traces of a configuration
+// without it:
 //
 //	mcheck-trace v1
 //	protocol two-bit
@@ -107,6 +115,8 @@ func TraceOfSchedule(cfg Config, acts []Action) (Trace, error) {
 //	blocks 2
 //	sets 1
 //	refs 2
+//	mode single-command                   (optional)
+//	clean-eject off                       (optional)
 //	hooks skip-write-miss-invalidate      (optional)
 //	init 1a2b3c
 //	violation swmr: ...                   (optional)
@@ -165,6 +175,12 @@ func EncodeTrace(t Trace) []byte {
 	fmt.Fprintf(&sb, "blocks %d\n", t.Cfg.Blocks)
 	fmt.Fprintf(&sb, "sets %d\n", t.Cfg.Sets)
 	fmt.Fprintf(&sb, "refs %d\n", t.Cfg.RefsPerProc)
+	if t.Cfg.Mode != proto.PerBlock {
+		fmt.Fprintf(&sb, "mode %v\n", t.Cfg.Mode)
+	}
+	if t.Cfg.DisableCleanEject {
+		sb.WriteString("clean-eject off\n")
+	}
 	if hs := hooksString(t.Cfg.Hooks); hs != "" {
 		fmt.Fprintf(&sb, "hooks %s\n", hs)
 	}
@@ -236,11 +252,22 @@ func DecodeTrace(data []byte) (Trace, error) {
 		return n, nil
 	}
 
-	proto, err := field("protocol")
+	// optional consumes the next line if it is key's, returning its value.
+	optional := func(key string) (string, bool) {
+		if i < len(lines) {
+			if val, found := strings.CutPrefix(lines[i], key+" "); found {
+				i++
+				return val, true
+			}
+		}
+		return "", false
+	}
+
+	name, err := field("protocol")
 	if err != nil {
 		return t, err
 	}
-	if t.Cfg.Protocol, err = ParseProtocol(proto); err != nil {
+	if t.Cfg.Protocol, err = system.ParseProtocol(name); err != nil {
 		return t, err
 	}
 	if t.Cfg.Caches, err = intField("caches"); err != nil {
@@ -255,29 +282,32 @@ func DecodeTrace(data []byte) (Trace, error) {
 	if t.Cfg.RefsPerProc, err = intField("refs"); err != nil {
 		return t, err
 	}
-
-	l, ok := next()
-	if !ok {
-		return t, fmt.Errorf("mcheck: truncated trace: missing %q line", "init")
+	if val, ok := optional("mode"); ok {
+		if val != proto.SingleCommand.String() {
+			return t, fmt.Errorf("mcheck: bad mode %q", val)
+		}
+		t.Cfg.Mode = proto.SingleCommand
 	}
-	if hs, found := strings.CutPrefix(l, "hooks "); found {
+	if val, ok := optional("clean-eject"); ok {
+		if val != "off" {
+			return t, fmt.Errorf("mcheck: bad clean-eject %q", val)
+		}
+		t.Cfg.DisableCleanEject = true
+	}
+	if hs, ok := optional("hooks"); ok {
 		if t.Cfg.Hooks, err = parseHooks(hs); err != nil {
 			return t, err
 		}
 		if hooksString(t.Cfg.Hooks) != hs {
 			return t, fmt.Errorf("mcheck: non-canonical hooks line %q", hs)
 		}
-		if l, ok = next(); !ok {
-			return t, fmt.Errorf("mcheck: truncated trace: missing %q line", "init")
-		}
 	}
 	if err := t.Cfg.Validate(); err != nil {
 		return t, err
 	}
-
-	initHex, found := strings.CutPrefix(l, "init ")
-	if !found {
-		return t, fmt.Errorf("mcheck: expected %q line, got %q", "init", l)
+	initHex, err := field("init")
+	if err != nil {
+		return t, err
 	}
 	if t.Init, err = parseFp(initHex); err != nil {
 		return t, err

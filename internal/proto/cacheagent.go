@@ -95,6 +95,18 @@ func (a *CacheAgent) Reset(cfg AgentConfig) {
 	a.AgentBase.Reset(cfg)
 }
 
+// EncodeState writes the agent's in-flight state to e: AgentBase's, plus
+// which reply the reference is parked on (MGRANTED or a get).
+func (a *CacheAgent) EncodeState(e StateEncoder) {
+	e.Bool(a.Waiting)
+	if a.Waiting {
+		e.Uint(uint64(a.Ref.Block))
+		e.Bool(a.Ref.Write)
+		e.Bool(a.phase == pendAwaitMGrant)
+		e.Version(a.Version)
+	}
+}
+
 // Access implements CacheSide.
 func (a *CacheAgent) Access(ref addr.Ref, writeVersion uint64, done func(uint64)) {
 	a.Begin(ref, writeVersion, done)

@@ -146,6 +146,33 @@ func (b *AgentBase) Call(v, _ uint64) {
 	done(v)
 }
 
+// StateEncoder receives a component's protocol state for the model
+// checker's state identity (internal/mcheck), which owns the
+// normalizations: Version relabels a write version, Cache and Holders map
+// cache indices through the checked permutation, and Msg does both for a
+// message. Uint and Bool write plain values.
+type StateEncoder interface {
+	Uint(uint64)
+	Bool(bool)
+	Version(uint64)
+	Cache(k int)
+	Holders(mask uint64)
+	Msg(msg.Message)
+}
+
+// EncodeState writes the agent's in-flight state to e: the remote
+// transaction it waits on, if any. The cache frames are the encoder's to
+// read, and timing (when the reply will land) is deliberately left out —
+// it decides when transitions fire, never which are enabled.
+func (b *AgentBase) EncodeState(e StateEncoder) {
+	e.Bool(b.Waiting)
+	if b.Waiting {
+		e.Uint(uint64(b.Ref.Block))
+		e.Bool(b.Ref.Write)
+		e.Version(b.Version)
+	}
+}
+
 // CtrlConfig configures a memory controller of any protocol. Module, Topo
 // and Space are machine shape; the rest are values a Reset may change.
 type CtrlConfig struct {
@@ -234,6 +261,11 @@ func (c *CtrlBase) CtrlStats() *CtrlStats { return &c.Stats }
 
 // MemVersion returns memory's version of b, for invariants.
 func (c *CtrlBase) MemVersion(b addr.Block) uint64 { return c.Mem.Read(b) }
+
+// EncodeBlock writes what the controller holds about block b to e (see
+// StateEncoder): for a controller with nothing in flight between
+// deliveries, memory's version.
+func (c *CtrlBase) EncodeBlock(e StateEncoder, b addr.Block) { e.Version(c.Mem.Read(b)) }
 
 // Node is the controller's network node.
 func (c *CtrlBase) Node() network.NodeID { return c.Topo.CtrlNode(c.Module) }

@@ -215,6 +215,26 @@ func (s *Serializer[T]) Active(b addr.Block) bool {
 // ActiveCount returns the number of in-progress transactions.
 func (s *Serializer[T]) ActiveCount() int { return s.active }
 
+// QueuedFor returns the queued (not yet started) commands for block b in
+// service order, for state fingerprints. In SingleCommand mode the global
+// queue is filtered to b. The returned slice is freshly allocated.
+func (s *Serializer[T]) QueuedFor(b addr.Block) []Pending {
+	src := s.global
+	if s.mode != SingleCommand {
+		src = nil
+		if r := s.Rec(b); r != nil {
+			src = r.queue
+		}
+	}
+	var out []Pending
+	for _, p := range src {
+		if p.M.Block == b {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // Submit offers a command for service: it starts immediately if its block
 // (or the controller, in SingleCommand mode) is free, otherwise it queues.
 func (s *Serializer[T]) Submit(p Pending) {

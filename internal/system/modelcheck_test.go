@@ -1,232 +1,136 @@
-package system
+package system_test
 
 import (
+	"errors"
 	"testing"
 
-	"twobit/internal/addr"
+	"twobit/internal/mcheck"
+	"twobit/internal/proto"
+	"twobit/internal/system"
 )
 
-func mcConfig(p Protocol, procs int) Config {
-	cfg := DefaultConfig(p, procs)
-	cfg.Modules = 1
-	cfg.CacheSets = 4
-	cfg.CacheAssoc = 1
-	return cfg
+// The scenarios below were once explored by a bounded replay-DFS of their
+// own, over fixed per-processor scripts. Each now runs the exhaustive
+// internal/mcheck closure that contains every interleaving of it — on the
+// same machine, the simulator's ReplayMachine — and requires it clean:
+// the scripts are one choice of the closure's issue options, and each of
+// their delivery orders is one of its paths. The closures' caches are
+// direct-mapped with one set, so block 1 stands in for the scripts'
+// conflicting blocks 4 and 8.
+
+// closure is the p closure over caches caches and blocks blocks with refs
+// references per processor.
+func closure(p system.Protocol, caches, blocks, refs int) mcheck.Config {
+	return mcheck.Config{Protocol: p, Caches: caches, Blocks: blocks, Sets: 1, RefsPerProc: refs}
 }
 
-// TestModelCheckRacingStores exhaustively verifies the §3.2.5 scenario:
-// both processors read block 0 then store to it, under EVERY possible
-// network delivery order. No interleaving may deadlock, violate
-// coherence, or break the quiescent invariants.
+func checkClosure(t *testing.T, cfg mcheck.Config) mcheck.Result {
+	t.Helper()
+	res, err := mcheck.Check(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation != nil || res.Truncated {
+		t.Fatalf("%v: violation %v (truncated %v)", cfg.Protocol, res.Violation, res.Truncated)
+	}
+	return res
+}
+
+// eachProtocol runs the scenario's closure under each protocol it was
+// pinned for.
+func eachProtocol(t *testing.T, cfg func(system.Protocol) mcheck.Config) {
+	for _, p := range []system.Protocol{system.TwoBit, system.FullMap, system.Classical, system.Software} {
+		t.Run(p.String(), func(t *testing.T) { checkClosure(t, cfg(p)) })
+	}
+}
+
+// TestModelCheckRacingStores: the §3.2.5 scenario — both processors read
+// block 0 then store to it — is in every 2-cache, 1-block closure of two
+// references.
 func TestModelCheckRacingStores(t *testing.T) {
-	checkPinned(t, [][]addr.Ref{
-		{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-		{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-	}, []pinnedSpace{{TwoBit, 1542, 14}, {FullMap, 2946, 14}, {Classical, 48, 12}, {Software, 70, 8}})
+	eachProtocol(t, func(p system.Protocol) mcheck.Config { return closure(p, 2, 1, 2) })
 }
 
-// pinnedSpace is the size of one protocol's closed interleaving space for
-// a scenario: every engine that can run under a delivery-choice network
-// (the bus protocol cannot) is held to the count and depth recorded when
-// the row was added, so a port that adds, drops or reorders a message
-// shows here before it shows in a golden.
-type pinnedSpace struct {
-	p            Protocol
-	paths, depth int
-}
-
-func checkPinned(t *testing.T, scripts [][]addr.Ref, want []pinnedSpace) {
-	for _, w := range want {
-		t.Run(w.p.String(), func(t *testing.T) {
-			res, err := ModelCheck(MCScenario{Config: mcConfig(w.p, 2), Blocks: 16, Scripts: scripts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Truncated || res.Paths != w.paths || res.MaxDepth != w.depth {
-				t.Fatalf("%v: %d interleavings (max depth %d, truncated %v), want %d (max depth %d)",
-					w.p, res.Paths, res.MaxDepth, res.Truncated, w.paths, w.depth)
-			}
-		})
-	}
-}
-
-// TestModelCheckEvictionVsQuery exhaustively verifies the EJECT/BROADQUERY
-// race: processor 0 dirties block 0 and then evicts it (by touching two
-// conflicting blocks), while processor 1 reads block 0.
+// TestModelCheckEvictionVsQuery: processor 0 dirties block 0 and evicts
+// it, then the conflicting block, while processor 1 reads block 0 — in
+// the 2-block closure of three references. Under the software partition
+// block 0 is public and never cached, as it was shared in the scenario,
+// so the evictions are of processor 0's private blocks 1 and 2.
 func TestModelCheckEvictionVsQuery(t *testing.T) {
-	checkPinned(t, [][]addr.Ref{
-		// Block 0, then 4 and 8 (all map to set 0 of a 4-set
-		// direct-mapped cache): the second fill evicts dirty 0.
-		{{Block: 0, Write: true, Shared: true}, {Block: 4}, {Block: 8}},
-		{{Block: 0, Shared: true}},
-	}, []pinnedSpace{{TwoBit, 133, 12}, {FullMap, 133, 12}, {Classical, 14, 10}, {Software, 28, 8}})
+	eachProtocol(t, func(p system.Protocol) mcheck.Config {
+		if p == system.Software {
+			return closure(p, 2, 3, 3)
+		}
+		return closure(p, 2, 2, 3)
+	})
 }
 
-// TestModelCheckThreeWayWrites verifies three processors storing to the
-// same block with no prior copies (write-miss pile-up).
-func TestModelCheckThreeWayWrites(t *testing.T) {
-	res, err := ModelCheck(MCScenario{
-		Config: mcConfig(TwoBit, 3),
-		Blocks: 16,
-		Scripts: [][]addr.Ref{
-			{{Block: 0, Write: true, Shared: true}},
-			{{Block: 0, Write: true, Shared: true}},
-			{{Block: 0, Write: true, Shared: true}},
-		},
-		MaxPaths: 1 << 19,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated {
-		t.Skipf("state space larger than budget (%d paths verified)", res.Paths)
-	}
-	t.Logf("%d interleavings verified (max depth %d)", res.Paths, res.MaxDepth)
-}
+// TestModelCheckThreeWayWrites: three processors storing to one block
+// with no prior copies.
+func TestModelCheckThreeWayWrites(t *testing.T) { checkClosure(t, closure(system.TwoBit, 3, 1, 2)) }
 
-// TestModelCheckReaderWriterChurn verifies a write-read-write ping-pong.
-func TestModelCheckReaderWriterChurn(t *testing.T) {
-	res, err := ModelCheck(MCScenario{
-		Config: mcConfig(TwoBit, 2),
-		Blocks: 16,
-		Scripts: [][]addr.Ref{
-			{{Block: 0, Write: true, Shared: true}, {Block: 0, Write: true, Shared: true}},
-			{{Block: 0, Shared: true}, {Block: 0, Shared: true}},
-		},
-		MaxPaths: 1 << 19,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestModelCheckReaderWriterChurn: a write-write / read-read ping-pong.
+func TestModelCheckReaderWriterChurn(t *testing.T) { checkClosure(t, closure(system.TwoBit, 2, 1, 2)) }
+
+// TestModelCheckReportsDepth: a store then a load must take at least a
+// REQUEST and its get.
+func TestModelCheckReportsDepth(t *testing.T) {
+	if res := checkClosure(t, closure(system.TwoBit, 2, 1, 2)); res.Depth < 2 || res.RestStates == 0 {
+		t.Fatalf("depth %d, %d rest states: want ≥ 2 and some", res.Depth, res.RestStates)
 	}
-	if res.Truncated {
-		t.Skipf("state space larger than budget (%d paths verified)", res.Paths)
-	}
-	t.Logf("%d interleavings verified (max depth %d)", res.Paths, res.MaxDepth)
 }
 
 func TestModelCheckValidation(t *testing.T) {
-	if _, err := ModelCheck(MCScenario{Config: mcConfig(TwoBit, 2), Blocks: 4}); err == nil {
-		t.Fatal("script/processor mismatch accepted")
-	}
-	if _, err := ModelCheck(MCScenario{
-		Config: mcConfig(TwoBit, 1), Blocks: 0,
-		Scripts: [][]addr.Ref{{{Block: 0}}},
-	}); err == nil {
-		t.Fatal("zero blocks accepted")
+	for _, cfg := range []mcheck.Config{closure(system.TwoBit, 2, 0, 2), closure(system.TwoBit, 1, 1, 2)} {
+		if _, err := mcheck.Check(cfg); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
 	}
 }
 
-// TestModelCheckDetectsInjectedBug sanity-checks the checker itself: a
-// machine with the oracle disabled but an impossible script (a processor
-// index beyond the generator's range would panic instead) — here we
-// verify the checker notices a deliberate coherence violation by checking
-// a scenario against a protocol that cannot satisfy it... all real
-// protocols pass, so instead verify the checker explores a nontrivial
-// space and reports depth consistent with the message count.
-func TestModelCheckReportsDepth(t *testing.T) {
-	res, err := ModelCheck(MCScenario{
-		Config: mcConfig(TwoBit, 1),
-		Blocks: 16,
-		Scripts: [][]addr.Ref{
-			{{Block: 0, Write: true, Shared: true}, {Block: 0, Shared: true}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Single processor: exactly one interleaving (REQUEST then get).
-	if res.Paths != 1 {
-		t.Fatalf("paths = %d, want 1 for a single processor", res.Paths)
-	}
-	if res.MaxDepth < 2 {
-		t.Fatalf("depth = %d, want ≥ 2 (REQUEST + get)", res.MaxDepth)
-	}
-}
-
-// TestModelCheckYenFuExclusive exhaustively verifies the §2.4.3 extension
-// whose synchronization problems the paper notes were "not fully resolved
-// in [10]": exclusive grants, silent upgrades, and the pessimistic m bit,
-// under every delivery order of racing reads and writes.
+// TestModelCheckYenFuExclusive: the §2.4.3 extension whose
+// synchronization the paper notes was "not fully resolved in [10]" —
+// exclusive grants, silent upgrades, the pessimistic m bit.
 func TestModelCheckYenFuExclusive(t *testing.T) {
-	scenarios := map[string][][]addr.Ref{
+	for name, cfg := range map[string]mcheck.Config{
 		// P0 gets an exclusive grant and silently upgrades while P1 reads.
-		"silent-upgrade-vs-read": {
-			{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-			{{Block: 0, Shared: true}},
-		},
+		"silent-upgrade-vs-read": closure(system.FullMapExclusive, 2, 1, 2),
 		// Both race a cold read; one gets exclusivity, then both write.
-		"cold-race-then-writes": {
-			{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-			{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-		},
-		// Exclusive owner cleanly ejects (conflicting fills) while the
-		// pessimistic m bit stands; P1 then reads.
-		"exclusive-clean-eject": {
-			{{Block: 0, Shared: true}, {Block: 4}, {Block: 8}},
-			{{Block: 0, Shared: true}},
-		},
-	}
-	for name, scripts := range scenarios {
-		t.Run(name, func(t *testing.T) {
-			res, err := ModelCheck(MCScenario{
-				Config:   mcConfig(FullMapExclusive, 2),
-				Blocks:   16,
-				Scripts:  scripts,
-				MaxPaths: 1 << 19,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Truncated {
-				t.Skipf("state space larger than budget (%d paths verified)", res.Paths)
-			}
-			t.Logf("%d interleavings verified (max depth %d)", res.Paths, res.MaxDepth)
-		})
+		"cold-race-then-writes": closure(system.FullMapExclusive, 2, 1, 2),
+		// The exclusive owner ejects a clean copy while the pessimistic m
+		// bit stands; P1 then reads.
+		"exclusive-clean-eject": closure(system.FullMapExclusive, 2, 2, 2),
+	} {
+		t.Run(name, func(t *testing.T) { checkClosure(t, cfg) })
 	}
 }
 
-// TestModelCheckWithDisabledCleanEject re-verifies the §3.2.5 race under
-// the paper's optional-EJECT variant.
+// TestModelCheckWithDisabledCleanEject: the racing stores under the
+// paper's optional-EJECT variant.
 func TestModelCheckWithDisabledCleanEject(t *testing.T) {
-	cfg := mcConfig(TwoBit, 2)
+	cfg := closure(system.TwoBit, 2, 1, 2)
 	cfg.DisableCleanEject = true
-	res, err := ModelCheck(MCScenario{
-		Config: cfg,
-		Blocks: 16,
-		Scripts: [][]addr.Ref{
-			{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-			{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-		},
-		MaxPaths: 1 << 19,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated {
-		t.Skipf("truncated at %d paths", res.Paths)
-	}
-	t.Logf("%d interleavings verified", res.Paths)
+	checkClosure(t, cfg)
 }
 
-// TestModelCheckSingleCommandMode re-verifies the race under the §3.2.5
+// TestModelCheckSingleCommandMode: the racing stores under the §3.2.5
 // option-1 controller.
 func TestModelCheckSingleCommandMode(t *testing.T) {
-	cfg := mcConfig(TwoBit, 2)
-	cfg.Mode = 1 // proto.SingleCommand
-	res, err := ModelCheck(MCScenario{
-		Config: cfg,
-		Blocks: 16,
-		Scripts: [][]addr.Ref{
-			{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-			{{Block: 0, Shared: true}, {Block: 0, Write: true, Shared: true}},
-		},
-		MaxPaths: 1 << 19,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cfg := closure(system.TwoBit, 2, 1, 2)
+	cfg.Mode = proto.SingleCommand
+	checkClosure(t, cfg)
+}
+
+// TestReplayMachineRefusesBusProtocol: write-once transacts on the
+// snooping bus, so there is no message delivery for a replay to choose —
+// a named error, not a panic in assembly, whichever network the config
+// names.
+func TestReplayMachineRefusesBusProtocol(t *testing.T) {
+	for _, net := range []system.NetKind{system.BusNet, system.CrossbarNet} {
+		cfg := system.DefaultConfig(system.WriteOnce, 2)
+		cfg.Net = net
+		if _, err := system.NewReplayMachine(cfg, 4); !errors.Is(err, system.ErrBusProtocol) {
+			t.Errorf("%v network: err = %v, want system.ErrBusProtocol", net, err)
+		}
 	}
-	if res.Truncated {
-		t.Skipf("truncated at %d paths", res.Paths)
-	}
-	t.Logf("%d interleavings verified", res.Paths)
 }

@@ -19,11 +19,13 @@ import (
 
 // agent and controller are what the machine needs of a protocol's two
 // sides beyond running them: Reset restores a pooled component to its
-// freshly-constructed state under a config of the same shape, and the
-// controller answers the quiescence checks.
+// freshly-constructed state under a config of the same shape, the
+// controller answers the quiescence checks, and both write their protocol
+// state for the model checker (see ReplayMachine).
 type agent interface {
 	proto.CacheSide
 	Reset(proto.AgentConfig)
+	EncodeState(proto.StateEncoder)
 }
 
 type controller interface {
@@ -31,6 +33,7 @@ type controller interface {
 	Reset(proto.CtrlConfig)
 	MemVersion(addr.Block) uint64
 	Quiescent() bool
+	EncodeBlock(proto.StateEncoder, addr.Block)
 }
 
 // protocolSpec is one row of the assembly table: everything the machine

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"errors"
 	"fmt"
 
 	"twobit/internal/addr"
@@ -8,14 +9,12 @@ import (
 	"twobit/internal/network"
 	"twobit/internal/obs"
 	"twobit/internal/proto"
-	"twobit/internal/workload"
 )
 
-// Choice machines: a Machine assembled from the protocol table as usual,
-// with the coherence oracle on, over a network whose deliveries are
-// chosen from outside. ModelCheck drives one over fixed per-processor
-// scripts; internal/mcheck drives a ReplayMachine one action at a time.
-// Both reset the machine between replays instead of rebuilding it.
+// A ReplayMachine is a Machine assembled from the protocol table as usual,
+// with the coherence oracle on, over a network whose deliveries are chosen
+// from outside. internal/mcheck drives one an action at a time and resets
+// it between replays instead of rebuilding it.
 
 // choiceNet is a Network whose deliveries are externally chosen. Messages
 // queue per (source, destination) pair; at any point the deliverable set
@@ -95,17 +94,6 @@ func (c *choiceNet) pending(src, dst network.NodeID) []msg.Message {
 	return c.queues[int(src)*c.nodes+int(dst)]
 }
 
-// deliverable appends the (src,dst) pairs with a message queued to out,
-// in (src,dst) order.
-func (c *choiceNet) deliverable(out [][2]network.NodeID) [][2]network.NodeID {
-	for i, q := range c.queues {
-		if len(q) > 0 {
-			out = append(out, [2]network.NodeID{network.NodeID(i / c.nodes), network.NodeID(i % c.nodes)})
-		}
-	}
-	return out
-}
-
 // deliver pops the head of the (src,dst) queue and hands it to dst.
 func (c *choiceNet) deliver(src, dst network.NodeID) error {
 	q := c.pending(src, dst)
@@ -119,34 +107,6 @@ func (c *choiceNet) deliver(src, dst network.NodeID) error {
 	return nil
 }
 
-// newChoiceMachine assembles cfg running gen on a delivery-choice
-// network, with the oracle on in coherence (non-strict) mode — schedules
-// reorder deliveries arbitrarily — and tracing, observability and jitter
-// off.
-func newChoiceMachine(cfg Config, gen workload.Generator) (*Machine, *choiceNet, error) {
-	cfg.Oracle = true
-	cfg.TraceWriter = nil
-	cfg.Obs = nil
-	cfg.NetJitter = 0
-	var cn *choiceNet
-	m, err := newMachine(cfg, gen, nil, nil, func(t proto.Topology) network.Network {
-		cn = newChoiceNet(t.Nodes())
-		return cn
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	m.strict = false
-	return m, cn, nil
-}
-
-// resetChoice restores a choice machine to its freshly-built state.
-func (m *Machine) resetChoice() {
-	m.kernel.Reset()
-	m.reset(m.cfg, m.gen, m.oracle)
-	m.strict = false
-}
-
 // ReplayStep is one externally chosen action: either one processor
 // reference issue or the delivery of the head of one (src,dst) queue.
 type ReplayStep struct {
@@ -158,16 +118,34 @@ type ReplayStep struct {
 	Src, Dst network.NodeID
 }
 
-// replayGen hands the machine exactly the reference the current step
+// replayGen hands each processor the reference its current step
 // specifies. Next is only ever called synchronously under
 // ReplayMachine.Step, which plants the reference first.
 type replayGen struct {
 	blocks int
-	next   addr.Ref
+	refs   []addr.Ref // by processor: the last reference planted
 }
 
-func (g *replayGen) Blocks() int       { return g.blocks }
-func (g *replayGen) Next(int) addr.Ref { return g.next }
+func (g *replayGen) Blocks() int         { return g.blocks }
+func (g *replayGen) Next(p int) addr.Ref { return g.refs[p] }
+
+// ErrBusProtocol is why NewReplayMachine refuses write-once: its agents
+// transact on the snooping bus, so there is no message delivery to choose.
+var ErrBusProtocol = errors.New("transacts on the snooping bus, not by messages a replay can deliver")
+
+// ValidateReplay reports whether NewReplayMachine accepts cfg: a valid
+// config of a protocol that exchanges messages. The network kind in cfg
+// is ignored.
+func ValidateReplay(cfg Config) error {
+	spec, err := cfg.Protocol.spec()
+	if err != nil {
+		return err
+	}
+	if spec.bus {
+		return fmt.Errorf("system: %v %w", cfg.Protocol, ErrBusProtocol)
+	}
+	return cfg.Validate()
+}
 
 // ReplayMachine drives a Machine one schedule action at a time over a
 // delivery-choice network. Between steps every timed event has run, so
@@ -182,29 +160,42 @@ type ReplayMachine struct {
 }
 
 // NewReplayMachine assembles a schedule-driven machine over blocks
-// addressable blocks. The network kind in cfg is ignored (the
-// delivery-choice network is substituted), the oracle is forced on in
-// coherence (non-strict) mode, and tracing and observability are
-// disabled.
+// addressable blocks (see ValidateReplay). The delivery-choice network is
+// substituted for cfg's, the oracle is forced on in coherence
+// (non-strict) mode — schedules reorder deliveries arbitrarily — and
+// tracing, observability and jitter are off.
 func NewReplayMachine(cfg Config, blocks int) (*ReplayMachine, error) {
-	gen := &replayGen{blocks: blocks}
-	m, cn, err := newChoiceMachine(cfg, gen)
-	if err != nil {
+	if err := ValidateReplay(cfg); err != nil {
 		return nil, err
 	}
+	cfg.Oracle = true
+	cfg.TraceWriter = nil
+	cfg.Obs = nil
+	cfg.NetJitter = 0
 	r := &ReplayMachine{
-		m: m, cn: cn, gen: gen,
+		gen:    &replayGen{blocks: blocks, refs: make([]addr.Ref, cfg.Procs)},
 		busy:   make([]bool, cfg.Procs),
 		issued: make([]int, cfg.Procs),
 	}
+	m, err := newMachine(cfg, r.gen, nil, nil, func(t proto.Topology) network.Network {
+		r.cn = newChoiceNet(t.Nodes())
+		return r.cn
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.strict = false
 	m.refDone = func(p int) { r.busy[p] = false }
+	r.m = m
 	return r, nil
 }
 
 // Reset returns the machine to its freshly-built state by resetting every
 // component in place, as a Runner resets a pooled machine.
 func (r *ReplayMachine) Reset() {
-	r.m.resetChoice()
+	r.m.kernel.Reset()
+	r.m.reset(r.m.cfg, r.gen, r.m.oracle)
+	r.m.strict = false
 	clear(r.busy)
 	clear(r.issued)
 }
@@ -223,7 +214,7 @@ func (r *ReplayMachine) Step(s ReplayStep) error {
 		if int(s.Ref.Block) >= r.gen.blocks {
 			return fmt.Errorf("system: replay issue beyond block space: %v", s.Ref.Block)
 		}
-		r.gen.next = s.Ref
+		r.gen.refs[s.Proc] = s.Ref
 		r.busy[s.Proc] = true
 		r.issued[s.Proc]++
 		r.m.issue(s.Proc, 1)
@@ -240,6 +231,9 @@ func (r *ReplayMachine) Machine() *Machine { return r.m }
 // Busy reports whether processor p has a reference outstanding.
 func (r *ReplayMachine) Busy(p int) bool { return r.busy[p] }
 
+// Ref returns the reference processor p issued last.
+func (r *ReplayMachine) Ref(p int) addr.Ref { return r.gen.refs[p] }
+
 // Issued returns how many references processor p has issued.
 func (r *ReplayMachine) Issued(p int) int { return r.issued[p] }
 
@@ -252,3 +246,26 @@ func (r *ReplayMachine) Pending(src, dst network.NodeID) []msg.Message {
 
 // Errs returns the coherence violations the oracle has recorded so far.
 func (r *ReplayMachine) Errs() []error { return r.m.errs }
+
+// EncodeAgent writes cache k's in-flight protocol state to e.
+func (r *ReplayMachine) EncodeAgent(k int, e proto.StateEncoder) { r.m.caches[k].EncodeState(e) }
+
+// EncodeBlock writes what block b's controller holds about it to e.
+func (r *ReplayMachine) EncodeBlock(b addr.Block, e proto.StateEncoder) {
+	r.m.ctrlFor(b).EncodeBlock(e, b)
+}
+
+// Quiescent reports whether every controller is idle.
+func (r *ReplayMachine) Quiescent() bool {
+	for _, c := range r.m.ctrls {
+		if !c.Quiescent() {
+			return false
+		}
+	}
+	return true
+}
+
+// CheckInvariants runs on the current state the check every simulator run
+// ends with: controllers quiescent, then each block's copies against
+// memory, the oracle and the protocol's own invariant.
+func (r *ReplayMachine) CheckInvariants() error { return r.m.checkInvariants() }

@@ -70,6 +70,9 @@ func (s *System) MemVersion(b addr.Block) uint64 { return s.memRead(b) }
 // slots' kernel events.
 func (s *System) Quiescent() bool { return true }
 
+// EncodeBlock writes memory's version of b to e (see proto.StateEncoder).
+func (s *System) EncodeBlock(e proto.StateEncoder, b addr.Block) { e.Version(s.memRead(b)) }
+
 // Deliver implements network.Handler; the atomic-bus model never sends the
 // system a message.
 func (s *System) Deliver(src network.NodeID, m msg.Message) {

@@ -42,6 +42,7 @@ import (
 	"io"
 
 	"twobit/internal/addr"
+	"twobit/internal/mcheck"
 	"twobit/internal/memtrace"
 	"twobit/internal/model"
 	"twobit/internal/obs"
@@ -239,19 +240,21 @@ func SynthesizeTrace(w io.Writer, spec ScenarioSpec, refsPerProc, chunkCap int) 
 	return tracegen.Synthesize(w, spec, refsPerProc, chunkCap, nil)
 }
 
-// MCScenario describes a bounded model-checking scenario: fixed
-// per-processor scripts explored under every possible network delivery
-// order (per-pair FIFO preserved).
-type MCScenario = system.MCScenario
+// MCScenario bounds an exhaustive model-checking run: the protocol, a
+// small machine (caches, blocks, cache sets) and the references each
+// processor may issue.
+type MCScenario = mcheck.Config
 
-// MCResult summarizes a model-checking exploration.
-type MCResult = system.MCResult
+// MCResult summarizes a model-checking closure: its states, edges, rest
+// states and depth, and the first violation with its counterexample.
+type MCResult = mcheck.Result
 
-// ModelCheck exhaustively verifies a small scenario across all network
-// delivery interleavings: no deadlock, no coherence violation, no
-// invariant violation — the bounded form of the correctness proof the
-// paper's conclusion calls for.
-func ModelCheck(sc MCScenario) (MCResult, error) { return system.ModelCheck(sc) }
+// ModelCheck explores every state of a small machine reachable within the
+// scenario's reference bound — every interleaving of processor references
+// and network deliveries — and proves coherence, the oracle on every
+// explored transition, deadlock freedom and progress: the bounded form of
+// the correctness proof the paper's conclusion calls for.
+func ModelCheck(sc MCScenario) (MCResult, error) { return mcheck.Check(sc) }
 
 // The three sharing levels of §4.3.
 var (

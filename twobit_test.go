@@ -193,23 +193,12 @@ func TestLatencyMetricsPopulated(t *testing.T) {
 }
 
 func TestModelCheckPublicAPI(t *testing.T) {
-	cfg := DefaultConfig(TwoBit, 2)
-	cfg.Modules = 1
-	cfg.CacheSets = 4
-	cfg.CacheAssoc = 1
-	res, err := ModelCheck(MCScenario{
-		Config: cfg,
-		Blocks: 8,
-		Scripts: [][]Ref{
-			{{Block: 0, Write: true, Shared: true}},
-			{{Block: 0, Write: true, Shared: true}},
-		},
-	})
+	res, err := ModelCheck(MCScenario{Protocol: Classical, Caches: 2, Blocks: 1, Sets: 1, RefsPerProc: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Paths < 2 || res.Truncated {
-		t.Fatalf("unexpected exploration: %+v", res)
+	if res.States < 2 || res.RestStates == 0 || res.Truncated || res.Violation != nil {
+		t.Fatalf("unexpected closure: %+v", res)
 	}
 }
 
