@@ -26,6 +26,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,45 +39,72 @@ import (
 	"twobit/internal/system"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "coherencetrace: %v\n", err)
-		os.Exit(1)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// options holds the parsed flags.
+type options struct {
+	plan, format, components, class, out string
+	runID, ring                          int
+	addr, txn, from, to                  int64
 }
 
-func run() error {
-	planPath := flag.String("plan", "", "campaign plan JSON file ('-' for stdin)")
-	runID := flag.Int("run", 0, "run id within the plan to replay (see sweep's store)")
-	format := flag.String("format", "chrome", "output: chrome (trace-event JSON), spans (transaction-span JSON), or summary (metrics text)")
-	components := flag.String("component", "", "comma-separated track filter (e.g. cache0,ctrl1,net); empty keeps all")
-	addrFlag := flag.Int64("addr", -1, "keep only events/spans for this block address (-1 keeps all)")
-	txn := flag.Int64("txn", -1, "spans format: keep only this transaction id (-1 keeps all)")
-	class := flag.String("class", "", "spans format: keep only this reference class (read_miss, write_upgrade, ...)")
-	from := flag.Int64("from", 0, "keep only events at tick ≥ from")
-	to := flag.Int64("to", 0, "keep only events at tick ≤ to (0 = unbounded)")
-	ring := flag.Int("ring", obs.DefaultRingCapacity, "event ring capacity; oldest events drop beyond this (also bounds span retention)")
-	out := flag.String("o", "", "output path (default stdout)")
-	flag.Parse()
-
-	if *planPath == "" {
-		return fmt.Errorf("no -plan given (the same plan file the campaign ran with)")
+// run is the command: it parses args, replays the run, writes the export
+// to stdout or -o and any note or error to stderr, and returns the exit
+// status: 0, 1 on an error, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("coherencetrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.plan, "plan", "", "campaign plan JSON file ('-' for stdin)")
+	fs.IntVar(&o.runID, "run", 0, "run id within the plan to replay (see sweep's store)")
+	fs.StringVar(&o.format, "format", "chrome", "output: chrome (trace-event JSON), spans (transaction-span JSON), or summary (metrics text)")
+	fs.StringVar(&o.components, "component", "", "comma-separated track filter (e.g. cache0,ctrl1,net); empty keeps all")
+	fs.Int64Var(&o.addr, "addr", -1, "keep only events/spans for this block address (-1 keeps all)")
+	fs.Int64Var(&o.txn, "txn", -1, "spans format: keep only this transaction id (-1 keeps all)")
+	fs.StringVar(&o.class, "class", "", "spans format: keep only this reference class (read_miss, write_upgrade, ...)")
+	fs.Int64Var(&o.from, "from", 0, "keep only events at tick ≥ from")
+	fs.Int64Var(&o.to, "to", 0, "keep only events at tick ≤ to (0 = unbounded)")
+	fs.IntVar(&o.ring, "ring", obs.DefaultRingCapacity, "event ring capacity; oldest events drop beyond this (also bounds span retention)")
+	fs.StringVar(&o.out, "o", "", "output path (default stdout)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	plan, err := sweep.ReadPlanFile(*planPath)
+	if err := o.export(stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "coherencetrace: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// export checks the options, replays the run and writes it in the chosen
+// format. Nothing is created or truncated before the replay succeeds.
+func (o *options) export(stdout, stderr io.Writer) (err error) {
+	if o.plan == "" {
+		return errors.New("no -plan given (the same plan file the campaign ran with)")
+	}
+	switch o.format {
+	case "chrome", "spans", "summary":
+	default:
+		return fmt.Errorf("unknown -format %q (want chrome, spans, or summary)", o.format)
+	}
+	plan, err := sweep.ReadPlanFile(o.plan)
 	if err != nil {
 		return err
 	}
 
-	spansMode := *format == "spans"
-	ringCap := *ring
+	spansMode := o.format == "spans"
+	ringCap := o.ring
 	if spansMode {
 		ringCap = 0 // spans bypass the event ring; skip its allocation
 	}
 	rec := obs.New(ringCap)
 	if spansMode {
-		rec.EnableSpans(*ring)
+		rec.EnableSpans(o.ring)
 	}
-	res, err := sweep.TracePoint(plan, *runID, rec)
+	res, err := sweep.TracePoint(plan, o.runID, rec)
 	if err != nil {
 		return err
 	}
@@ -84,60 +112,59 @@ func run() error {
 	// Stream through one buffer regardless of destination: trace exports
 	// run to hundreds of thousands of lines, and writing them unbuffered
 	// to stdout costs a syscall per event.
-	dst := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
+	dst := stdout
+	if o.out != "" {
+		f, err := os.Create(o.out)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 		dst = f
 	}
 	w := bufio.NewWriterSize(dst, 1<<16)
-	defer w.Flush()
 
-	switch *format {
+	switch o.format {
 	case "chrome":
 		f := obs.Filter{
-			HasBlock: *addrFlag >= 0,
-			Block:    *addrFlag,
-			From:     sim.Time(*from),
-			To:       sim.Time(*to),
+			HasBlock: o.addr >= 0,
+			Block:    o.addr,
+			From:     sim.Time(o.from),
+			To:       sim.Time(o.to),
 		}
-		if *components != "" {
-			f.Components = strings.Split(*components, ",")
+		if o.components != "" {
+			f.Components = strings.Split(o.components, ",")
 		}
 		if err := obs.WriteChromeTrace(w, rec, f); err != nil {
 			return err
 		}
 		if n := rec.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "note: ring dropped %d oldest events; rerun with -ring %d for the full run\n",
+			fmt.Fprintf(stderr, "note: ring dropped %d oldest events; rerun with -ring %d for the full run\n",
 				n, nextPow2(rec.EventCount()+int(n)))
 		}
-		return w.Flush()
 	case "spans":
 		f := obs.SpanFilter{
-			Txn:      *txn,
-			Class:    *class,
-			HasBlock: *addrFlag >= 0,
-			Block:    *addrFlag,
+			Txn:      o.txn,
+			Class:    o.class,
+			HasBlock: o.addr >= 0,
+			Block:    o.addr,
 		}
 		if err := obs.WriteSpanTrace(w, rec.Spans(), f); err != nil {
 			return err
 		}
 		if n := rec.Spans().Truncated(); n > 0 {
-			fmt.Fprintf(os.Stderr, "note: span retention dropped %d newest spans; rerun with -ring %d for the full run\n",
+			fmt.Fprintf(stderr, "note: span retention dropped %d newest spans; rerun with -ring %d for the full run\n",
 				n, nextPow2(len(rec.Spans().Finished())+int(n)))
 		}
-		return w.Flush()
 	case "summary":
 		if err := writeSummary(w, rec, res); err != nil {
 			return err
 		}
-		return w.Flush()
-	default:
-		return fmt.Errorf("unknown -format %q (want chrome, spans, or summary)", *format)
 	}
+	return w.Flush()
 }
 
 // writeSummary renders the run's metrics snapshot as readable text: one

@@ -136,7 +136,7 @@ func New(cfg proto.CtrlConfig, pol Policy, kernel *sim.Kernel, net network.Netwo
 	if pol.Central && cfg.Topo.Modules != 1 {
 		panic("core: a central controller requires exactly one module")
 	}
-	c := &Controller{pol: pol, comp: obs.NoComponent}
+	c := &Controller{pol: pol}
 	blocks := cfg.Space.BlocksInModule(cfg.Module)
 	if pol.Holders != nil {
 		c.dir = &exactDir{store: pol.Holders(blocks, cfg.Topo.Caches), space: cfg.Space}
@@ -146,26 +146,7 @@ func New(cfg proto.CtrlConfig, pol Policy, kernel *sim.Kernel, net network.Netwo
 		}
 		c.dir = &twoBitDir{bits: directory.NewTwoBitMap(blocks), tb: c.tb, space: cfg.Space, stats: &c.Stats}
 	}
-	if cfg.Obs != nil {
-		c.rec = cfg.Obs
-		prefix := fmt.Sprintf("ctrl%d", cfg.Module)
-		c.comp = cfg.Obs.Component(prefix)
-		c.obsQueue = cfg.Obs.Histogram(prefix+"/queue_depth", 1)
-		c.obsTxn = cfg.Obs.Histogram(prefix+"/txn_cycles", 16)
-		c.obsBroadcasts = cfg.Obs.Counter(prefix + "/broadcasts")
-		for s := range c.obsStateTo {
-			c.obsStateTo[s] = cfg.Obs.Counter(prefix + "/" + stateCounterSuffix[s])
-		}
-		if ts := cfg.Obs.Windows(); ts != nil {
-			c.tsQueue = ts.Series(prefix+"/queue_depth", obs.SeriesMax)
-			for s := range c.tsCensus {
-				c.tsCensus[s] = ts.Series(obs.DirStateSeriesNames[s], obs.SeriesGauge)
-			}
-			// Every block this module owns starts Absent.
-			c.tsCensus[directory.Absent].GaugeAdd(int64(blocks))
-		}
-	}
-	c.sp = cfg.Obs.Spans()
+	c.observe(cfg.Obs, cfg.Module, blocks)
 	c.Init(cfg, kernel, net, mem, c)
 	c.ser = proto.NewSerializer[txn](c.mode(), cfg.Space, cfg.Module, c.begin)
 	return c
@@ -173,21 +154,47 @@ func New(cfg proto.CtrlConfig, pol Policy, kernel *sim.Kernel, net network.Netwo
 
 // Reset restores the controller to its freshly-constructed state under
 // cfg (see proto.CtrlBase.Reset), keeping the policy and the
-// directory/serializer/transaction-record backing storage.
+// directory/serializer/transaction-record backing storage, and attaches
+// it to cfg.Obs instead of the previous run's recorder.
 // Translation-buffer presence (size > 0 or not — the buffer itself resizes
 // freely) must match construction. Defect hooks are values like the
-// latencies. Pooled machines run without instrumentation, so cfg.Obs must
-// be nil; such configs rebuild the machine instead.
+// latencies.
 func (c *Controller) Reset(cfg proto.CtrlConfig) {
-	if cfg.Obs != nil {
-		panic("core: Reset with Obs set — rebuild instead")
-	}
 	if c.pol.Holders == nil && (cfg.TranslationBufferSize > 0) != (c.tb != nil) {
 		panic("core: Reset cannot toggle the translation buffer — rebuild instead")
 	}
 	c.CtrlBase.Reset(cfg)
 	c.dir.reset(cfg.TranslationBufferSize)
 	c.ser.Reset(c.mode())
+	c.observe(cfg.Obs, cfg.Module, cfg.Space.BlocksInModule(cfg.Module))
+}
+
+// observe resolves the controller's instrument handles on rec, for a
+// directory whose blocks all start Absent; a nil rec leaves every one of
+// them nil (and comp NoComponent), the free path.
+func (c *Controller) observe(rec *obs.Recorder, module, blocks int) {
+	c.rec, c.comp, c.sp = rec, obs.NoComponent, rec.Spans()
+	c.obsQueue, c.obsTxn, c.obsBroadcasts, c.obsStateTo = nil, nil, nil, [4]*obs.Counter{}
+	c.tsQueue, c.tsCensus = nil, [4]*obs.TimeSeries{}
+	if rec == nil {
+		return
+	}
+	prefix := fmt.Sprintf("ctrl%d", module)
+	c.comp = rec.Component(prefix)
+	c.obsQueue = rec.Histogram(prefix+"/queue_depth", 1)
+	c.obsTxn = rec.Histogram(prefix+"/txn_cycles", 16)
+	c.obsBroadcasts = rec.Counter(prefix + "/broadcasts")
+	for s := range c.obsStateTo {
+		c.obsStateTo[s] = rec.Counter(prefix + "/" + stateCounterSuffix[s])
+	}
+	if ts := rec.Windows(); ts != nil {
+		c.tsQueue = ts.Series(prefix+"/queue_depth", obs.SeriesMax)
+		for s := range c.tsCensus {
+			c.tsCensus[s] = ts.Series(obs.DirStateSeriesNames[s], obs.SeriesGauge)
+		}
+		// Every block this module owns starts Absent.
+		c.tsCensus[directory.Absent].GaugeAdd(int64(blocks))
+	}
 }
 
 // mode is the serializer mode: a central controller services one command

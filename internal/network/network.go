@@ -74,10 +74,11 @@ type Network interface {
 	Broadcast(src NodeID, m msg.Message, except ...NodeID) int
 	// Stats returns the network's traffic counters.
 	Stats() *Stats
-	// Observe attaches an observability recorder. names maps a node id
-	// to its track name (the system layer knows the topology; the
-	// network does not). A nil recorder is legal and leaves the network
-	// uninstrumented; Observe must be called before traffic flows.
+	// Observe attaches an observability recorder, replacing any earlier
+	// one. names maps a node id to its track name (the system layer knows
+	// the topology; the network does not). A nil recorder detaches and
+	// leaves the network uninstrumented; Observe must be called before
+	// traffic flows.
 	Observe(rec *obs.Recorder, names func(NodeID) string)
 }
 
@@ -172,17 +173,18 @@ func (b *base) reset() {
 	b.freeHead = -1
 }
 
-// Observe implements Network.
+// Observe implements Network. It replaces whatever recorder was attached
+// before: a nil rec detaches it, and every handle and track with it.
 func (b *base) Observe(rec *obs.Recorder, names func(NodeID) string) {
-	if rec == nil {
-		return
-	}
-	b.rec = rec
-	b.nameFn = names
+	b.rec, b.nameFn = rec, names
+	b.track = b.track[:0]
 	b.obsSends = rec.Counter("net/sends")
 	b.obsFanout = rec.Histogram("net/broadcast_fanout", 1)
 	b.tsMsgs = rec.Windows().Series("net/msgs", obs.SeriesSum)
 	b.tsBusy = rec.Windows().Series("net/busy_cycles", obs.SeriesSum)
+	if rec == nil {
+		return
+	}
 	for _, id := range b.order {
 		b.trackFor(id)
 	}

@@ -1,9 +1,12 @@
 package network
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"twobit/internal/msg"
+	"twobit/internal/obs"
 	"twobit/internal/rng"
 	"twobit/internal/sim"
 )
@@ -33,6 +36,31 @@ func TestCrossbarDeliveryAndLatency(t *testing.T) {
 	k.Run()
 	if len(r.got) != 1 || r.at[0] != 15 {
 		t.Fatalf("delivery at %v, want [15]", r.at)
+	}
+}
+
+// TestObserveReplacesRecorder: Observe swaps the recorder of an attached
+// network. Observe(nil) detaches, so the next send reaches no recorder,
+// and each new recorder gets a track for every attached node even though
+// an earlier one already resolved them.
+func TestObserveReplacesRecorder(t *testing.T) {
+	var k sim.Kernel
+	n := NewCrossbar(&k, 1)
+	for id := NodeID(0); id < 3; id++ {
+		n.Attach(id, HandlerFunc(func(NodeID, msg.Message) {}))
+	}
+	names := func(id NodeID) string { return fmt.Sprintf("n%d", id) }
+	first, second := obs.New(0), obs.New(0)
+	n.Observe(first, names)
+	n.Observe(nil, nil)
+	n.Send(0, 1, mkMsg(msg.KindRequest, 0))
+	k.Run()
+	if sends, _ := first.Snapshot().Counter("net/sends"); sends != 0 {
+		t.Errorf("a detached network counted %d sends on its old recorder", sends)
+	}
+	n.Observe(second, names)
+	if got, want := second.Components(), []string{"n0", "n1", "n2"}; !slices.Equal(got, want) {
+		t.Errorf("second recorder's tracks %q, want %q", got, want)
 	}
 }
 

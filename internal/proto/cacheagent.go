@@ -66,33 +66,35 @@ const (
 // NewCacheAgent wires a cache agent to the network. store must be a
 // freshly constructed cache dedicated to this agent.
 func NewCacheAgent(cfg AgentConfig, kernel *sim.Kernel, net network.Network, store *cache.Cache) *CacheAgent {
-	a := &CacheAgent{comp: obs.NoComponent}
-	if cfg.Obs != nil {
-		a.rec = cfg.Obs
-		a.comp = cfg.Obs.Component(fmt.Sprintf("cache%d", cfg.Index))
-		a.obsRefs = cfg.Obs.Counter(fmt.Sprintf("cache%d/refs", cfg.Index))
-		a.obsRemote = cfg.Obs.Histogram(fmt.Sprintf("cache%d/remote_ref_cycles", cfg.Index), 4)
-		if ts := cfg.Obs.Windows(); ts != nil {
-			a.tsRefs = ts.Series("sys/refs", obs.SeriesSum)
-			a.tsMisses = ts.Series("sys/misses", obs.SeriesSum)
-			a.tsInvs = ts.Series("sys/invalidations", obs.SeriesSum)
-			a.tsUpgrades = ts.Series("sys/upgrades", obs.SeriesSum)
-		}
-		a.cont = cfg.Obs.Contention()
-	}
-	a.sp = cfg.Obs.Spans()
+	a := &CacheAgent{}
+	a.observe(cfg.Obs, cfg.Index)
 	a.Init(cfg, kernel, net, store, a)
 	return a
 }
 
 // Reset restores the agent to its freshly-constructed state under cfg
-// (see AgentBase.Reset). Pooled machines run uninstrumented, so cfg.Obs
-// must be nil; instrumented configs rebuild the machine instead.
+// (see AgentBase.Reset), attached to cfg.Obs instead of the previous
+// run's recorder.
 func (a *CacheAgent) Reset(cfg AgentConfig) {
-	if cfg.Obs != nil {
-		panic("proto: CacheAgent.Reset with Obs set — rebuild instead")
-	}
 	a.AgentBase.Reset(cfg)
+	a.observe(cfg.Obs, cfg.Index)
+}
+
+// observe resolves the agent's instrument handles on rec; a nil rec
+// leaves every one of them nil (and comp NoComponent), the free path.
+func (a *CacheAgent) observe(rec *obs.Recorder, k int) {
+	a.rec, a.comp, a.sp, a.cont = rec, obs.NoComponent, rec.Spans(), rec.Contention()
+	a.obsRefs, a.obsRemote = nil, nil
+	if rec != nil {
+		a.comp = rec.Component(fmt.Sprintf("cache%d", k))
+		a.obsRefs = rec.Counter(fmt.Sprintf("cache%d/refs", k))
+		a.obsRemote = rec.Histogram(fmt.Sprintf("cache%d/remote_ref_cycles", k), 4)
+	}
+	ts := rec.Windows()
+	a.tsRefs = ts.Series("sys/refs", obs.SeriesSum)
+	a.tsMisses = ts.Series("sys/misses", obs.SeriesSum)
+	a.tsInvs = ts.Series("sys/invalidations", obs.SeriesSum)
+	a.tsUpgrades = ts.Series("sys/upgrades", obs.SeriesSum)
 }
 
 // EncodeState writes the agent's in-flight state to e: AgentBase's, plus

@@ -33,12 +33,7 @@ func TracePoint(p *Plan, runID int, rec *obs.Recorder) (system.Results, error) {
 	defer tracegen.CloseGenerator(gen) // cached trace segments hold an mmap
 	cfg := p.Config(pt)
 	cfg.Obs = rec
-	//lint:allow pooled-construction one machine per trace export, with obs hooks the pool excludes
-	m, err := system.New(cfg, gen)
-	if err != nil {
-		return system.Results{}, err
-	}
-	res, err := m.Run(p.RefsPerProc)
+	res, err := system.NewRunner().Run(cfg, gen, p.RefsPerProc)
 	if err != nil {
 		return system.Results{}, fmt.Errorf("sweep: replaying run %d: %w", runID, err)
 	}

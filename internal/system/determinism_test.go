@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
-
-	"twobit/internal/sim"
 )
 
 // runForHash executes one seeded simulation and returns the results plus
@@ -25,21 +23,17 @@ func runForHash(t *testing.T, cfg Config, refs int) (Results, uint64) {
 	return res, h.Sum64()
 }
 
-// runOnKernel executes one seeded simulation on the supplied kernel and
-// returns the stable results encoding plus a trace hash.
-func runOnKernel(t *testing.T, k *sim.Kernel, cfg Config, refs int) ([]byte, uint64) {
+// runOnRunner executes one seeded simulation through r and returns the
+// stable results encoding plus a trace hash.
+func runOnRunner(t *testing.T, r *Runner, cfg Config, refs int) ([]byte, uint64) {
 	t.Helper()
 	h := fnv.New64a()
 	cfg.TraceWriter = h
-	m, err := NewOnKernel(cfg, sharingGen(cfg.Procs, 7), k)
+	res, err := r.Run(cfg, sharingGen(cfg.Procs, 7), refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := res.EncodeStable()
+	enc, err := r.EncodeStable(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,30 +41,33 @@ func runOnKernel(t *testing.T, k *sim.Kernel, cfg Config, refs int) ([]byte, uin
 }
 
 // TestKernelResetReuse pins the Reset/reuse contract the pooled event
-// storage introduces: two back-to-back simulations on one kernel — the
-// second scheduling into event storage the first already grew and used —
+// storage introduces: two back-to-back simulations through one Runner —
+// the second scheduling into kernel event storage the first already grew
+// and used, on the first one's traced machine with a new trace writer —
 // must produce results and traces byte-identical to the same simulation
-// on a fresh kernel. Any state leaking through the reused backing array
-// (a stale sequence counter, a surviving event, a non-zero clock) shows
-// up here.
+// on a fresh Runner. Any state leaking through the reused backing array
+// (a stale sequence counter, a surviving event, a non-zero clock) or the
+// trace wrapper shows up here.
 func TestKernelResetReuse(t *testing.T) {
 	cfg := DefaultConfig(TwoBit, 4)
 	cfg.Seed = 42
 
-	fresh, freshHash := runOnKernel(t, &sim.Kernel{}, cfg, 800)
+	fresh, freshHash := runOnRunner(t, NewRunner(), cfg, 800)
 
-	k := &sim.Kernel{}
-	first, firstHash := runOnKernel(t, k, cfg, 800)
+	r := NewRunner()
+	first, firstHash := runOnRunner(t, r, cfg, 800)
 	if string(first) != string(fresh) || firstHash != freshHash {
-		t.Fatal("first run on the shared kernel differs from the fresh-kernel run")
+		t.Fatal("first run on the shared Runner differs from the fresh-Runner run")
 	}
-	k.Reset()
-	second, secondHash := runOnKernel(t, k, cfg, 800)
+	second, secondHash := runOnRunner(t, r, cfg, 800)
 	if string(second) != string(fresh) {
-		t.Errorf("second run on a Reset kernel: results encoding differs from the fresh-kernel run")
+		t.Errorf("second run on the shared Runner: results encoding differs from the fresh-Runner run")
 	}
 	if secondHash != freshHash {
-		t.Errorf("second run on a Reset kernel: trace hash %#x, fresh kernel %#x", secondHash, freshHash)
+		t.Errorf("second run on the shared Runner: trace hash %#x, fresh Runner %#x", secondHash, freshHash)
+	}
+	if n := r.PooledMachines(); n != 1 {
+		t.Errorf("two traced runs of one shape pooled %d machines, want 1", n)
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 // graph is pooled per shape — a run whose config has the same structure
 // (protocol, topology, cache geometry, block count; see machineShape) as
 // an earlier run reuses that machine behind component Reset methods,
-// constructing nothing. Configs that bind construction-time recorders
-// (Obs, TraceWriter) fall back to a fresh machine.
+// constructing nothing. A recorder (Obs) and a trace writer are values
+// like any other: reset attaches them to the pooled machine, and the next
+// run without them detaches them.
 //
 // A Runner is confined to one goroutine; give each worker its own. Runs
 // through a Runner are byte-identical to runs through New — pinned by
@@ -47,24 +48,6 @@ func NewRunner() *Runner {
 // state and drives every processor through refsPerProc references,
 // exactly as New + Machine.Run would.
 func (r *Runner) Run(cfg Config, gen workload.Generator, refsPerProc int) (Results, error) {
-	r.kernel.Reset()
-	// A previous instrumented run installed its profiling hook on the
-	// kernel; Reset keeps hooks, so drop it explicitly — the new
-	// machine re-installs one if cfg.Obs is set.
-	r.kernel.SetHook(nil)
-	var o *Oracle
-	if cfg.Oracle {
-		o = r.oracle // newMachine / Machine.reset size and empty it
-	}
-	if !poolable(cfg) {
-		m, err := newMachine(cfg, gen, &r.kernel, o, nil)
-		if err != nil {
-			return Results{}, err
-		}
-		return r.run(m, refsPerProc)
-	}
-	// Replicate newMachine's input checks before consulting the pool, so
-	// invalid configs fail identically on both paths.
 	if err := cfg.Validate(); err != nil {
 		return Results{}, err
 	}
@@ -72,19 +55,25 @@ func (r *Runner) Run(cfg Config, gen workload.Generator, refsPerProc int) (Resul
 	if blocks < 1 {
 		return Results{}, fmt.Errorf("system: generator spans %d blocks", blocks)
 	}
+	r.kernel.Reset()
+	var o *Oracle
+	if cfg.Oracle {
+		o = r.oracle // newMachine / Machine.reset size and empty it
+	}
 	shape := shapeOf(cfg, blocks)
-	if m := r.pool[shape]; m != nil {
+	m := r.pool[shape]
+	if m != nil {
 		m.reset(cfg, gen, o)
-		return r.run(m, refsPerProc)
+	} else {
+		var err error
+		if m, err = newMachine(cfg, gen, &r.kernel, o, nil); err != nil {
+			return Results{}, err
+		}
+		if r.pool == nil {
+			r.pool = make(map[machineShape]*Machine)
+		}
+		r.pool[shape] = m
 	}
-	m, err := newMachine(cfg, gen, &r.kernel, o, nil)
-	if err != nil {
-		return Results{}, err
-	}
-	if r.pool == nil {
-		r.pool = make(map[machineShape]*Machine)
-	}
-	r.pool[shape] = m
 	return r.run(m, refsPerProc)
 }
 

@@ -237,21 +237,11 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 	return newMachine(cfg, gen, nil, nil, nil)
 }
 
-// NewOnKernel is New on a caller-supplied kernel, so one kernel's event
-// storage (grown to its high-water mark) can be reused across
-// simulations without reallocating. The kernel must be Reset between
-// machines; a run on a reused kernel is byte-identical to a run on a
-// fresh one (TestKernelResetReuse pins this). Note that a machine with
-// cfg.Obs set installs its profiling hook on the kernel, and Reset keeps
-// hooks — call SetHook(nil) before reusing such a kernel without obs.
-func NewOnKernel(cfg Config, gen workload.Generator, k *sim.Kernel) (*Machine, error) {
-	return newMachine(cfg, gen, k, nil, nil)
-}
-
-// newMachine is New with an optional kernel, reusable oracle (Reset
-// here to the generator's block count; nil allocates a fresh one) and
-// network override, which the choice machines use to substitute a
-// delivery-choice network sized by the topology.
+// newMachine is New with an optional kernel, reusable oracle (nil
+// allocates a fresh one when cfg.Oracle is set) and network override,
+// which the choice machines use to substitute a delivery-choice network
+// sized by the topology. It builds the graph of cfg's shape, then applies
+// cfg's values through reset, exactly as a pool hit does.
 func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *Oracle, newNet func(proto.Topology) network.Network) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -263,15 +253,20 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 	if kernel == nil {
 		kernel = &sim.Kernel{}
 	}
+	if cfg.Oracle && oracle == nil {
+		oracle = NewOracle(blocks)
+	}
 	m := &Machine{
 		cfg:    cfg,
-		gen:    gen,
 		kernel: kernel,
 		topo:   proto.Topology{Caches: cfg.Procs, Modules: cfg.Modules, DMA: cfg.DMA.Devices},
 		space:  addr.Space{Blocks: blocks, Modules: cfg.Modules},
 		spec:   &protocols[cfg.Protocol], // Validate vouched for it
 		caches: make([]agent, cfg.Procs),
 	}
+	// The graph is built without the recorder: it is a value, attached by
+	// reset below in the registration order a pool hit uses.
+	m.cfg.Obs = nil
 	switch {
 	case newNet != nil:
 		m.net = newNet(m.topo)
@@ -283,49 +278,22 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 		m.net = network.NewJitterCrossbar(m.kernel, cfg.NetLatency, cfg.NetJitter, cfg.Seed^0xA5A5)
 	}
 	if cfg.TraceWriter != nil {
-		m.net = &traceNet{inner: m.net, m: m, w: cfg.TraceWriter}
-	}
-	if cfg.Obs != nil {
-		cfg.Obs.SetClock(m.kernel.Now)
-		m.kernel.SetHook(obs.NewKernelProfile(cfg.Obs))
-		m.obsLatency = cfg.Obs.Histogram("sys/ref_latency_cycles", 8)
-		m.net.Observe(cfg.Obs, m.trackName)
-	}
-	if cfg.Oracle {
-		if oracle != nil {
-			oracle.Reset(blocks)
-			m.oracle = oracle
-		} else {
-			m.oracle = NewOracle(blocks)
-		}
-		// Strict linearizability holds only when invalidations and grants
-		// travel with equal delay; the blocking Omega network and the
-		// jittered crossbar do not guarantee that, so they get the (still
-		// paper-exact) coherence check. See the Oracle doc.
-		m.strict = cfg.Net != OmegaNet && cfg.NetJitter == 0
+		m.net = &traceNet{inner: m.net, m: m}
 	}
 	m.spec.build(m)
 	for d := 0; d < cfg.DMA.Devices; d++ {
 		m.dmas = append(m.dmas, newDMADevice(m, d))
 	}
+	m.reset(cfg, gen, oracle)
 	return m, nil
-}
-
-// poolable reports whether cfg can run on a pooled machine. The two
-// excluded features bind external recorders or wrappers at construction
-// time (the obs recorder threads through every component, and the trace
-// writer wraps the network), so configs using them rebuild the machine
-// instead. Neither appears on the sweep hot path unless instrumentation
-// was requested.
-func poolable(cfg Config) bool {
-	return cfg.Obs == nil && cfg.TraceWriter == nil
 }
 
 // machineShape is the structural identity of a machine: the parameters
 // that decide what gets constructed and wired (component counts, array
-// sizes, network topology, attachment graph). Two configs with equal
-// shapes differ only in value parameters — seeds, latencies, policies,
-// oracle on/off — which Machine.reset re-derives without rebuilding.
+// sizes, network topology, attachment graph, trace wrapper). Two configs
+// with equal shapes differ only in value parameters — seeds, latencies,
+// policies, oracle on/off, recorder, trace writer — which Machine.reset
+// re-derives without rebuilding.
 type machineShape struct {
 	protocol Protocol
 	procs    int
@@ -336,6 +304,7 @@ type machineShape struct {
 	net      NetKind
 	dma      int
 	tb       bool // translation buffer present (size > 0)
+	traced   bool // the network is wrapped by a trace writer
 }
 
 // shapeOf computes the shape of cfg over an address space of blocks
@@ -351,15 +320,18 @@ func shapeOf(cfg Config, blocks int) machineShape {
 		net:      cfg.Net,
 		dma:      cfg.DMA.Devices,
 		tb:       cfg.TranslationBufferSize > 0,
+		traced:   cfg.TraceWriter != nil,
 	}
 }
 
-// reset restores a pooled machine to its freshly-constructed state under
-// cfg, which must be poolable, validated, and shape-equal to the
-// machine's construction config (the Runner guarantees all three). The
-// caller owns the kernel and resets it separately. Reset runs are
-// byte-identical to fresh machines — pinned by TestRunnerReuse and the
-// randomized property test.
+// reset restores the machine to its freshly-constructed state under cfg,
+// which must be validated and shape-equal to the machine's construction
+// config (newMachine and the Runner guarantee both). It applies every
+// value parameter: the oracle and strict mode, network timing, the trace
+// writer, and the recorder with the kernel hook that profiles for it. The
+// caller owns the kernel and resets it separately. Without a recorder,
+// reset allocates nothing. Reset runs are byte-identical to fresh
+// machines — pinned by TestRunnerReuse and the randomized property test.
 func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
 	m.cfg = cfg
 	m.gen = gen
@@ -367,8 +339,17 @@ func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
 	if oracle != nil {
 		oracle.Reset(m.space.Blocks)
 	}
+	// Strict linearizability holds only when invalidations and grants
+	// travel with equal delay; the blocking Omega network and the jittered
+	// crossbar do not guarantee that, so they get the (still paper-exact)
+	// coherence check. See the Oracle doc.
 	m.strict = oracle != nil && cfg.Net != OmegaNet && cfg.NetJitter == 0
-	switch n := m.net.(type) {
+	net := m.net
+	if t, ok := net.(*traceNet); ok {
+		t.w = cfg.TraceWriter
+		net = t.inner
+	}
+	switch n := net.(type) {
 	case *network.Crossbar:
 		n.Reset(cfg.NetLatency, cfg.NetJitter, cfg.Seed^0xA5A5)
 	case *network.Bus:
@@ -378,8 +359,22 @@ func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
 	case *choiceNet:
 		n.reset()
 	default:
-		panic(fmt.Sprintf("system: cannot reset network %T — rebuild instead", m.net))
+		panic(fmt.Sprintf("system: cannot reset network %T", net))
 	}
+	// The recorder's registration order is pinned by the obs goldens: the
+	// kernel series, the machine's, the network's, then each component's
+	// as resetComponents reaches it.
+	var hook sim.Hook // an untyped nil without a recorder: no per-event call
+	var names func(network.NodeID) string
+	m.obsLatency = nil
+	if rec := cfg.Obs; rec != nil {
+		rec.SetClock(m.kernel.Now)
+		hook = obs.NewKernelProfile(rec)
+		m.obsLatency = rec.Histogram("sys/ref_latency_cycles", 8)
+		names = m.trackName
+	}
+	m.kernel.SetHook(hook)
+	m.net.Observe(cfg.Obs, names)
 	m.resetComponents()
 	for _, d := range m.dmas {
 		d.reset()

@@ -10,8 +10,9 @@ import (
 )
 
 // traceNet decorates a Network, logging every send and broadcast with the
-// simulated time. Enabled by Machine.SetTrace; invaluable when debugging
-// protocol races.
+// simulated time to w. A machine built with Config.TraceWriter carries
+// one, and each reset points w at the run's writer; invaluable when
+// debugging protocol races.
 type traceNet struct {
 	inner network.Network
 	m     *Machine
