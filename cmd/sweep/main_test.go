@@ -25,6 +25,8 @@ func TestErrorsCarryOnePrefix(t *testing.T) {
 	good := write("good.json", ok+`}`)
 	unknown := write("unknown.json", ok+`,"frobnicate":1}`)
 	empty := write("empty.json", `{"name":"p","protocols":[],"qs":[0.1],"ws":[0.2],"procs":[2]}`)
+	negTopK := write("negtopk.json", ok+`,"obs_topk":-1}`)
+	hugeTopK := write("hugetopk.json", ok+`,"obs_topk":100000}`)
 	missing := filepath.Join(dir, "absent.json")
 	gap := write("gap.jsonl", "{\"run_id\":0}\n{\"run_id\":2}\n")
 
@@ -37,6 +39,10 @@ func TestErrorsCarryOnePrefix(t *testing.T) {
 			`sweep: parsing plan: json: unknown field "frobnicate"`},
 		{"empty axis", []string{"-plan", empty, "-quiet"},
 			`sweep: plan "p" has an empty protocols axis`},
+		{"negative obs_topk", []string{"-plan", negTopK, "-quiet"},
+			`sweep: plan "p": obs_topk must be in 0..4096 (0 leaves contention profiling off), got -1`},
+		{"huge obs_topk", []string{"-plan", hugeTopK, "-quiet"},
+			`sweep: plan "p": obs_topk must be in 0..4096 (0 leaves contention profiling off), got 100000`},
 		{"missing file", []string{"-plan", missing, "-quiet"},
 			"sweep: open " + missing + ": no such file or directory"},
 		{"corrupt store", []string{"-plan", good, "-out", gap, "-resume", "-quiet"},

@@ -20,6 +20,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +29,7 @@ import (
 
 	"twobit/internal/addr"
 	"twobit/internal/memtrace"
+	"twobit/internal/stats"
 	"twobit/internal/tracegen"
 )
 
@@ -220,34 +222,59 @@ func printStats(st *tracegen.StreamStats, topN int) {
 	}
 }
 
-func runInspect(args []string) {
-	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
-	var (
-		top     = fs.Int("top", 8, "hot keys to print")
-		jsonOut = fs.Bool("json", false, "emit statistics as JSON")
-	)
-	// Accept `tracegen inspect file -top 4` and `tracegen inspect -top 4 file`.
+// usageError is a flag the flag package rejected; it has already printed
+// the fault and the usage.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// inspectArgs parses inspect's flags and its one trace file, accepting
+// `inspect file -top 4` and `inspect -top 4 file` alike. -top must lie
+// in 0..stats.MaxTopK: it also sizes the hot-key sketch, and a negative
+// value would cut the report at an impossible row.
+func inspectArgs(args []string) (path string, top int, jsonOut bool, err error) {
+	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
+	topFlag := fs.Int("top", 8, "hot keys to print")
+	jsonFlag := fs.Bool("json", false, "emit statistics as JSON")
 	if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
-		fs.Parse(args[1:])
+		err = fs.Parse(args[1:])
 		args = args[:1]
 	} else {
-		fs.Parse(args)
+		err = fs.Parse(args)
 		args = fs.Args()
 	}
-	if len(args) != 1 {
-		fatal(fmt.Errorf("inspect needs exactly one trace file"))
+	if err != nil {
+		return "", 0, false, usageError{err}
 	}
-	path := args[0]
+	if *topFlag < 0 || *topFlag > stats.MaxTopK {
+		return "", 0, false, fmt.Errorf("inspect -top must be in 0..%d, got %d", stats.MaxTopK, *topFlag)
+	}
+	if len(args) != 1 {
+		return "", 0, false, fmt.Errorf("inspect needs exactly one trace file")
+	}
+	return args[0], *topFlag, *jsonFlag, nil
+}
 
-	format, st, err := inspectFile(path, *top)
+func runInspect(args []string) {
+	path, top, jsonOut, err := inspectArgs(args)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	format, st, err := inspectFile(path, top)
 	if err != nil {
 		fatal(err)
 	}
 	topKeys := st.TopKeys()
-	if len(topKeys) > *top {
-		topKeys = topKeys[:*top]
+	if len(topKeys) > top {
+		topKeys = topKeys[:top]
 	}
-	if *jsonOut {
+	if jsonOut {
 		out := struct {
 			Format     string              `json:"format"`
 			Procs      int                 `json:"procs"`
@@ -272,7 +299,7 @@ func runInspect(args []string) {
 		return
 	}
 	fmt.Printf("%s: %s format, %d procs, %d refs\n", path, format, len(st.PerProc()), st.Total())
-	printStats(st, *top)
+	printStats(st, top)
 }
 
 // inspectFile accumulates statistics over a trace file. Chunked traces

@@ -24,10 +24,9 @@ func (r *Recorder) EnableContention(k int) *ContentionRecorder {
 		k = DefaultContentionK
 	}
 	r.contention = &ContentionRecorder{
-		refs:  stats.NewTopK(k),
-		invs:  stats.NewTopK(k),
-		fsIdx: make(map[uint64]int, k),
-		fsK:   k,
+		refs: stats.NewTopK(k),
+		invs: stats.NewTopK(k),
+		fs:   stats.NewIndex[fsEntry](k),
 	}
 	return r.contention
 }
@@ -52,14 +51,12 @@ type ContentionRecorder struct {
 	refs *stats.TopK
 	invs *stats.TopK
 
-	fs     []fsEntry
-	fsIdx  map[uint64]int // block → index into fs; never iterated
-	fsK    int
+	// fs is the false-sharing table: block → write count, with the
+	// interleaving profile as each slot's payload.
+	fs stats.Index[fsEntry]
 }
 
 type fsEntry struct {
-	block         uint64
-	writes        int64
 	wordMask      uint64 // bit w set: word w (mod 64) was written
 	procMask      uint64 // bit p set: processor p (mod 64) wrote
 	interleavings int64
@@ -92,26 +89,19 @@ func (c *ContentionRecorder) Write(block uint64, word, proc int) {
 	if c == nil {
 		return
 	}
-	var e *fsEntry
-	if i, ok := c.fsIdx[block]; ok {
-		e = &c.fs[i]
-	} else if len(c.fs) < c.fsK {
-		c.fsIdx[block] = len(c.fs)
-		c.fs = append(c.fs, fsEntry{block: block})
-		e = &c.fs[len(c.fs)-1]
-	} else {
-		min := 0
-		for i := 1; i < len(c.fs); i++ {
-			if c.fs[i].writes < c.fs[min].writes {
-				min = i
-			}
-		}
-		delete(c.fsIdx, c.fs[min].block)
-		c.fsIdx[block] = min
-		c.fs[min] = fsEntry{block: block}
-		e = &c.fs[min]
+	x := &c.fs
+	s := x.Find(block)
+	switch {
+	case s >= 0:
+		x.Incr(s, 1)
+	case x.Len() < x.Cap():
+		s = x.Add(block, 1)
+	default:
+		// A fresh entry: the evicted block's count is not inherited.
+		s = x.Min()
+		x.Replace(s, block, 1)
 	}
-	e.writes++
+	e := x.Val(s)
 	e.wordMask |= 1 << (uint(word) % 64)
 	e.procMask |= 1 << (uint(proc) % 64)
 	if e.seen && e.lastProc != int32(proc) && e.lastWord != int32(word) {
@@ -166,14 +156,16 @@ func freezeTopK(t *stats.TopK) []BlockStat {
 }
 
 func (c *ContentionRecorder) freezeFalseShare() []FalseShareStat {
-	if len(c.fs) == 0 {
+	x := &c.fs
+	if x.Len() == 0 {
 		return nil
 	}
-	out := make([]FalseShareStat, 0, len(c.fs))
-	for _, e := range c.fs {
+	out := make([]FalseShareStat, 0, x.Len())
+	for s := 0; s < x.Len(); s++ {
+		e := x.Val(s)
 		out = append(out, FalseShareStat{
-			Block:         e.block,
-			Writes:        e.writes,
+			Block:         x.Key(s),
+			Writes:        x.Count(s),
 			WordMask:      e.wordMask,
 			ProcMask:      e.procMask,
 			Interleavings: e.interleavings,

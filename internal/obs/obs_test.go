@@ -46,24 +46,33 @@ func spansRef(rec *Recorder) func(i int) {
 	}
 }
 
-// seriesRef: a sum-window bump, a queue-depth peak, a census gauge move
-// and the contention profiler's three touches, with sim time advancing
-// so the publishes land in successive windows.
+// seriesRef: a sum-window bump, a queue-depth peak and a census gauge
+// move, with sim time advancing so the publishes land in successive
+// windows.
 func seriesRef(rec *Recorder) func(i int) {
 	var now sim.Time
 	rec.SetClock(func() sim.Time { return now })
 	refs := rec.Windows().Series("sys/refs", SeriesSum)
 	depth := rec.Windows().Series("ctrl0/queue_depth", SeriesMax)
 	census := rec.Windows().Series("dir/present_m", SeriesGauge)
-	ct := rec.Contention()
 	return func(i int) {
 		now = sim.Time(i >> 2)
 		refs.Inc()
 		depth.Observe(uint64(i & 7))
 		census.GaugeAdd(int64(i&1)*2 - 1)
-		ct.Ref(uint64(i & 255))
-		ct.Write(uint64(i&255), i&7, i&3)
-		ct.Invalidation(uint64(i & 255))
+	}
+}
+
+// contentionRef: the contention profiler's three touches on a block
+// stream far wider than its sketches (4,096 blocks a pass against
+// K = 64), so every measured touch misses and evicts.
+func contentionRef(rec *Recorder) func(i int) {
+	ct := rec.Contention()
+	return func(i int) {
+		b := uint64(i)
+		ct.Ref(b)
+		ct.Write(b, i&7, i&3)
+		ct.Invalidation(b)
 	}
 }
 
@@ -73,7 +82,8 @@ func seriesRef(rec *Recorder) func(i int) {
 // the instruments write into storage they already own: a warm-up pass
 // fills the event ring and opens every window, span slot and sketch
 // entry the measured passes revisit, after which recording allocates
-// nothing either.
+// nothing either. The contention row evicts on every touch: its sketches
+// recycle storage sized when they were built.
 func TestZeroAllocObs(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -82,7 +92,8 @@ func TestZeroAllocObs(t *testing.T) {
 	matrixOnly.EnableSpans(0)
 	observatory := New(0)
 	observatory.EnableWindows(64)
-	observatory.EnableContention(64)
+	profiled := New(0)
+	profiled.EnableContention(64)
 	for _, tc := range []struct {
 		name string
 		rec  *Recorder
@@ -94,6 +105,8 @@ func TestZeroAllocObs(t *testing.T) {
 		{"spans/matrix-only", matrixOnly, spansRef},
 		{"series/disabled", nil, seriesRef},
 		{"series/enabled", observatory, seriesRef},
+		{"contention/disabled", nil, contentionRef},
+		{"contention/enabled", profiled, contentionRef},
 	} {
 		ref := tc.ref(tc.rec)
 		pass := func() {

@@ -1,24 +1,27 @@
 package stats
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // TopK is a Space-Saving heavy-hitter sketch (Metwally et al.): K
 // counters over uint64 keys, each overestimating its key's true count by
 // at most its recorded error. Updates are deterministic in stream order
 // (the minimum-count eviction breaks ties by slot index, which is itself
-// a deterministic function of the stream). It is shared by the trace
-// synthesizer's stream statistics and the obs contention profiler.
+// a deterministic function of the stream) and O(1): the counters live in
+// an Index, so no update hashes through a Go map or scans the K slots.
+// It is shared by the trace synthesizer's stream statistics and the obs
+// contention profiler.
 type TopK struct {
-	entries []topEntry
-	slots   map[uint64]int // key → index into entries; never ranged over
-	k       int
+	idx Index[int64] // payload: the overestimate bound inherited at eviction
+	k   int
 }
 
-type topEntry struct {
-	key   uint64
-	count int64
-	err   int64 // overestimate bound inherited at eviction
-}
+// MaxTopK bounds a sketch's capacity, and with it what a plan or a flag
+// can make one run allocate: a contention profiler builds three tables
+// of this size, each with a K²/8-byte bitset arena (2 MiB at the cap).
+const MaxTopK = 4096
 
 // TopItem is one tracked key with its estimated count.
 type TopItem struct {
@@ -27,23 +30,23 @@ type TopItem struct {
 	Err   int64  `json:"err"` // the estimate overshoots by at most Err
 }
 
-// NewTopK sizes the sketch for k tracked keys (k ≤ 0 selects 64).
+// NewTopK sizes the sketch for k tracked keys (k ≤ 0 selects 64); k
+// above MaxTopK panics.
 func NewTopK(k int) *TopK {
 	if k <= 0 {
 		k = 64
 	}
-	return &TopK{
-		entries: make([]topEntry, 0, k),
-		slots:   make(map[uint64]int, k),
-		k:       k,
+	if k > MaxTopK {
+		panic(fmt.Sprintf("stats: top-k capacity %d exceeds MaxTopK (%d)", k, MaxTopK))
 	}
+	return &TopK{idx: NewIndex[int64](k), k: k}
 }
 
 // K returns the configured sketch capacity.
 func (t *TopK) K() int { return t.k }
 
 // Len returns the number of keys currently tracked.
-func (t *TopK) Len() int { return len(t.entries) }
+func (t *TopK) Len() int { return t.idx.Len() }
 
 // Observe folds one occurrence of key into the sketch.
 func (t *TopK) Observe(key uint64) { t.ObserveN(key, 1) }
@@ -53,35 +56,30 @@ func (t *TopK) ObserveN(key uint64, n int64) {
 	if n <= 0 {
 		return
 	}
-	if i, ok := t.slots[key]; ok {
-		t.entries[i].count += n
+	x := &t.idx
+	if s := x.Find(key); s >= 0 {
+		x.Incr(s, n)
 		return
 	}
-	if len(t.entries) < t.k {
-		t.slots[key] = len(t.entries)
-		t.entries = append(t.entries, topEntry{key: key, count: n})
+	if x.Len() < t.k {
+		x.Add(key, n)
 		return
 	}
 	// Evict the minimum-count entry (ties broken by slot index) and
 	// inherit its count as the newcomer's error bound.
-	min := 0
-	for i := 1; i < len(t.entries); i++ {
-		if t.entries[i].count < t.entries[min].count {
-			min = i
-		}
-	}
-	old := t.entries[min]
-	delete(t.slots, old.key)
-	t.slots[key] = min
-	t.entries[min] = topEntry{key: key, count: old.count + n, err: old.count}
+	s := x.Min()
+	old := x.Count(s)
+	x.Replace(s, key, old+n)
+	*x.Val(s) = old
 }
 
 // Items returns the tracked keys, highest estimated count first (key
 // breaks ties, so the order is deterministic).
 func (t *TopK) Items() []TopItem {
-	out := make([]TopItem, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, TopItem{Key: e.key, Count: e.count, Err: e.err})
+	x := &t.idx
+	out := make([]TopItem, 0, x.Len())
+	for s := 0; s < x.Len(); s++ {
+		out = append(out, TopItem{Key: x.Key(s), Count: x.Count(s), Err: *x.Val(s)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -102,13 +100,15 @@ func (t *TopK) Merge(other *TopK) {
 	if other == nil {
 		return
 	}
-	for _, e := range other.entries {
-		if i, ok := t.slots[e.key]; ok {
-			t.entries[i].count += e.count
-			t.entries[i].err += e.err
+	x, o := &t.idx, &other.idx
+	x.Grow(x.Len() + o.Len())
+	for s, n := 0, o.Len(); s < n; s++ {
+		key, count, err := o.Key(s), o.Count(s), *o.Val(s)
+		if i := x.Find(key); i >= 0 {
+			x.Incr(i, count)
+			*x.Val(i) += err
 			continue
 		}
-		t.slots[e.key] = len(t.entries)
-		t.entries = append(t.entries, e)
+		*x.Val(x.Add(key, count)) = err
 	}
 }

@@ -37,6 +37,7 @@ import (
 
 	"twobit/internal/rng"
 	"twobit/internal/sim"
+	"twobit/internal/stats"
 	"twobit/internal/system"
 	"twobit/internal/tracegen"
 	"twobit/internal/workload"
@@ -125,7 +126,8 @@ type Plan struct {
 	// ObsTopK > 0 additionally enables per-block contention attribution
 	// with the given sketch capacity: each record's snapshot gains the
 	// top-K hot/invalidated blocks and the false-sharing table. Implies a
-	// recorder even when Obs is false.
+	// recorder even when Obs is false. Validate rejects values outside
+	// 0..stats.MaxTopK.
 	ObsTopK int `json:"obs_topk,omitempty"`
 }
 
@@ -199,6 +201,10 @@ func (p *Plan) Validate() error {
 	}
 	if p.RefsPerProc < 1 {
 		return fmt.Errorf("sweep: plan %q: refs_per_proc must be ≥ 1, got %d", p.Name, p.RefsPerProc)
+	}
+	if p.ObsTopK < 0 || p.ObsTopK > stats.MaxTopK {
+		return fmt.Errorf("sweep: plan %q: obs_topk must be in 0..%d (0 leaves contention profiling off), got %d",
+			p.Name, stats.MaxTopK, p.ObsTopK)
 	}
 	for _, s := range p.Protocols {
 		if _, err := system.ParseProtocol(s); err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"twobit/internal/obs"
+	"twobit/internal/stats"
 	"twobit/internal/system"
 )
 
@@ -357,6 +358,31 @@ func TestExecuteRejectsBadResumeOffset(t *testing.T) {
 	// Resuming exactly at the end is a completed campaign: a no-op.
 	if err := Execute(p, 2, p.Size(), func(Record) error { return nil }); err != nil {
 		t.Errorf("Execute of a completed campaign errored: %v", err)
+	}
+}
+
+// TestPlanValidateObsTopK: obs_topk is a sketch capacity that sizes three
+// tables per run, so a negative one (which would silently skip the
+// profiling the plan asked for) and one past stats.MaxTopK are named
+// errors; the bounds themselves validate.
+func TestPlanValidateObsTopK(t *testing.T) {
+	for _, tc := range []struct {
+		topK int
+		want string
+	}{
+		{0, ""},
+		{1, ""},
+		{stats.MaxTopK, ""},
+		{-1, `sweep: plan "test": obs_topk must be in 0..4096 (0 leaves contention profiling off), got -1`},
+		{stats.MaxTopK + 1, `sweep: plan "test": obs_topk must be in 0..4096 (0 leaves contention profiling off), got 4097`},
+		{1 << 40, `sweep: plan "test": obs_topk must be in 0..4096 (0 leaves contention profiling off), got 1099511627776`},
+	} {
+		p := testPlan()
+		p.ObsTopK = tc.topK
+		err := p.Validate()
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("obs_topk %d: Validate() = %v, want %q", tc.topK, err, tc.want)
+		}
 	}
 }
 
