@@ -243,10 +243,9 @@ func (e *encoder) Holders(mask uint64) {
 	e.Uint(out)
 }
 
-// Msg implements proto.StateEncoder. The Txn field is deliberately
-// dropped: transaction ids are tracing bookkeeping with no protocol
-// effect, and including them would (like raw versions) keep bisimilar
-// states distinct forever.
+// Msg implements proto.StateEncoder. It encodes every field of the
+// message; the data version goes through Version, since raw versions
+// would keep bisimilar states distinct forever.
 func (e *encoder) Msg(m msg.Message) {
 	e.Uint(uint64(m.Kind))
 	e.Uint(uint64(m.Block))

@@ -125,15 +125,15 @@ func (rw RW) String() string {
 //
 // A single struct covers every protocol; fields that a given Kind does not
 // use are zero. Messages are passed by value: they are small and must not
-// alias state between components.
+// alias state between components. The fields go widest first, so a message
+// is 32 bytes: three words, then the three one-byte fields in a fourth.
 type Message struct {
-	Kind  Kind
 	Block addr.Block // a: the block the command concerns
 	Cache int        // k (or i): the initiating or exempted cache index
-	RW    RW         // read/write flavor where applicable
-	Ok    bool       // MGRANTED verdict (y|n)
 	Data  uint64     // data version carried by put/get/flush transfers
-	Txn   uint64     // originating transaction id, for tracing and debugging
+	Kind  Kind
+	RW    RW   // read/write flavor where applicable
+	Ok    bool // MGRANTED verdict (y|n)
 }
 
 // String renders the message in (approximately) the paper's notation.

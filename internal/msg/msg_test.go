@@ -3,7 +3,17 @@ package msg
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestMessageSize: a message is three words and three bytes, padded to
+// 32 bytes. Every delivery copies one, and every pooled delivery record
+// holds one.
+func TestMessageSize(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got > 32 {
+		t.Errorf("msg.Message is %d bytes, want ≤ 32", got)
+	}
+}
 
 func TestKindStringsUnique(t *testing.T) {
 	seen := make(map[string]Kind)

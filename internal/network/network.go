@@ -94,25 +94,70 @@ type Stats struct {
 	StageConflicts  stats.Counter // link-slot conflicts observed (Omega)
 }
 
-func (s *Stats) count(m msg.Message) {
+func (s *Stats) count(k msg.Kind) {
 	s.Messages.Inc()
-	if m.Kind.IsData() {
+	if k.IsData() {
 		s.DataMessages.Inc()
 	} else {
 		s.ControlMessages.Inc()
 	}
 }
 
-// delivery is one in-flight message, pooled in the network's slab so the
-// delivery hot path never allocates a closure. Records are recycled
-// through an intrusive free list; the slab's length is the network's
-// in-flight high-water mark.
+// slab pools a network's in-flight records so the delivery hot path never
+// allocates a closure. Records are recycled through an intrusive free
+// list; the slab's length is its in-flight high-water mark. The zero slab
+// is empty and ready.
+type slab[T any] struct {
+	recs []slabRec[T]
+	free int32 // 1 + index of the first free record; 0 when none
+}
+
+type slabRec[T any] struct {
+	v    T
+	next int32 // free-list link (as slab.free), meaningful only while free
+}
+
+// put stores v in a free record and returns its index.
+func (s *slab[T]) put(v T) int32 {
+	i := s.free - 1
+	if i < 0 {
+		s.recs = append(s.recs, slabRec[T]{})
+		i = int32(len(s.recs) - 1)
+	} else {
+		s.free = s.recs[i].next
+	}
+	s.recs[i].v = v
+	return i
+}
+
+// release zeroes record i, dropping what it references, and frees it.
+func (s *slab[T]) release(i int32) {
+	s.recs[i] = slabRec[T]{next: s.free}
+	s.free = i + 1
+}
+
+// reset frees every record and keeps the storage.
+func (s *slab[T]) reset() {
+	clear(s.recs)
+	s.recs = s.recs[:0]
+	s.free = 0
+}
+
+// delivery is one in-flight point-to-point message: 72 bytes with its
+// slab link.
 type delivery struct {
+	src, dst NodeID
+	h        Handler
+	m        msg.Message
+}
+
+// bcast is one broadcast's message, stored once for all its copies: each
+// copy is its own kernel event naming the record and its destination, and
+// the last to land frees the record.
+type bcast struct {
 	src  NodeID
-	dst  NodeID
-	h    Handler
 	m    msg.Message
-	next int32 // free-list link, meaningful only while free
+	left int32 // copies scheduled and not yet delivered
 }
 
 // base holds the bookkeeping all implementations share.
@@ -122,8 +167,8 @@ type base struct {
 	order    []NodeID  // attachment order, for deterministic broadcast fan-out
 	stats    Stats
 
-	pool     []delivery
-	freeHead int32 // index of the first free slab record, -1 when none
+	sends  slab[delivery]
+	bcasts slab[bcast]
 
 	// Observability (all nil/empty when no recorder is attached).
 	rec       *obs.Recorder
@@ -133,10 +178,6 @@ type base struct {
 	obsFanout *obs.Histogram  // "net/broadcast_fanout"
 	tsMsgs    *obs.TimeSeries // "net/msgs" windowed sends
 	tsBusy    *obs.TimeSeries // "net/busy_cycles" windowed medium occupancy
-}
-
-func newBase(k *sim.Kernel) base {
-	return base{kernel: k, freeHead: -1}
 }
 
 func (b *base) Attach(id NodeID, h Handler) {
@@ -161,16 +202,15 @@ func (b *base) Attach(id NodeID, h Handler) {
 
 func (b *base) Stats() *Stats { return &b.stats }
 
-// reset clears per-run state — counters and the delivery slab — while
+// reset clears per-run state — counters and the delivery slabs — while
 // keeping the attachment graph (handlers, order): Attach panics on
 // re-attach, so a pooled network keeps its wiring for the machine's
 // lifetime. Callers reset only between runs, when the kernel has drained
 // every scheduled delivery, so no live event indexes the cleared slab.
 func (b *base) reset() {
 	b.stats = Stats{}
-	clear(b.pool)
-	b.pool = b.pool[:0]
-	b.freeHead = -1
+	b.sends.reset()
+	b.bcasts.reset()
 }
 
 // Observe implements Network. It replaces whatever recorder was attached
@@ -210,37 +250,82 @@ func (b *base) trackFor(id NodeID) obs.Component {
 // at through the kernel's pooled event form: the delivery record lives
 // in the network's slab, so the per-message cost is one slab write and
 // one heap push — no closure, and no allocation once the slab has grown
-// to the network's in-flight high-water mark. This is the path every
-// broadcast copy takes, which is exactly the fan-out the two-bit
-// scheme's broadcast bet multiplies.
+// to the network's in-flight high-water mark.
 func (b *base) scheduleDeliver(at sim.Time, src, dst NodeID, h Handler, m msg.Message) {
-	b.stats.count(m)
+	b.countSend(dst, m.Kind)
+	i := b.sends.put(delivery{src: src, dst: dst, h: h, m: m})
+	b.kernel.AtCall(at, b, uint64(i), 0)
+}
+
+// countSend counts one delivery of a kind-k message to dst.
+func (b *base) countSend(dst NodeID, k msg.Kind) {
+	b.stats.count(k)
 	if b.rec != nil {
 		b.obsSends.Inc()
 		b.tsMsgs.Inc()
-		b.trackFor(dst) // pre-register so Call never grows b.track
+		b.trackFor(dst) // pre-register so deliver never grows b.track
 	}
-	idx := b.freeHead
-	if idx < 0 {
-		b.pool = append(b.pool, delivery{})
-		idx = int32(len(b.pool) - 1)
-	} else {
-		b.freeHead = b.pool[idx].next
-	}
-	b.pool[idx] = delivery{src: src, dst: dst, h: h, m: m}
-	b.kernel.AtCall(at, b, uint64(idx), 0)
 }
 
-// Call implements sim.Caller: it executes the pooled delivery a0 indexes
-// and recycles its record. With a recorder attached the handler dispatch
-// is wrapped in a span on the destination's track, so it shows up as
-// occupancy in the exported trace.
+// Call implements sim.Caller: it executes the pooled delivery a0 indexes,
+// recycling its record first.
 func (b *base) Call(a0, _ uint64) {
-	d := &b.pool[a0]
-	src, dst, h, m := d.src, d.dst, d.h, d.m
-	d.h = nil // drop the handler reference while the record idles
-	d.next = b.freeHead
-	b.freeHead = int32(a0)
+	d := b.sends.recs[a0].v
+	b.sends.release(int32(a0))
+	b.deliver(d.src, d.dst, d.h, d.m)
+}
+
+// openBroadcast stores m from src once for every copy of one broadcast
+// and returns the record's index. Each copy goes out through
+// scheduleCopy, in the order the Sends it replaces would have gone;
+// closeBroadcast ends the fan-out.
+func (b *base) openBroadcast(src NodeID, m msg.Message) int32 {
+	b.stats.Broadcasts.Inc()
+	return b.bcasts.put(bcast{src: src, m: m})
+}
+
+// scheduleCopy counts broadcast rec's copy to dst as one message and
+// schedules its delivery at time at: one heap push, no slab write.
+func (b *base) scheduleCopy(at sim.Time, rec int32, dst NodeID) {
+	r := &b.bcasts.recs[rec].v
+	r.left++
+	b.countSend(dst, r.m.Kind)
+	b.stats.BroadcastCopies.Inc()
+	b.kernel.AtCall(at, (*copyCaller)(b), uint64(rec), uint64(dst))
+}
+
+// closeBroadcast records the fan-out of broadcast rec, which sent n
+// copies, frees the record at once if every node was excluded, and
+// returns n.
+func (b *base) closeBroadcast(rec int32, n int) int {
+	if n == 0 {
+		b.bcasts.release(rec)
+	}
+	b.obsFanout.Observe(uint64(n))
+	return n
+}
+
+// copyCaller is the sim.Caller of broadcast copies: the network's base
+// under a second Call method, converted, not allocated.
+type copyCaller base
+
+// Call delivers broadcast a0's copy to a1, and frees the record when it
+// is the last copy to land.
+func (c *copyCaller) Call(a0, a1 uint64) {
+	b := (*base)(c)
+	r := &b.bcasts.recs[a0].v
+	src, m := r.src, r.m
+	if r.left--; r.left == 0 {
+		b.bcasts.release(int32(a0))
+	}
+	dst := NodeID(a1)
+	b.deliver(src, dst, b.handlers[dst], m)
+}
+
+// deliver hands m from src to dst's handler h. With a recorder attached
+// the handler dispatch is wrapped in a span on the destination's track,
+// so it shows up as occupancy in the exported trace.
+func (b *base) deliver(src, dst NodeID, h Handler, m msg.Message) {
 	if b.rec == nil {
 		h.Deliver(src, m)
 		return
@@ -251,11 +336,6 @@ func (b *base) Call(a0, _ uint64) {
 	b.rec.Begin(comp, name, block)
 	h.Deliver(src, m)
 	b.rec.End(comp, name, block)
-}
-
-// noteBroadcast records one broadcast operation's fan-out.
-func (b *base) noteBroadcast(n int) {
-	b.obsFanout.Observe(uint64(n))
 }
 
 func (b *base) handler(id NodeID) Handler {
@@ -305,7 +385,7 @@ func NewJitterCrossbar(k *sim.Kernel, latency, jitter sim.Time, seed uint64) *Cr
 		panic("network: negative latency or jitter")
 	}
 	c := &Crossbar{
-		base:    newBase(k),
+		base:    base{kernel: k},
 		latency: latency,
 		jitter:  jitter,
 		random:  rng.New(seed, 0x17e7),
@@ -340,6 +420,11 @@ func (c *Crossbar) Reset(latency, jitter sim.Time, seed uint64) {
 // Send implements Network.
 func (c *Crossbar) Send(src, dst NodeID, m msg.Message) {
 	h := c.handler(dst)
+	c.scheduleDeliver(c.arrival(src, dst), src, dst, h, m)
+}
+
+// arrival returns the delivery time of a message sent now from src to dst.
+func (c *Crossbar) arrival(src, dst NodeID) sim.Time {
 	at := c.kernel.Now() + c.latency
 	if c.jitter > 0 {
 		// The FIFO clamp is only reachable under jitter: without it the
@@ -352,24 +437,23 @@ func (c *Crossbar) Send(src, dst NodeID, m msg.Message) {
 		}
 		c.lastAt[key] = at
 	}
-	c.scheduleDeliver(at, src, dst, h, m)
+	return at
 }
 
 // Broadcast implements Network: one message per destination (no hardware
-// broadcast in a general interconnection network).
+// broadcast in a general interconnection network), each timed as its own
+// Send.
 func (c *Crossbar) Broadcast(src NodeID, m msg.Message, except ...NodeID) int {
-	c.stats.Broadcasts.Inc()
+	rec := c.openBroadcast(src, m)
 	n := 0
 	for _, id := range c.order {
 		if excluded(id, src, except) {
 			continue
 		}
-		c.Send(src, id, m)
-		c.stats.BroadcastCopies.Inc()
+		c.scheduleCopy(c.arrival(src, id), rec, id)
 		n++
 	}
-	c.noteBroadcast(n)
-	return n
+	return c.closeBroadcast(rec, n)
 }
 
 // Bus is a single shared medium: every message (point-to-point or
@@ -392,7 +476,7 @@ func NewBus(k *sim.Kernel, cycleTime, latency sim.Time) *Bus {
 	if latency < 0 {
 		panic("network: negative latency")
 	}
-	return &Bus{base: newBase(k), cycleTime: cycleTime, latency: latency}
+	return &Bus{base: base{kernel: k}, cycleTime: cycleTime, latency: latency}
 }
 
 // Reset restores the bus to its freshly-constructed state under new
@@ -431,20 +515,17 @@ func (b *Bus) Send(src, dst NodeID, m msg.Message) {
 
 // Broadcast implements Network: one bus transaction, snooped by everyone.
 func (b *Bus) Broadcast(src NodeID, m msg.Message, except ...NodeID) int {
-	b.stats.Broadcasts.Inc()
+	rec := b.openBroadcast(src, m)
 	at := b.acquire()
 	n := 0
 	for _, id := range b.order {
 		if excluded(id, src, except) {
 			continue
 		}
-		h := b.handlers[id]
-		b.stats.BroadcastCopies.Inc()
-		b.scheduleDeliver(at, src, id, h, m)
+		b.scheduleCopy(at, rec, id)
 		n++
 	}
-	b.noteBroadcast(n)
-	return n
+	return b.closeBroadcast(rec, n)
 }
 
 // Reserve occupies the bus for one transaction and returns the time at
@@ -495,7 +576,7 @@ func NewOmega(k *sim.Kernel, size int, hop sim.Time) *Omega {
 	for i := range lf {
 		lf[i] = make([]sim.Time, pow)
 	}
-	return &Omega{base: newBase(k), stages: stages, size: pow, hop: hop, linkFree: lf}
+	return &Omega{base: base{kernel: k}, stages: stages, size: pow, hop: hop, linkFree: lf}
 }
 
 // Reset restores the omega network to its freshly-constructed state under
@@ -552,16 +633,14 @@ func (o *Omega) Send(src, dst NodeID, m msg.Message) {
 // Broadcast implements Network: no hardware broadcast; one routed message
 // per destination, so broadcasts directly create stage conflicts.
 func (o *Omega) Broadcast(src NodeID, m msg.Message, except ...NodeID) int {
-	o.stats.Broadcasts.Inc()
+	rec := o.openBroadcast(src, m)
 	n := 0
 	for _, id := range o.order {
 		if excluded(id, src, except) {
 			continue
 		}
-		o.Send(src, id, m)
-		o.stats.BroadcastCopies.Inc()
+		o.scheduleCopy(o.route(src, id), rec, id)
 		n++
 	}
-	o.noteBroadcast(n)
-	return n
+	return o.closeBroadcast(rec, n)
 }

@@ -2,9 +2,11 @@ package network
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
+	"twobit/internal/addr"
 	"twobit/internal/msg"
 	"twobit/internal/obs"
 	"twobit/internal/rng"
@@ -448,5 +450,196 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 	}
 	if same == len(a) {
 		t.Fatal("different seeds produced identical delays")
+	}
+}
+
+// modelBroadcast is Broadcast as the point-to-point deliveries it
+// replaces: on the crossbar and Omega one Send per copy, on the bus one
+// transaction and a delivery record per copy, each copy counted as it
+// goes. TestBroadcastMatchesSends holds the one-record Broadcast to it.
+func modelBroadcast(n Network, src NodeID, m msg.Message, except []NodeID) int {
+	b, at := baseOf(n), sim.Time(-1)
+	if bus, ok := n.(*Bus); ok {
+		at = bus.acquire()
+	}
+	b.stats.Broadcasts.Inc()
+	copies := 0
+	for _, id := range b.order {
+		if excluded(id, src, except) {
+			continue
+		}
+		if at < 0 {
+			n.Send(src, id, m)
+		} else {
+			b.scheduleDeliver(at, src, id, b.handlers[id], m)
+		}
+		b.stats.BroadcastCopies.Inc()
+		copies++
+	}
+	b.obsFanout.Observe(uint64(copies))
+	return copies
+}
+
+func broadcast(n Network, src NodeID, m msg.Message, except []NodeID) int {
+	return n.Broadcast(src, m, except...)
+}
+
+func baseOf(n Network) *base {
+	switch n := n.(type) {
+	case *Crossbar:
+		return &n.base
+	case *Bus:
+		return &n.base
+	case *Omega:
+		return &n.base
+	}
+	panic(fmt.Sprintf("no base in %T", n))
+}
+
+// TestBroadcastMatchesSends: a broadcast delivers exactly what the
+// point-to-point deliveries it replaces would — the same messages to the
+// same handlers in the same order at the same times, the same Stats, the
+// same recorder counters and the same "deliver <Kind>" span sequence —
+// on the crossbar, the jittered crossbar, the bus and Omega, with and
+// without a recorder. The scripts mix sends, broadcasts whose exclusions
+// leave zero copies, and handlers that broadcast again while copies of
+// the broadcast that reached them are still in flight; afterwards every
+// broadcast record is free again.
+func TestBroadcastMatchesSends(t *testing.T) {
+	const nodes, scripts, ops = 6, 60, 40
+	nets := []struct {
+		name  string
+		build func(*sim.Kernel) Network
+	}{
+		{"crossbar", func(k *sim.Kernel) Network { return NewCrossbar(k, 3) }},
+		{"jitter", func(k *sim.Kernel) Network { return NewJitterCrossbar(k, 2, 5, 9) }},
+		{"bus", func(k *sim.Kernel) Network { return NewBus(k, 2, 3) }},
+		{"omega", func(k *sim.Kernel) Network { return NewOmega(k, nodes, 1) }},
+	}
+	type op struct {
+		at     sim.Time
+		src    NodeID
+		dst    NodeID // -1: broadcast
+		except []NodeID
+		m      msg.Message
+	}
+	type delivered struct {
+		at       sim.Time
+		src, dst NodeID
+		m        msg.Message
+	}
+	// play runs script on a fresh network, broadcasting through bcast,
+	// and returns what was delivered and everything that counted it.
+	play := func(build func(*sim.Kernel) Network, observe bool, script []op,
+		bcast func(Network, NodeID, msg.Message, []NodeID) int) ([]delivered, []int, Stats, []obs.Event, obs.Snapshot, Network) {
+		var k sim.Kernel
+		n := build(&k)
+		var log []delivered
+		var fanouts []int
+		for id := NodeID(0); id < nodes; id++ {
+			id := id
+			n.Attach(id, HandlerFunc(func(src NodeID, m msg.Message) {
+				log = append(log, delivered{k.Now(), src, id, m})
+				// Some copies of a broadcast broadcast again, on the
+				// first of them to land while the rest are in flight.
+				if m.Kind == msg.KindBroadInv && m.Data%3 == 0 && m.Cache < 3 {
+					next := msg.Message{Kind: msg.KindBroadInv, Block: m.Block, Cache: m.Cache + 1, Data: m.Data*7 + uint64(id)}
+					fanouts = append(fanouts, bcast(n, id, next, []NodeID{src}))
+				} else if m.Kind == msg.KindBroadQuery && m.Data%2 == 0 {
+					n.Send(id, src, msg.Message{Kind: msg.KindPut, Block: m.Block, Data: m.Data + 1})
+				}
+			}))
+		}
+		var rec *obs.Recorder
+		if observe {
+			rec = obs.New(1 << 14)
+			rec.SetClock(k.Now)
+			n.Observe(rec, func(id NodeID) string { return fmt.Sprintf("node%d", id) })
+		}
+		for _, o := range script {
+			o := o
+			k.At(o.at, func() {
+				if o.dst < 0 {
+					fanouts = append(fanouts, bcast(n, o.src, o.m, o.except))
+				} else {
+					n.Send(o.src, o.dst, o.m)
+				}
+			})
+		}
+		k.Run()
+		return log, fanouts, *n.Stats(), rec.Events(), rec.Snapshot(), n
+	}
+	r := rng.New(38, 0xb0)
+	empty, again := 0, 0 // zero-copy broadcasts, broadcasts from handlers
+	for s := 0; s < scripts; s++ {
+		script := make([]op, ops)
+		for i := range script {
+			o := op{at: sim.Time(r.Intn(30)), src: NodeID(r.Intn(nodes)), dst: -1,
+				m: msg.Message{Block: addr.Block(r.Intn(4)), Data: uint64(r.Intn(1000))}}
+			switch k := r.Intn(10); {
+			case k < 3:
+				o.dst = NodeID(r.Intn(nodes))
+				o.m.Kind = msg.KindGet
+			case k < 4: // every other node excluded: zero copies
+				o.m.Kind = msg.KindBroadInv
+				for id := NodeID(0); id < nodes; id++ {
+					o.except = append(o.except, id)
+				}
+			default:
+				o.m.Kind = []msg.Kind{msg.KindBroadInv, msg.KindBroadQuery}[r.Intn(2)]
+				for j := r.Intn(nodes); j > 0; j-- {
+					o.except = append(o.except, NodeID(r.Intn(nodes)))
+				}
+			}
+			script[i] = o
+		}
+		for _, nt := range nets {
+			for _, observe := range []bool{false, true} {
+				wantLog, wantFan, wantStats, wantEv, wantSnap, _ := play(nt.build, observe, script, modelBroadcast)
+				gotLog, gotFan, gotStats, gotEv, gotSnap, n := play(nt.build, observe, script, broadcast)
+				where := fmt.Sprintf("script %d, %s, recorder %v", s, nt.name, observe)
+				if !slices.Equal(gotLog, wantLog) {
+					for i := range min(len(gotLog), len(wantLog)) {
+						if gotLog[i] != wantLog[i] {
+							t.Fatalf("%s: delivery %d = %+v, sends give %+v", where, i, gotLog[i], wantLog[i])
+						}
+					}
+					t.Fatalf("%s: %d deliveries, sends give %d", where, len(gotLog), len(wantLog))
+				}
+				if !slices.Equal(gotFan, wantFan) {
+					t.Fatalf("%s: fan-outs %v, sends give %v", where, gotFan, wantFan)
+				}
+				empty += len(gotFan) - len(slices.DeleteFunc(slices.Clone(gotFan), func(n int) bool { return n == 0 }))
+				for _, o := range script {
+					if o.dst < 0 {
+						again--
+					}
+				}
+				again += len(gotFan)
+				if gotStats != wantStats {
+					t.Fatalf("%s: stats %+v, sends give %+v", where, gotStats, wantStats)
+				}
+				if !slices.Equal(gotEv, wantEv) {
+					t.Fatalf("%s: %d recorder events differ from the sends' %d", where, len(gotEv), len(wantEv))
+				}
+				if !reflect.DeepEqual(gotSnap, wantSnap) {
+					t.Fatalf("%s: recorder metrics %+v, sends give %+v", where, gotSnap, wantSnap)
+				}
+				if observe && len(gotEv) == 0 {
+					t.Fatalf("%s: no spans recorded", where)
+				}
+				b := baseOf(n)
+				free := 0
+				for i := b.bcasts.free; i != 0; i = b.bcasts.recs[i-1].next {
+					free++
+				}
+				if free != len(b.bcasts.recs) {
+					t.Fatalf("%s: %d of %d broadcast records free after the run", where, free, len(b.bcasts.recs))
+				}
+			}
+		}
+	}
+	if empty == 0 || again == 0 {
+		t.Fatalf("the scripts sent %d zero-copy broadcasts and %d from handlers; want both", empty, again)
 	}
 }

@@ -68,15 +68,16 @@ func (p *PCG) Intn(n int) int {
 		panic("rng: Intn called with n <= 0")
 	}
 	bound := uint32(n)
-	// Lemire: rejection threshold for an unbiased result.
-	threshold := -bound % bound
-	for {
-		r := p.Uint32()
-		m := uint64(r) * uint64(bound)
-		if uint32(m) >= threshold {
-			return int(m >> 32)
+	m := uint64(p.Uint32()) * uint64(bound)
+	// Lemire: the rejection threshold -bound % bound is below bound, so a
+	// low word at or above bound is accepted without dividing.
+	if uint32(m) < bound {
+		threshold := -bound % bound
+		for uint32(m) < threshold {
+			m = uint64(p.Uint32()) * uint64(bound)
 		}
 	}
+	return int(m >> 32)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

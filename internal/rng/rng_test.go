@@ -138,6 +138,39 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// intnDividing is Intn as it was before the threshold division became
+// lazy: the model TestIntnMatchesDividingModel holds Intn to.
+func intnDividing(p *PCG, n int) int {
+	bound := uint32(n)
+	threshold := -bound % bound
+	for {
+		m := uint64(p.Uint32()) * uint64(bound)
+		if uint32(m) >= threshold {
+			return int(m >> 32)
+		}
+	}
+}
+
+// TestIntnMatchesDividingModel: Intn draws the same values, consuming
+// the same words of its stream, as the loop that divides on every call —
+// over 1.2 million draws, including a bound (3·2^30) that rejects a
+// quarter of its words.
+func TestIntnMatchesDividingModel(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 16, 512, 576, 1<<31 - 1, 3 << 30}
+	const seeds, draws = 64, 2_100
+	for _, n := range bounds {
+		for seed := uint64(0); seed < seeds; seed++ {
+			p, q := New(seed, uint64(n)), New(seed, uint64(n))
+			for i := 0; i < draws; i++ {
+				got, want := p.Intn(n), intnDividing(q, n)
+				if got != want || *p != *q {
+					t.Fatalf("Intn(%d) seed %d draw %d = %d, model %d (state %x, model %x)", n, seed, i, got, want, p.state, q.state)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkUint32(b *testing.B) {
 	p := New(1, 1)
 	for i := 0; i < b.N; i++ {

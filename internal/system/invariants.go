@@ -38,8 +38,16 @@ type copyIndex struct {
 // least-significant-digit radix sort, one byte of the block number per
 // pass through the scratch array, skipping the bytes every key shares.
 // That is O(frames × bytes per block number), with no comparison sort and
-// nothing sized by the address space.
+// nothing sized by the address space. The index is sized once, from the
+// machine's frame count, the first time a machine or its Runner needs one.
 func (m *Machine) indexCopies() []copyView {
+	if m.copies.views == nil { // first use: size both arrays for every frame
+		frames := 0
+		for _, cs := range m.caches {
+			frames += len(cs.Store().Frames())
+		}
+		m.copies = copyIndex{views: make([]copyView, 0, frames), scratch: make([]copyView, frames)}
+	}
 	idx := m.copies.views[:0]
 	for k, cs := range m.caches {
 		frames := cs.Store().Frames()

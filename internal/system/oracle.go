@@ -2,6 +2,8 @@ package system
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"twobit/internal/addr"
@@ -33,19 +35,40 @@ import (
 // hashed. The contract: versions are the dense integers the machine issues
 // (Machine.nextVersion++) and blocks lie in the [0, blocks) it was sized for.
 type Oracle struct {
-	seq     uint64
-	commits []commit // indexed by version; seq 0 = not committed
-	latest  []uint64 // indexed by block; sized by Reset, never grown
+	seq uint64
+	// segs is the commit table, indexed by version: segment i holds
+	// 1024<<i rows (see rowOf), so growing the table never copies a row.
+	// A row's seq 0 means not committed.
+	segs [][]commit
+	// top is one past the highest version committed since Reset: the rows
+	// Reset must clear.
+	top    uint64
+	latest []uint64 // indexed by block; sized by Reset, never grown
 	// lastSeen: procBlock(proc, block) → last commit seq proc observed.
-	// Sparse on purpose: a dense procs × blocks table costs a large space
-	// (replay-kv) more in allocation and RSS than the map costs in time.
+	// A Go map for time, not bytes: a dense procs × blocks table costs a
+	// large space (replay-kv) more to clear and walk than the map costs.
 	lastSeen map[uint64]uint64
 }
 
-// commit is a commit-table row: v is committed only for the block it names.
+// commit is a commit-table row: its version is committed only for the
+// block it names, as the seq-th commit of the run. Both are 32-bit, so a
+// row is 8 bytes; Reset panics by name on a space whose blocks do not fit,
+// and Commit on a commit count that does not.
 type commit struct {
-	block addr.Block
-	seq   uint64
+	block uint32
+	seq   uint32
+}
+
+// segRowsLog is log2 of segment 0's row count: 1,024 rows, 8 KB.
+const segRowsLog = 10
+
+// rowOf locates version v in the commit table: segment i covers versions
+// [1024·(2^i − 1), 1024·(2^(i+1) − 1)), so v + 1024 has its top bit at
+// 10 + i.
+func rowOf(v uint64) (seg int, row uint64) {
+	w := v + 1<<segRowsLog
+	seg = bits.Len64(w) - 1 - segRowsLog
+	return seg, w - 1<<(segRowsLog+seg)
 }
 
 func procBlock(proc int, b addr.Block) uint64 { return uint64(proc)<<48 | uint64(b) }
@@ -61,16 +84,29 @@ func NewOracle(blocks int) *Oracle {
 // Reset empties the oracle for a new run over blocks [0, blocks), keeping
 // every table's capacity so a worker reusing one oracle stops paying per-run
 // growth. A Reset oracle is indistinguishable from a fresh one of that size.
+// A space beyond the commit table's 32-bit block field panics.
 func (o *Oracle) Reset(blocks int) {
+	if uint64(blocks) > 1<<32 {
+		panic(fmt.Sprintf("oracle: %d blocks beyond the commit table's 32-bit block field", blocks))
+	}
 	o.seq = 0
-	o.commits = o.commits[:0] // Commit regrows it by appending zeroed rows
+	for i, left := 0, o.top; left > 0; i++ { // clear the rows the run touched
+		seg := o.segs[i]
+		if left < uint64(len(seg)) {
+			seg = seg[:left]
+		}
+		clear(seg)
+		left -= uint64(len(seg))
+	}
+	o.top = 0
 	o.latest = slices.Grow(o.latest[:0], blocks)[:blocks]
 	clear(o.latest)
 	clear(o.lastSeen)
 }
 
 // Commit records that version v became current for block b. It panics on v = 0
-// (the initial contents, never a store's), a repeated v, or a block out of space.
+// (the initial contents, never a store's), a repeated v, a block out of space,
+// or a commit count beyond the table's 32-bit field.
 func (o *Oracle) Commit(b addr.Block, v uint64) {
 	if v == 0 {
 		panic(fmt.Sprintf("oracle: version 0 committed for %v", b))
@@ -78,13 +114,20 @@ func (o *Oracle) Commit(b addr.Block, v uint64) {
 	if uint64(b) >= uint64(len(o.latest)) {
 		panic(fmt.Sprintf("oracle: commit for %v beyond space of %d blocks", b, len(o.latest)))
 	}
-	if v >= uint64(len(o.commits)) {
-		o.commits = append(o.commits, make([]commit, v+1-uint64(len(o.commits)))...)
-	} else if o.commits[v].seq != 0 {
+	if o.seq == math.MaxUint32 {
+		panic(fmt.Sprintf("oracle: commit of version %d for %v beyond the commit table's 2^32 commits per run", v, b))
+	}
+	seg, row := rowOf(v)
+	for seg >= len(o.segs) {
+		o.segs = append(o.segs, make([]commit, 1<<(segRowsLog+len(o.segs))))
+	}
+	c := &o.segs[seg][row]
+	if c.seq != 0 {
 		panic(fmt.Sprintf("oracle: version %d committed twice for %v", v, b))
 	}
 	o.seq++
-	o.commits[v] = commit{b, o.seq}
+	*c = commit{uint32(b), uint32(o.seq)}
+	o.top = max(o.top, v+1)
 	o.latest[b] = v
 }
 
@@ -100,11 +143,12 @@ func (o *Oracle) Latest(b addr.Block) uint64 {
 func (o *Oracle) Commits() uint64 { return o.seq }
 
 func (o *Oracle) seqOf(b addr.Block, v uint64) (uint64, bool) {
-	if v == 0 || v >= uint64(len(o.commits)) {
+	if v == 0 || v >= o.top {
 		return 0, v == 0
 	}
-	c := o.commits[v]
-	return c.seq, c.seq != 0 && c.block == b
+	seg, row := rowOf(v)
+	c := o.segs[seg][row]
+	return uint64(c.seq), c.seq != 0 && uint64(c.block) == uint64(b)
 }
 
 // NoteWrite records, at a store's completion, that proc has observed its

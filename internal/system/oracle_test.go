@@ -2,6 +2,8 @@ package system
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -142,6 +144,24 @@ func TestOracleOutOfSpace(t *testing.T) {
 	}
 	if err := o.CheckLoad(0, 1<<40, 0, 9, false); err == nil || !strings.Contains(err.Error(), "uncommitted") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// The commit table's rows are two 32-bit fields: a space with blocks
+// beyond 2^32 and a 2^32nd commit in one run are named panics, not a
+// silently truncated row.
+func TestOracleRowLimits(t *testing.T) {
+	mustPanic(t, "oracle: 4294967297 blocks beyond the commit table's 32-bit block field", func() { NewOracle(1<<32 + 1) })
+	o := NewOracle(16)
+	o.Commit(3, 1)
+	o.seq = math.MaxUint32 - 1
+	o.Commit(4, 2)
+	mustPanic(t, "oracle: commit of version 3 for blk#5 beyond the commit table's 2^32 commits per run", func() { o.Commit(5, 3) })
+	if s, ok := o.seqOf(4, 2); !ok || s != math.MaxUint32 {
+		t.Fatalf("the last commit that fits: seq %d, ok %v", s, ok)
+	}
+	if o.Latest(5) != 0 {
+		t.Fatalf("rejected commit left a trace: latest %d", o.Latest(5))
 	}
 }
 
@@ -372,5 +392,43 @@ func TestZeroAllocOracle(t *testing.T) {
 	pass() // grow the commit table and lastSeen to their high-water marks
 	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
 		t.Errorf("a warmed oracle allocates %v per %d-reference pass, want 0", allocs, refs)
+	}
+}
+
+// TestOracleBytesPerVersion: a fresh oracle committing 100k versions, in
+// order or shuffled, allocates at most two 8-byte rows per version plus
+// 64 KB: its commit table grows in segments and never re-copies a row.
+func TestOracleBytesPerVersion(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const versions, blocks = 100_000, 1024
+	inOrder := make([]uint64, versions)
+	for i := range inOrder {
+		inOrder[i] = uint64(i + 1)
+	}
+	shuffled := make([]uint64, versions)
+	for i, j := range rng.New(38, 0x0c1e).Perm(versions) {
+		shuffled[i] = inOrder[j]
+	}
+	for _, c := range []struct {
+		name  string
+		order []uint64
+	}{{"in order", inOrder}, {"shuffled", shuffled}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o := NewOracle(blocks)
+		for _, v := range c.order {
+			o.Commit(addr.Block(v%blocks), v)
+		}
+		runtime.ReadMemStats(&after)
+		if o.Commits() != versions {
+			t.Fatalf("%s: %d commits, want %d", c.name, o.Commits(), versions)
+		}
+		got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*8*versions+64<<10)
+		if got > limit {
+			t.Errorf("%s: %d versions allocated %d B (%.1f B per version), want ≤ %d", c.name, versions, got, float64(got)/versions, limit)
+		}
+		t.Logf("%s: %.1f B per version", c.name, float64(got)/versions)
 	}
 }

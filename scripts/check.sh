@@ -6,7 +6,7 @@
 # experiment-orchestration engine end to end: a tiny campaign must produce
 # byte-identical stores at workers=1 and workers=4, and a store truncated
 # to half must converge to those same bytes under -resume. Then the
-# zero-allocation floors run once without the race detector, the model
+# zero-allocation and byte floors run once without the race detector, the model
 # checker closes the small configurations outright and round-trips a
 # seeded counterexample through -trace and -replay, and the wire codecs,
 # the kernel's event order, the command serializer and the top-K slot
@@ -138,17 +138,18 @@ cmp "$SMOKE/pool_w1.jsonl" "$SMOKE/pool_w4.jsonl" || {
     exit 1
 }
 
-echo "==> zero-alloc floors + order oracle + windowed passivity"
-# go test -race above skips the ZeroAlloc tests (the race detector
-# allocates on its own), so run them once without it: the kernel's
-# schedule+drain path, the bus fan-out, every obs instrument, disabled
-# and enabled, a warmed directory controller and a repeated invariant
-# sweep must not allocate. The order oracle replays the retired
+echo "==> zero-alloc and byte floors + order oracle + windowed passivity"
+# go test -race above skips the ZeroAlloc and BytesPer tests (the race
+# detector allocates on its own), so run them once without it: the
+# kernel's schedule+drain path, the bus fan-out, every obs instrument,
+# disabled and enabled, a warmed directory controller and a repeated
+# invariant sweep must not allocate, and a fresh oracle's commit table
+# must cost at most two 8-byte rows per version. The order oracle replays the retired
 # container/heap implementation against the kernel's ring and overflow
 # heap and fails on the first divergent pop; the passivity smoke demands
 # that a run with windows and contention profiling on reproduce the
 # uninstrumented run byte for byte once the snapshot is stripped.
-go test -run ZeroAlloc -count=1 ./...
+go test -run 'ZeroAlloc|BytesPer' -count=1 ./...
 go test -run '^TestKernelOrderOracle' -count=1 ./internal/sim
 go test -run '^TestTimeSeriesDoesNotPerturb$' -count=1 ./internal/system
 
