@@ -15,184 +15,175 @@
 // Trace-driven runs:
 //
 //	coherencesim -record trace.bin       # capture the workload to a file
-//	coherencesim -replay trace.bin       # drive the machine from a capture
 //	coherencesim -trace t.mtrc2          # run from any trace file (text,
 //	                                     # varint, or chunked — sniffed);
 //	                                     # chunked traces stream from disk
+//
+// A run from a -record capture prints what the live run prints.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"twobit"
 )
 
-func main() {
-	var (
-		protoName = flag.String("protocol", "two-bit", "protocol: two-bit, full-map, full-map+E, classical, duplication, write-once, software")
-		procs     = flag.Int("procs", 8, "number of processor-cache pairs (≤ 64)")
-		refs      = flag.Int("refs", 20000, "references per processor")
-		q         = flag.Float64("q", 0.05, "probability a reference is shared")
-		w         = flag.Float64("w", 0.2, "probability a shared reference is a write")
-		netName   = flag.String("net", "crossbar", "network: crossbar, bus, omega")
-		tbSize    = flag.Int("tb", 0, "translation buffer entries (two-bit only, 0 = off)")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		compare   = flag.Bool("compare", false, "run every protocol on the same workload")
-		sweep     = flag.String("sweep", "", "sweep: sharing, n, or tb")
-		wlName    = flag.String("workload", "shared-private", "workload: shared-private, zipf, matmul, prodcons, locks, barrier, migration")
-		skew      = flag.Float64("skew", 1.2, "Zipf exponent for -workload zipf")
-		jsonOut   = flag.Bool("json", false, "emit the single-run result as JSON")
-		recordTo  = flag.String("record", "", "capture the workload to this trace file instead of simulating")
-		replayOf  = flag.String("replay", "", "drive the machine from this trace file")
-		traceFile = flag.String("trace", "", "run from this trace file of any format (text, varint, or chunked); -procs defaults to the trace's streams")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *recordTo != "" {
-		g := buildWorkload(*wlName, *procs, *q, *w, *skew, *seed)
-		tr := twobit.RecordTrace(g, *procs, *refs)
-		f, err := os.Create(*recordTo)
-		if err != nil {
-			fatal(err)
+// options holds the parsed flags.
+type options struct {
+	protoName, netName, sweep, wlName, recordTo, traceFile string
+	procs, refs, tbSize                                    int
+	q, w, skew                                             float64
+	seed                                                   uint64
+	compare, jsonOut                                       bool
+	set                                                    map[string]bool // flags given on the command line
+}
+
+// usageError is a flag value the command cannot use: exit status 2.
+type usageError struct{ error }
+
+// run is the command: it parses args, runs what they ask for, writes the
+// result to stdout and any error to stderr, and returns the exit status:
+// 0, 1 on an error, 2 on a bad flag or flag value.
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := flag.NewFlagSet("coherencesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.protoName, "protocol", "two-bit", "protocol: two-bit, full-map, full-map+E, classical, duplication, write-once, software")
+	fs.IntVar(&o.procs, "procs", 8, "number of processor-cache pairs (≤ 64)")
+	fs.IntVar(&o.refs, "refs", 20000, "references per processor")
+	fs.Float64Var(&o.q, "q", 0.05, "probability a reference is shared")
+	fs.Float64Var(&o.w, "w", 0.2, "probability a shared reference is a write")
+	fs.StringVar(&o.netName, "net", "crossbar", "network: crossbar, bus, omega")
+	fs.IntVar(&o.tbSize, "tb", 0, "translation buffer entries (two-bit only, 0 = off)")
+	fs.Uint64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&o.compare, "compare", false, "run every protocol on the same workload")
+	fs.StringVar(&o.sweep, "sweep", "", "sweep: sharing, n, or tb")
+	fs.StringVar(&o.wlName, "workload", "shared-private", "workload: shared-private, zipf, matmul, prodcons, locks, barrier, migration")
+	fs.Float64Var(&o.skew, "skew", 1.2, "Zipf exponent for -workload zipf")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the single-run result as JSON")
+	fs.StringVar(&o.recordTo, "record", "", "capture the workload to this trace file instead of simulating")
+	fs.StringVar(&o.traceFile, "trace", "", "run from this trace file of any format (text, varint, or chunked); -procs defaults to the trace's streams")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		defer f.Close()
-		if err := tr.WriteBinary(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded %d procs × %d refs to %s\n", *procs, *refs, *recordTo)
-		return
+		return 2
 	}
+	o.set = make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	if err := o.exec(stdout); err != nil {
+		fmt.Fprintf(stderr, "coherencesim: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
+		return 1
+	}
+	return 0
+}
 
+// exec runs the parsed command.
+func (o *options) exec(out io.Writer) error {
+	p, err := twobit.ParseProtocol(o.protoName)
+	if err != nil {
+		return usageError{fmt.Errorf("unknown protocol %q", o.protoName)}
+	}
+	nk, err := twobit.ParseNetKind(o.netName)
+	if err != nil {
+		return usageError{fmt.Errorf("unknown network %q", o.netName)}
+	}
 	switch {
-	case *compare:
-		runCompare(*procs, *refs, *q, *w, *seed)
-	case *sweep != "":
-		runSweep(*sweep, *refs, *q, *w, *seed)
-	default:
-		p, err := twobit.ParseProtocol(*protoName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coherencesim: unknown protocol %q\n", *protoName)
-			os.Exit(2)
+	case o.recordTo != "":
+		return o.record(out)
+	case o.compare:
+		return runCompare(out, o.procs, o.refs, o.q, o.w, o.seed)
+	case o.sweep != "":
+		return runSweep(out, o.sweep, o.refs, o.q, o.w, o.seed)
+	}
+	var src twobit.TraceSource
+	if o.traceFile != "" {
+		if src, err = twobit.OpenTraceFile(o.traceFile); err != nil {
+			return err
 		}
-		nk, err := twobit.ParseNetKind(*netName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coherencesim: unknown network %q\n", *netName)
-			os.Exit(2)
+		defer twobit.CloseTraceSource(src)
+		if !o.set["procs"] {
+			o.procs = src.Procs()
 		}
-		var src twobit.TraceSource
-		if *traceFile != "" {
-			var err error
-			src, err = twobit.OpenTraceFile(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			defer twobit.CloseTraceSource(src)
-			procsSet := false
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "procs" {
-					procsSet = true
-				}
-			})
-			if !procsSet {
-				*procs = src.Procs()
-				if *procs > 64 {
-					*procs = 64 // directory word width caps a machine
-				}
-			}
-		}
-		cfg := twobit.DefaultConfig(p, *procs)
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "net" { // unset, the protocol's default network stands
-				cfg.Net = nk
-			}
-		})
-		cfg.Seed = *seed
-		cfg.TranslationBufferSize = *tbSize
-		if src != nil {
-			res, err := twobit.RunFromTrace(cfg, src, *refs)
-			if err != nil {
-				fatal(err)
-			}
-			printResult(res, *jsonOut)
-			return
-		}
+	}
+	cfg := twobit.DefaultConfig(p, o.procs)
+	if o.set["net"] { // unset, the protocol's default network stands
+		cfg.Net = nk
+	}
+	cfg.Seed = o.seed
+	cfg.TranslationBufferSize = o.tbSize
+	var res twobit.Results
+	if src != nil {
+		res, err = twobit.RunFromTrace(cfg, src, o.refs)
+	} else {
 		var g twobit.Generator
-		if *replayOf != "" {
-			f, err := os.Open(*replayOf)
-			if err != nil {
-				fatal(err)
-			}
-			tr, err := twobit.ReadTraceBinary(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			if tr.Procs() < *procs {
-				fatal(fmt.Errorf("trace has %d processor streams, need %d", tr.Procs(), *procs))
-			}
-			g = tr.Generator()
-		} else {
-			g = buildWorkload(*wlName, *procs, *q, *w, *skew, *seed)
+		if g, err = o.workload(); err != nil {
+			return err
 		}
-		printResult(runWith(cfg, g, *refs), *jsonOut)
+		res, err = simulate(cfg, g, o.refs)
 	}
-}
-
-func printResult(res twobit.Results, jsonOut bool) {
-	if jsonOut {
-		js, err := res.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(js)
-		return
+	if err != nil {
+		return err
 	}
-	fmt.Println(res)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "coherencesim: %v\n", err)
-	os.Exit(1)
-}
-
-// buildWorkload constructs the selected generator.
-func buildWorkload(name string, procs int, q, w, skew float64, seed uint64) twobit.Generator {
-	switch name {
-	case "shared-private":
-		return gen(procs, q, w, seed)
-	case "zipf":
-		return twobit.NewZipfSharedWorkload(twobit.ZipfSharedConfig{
-			Procs: procs, SharedBlocks: 16, Skew: skew, Q: q, W: w,
-			PrivateHit: 0.9, PrivateWrite: 0.3, HotBlocks: 64, ColdBlocks: 512, Seed: seed,
-		})
-	case "matmul":
-		return twobit.NewMatMulWorkload(procs, 32, 32, 16)
-	case "prodcons":
-		return twobit.NewProducerConsumerWorkload(procs, 16)
-	case "locks":
-		return twobit.NewLockContentionWorkload(procs, 8, seed)
-	case "barrier":
-		return twobit.NewBarrierWorkload(procs, 4, 3)
-	case "migration":
-		return twobit.NewMigrationWorkload(procs, procs, 32, 500, seed)
-	default:
-		fatal(fmt.Errorf("unknown workload %q", name))
+	if !o.jsonOut {
+		fmt.Fprintln(out, res)
 		return nil
 	}
+	js, err := res.JSON()
+	fmt.Fprintln(out, js)
+	return err
 }
 
-func runWith(cfg twobit.Config, g twobit.Generator, refs int) twobit.Results {
-	m, err := twobit.NewMachine(cfg, g)
+// record captures the selected workload to o.recordTo.
+func (o *options) record(out io.Writer) error {
+	g, err := o.workload()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	res, err := m.Run(refs)
-	if err != nil {
-		fatal(err)
+	var buf bytes.Buffer
+	err = twobit.RecordTrace(g, o.procs, o.refs).WriteBinary(&buf)
+	if err == nil {
+		err = os.WriteFile(o.recordTo, buf.Bytes(), 0o644)
 	}
-	return res
+	if err == nil {
+		fmt.Fprintf(out, "recorded %d procs × %d refs to %s\n", o.procs, o.refs, o.recordTo)
+	}
+	return err
+}
+
+// workload constructs the selected generator.
+func (o *options) workload() (twobit.Generator, error) {
+	procs, seed := o.procs, o.seed
+	switch o.wlName {
+	case "shared-private":
+		return gen(procs, o.q, o.w, seed), nil
+	case "zipf":
+		return twobit.NewZipfSharedWorkload(twobit.ZipfSharedConfig{
+			Procs: procs, SharedBlocks: 16, Skew: o.skew, Q: o.q, W: o.w,
+			PrivateHit: 0.9, PrivateWrite: 0.3, HotBlocks: 64, ColdBlocks: 512, Seed: seed,
+		}), nil
+	case "matmul":
+		return twobit.NewMatMulWorkload(procs, 32, 32, 16), nil
+	case "prodcons":
+		return twobit.NewProducerConsumerWorkload(procs, 16), nil
+	case "locks":
+		return twobit.NewLockContentionWorkload(procs, 8, seed), nil
+	case "barrier":
+		return twobit.NewBarrierWorkload(procs, 4, 3), nil
+	case "migration":
+		return twobit.NewMigrationWorkload(procs, procs, 32, 500, seed), nil
+	}
+	return nil, usageError{fmt.Errorf("unknown workload %q", o.wlName)}
 }
 
 func gen(procs int, q, w float64, seed uint64) twobit.Generator {
@@ -202,23 +193,18 @@ func gen(procs int, q, w float64, seed uint64) twobit.Generator {
 	})
 }
 
-func run(cfg twobit.Config, procs, refs int, q, w float64, seed uint64) twobit.Results {
-	m, err := twobit.NewMachine(cfg, gen(procs, q, w, seed))
+// simulate runs a machine of cfg on g for refs references per processor.
+func simulate(cfg twobit.Config, g twobit.Generator, refs int) (twobit.Results, error) {
+	m, err := twobit.NewMachine(cfg, g)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "coherencesim: %v\n", err)
-		os.Exit(1)
+		return twobit.Results{}, err
 	}
-	res, err := m.Run(refs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "coherencesim: %v\n", err)
-		os.Exit(1)
-	}
-	return res
+	return m.Run(refs)
 }
 
-func runCompare(procs, refs int, q, w float64, seed uint64) {
-	fmt.Printf("protocol comparison: n=%d, q=%.2f, w=%.2f, %d refs/proc\n\n", procs, q, w, refs)
-	fmt.Printf("%-12s %10s %12s %12s %12s %12s\n",
+func runCompare(out io.Writer, procs, refs int, q, w float64, seed uint64) error {
+	fmt.Fprintf(out, "protocol comparison: n=%d, q=%.2f, w=%.2f, %d refs/proc\n\n", procs, q, w, refs)
+	fmt.Fprintf(out, "%-12s %10s %12s %12s %12s %12s\n",
 		"protocol", "cycles/ref", "cmds/ref", "useless/ref", "stolen/ref", "netmsgs")
 	for _, p := range []twobit.Protocol{
 		twobit.TwoBit, twobit.FullMap, twobit.FullMapExclusive, twobit.Classical,
@@ -226,46 +212,58 @@ func runCompare(procs, refs int, q, w float64, seed uint64) {
 	} {
 		cfg := twobit.DefaultConfig(p, procs)
 		cfg.Seed = seed
-		res := run(cfg, procs, refs, q, w, seed)
-		fmt.Printf("%-12s %10.2f %12.4f %12.4f %12.4f %12d\n",
+		res, err := simulate(cfg, gen(procs, q, w, seed), refs)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "%-12s %10.2f %12.4f %12.4f %12.4f %12d\n",
 			p, res.CyclesPerRef, res.CommandsPerCachePerRef,
 			res.UselessPerCachePerRef, res.StolenCyclesPerRef, res.Net.Messages.Value())
 	}
+	return nil
 }
 
-func runSweep(kind string, refs int, q, w float64, seed uint64) {
+func runSweep(out io.Writer, kind string, refs int, q, w float64, seed uint64) error {
 	switch kind {
 	case "sharing":
-		fmt.Printf("two-bit vs full-map overhead across sharing levels (n=8, w=%.2f)\n\n", w)
-		fmt.Printf("%-10s %14s %14s %16s\n", "q", "two-bit c/ref", "full-map c/ref", "useless/ref(2b)")
+		fmt.Fprintf(out, "two-bit vs full-map overhead across sharing levels (n=8, w=%.2f)\n\n", w)
+		fmt.Fprintf(out, "%-10s %14s %14s %16s\n", "q", "two-bit c/ref", "full-map c/ref", "useless/ref(2b)")
 		for _, qv := range []float64{0.0, 0.01, 0.05, 0.10, 0.20} {
-			two := run(twobit.DefaultConfig(twobit.TwoBit, 8), 8, refs, qv, w, seed)
-			full := run(twobit.DefaultConfig(twobit.FullMap, 8), 8, refs, qv, w, seed)
-			fmt.Printf("%-10.2f %14.4f %14.4f %16.4f\n",
+			two, err2 := simulate(twobit.DefaultConfig(twobit.TwoBit, 8), gen(8, qv, w, seed), refs)
+			full, errF := simulate(twobit.DefaultConfig(twobit.FullMap, 8), gen(8, qv, w, seed), refs)
+			if err := errors.Join(err2, errF); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "%-10.2f %14.4f %14.4f %16.4f\n",
 				qv, two.CommandsPerCachePerRef, full.CommandsPerCachePerRef, two.UselessPerCachePerRef)
 		}
 	case "n":
-		fmt.Printf("two-bit overhead vs processor count (q=%.2f, w=%.2f); analytic (n-1)T_SUM rightmost\n\n", q, w)
-		fmt.Printf("%-6s %14s %14s %14s\n", "n", "sim cmds/ref", "sim useless", "model (mod.)")
+		fmt.Fprintf(out, "two-bit overhead vs processor count (q=%.2f, w=%.2f); analytic (n-1)T_SUM rightmost\n\n", q, w)
+		fmt.Fprintf(out, "%-6s %14s %14s %14s\n", "n", "sim cmds/ref", "sim useless", "model (mod.)")
 		for _, n := range []int{4, 8, 16, 32} {
-			res := run(twobit.DefaultConfig(twobit.TwoBit, n), n, refs, q, w, seed)
-			analytic := twobit.Overhead41(twobit.ModerateSharing, n, w)
-			fmt.Printf("%-6d %14.4f %14.4f %14.4f\n",
-				n, res.CommandsPerCachePerRef, res.UselessPerCachePerRef, analytic)
+			res, err := simulate(twobit.DefaultConfig(twobit.TwoBit, n), gen(n, q, w, seed), refs)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "%-6d %14.4f %14.4f %14.4f\n",
+				n, res.CommandsPerCachePerRef, res.UselessPerCachePerRef, twobit.Overhead41(twobit.ModerateSharing, n, w))
 		}
 	case "tb":
-		fmt.Printf("translation buffer sweep (§4.4): n=8, q=%.2f, w=%.2f\n\n", q, w)
-		fmt.Printf("%-8s %12s %12s %12s\n", "entries", "TB hit", "broadcasts", "cmds/ref")
+		fmt.Fprintf(out, "translation buffer sweep (§4.4): n=8, q=%.2f, w=%.2f\n\n", q, w)
+		fmt.Fprintf(out, "%-8s %12s %12s %12s\n", "entries", "TB hit", "broadcasts", "cmds/ref")
 		for _, size := range []int{0, 4, 16, 64, 256, 1024} {
 			cfg := twobit.DefaultConfig(twobit.TwoBit, 8)
 			cfg.TranslationBufferSize = size
 			cfg.Seed = seed
-			res := run(cfg, 8, refs, q, w, seed)
-			fmt.Printf("%-8d %12.3f %12d %12.4f\n",
+			res, err := simulate(cfg, gen(8, q, w, seed), refs)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "%-8d %12.3f %12d %12.4f\n",
 				size, res.TBHitRatio, res.Broadcasts, res.CommandsPerCachePerRef)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "coherencesim: unknown sweep %q (want sharing, n or tb)\n", kind)
-		os.Exit(2)
+		return usageError{fmt.Errorf("unknown sweep %q (want sharing, n or tb)", kind)}
 	}
+	return nil
 }

@@ -45,12 +45,9 @@ import (
 var txnNames [64]string
 
 // stateEventNames names the instant emitted on each directory
-// transition, indexed by the destination state. The metric slugs in
-// stateCounterSuffix match: directory.State.String uses "Present*",
-// which is hostile to metric-name tooling.
+// transition, indexed by the destination state; its counter is
+// directory.State.TransitionCounter.
 var stateEventNames = [4]string{"dir to Absent", "dir to Present1", "dir to Present*", "dir to PresentM"}
-
-var stateCounterSuffix = [4]string{"dir_to_absent", "dir_to_present1", "dir_to_present_star", "dir_to_present_m"}
 
 func init() {
 	for k := range txnNames {
@@ -185,7 +182,7 @@ func (c *Controller) observe(rec *obs.Recorder, module, blocks int) {
 	c.obsTxn = rec.Histogram(prefix+"/txn_cycles", 16)
 	c.obsBroadcasts = rec.Counter(prefix + "/broadcasts")
 	for s := range c.obsStateTo {
-		c.obsStateTo[s] = rec.Counter(prefix + "/" + stateCounterSuffix[s])
+		c.obsStateTo[s] = rec.Counter(prefix + "/" + directory.State(s).TransitionCounter())
 	}
 	if ts := rec.Windows(); ts != nil {
 		c.tsQueue = ts.Series(prefix+"/queue_depth", obs.SeriesMax)

@@ -14,7 +14,7 @@ import (
 // / Tang controller with less knowledge: the same REQUEST / MREQUEST /
 // EJECT / put transactions, differing in whether the directory can name a
 // block's holders. The zero Policy is the paper's two-bit scheme;
-// internal/fullmap and internal/duplication construct the baselines.
+// FullMap and Duplication construct the baselines.
 type Policy struct {
 	// Holders builds the exact holder store for a module of blocks blocks
 	// serving caches caches. With one, every command is directed (INV,

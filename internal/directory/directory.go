@@ -15,6 +15,8 @@ package directory
 import (
 	"fmt"
 	"math/bits"
+
+	"twobit/internal/addr"
 )
 
 // State is the global state of a memory block in the two-bit scheme.
@@ -46,6 +48,39 @@ func (s State) String() string {
 		return "PresentM"
 	}
 	return fmt.Sprintf("State(%d)", uint8(s))
+}
+
+// TransitionCounter names the counter of transitions into s: a metric
+// slug, as String's "Present*" is hostile to metric-name tooling. Both
+// runtimes count under these names, so their counters compare one for one.
+func (s State) TransitionCounter() string {
+	return [...]string{"dir_to_absent", "dir_to_present1", "dir_to_present_star", "dir_to_present_m"}[s]
+}
+
+// CheckTwoBit is the two-bit scheme's quiescent rule: block b's global
+// state st against the caches' contents, copies valid copies of which
+// modified are modified. Present* may overcount (it means "0 or more
+// copies"); every other state is exact.
+func CheckTwoBit(b addr.Block, st State, copies, modified int) error {
+	switch st {
+	case Absent:
+		if copies != 0 {
+			return fmt.Errorf("%v: state Absent but %d copies exist", b, copies)
+		}
+	case Present1:
+		if copies > 1 || modified != 0 {
+			return fmt.Errorf("%v: state Present1 but %d copies (%d modified)", b, copies, modified)
+		}
+	case PresentStar:
+		if modified != 0 {
+			return fmt.Errorf("%v: state Present* but a modified copy exists", b)
+		}
+	case PresentM:
+		if copies != 1 || modified != 1 {
+			return fmt.Errorf("%v: state PresentM but %d copies (%d modified)", b, copies, modified)
+		}
+	}
+	return nil
 }
 
 // TwoBitMap stores two bits of global state per block, packed four blocks

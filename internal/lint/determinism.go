@@ -65,7 +65,8 @@ func kernelReachable(mod *module, cfg Config) map[string]bool {
 }
 
 // schedulingCall reports whether the call expression schedules an event:
-// a method on the kernel (At/After) or on the network (Send/Broadcast).
+// a method on the kernel (AtCall/AfterCall) or on the network
+// (Send/Broadcast).
 func schedulingCall(p *pkg, call *ast.CallExpr, cfg Config) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -95,7 +96,7 @@ func schedulingCall(p *pkg, call *ast.CallExpr, cfg Config) (string, bool) {
 	}
 	name := sel.Sel.Name
 	switch {
-	case path == cfg.SimPath && (name == "At" || name == "After" || name == "AtCall" || name == "AfterCall"):
+	case path == cfg.SimPath && (name == "AtCall" || name == "AfterCall"):
 		return "schedules a kernel event via " + name, true
 	case path == cfg.NetPath && (name == "Send" || name == "Broadcast"):
 		return "sends a network message via " + name, true

@@ -1,6 +1,6 @@
 // Package lint is coherencelint: a protocol-aware static analysis pass
 // over this module, built entirely on the standard library's go/parser,
-// go/ast and go/types (source importer). It proves three properties the
+// go/ast and go/types (source importer). It proves properties the
 // runtime invariant checker and the bounded model checker cannot see
 // until a simulation runs:
 //
@@ -37,14 +37,6 @@
 //     but any scheduling call at all is a finding, so instruments can
 //     never perturb the event schedule they measure.
 //
-//   - closure-in-hotpath: packages on the simulator's allocation-gated
-//     hot path (the network, and every package that implements a cache
-//     or memory side of a protocol) must not schedule through the
-//     kernel's closure form At/After at all — a closure per event is
-//     exactly the cost the ZeroAlloc tests exist to forbid. The pooled
-//     AtCall/AfterCall form, with the state in the component's fields or
-//     a reused record, is the fix.
-//
 //   - pooled-construction: orchestrator packages (the campaign engine)
 //     must not call exported New* constructors declared in the
 //     machine-component packages (caches, memory, controllers, networks,
@@ -65,7 +57,7 @@
 //
 // where <reason> is mandatory. The analyzer names are
 // "exhaustive-switch", "handler-completeness", "dead-transition",
-// "determinism", "closure-in-hotpath" and "pooled-construction".
+// "determinism" and "pooled-construction".
 //
 // The analyzers run in two places: `go run ./cmd/coherencelint ./...`
 // for build pipelines, and TestModuleIsLintClean in this package so that
@@ -83,7 +75,6 @@ const (
 	AnalyzerExhaustive     = "exhaustive-switch"
 	AnalyzerHandlers       = "handler-completeness"
 	AnalyzerDeterminism    = "determinism"
-	AnalyzerHotPath        = "closure-in-hotpath"
 	AnalyzerDeadTransition = "dead-transition"
 	AnalyzerConstruction   = "pooled-construction"
 	// AnalyzerDirective reports malformed //lint:allow directives; it
@@ -156,18 +147,12 @@ type Config struct {
 	// Every other determinism rule (math/rand, time.Now, map-order leaks)
 	// still applies to them. Default: <module>/internal/sweep.
 	Orchestrators []string
-	// HotPaths lists packages on the simulator's allocation-gated hot
-	// path: a closure-form kernel At/After call there is a finding — the
-	// pooled AtCall/AfterCall form exists for exactly those paths.
-	// Default (nil): NetPath plus every package declaring a CacheIface or
-	// MemIface implementation.
-	HotPaths []string
 	// ComponentPaths lists the machine-component packages whose exported
 	// New* constructors the orchestrators must not call: component
 	// lifetimes belong to the pooled machine graph, which is built once
 	// per worker and reset between runs. Default: the cache, memory,
-	// core, classical, writeonce, software, proto, network, directory and
-	// system packages.
+	// core, classical, writeonce, software, proto, network, directory,
+	// oracle and system packages.
 	ComponentPaths []string
 	// AllowedConstructors lists fully qualified constructors ("path.Func")
 	// exempt from the pooled-construction rule — the sanctioned entry
@@ -213,6 +198,7 @@ func (c *Config) fill(mod *module) {
 			mod.path + "/internal/proto",
 			mod.path + "/internal/network",
 			mod.path + "/internal/directory",
+			mod.path + "/internal/oracle",
 			mod.path + "/internal/system",
 		}
 	}
@@ -221,8 +207,8 @@ func (c *Config) fill(mod *module) {
 	}
 }
 
-// Run loads the module containing cfg.Dir and applies all three
-// analyzers, returning the surviving diagnostics sorted by position.
+// Run loads the module containing cfg.Dir and applies every
+// analyzer, returning the surviving diagnostics sorted by position.
 // A non-nil error means the module could not be loaded or type-checked;
 // an empty diagnostic slice with a nil error means the tree is clean.
 func Run(cfg Config) ([]Diagnostic, error) {
@@ -237,7 +223,6 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	diags = append(diags, checkHandlers(mod, cfg)...)
 	diags = append(diags, checkDeadTransitions(mod, cfg)...)
 	diags = append(diags, checkDeterminism(mod, cfg)...)
-	diags = append(diags, checkHotPath(mod, cfg)...)
 	diags = append(diags, checkConstruction(mod, cfg)...)
 
 	kept := diags[:0]

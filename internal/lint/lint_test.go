@@ -127,57 +127,24 @@ func TestDeterminismFixtures(t *testing.T) {
 		"eng/eng.go:20:9: [determinism] time.Now in event-kernel package: simulated time must come from the kernel clock",
 		"eng/eng.go:25:2: [determinism] go statement in event-kernel package determbad/eng: goroutine interleaving breaks replayability",
 		"eng/eng.go:33:9: [determinism] append inside a range over a map: iteration order leaks into the result slice",
-		"eng/eng.go:34:3: [determinism] range over a map schedules a kernel event via After: iteration order leaks into the event schedule",
+		"eng/eng.go:34:3: [determinism] range over a map schedules a kernel event via AfterCall: iteration order leaks into the event schedule",
 	})
 }
 
 func TestObsPassivityFixture(t *testing.T) {
 	// The observability package may read the clock but must never
-	// schedule: a bare kernel.After call — outside any map range — is a
-	// finding there and only there, and the pooled AtCall path used by
-	// the span recorder is caught exactly like the closure forms.
+	// schedule: a bare kernel.AfterCall or AtCall — outside any map range
+	// — is a finding there and only there, whichever instrument makes it.
 	expect(t, run(t, lint.Config{
 		Dir:     fixture(t, "determobs"),
 		SimPath: "determobs/sim",
 		ObsPath: "determobs/obs",
 		Scope:   "determobs",
 	}), []string{
-		"obs/obs.go:21:2: [determinism] observability package determobs/obs must stay passive but schedules a kernel event via After",
+		"obs/obs.go:21:2: [determinism] observability package determobs/obs must stay passive but schedules a kernel event via AfterCall",
 		"obs/span.go:22:2: [determinism] observability package determobs/obs must stay passive but schedules a kernel event via AtCall",
-		"obs/timeseries.go:24:2: [determinism] observability package determobs/obs must stay passive but schedules a kernel event via At",
+		"obs/timeseries.go:24:2: [determinism] observability package determobs/obs must stay passive but schedules a kernel event via AtCall",
 	})
-}
-
-func TestHotPathFixtures(t *testing.T) {
-	// Pooled scheduling and a documented //lint:allow are clean.
-	expect(t, run(t, lint.Config{
-		Dir:      fixture(t, "hotpathgood"),
-		SimPath:  "hotpathgood/sim",
-		Scope:    "hotpathgood",
-		HotPaths: []string{"hotpathgood/net"},
-	}), nil)
-
-	// Every closure-form scheduling call inside a hot-path package is a
-	// finding, whatever its closure captures.
-	expect(t, run(t, lint.Config{
-		Dir:      fixture(t, "hotpathbad"),
-		SimPath:  "hotpathbad/sim",
-		Scope:    "hotpathbad",
-		HotPaths: []string{"hotpathbad/net"},
-	}), []string{
-		"net/net.go:19:3: [closure-in-hotpath] hot-path package hotpathbad/net schedules a closure through At: one allocation per event; use the pooled AtCall form with the state in a field or reused record",
-		"net/net.go:23:3: [closure-in-hotpath] hot-path package hotpathbad/net schedules a closure through After: one allocation per event; use the pooled AfterCall form with the state in a field or reused record",
-		"net/net.go:32:3: [closure-in-hotpath] hot-path package hotpathbad/net schedules a closure through After: one allocation per event; use the pooled AfterCall form with the state in a field or reused record",
-	})
-
-	// Outside the declared hot paths the same shape is legal: closures in
-	// cold code are a style choice, not an allocation-gate violation.
-	expect(t, run(t, lint.Config{
-		Dir:      fixture(t, "hotpathbad"),
-		SimPath:  "hotpathbad/sim",
-		Scope:    "hotpathbad",
-		HotPaths: []string{},
-	}), nil)
 }
 
 func TestConstructionFixtures(t *testing.T) {

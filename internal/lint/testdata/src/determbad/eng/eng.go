@@ -31,7 +31,7 @@ func (e *Engine) Flush() []int {
 	var out []int
 	for b, d := range e.queue {
 		out = append(out, b)
-		e.k.After(int64(d), func() {})
+		e.k.AfterCall(int64(d), nil, 0, 0)
 	}
 	return out
 }

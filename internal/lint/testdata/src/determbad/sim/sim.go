@@ -4,8 +4,13 @@ package sim
 // Kernel is the event kernel.
 type Kernel struct{}
 
-// At schedules fn at absolute time t.
-func (k *Kernel) At(t int64, fn func()) {}
+// Caller is the scheduling target of AtCall/AfterCall.
+type Caller interface {
+	Call(a0, a1 uint64)
+}
 
-// After schedules fn d cycles from now.
-func (k *Kernel) After(d int64, fn func()) {}
+// AtCall schedules c.Call(a0, a1) at absolute time t.
+func (k *Kernel) AtCall(t int64, c Caller, a0, a1 uint64) {}
+
+// AfterCall schedules c.Call(a0, a1) d cycles from now.
+func (k *Kernel) AfterCall(d int64, c Caller, a0, a1 uint64) {}

@@ -23,7 +23,7 @@ func (e *Engine) Depth() int {
 // Run schedules from a caller-ordered slice, not a map.
 func (e *Engine) Run(ds []int) {
 	for _, d := range ds {
-		e.k.After(int64(d), func() {})
+		e.k.AfterCall(int64(d), nil, 0, 0)
 	}
 }
 

@@ -18,5 +18,5 @@ func (r *Recorder) Note() {
 
 // ScheduleFlush is the violation: instruments must never schedule.
 func (r *Recorder) ScheduleFlush() {
-	r.kernel.After(100, func() {})
+	r.kernel.AfterCall(100, nil, 0, 0)
 }

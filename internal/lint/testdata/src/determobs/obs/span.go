@@ -4,7 +4,7 @@ import "determobs/sim"
 
 // SpanRecorder pretends to be the transaction-span instrument. Reading
 // the clock at phase boundaries is allowed; scheduling — even through
-// the pooled allocation-free AtCall path — is not.
+// the pooled AtCall path — is not.
 type SpanRecorder struct {
 	kernel *sim.Kernel
 	caller sim.Caller

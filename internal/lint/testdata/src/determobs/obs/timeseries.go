@@ -21,5 +21,5 @@ func (t *TSRecorder) Observe() {
 // ScheduleRollover is the violation: a window boundary is a derived
 // quantity, not an event.
 func (t *TSRecorder) ScheduleRollover() {
-	t.kernel.At((t.window+1)*t.width, func() {})
+	t.kernel.AtCall((t.window+1)*t.width, nil, 0, 0)
 }

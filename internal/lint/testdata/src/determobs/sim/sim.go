@@ -4,19 +4,16 @@ package sim
 // Kernel is the event kernel.
 type Kernel struct{}
 
-// At schedules fn at absolute time t.
-func (k *Kernel) At(t int64, fn func()) {}
-
-// After schedules fn d cycles from now.
-func (k *Kernel) After(d int64, fn func()) {}
-
 // Now reads the clock; observers may call this freely.
 func (k *Kernel) Now() int64 { return 0 }
 
-// Caller is the pooled-scheduling callback interface.
+// Caller is the scheduling target of AtCall/AfterCall.
 type Caller interface {
 	Call(a0, a1 uint64)
 }
 
-// AtCall schedules c.Call(a0, a1) at absolute time t without allocating.
+// AtCall schedules c.Call(a0, a1) at absolute time t.
 func (k *Kernel) AtCall(t int64, c Caller, a0, a1 uint64) {}
+
+// AfterCall schedules c.Call(a0, a1) d cycles from now.
+func (k *Kernel) AfterCall(d int64, c Caller, a0, a1 uint64) {}

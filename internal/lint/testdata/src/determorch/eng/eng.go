@@ -7,7 +7,7 @@ import "determorch/sim"
 // Run drives one complete simulation on the caller's goroutine.
 func Run(seed uint64) uint64 {
 	k := &sim.Kernel{}
-	k.After(int64(seed%7), func() {})
+	k.AfterCall(int64(seed%7), nil, 0, 0)
 	k.Run()
 	return seed * 2
 }

@@ -10,6 +10,6 @@ import (
 // Run schedules work and leans on the orchestrator from below.
 func Run(done chan struct{}) {
 	k := &sim.Kernel{}
-	k.After(1, func() {})
+	k.AfterCall(1, nil, 0, 0)
 	orch.Run(done)
 }

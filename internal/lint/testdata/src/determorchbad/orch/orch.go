@@ -7,7 +7,7 @@ import "determorchbad/sim"
 func Run(done chan struct{}) {
 	go func() {
 		k := &sim.Kernel{}
-		k.After(1, func() {})
+		k.AfterCall(1, nil, 0, 0)
 		close(done)
 	}()
 }

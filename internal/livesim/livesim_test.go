@@ -9,11 +9,14 @@ import (
 )
 
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{Procs: 2, Modules: 1, CacheBlocks: 4}).Validate(); err != nil {
+	if err := (Config{Procs: 2, Modules: 1, CacheBlocks: 4, Blocks: 8}).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Config{Procs: 0, Modules: 1, CacheBlocks: 4}).Validate(); err == nil {
+	if err := (Config{Procs: 0, Modules: 1, CacheBlocks: 4, Blocks: 8}).Validate(); err == nil {
 		t.Fatal("Procs=0 accepted")
+	}
+	if err := (Config{Procs: 2, Modules: 1, CacheBlocks: 4}).Validate(); err == nil {
+		t.Fatal("Blocks=0 accepted")
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted zero config")
@@ -24,7 +27,7 @@ func TestConfigValidate(t *testing.T) {
 // goroutines; the oracle and quiescent invariants must hold. Run with
 // -race to validate the synchronization structure.
 func TestRandomSharingCoherent(t *testing.T) {
-	m, err := New(Config{Procs: 8, Modules: 2, CacheBlocks: 8})
+	m, err := New(Config{Procs: 8, Modules: 2, CacheBlocks: 8, Blocks: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,15 +44,30 @@ func TestRandomSharingCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckInvariants(); err != nil {
+}
+
+// TestAccessBeyondSpaceIsAViolation: a reference outside the Blocks the
+// oracle was sized for fails Run by name instead of panicking, and the
+// processor goes on.
+func TestAccessBeyondSpaceIsAViolation(t *testing.T) {
+	m, err := New(Config{Procs: 1, Modules: 1, CacheBlocks: 2, Blocks: 4})
+	if err != nil {
 		t.Fatal(err)
+	}
+	err = m.Run(func(proc int, access func(addr.Ref) uint64) {
+		access(addr.Ref{Block: 4, Write: true})
+		access(addr.Ref{Block: 3, Write: true})
+	})
+	const want = "livesim: 1 violations, first: proc 0: access to blk#4 beyond space of 4 blocks"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %q", err, want)
 	}
 }
 
 // TestMRequestStorm hammers the §3.2.5 scenario: every processor
 // read-then-writes the same single block, maximizing racing MREQUESTs.
 func TestMRequestStorm(t *testing.T) {
-	m, err := New(Config{Procs: 8, Modules: 1, CacheBlocks: 4})
+	m, err := New(Config{Procs: 8, Modules: 1, CacheBlocks: 4, Blocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +80,12 @@ func TestMRequestStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestEvictionChurn forces continuous replacement (tiny caches, many
 // blocks) so EJECT/BROADQUERY races get exercised.
 func TestEvictionChurn(t *testing.T) {
-	m, err := New(Config{Procs: 4, Modules: 2, CacheBlocks: 2})
+	m, err := New(Config{Procs: 4, Modules: 2, CacheBlocks: 2, Blocks: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +98,12 @@ func TestEvictionChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestReadsObserveWrites checks end-to-end dataflow: a producer writes
 // increasing versions; consumers must observe a non-decreasing sequence.
 func TestReadsObserveWrites(t *testing.T) {
-	m, err := New(Config{Procs: 4, Modules: 1, CacheBlocks: 4})
+	m, err := New(Config{Procs: 4, Modules: 1, CacheBlocks: 4, Blocks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +129,6 @@ func TestReadsObserveWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 	saw := false
 	for p := 1; p < 4; p++ {
 		if atomic.LoadUint64(&maxSeen[p]) > 0 {
@@ -133,7 +142,7 @@ func TestReadsObserveWrites(t *testing.T) {
 
 // TestSingleProcessor sanity-checks the degenerate machine.
 func TestSingleProcessor(t *testing.T) {
-	m, err := New(Config{Procs: 1, Modules: 1, CacheBlocks: 2})
+	m, err := New(Config{Procs: 1, Modules: 1, CacheBlocks: 2, Blocks: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +161,6 @@ func TestSingleProcessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestMixedWorkloadLong is a longer soak across blocks and operations.
@@ -162,7 +168,7 @@ func TestMixedWorkloadLong(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak")
 	}
-	m, err := New(Config{Procs: 12, Modules: 3, CacheBlocks: 6})
+	m, err := New(Config{Procs: 12, Modules: 3, CacheBlocks: 6, Blocks: 28})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +190,6 @@ func TestMixedWorkloadLong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // BenchmarkLiveThroughput measures the goroutine runtime's reference
@@ -194,7 +197,7 @@ func TestMixedWorkloadLong(t *testing.T) {
 // BenchmarkSimulatorThroughput.
 func BenchmarkLiveThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := New(Config{Procs: 8, Modules: 2, CacheBlocks: 8})
+		m, err := New(Config{Procs: 8, Modules: 2, CacheBlocks: 8, Blocks: 12})
 		if err != nil {
 			b.Fatal(err)
 		}

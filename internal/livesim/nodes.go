@@ -2,18 +2,13 @@ package livesim
 
 import (
 	"fmt"
+	"slices"
 
 	"twobit/internal/addr"
+	"twobit/internal/directory"
 	"twobit/internal/msg"
 	"twobit/internal/obs"
-)
-
-// Global states, two bits as in the paper.
-const (
-	stAbsent uint8 = iota
-	stPresent1
-	stPresentStar
-	stPresentM
+	"twobit/internal/oracle"
 )
 
 // frame is one cached copy.
@@ -24,28 +19,25 @@ type frame struct {
 
 // procReq is one blocking processor reference.
 type procReq struct {
-	ref     addr.Ref
-	version uint64
-	resp    chan uint64
+	ref  addr.Ref
+	resp chan uint64 // the version read or written
 }
 
 // cacheNode is a processor-cache pair: one goroutine owning its frames.
 type cacheNode struct {
-	m       *Machine
-	idx     int
-	inbox   chan msg.Message
-	reqCh   chan *procReq
-	quit    chan struct{}
-	stopped chan struct{}
-	frames  map[addr.Block]*frame
+	m      *Machine
+	idx    int
+	inbox  chan msg.Message
+	reqCh  chan *procReq
+	frames map[addr.Block]*frame
 
-	// pending reference state (only touched by this node's goroutine)
-	pend       *procReq
-	pendPhase  uint8 // 0 none, 1 await MGRANTED, 2 await get
-	pendResult uint64
+	// pend is the reference waiting on the controller: for MGRANTED
+	// while its clean copy is held, for GET once it is not. Its processor
+	// is blocked on the reply, so no other request arrives meanwhile; the
+	// loop goes on serving the inbox.
+	pend *procReq
 
-	// obs counters, registered before the goroutine starts and written
-	// only by it. Names mirror the deterministic simulator's.
+	// obs counters (see Config.Obs).
 	obsRefs      *obs.Counter // "cache<k>/refs"
 	obsMisses    *obs.Counter // "cache<k>/misses"
 	obsMRequests *obs.Counter // "cache<k>/mrequests" (§3.2.4 upgrades)
@@ -54,13 +46,11 @@ type cacheNode struct {
 
 func newCacheNode(m *Machine, idx int) *cacheNode {
 	c := &cacheNode{
-		m:       m,
-		idx:     idx,
-		inbox:   make(chan msg.Message, m.cfg.ChanDepth),
-		reqCh:   make(chan *procReq),
-		quit:    make(chan struct{}),
-		stopped: make(chan struct{}),
-		frames:  make(map[addr.Block]*frame),
+		m:      m,
+		idx:    idx,
+		inbox:  make(chan msg.Message, inboxDepth),
+		reqCh:  make(chan *procReq),
+		frames: make(map[addr.Block]*frame),
 	}
 	prefix := fmt.Sprintf("cache%d", idx)
 	c.obsRefs = m.cfg.Obs.Counter(prefix + "/refs")
@@ -70,28 +60,30 @@ func newCacheNode(m *Machine, idx int) *cacheNode {
 	return c
 }
 
-// access is called from the processor goroutine.
+// access is called from the processor goroutine. A block outside the
+// space is a violation, and the reference returns 0 without running.
 func (c *cacheNode) access(ref addr.Ref) uint64 {
-	var version uint64
-	if ref.Write {
-		version = c.m.oracle.newVersion()
+	if uint64(ref.Block) >= uint64(c.m.cfg.Blocks) {
+		c.m.check(c.idx, func(*oracle.Oracle) error {
+			return fmt.Errorf("access to %v beyond space of %d blocks", ref.Block, c.m.cfg.Blocks)
+		})
+		return 0
 	}
-	req := &procReq{ref: ref, version: version, resp: make(chan uint64)}
+	req := &procReq{ref: ref, resp: make(chan uint64)}
 	c.reqCh <- req
 	v := <-req.resp
 	if !ref.Write {
-		if err := c.m.oracle.observeRead(c.idx, ref.Block, v); err != nil {
-			c.m.violation(fmt.Errorf("proc %d: %w", c.idx, err))
-		}
+		c.m.check(c.idx, func(o *oracle.Oracle) error { return o.CheckLoad(c.idx, ref.Block, 0, v, false) })
 	}
 	return v
 }
 
+// loop is the node's one receive site.
 func (c *cacheNode) loop() {
-	defer close(c.stopped)
+	defer c.m.nodes.Done()
 	for {
 		select {
-		case <-c.quit:
+		case <-c.m.quit:
 			return
 		case m := <-c.inbox:
 			c.handleMsg(m)
@@ -102,212 +94,218 @@ func (c *cacheNode) loop() {
 	}
 }
 
-func (c *cacheNode) sendCtrl(b addr.Block, m msg.Message) {
-	c.m.send(c.m.ctrlFor(b).inbox, m)
+// toCtrl sends m, from this cache, to the controller of m.Block.
+func (c *cacheNode) toCtrl(m msg.Message) {
+	m.Cache = c.idx
+	c.m.send(c.m.ctrlFor(m.Block).inbox, m)
 }
 
-// handleReq runs the §3.2 cache-side protocol for one reference, servicing
-// external commands from the inbox while it waits.
+// handleReq runs the §3.2 cache side of one reference: a hit completes
+// at once, anything else leaves it pending on the controller's reply.
 func (c *cacheNode) handleReq(req *procReq) {
-	b := req.ref.Block
+	b, f := req.ref.Block, c.frames[req.ref.Block]
 	c.obsRefs.Inc()
-	if f, ok := c.frames[b]; ok {
-		if !req.ref.Write {
-			req.resp <- f.data
-			return
-		}
-		if f.modified {
-			f.data = req.version
-			c.m.oracle.commit(c.idx, b, req.version)
-			req.resp <- req.version
-			return
-		}
-		// §3.2.4: MREQUEST.
-		c.obsMRequests.Inc()
-		c.pend, c.pendPhase = req, 1
-		c.sendCtrl(b, msg.Message{Kind: msg.KindMRequest, Block: b, Cache: c.idx})
-		c.waitPend()
+	if f != nil && !req.ref.Write {
+		req.resp <- f.data
 		return
 	}
-	// Miss: §3.2.1 replacement, then REQUEST.
-	c.obsMisses.Inc()
-	c.evictFor(b)
-	rw := msg.Read
-	if req.ref.Write {
-		rw = msg.Write
+	c.pend = req
+	switch {
+	case f != nil && f.modified:
+		c.write(b, f)
+	case f != nil: // §3.2.4: MREQUEST.
+		c.obsMRequests.Inc()
+		c.toCtrl(msg.Message{Kind: msg.KindMRequest, Block: b})
+	default: // a miss: §3.2.1 replacement, then REQUEST
+		c.obsMisses.Inc()
+		c.evict()
+		rw := msg.Read
+		if req.ref.Write {
+			rw = msg.Write
+		}
+		c.toCtrl(msg.Message{Kind: msg.KindRequest, Block: b, RW: rw})
 	}
-	c.pend, c.pendPhase = req, 2
-	c.sendCtrl(b, msg.Message{Kind: msg.KindRequest, Block: b, Cache: c.idx, RW: rw})
-	c.waitPend()
 }
 
-// evictFor frees capacity for block b if the cache is full.
-func (c *cacheNode) evictFor(b addr.Block) {
+// evict frees a frame if the cache is full (§3.2.1).
+func (c *cacheNode) evict() {
 	if len(c.frames) < c.m.cfg.CacheBlocks {
 		return
 	}
 	for old, f := range c.frames {
-		if old == b {
-			continue
-		}
 		if f.modified {
-			c.sendCtrl(old, msg.Message{Kind: msg.KindEject, Block: old, Cache: c.idx, RW: msg.Write})
-			c.sendCtrl(old, msg.Message{Kind: msg.KindPut, Block: old, Cache: c.idx, Data: f.data})
+			c.toCtrl(msg.Message{Kind: msg.KindEject, Block: old, RW: msg.Write})
+			c.toCtrl(msg.Message{Kind: msg.KindPut, Block: old, Data: f.data})
 		} else {
-			c.sendCtrl(old, msg.Message{Kind: msg.KindEject, Block: old, Cache: c.idx, RW: msg.Read})
+			c.toCtrl(msg.Message{Kind: msg.KindEject, Block: old, RW: msg.Read})
 		}
 		delete(c.frames, old)
 		return
 	}
 }
 
-// waitPend services the inbox until the pending reference resolves.
-func (c *cacheNode) waitPend() {
-	for c.pend != nil {
-		select {
-		case m := <-c.inbox:
-			c.handleMsg(m)
-			c.m.done()
-		case <-c.quit:
-			return
-		}
-	}
-}
+// pending reports whether the pending reference is on block b.
+func (c *cacheNode) pending(b addr.Block) bool { return c.pend != nil && c.pend.ref.Block == b }
 
 func (c *cacheNode) finish(v uint64) {
-	req := c.pend
-	c.pend, c.pendPhase = nil, 0
-	req.resp <- v
+	c.pend.resp <- v
+	c.pend = nil
+}
+
+// write completes the pending store into f, block b's frame: a new
+// version becomes the block's current value at this instant.
+func (c *cacheNode) write(b addr.Block, f *frame) {
+	v := c.m.versions.Add(1)
+	f.modified, f.data = true, v
+	c.m.check(c.idx, func(o *oracle.Oracle) error {
+		o.Commit(b, v)
+		return o.NoteWrite(c.idx, b, v)
+	})
+	c.finish(v)
+}
+
+// rerequest turns the pending MREQUEST on b, its copy gone, into a write
+// REQUEST (§3.2.5: a BROADINV while waiting reads as MGRANTED(false)).
+func (c *cacheNode) rerequest(b addr.Block) {
+	c.toCtrl(msg.Message{Kind: msg.KindRequest, Block: b, RW: msg.Write})
 }
 
 func (c *cacheNode) handleMsg(m msg.Message) {
 	switch m.Kind {
 	case msg.KindBroadInv:
-		if m.Cache == c.idx {
-			return // exempted cache k
+		if _, held := c.frames[m.Block]; !held || m.Cache == c.idx {
+			return // nothing to invalidate, or the exempted cache k
 		}
-		if _, held := c.frames[m.Block]; held {
-			c.obsInvs.Inc()
-		}
+		c.obsInvs.Inc()
 		delete(c.frames, m.Block)
-		// §3.2.5: treat as MGRANTED(·, false).
-		if c.pend != nil && c.pendPhase == 1 && c.pend.ref.Block == m.Block {
-			c.pendPhase = 2
-			c.sendCtrl(m.Block, msg.Message{Kind: msg.KindRequest, Block: m.Block, Cache: c.idx, RW: msg.Write})
+		if c.pending(m.Block) {
+			c.rerequest(m.Block)
 		}
 	case msg.KindBroadQuery:
 		f, ok := c.frames[m.Block]
 		if !ok || !f.modified {
 			return // only the modifying cache responds
 		}
-		c.sendCtrl(m.Block, msg.Message{Kind: msg.KindPut, Block: m.Block, Cache: c.idx, Data: f.data})
+		c.toCtrl(msg.Message{Kind: msg.KindPut, Block: m.Block, Data: f.data})
 		if m.RW == msg.Read {
 			f.modified = false
 		} else {
 			delete(c.frames, m.Block)
 		}
 	case msg.KindMGranted:
-		if c.pend == nil || c.pendPhase != 1 || c.pend.ref.Block != m.Block {
+		switch f := c.frames[m.Block]; {
+		case !c.pending(m.Block) || f == nil: // a grant nobody here awaits
 			if m.Ok {
-				c.sendCtrl(m.Block, msg.Message{Kind: msg.KindMAck, Block: m.Block, Cache: c.idx, Ok: false})
+				c.toCtrl(msg.Message{Kind: msg.KindMAck, Block: m.Block, Ok: false})
 			}
-			return
-		}
-		if !m.Ok {
+		case !m.Ok:
 			delete(c.frames, m.Block)
-			c.pendPhase = 2
-			c.sendCtrl(m.Block, msg.Message{Kind: msg.KindRequest, Block: m.Block, Cache: c.idx, RW: msg.Write})
-			return
+			c.rerequest(m.Block)
+		default:
+			c.toCtrl(msg.Message{Kind: msg.KindMAck, Block: m.Block, Ok: true})
+			c.write(m.Block, f)
 		}
-		f := c.frames[m.Block]
-		f.modified = true
-		f.data = c.pend.version
-		c.m.oracle.commit(c.idx, m.Block, c.pend.version)
-		c.sendCtrl(m.Block, msg.Message{Kind: msg.KindMAck, Block: m.Block, Cache: c.idx, Ok: true})
-		c.finish(c.pend.version)
 	case msg.KindGet:
-		if c.pend == nil || c.pendPhase != 2 || c.pend.ref.Block != m.Block {
+		if !c.pending(m.Block) || c.frames[m.Block] != nil {
 			panic(fmt.Sprintf("livesim: cache %d: unsolicited %v", c.idx, m))
 		}
-		c.evictFor(m.Block)
 		f := &frame{data: m.Data}
 		c.frames[m.Block] = f
 		if c.pend.ref.Write {
-			f.modified = true
-			f.data = c.pend.version
-			c.m.oracle.commit(c.idx, m.Block, c.pend.version)
-			c.finish(c.pend.version)
-			return
+			c.write(m.Block, f)
+		} else {
+			c.finish(m.Data)
 		}
-		c.finish(m.Data)
 	default:
 		panic(fmt.Sprintf("livesim: cache %d: unexpected %v", c.idx, m))
 	}
 }
 
 // ctrlNode is one memory controller: a single goroutine, so it services
-// one command at a time (§3.2.5 option 1).
+// one command at a time (§3.2.5 option 1). Commands that arrive while a
+// transaction waits for its PUT or MACK are deferred and replayed in
+// order; the §3.2.5 queued-MREQUEST deletion runs over them.
 type ctrlNode struct {
-	m       *Machine
-	idx     int
-	inbox   chan msg.Message
-	quit    chan struct{}
-	stopped chan struct{}
-	states  map[addr.Block]uint8
-	memory  map[addr.Block]uint64
-	buffer  []msg.Message // commands deferred while a transaction waits
+	m      *Machine
+	idx    int
+	inbox  chan msg.Message
+	states *directory.TwoBitMap // by the block's index in the module
+	memory []uint64             // likewise
 
-	// obs counters, registered before the goroutine starts and written
-	// only by it. Names mirror the deterministic simulator's.
+	// open is the command whose transaction waits for its reply — an
+	// MREQUEST's MACK, a REQUEST's or an EJECT's PUT — or has Kind
+	// KindInvalid; deferred holds what arrived meanwhile, in order.
+	open     msg.Message
+	deferred []msg.Message
+
+	// obs counters (see Config.Obs).
 	obsBroadcasts *obs.Counter    // "ctrl<j>/broadcasts"
 	obsStateTo    [4]*obs.Counter // "ctrl<j>/dir_to_*" transition counts
 }
 
-// ctrlStateSuffix matches internal/core's stateCounterSuffix, indexed by
-// the st* constants, so the two simulators' transition counters line up.
-var ctrlStateSuffix = [4]string{"dir_to_absent", "dir_to_present1", "dir_to_present_star", "dir_to_present_m"}
-
 func newCtrlNode(m *Machine, idx int) *ctrlNode {
+	blocks := m.space.BlocksInModule(idx)
 	c := &ctrlNode{
-		m:       m,
-		idx:     idx,
-		inbox:   make(chan msg.Message, m.cfg.ChanDepth),
-		quit:    make(chan struct{}),
-		stopped: make(chan struct{}),
-		states:  make(map[addr.Block]uint8),
-		memory:  make(map[addr.Block]uint64),
+		m:      m,
+		idx:    idx,
+		inbox:  make(chan msg.Message, inboxDepth),
+		states: directory.NewTwoBitMap(blocks),
+		memory: make([]uint64, blocks),
 	}
 	prefix := fmt.Sprintf("ctrl%d", idx)
 	c.obsBroadcasts = m.cfg.Obs.Counter(prefix + "/broadcasts")
 	for s := range c.obsStateTo {
-		c.obsStateTo[s] = m.cfg.Obs.Counter(prefix + "/" + ctrlStateSuffix[s])
+		c.obsStateTo[s] = m.cfg.Obs.Counter(prefix + "/" + directory.State(s).TransitionCounter())
 	}
 	return c
 }
 
-// setState is the directory-write choke point: every transition is
-// counted (only when the state actually changes, as in internal/core).
-func (c *ctrlNode) setState(b addr.Block, st uint8) {
-	if c.states[b] != st {
-		c.obsStateTo[st].Inc()
-	}
-	c.states[b] = st
+func (c *ctrlNode) state(b addr.Block) directory.State {
+	return c.states.Get(c.m.space.LocalIndex(b))
 }
 
+// setState is the directory-write choke point: every transition is
+// counted (only when the state actually changes, as in internal/core).
+func (c *ctrlNode) setState(b addr.Block, st directory.State) {
+	if c.state(b) != st {
+		c.obsStateTo[st].Inc()
+	}
+	c.states.Set(c.m.space.LocalIndex(b), st)
+}
+
+// replies reports whether m is the reply the open transaction waits for.
+func (c *ctrlNode) replies(m msg.Message) bool {
+	want := msg.KindPut
+	if c.open.Kind == msg.KindMRequest {
+		want = msg.KindMAck
+	}
+	return m.Kind == want && m.Block == c.open.Block
+}
+
+// loop is the node's one receive site: with no transaction open it takes
+// the oldest deferred command before the inbox.
 func (c *ctrlNode) loop() {
-	defer close(c.stopped)
+	defer c.m.nodes.Done()
 	for {
 		var m msg.Message
-		if len(c.buffer) > 0 {
-			m, c.buffer = c.buffer[0], c.buffer[1:]
+		if c.open.Kind == msg.KindInvalid && len(c.deferred) > 0 {
+			m, c.deferred = c.deferred[0], c.deferred[1:]
 		} else {
 			select {
-			case <-c.quit:
+			case <-c.m.quit:
 				return
 			case m = <-c.inbox:
 			}
 		}
-		c.service(m)
+		switch {
+		case c.open.Kind == msg.KindInvalid:
+			c.service(m)
+		case c.replies(m):
+			c.complete(m)
+		default:
+			c.deferred = append(c.deferred, m) // still in flight
+			continue
+		}
 		c.m.done()
 	}
 }
@@ -320,193 +318,139 @@ func (c *ctrlNode) sendCache(k int, m msg.Message) {
 func (c *ctrlNode) broadcast(m msg.Message, k int) {
 	c.obsBroadcasts.Inc()
 	for i := range c.m.caches {
-		if i == k {
-			continue
+		if i != k {
+			c.sendCache(i, m)
 		}
-		c.sendCache(i, m)
 	}
 }
 
-// awaitPut returns the data of the put for block b, taking it from the
-// deferred buffer if one is already there (a put buffered while a
-// different transaction waited), otherwise consuming inbox traffic and
-// buffering unrelated commands. A put produced by a racing eviction
-// subsumes that eviction's EJECT, which is dropped from the buffer.
-func (c *ctrlNode) awaitPut(b addr.Block) uint64 {
-	take := func(put msg.Message) uint64 {
-		c.m.done()
-		c.dropEject(b, put.Cache) // its write-back is this put
-		return put.Data
-	}
-	for i, m := range c.buffer {
-		if m.Kind == msg.KindPut && m.Block == b {
-			c.buffer = append(c.buffer[:i], c.buffer[i+1:]...)
-			return take(m)
-		}
-	}
-	for {
-		m := <-c.inbox
-		if m.Kind == msg.KindPut && m.Block == b {
-			return take(m)
-		}
-		c.buffer = append(c.buffer, m)
-	}
-}
-
-// awaitMAck consumes inbox traffic until the MACK for block b arrives.
-func (c *ctrlNode) awaitMAck(b addr.Block) bool {
-	for {
-		m := <-c.inbox
-		if m.Kind == msg.KindMAck && m.Block == b {
-			c.m.done()
-			return m.Ok
-		}
-		c.buffer = append(c.buffer, m)
-	}
+// invalidate broadcasts BROADINV(b) for cache k's write and applies the
+// §3.2.5 queue deletion to the deferred commands: every other cache's
+// MREQUEST for b is answered by the invalidation.
+func (c *ctrlNode) invalidate(b addr.Block, k int) {
+	c.broadcast(msg.Message{Kind: msg.KindBroadInv, Block: b, Cache: k}, k)
+	c.discard(func(m msg.Message) bool {
+		return m.Kind == msg.KindMRequest && m.Block == b && m.Cache != k
+	})
 }
 
 func (c *ctrlNode) service(m msg.Message) {
-	b := m.Block
-	k := m.Cache
-	switch m.Kind {
+	switch b := m.Block; m.Kind {
 	case msg.KindRequest:
-		if m.RW == msg.Read {
-			c.readMiss(k, b)
-		} else {
-			c.writeMiss(k, b)
-		}
+		c.request(m)
 	case msg.KindMRequest:
-		c.mrequest(k, b)
+		c.mrequest(m)
 	case msg.KindEject:
-		if m.RW == msg.Read {
-			// core's rule for a clean EJECT without an exact translation
-			// buffer (twoBitDir.ejected, internal/core/policy.go): the
-			// EJECT may be stale — its copy invalidated, the block
-			// re-fetched by another cache that Present1 now counts — and
-			// the two bits cannot tell, so Present1 degrades to the
-			// Present* overcount instead of the paper's Absent.
-			if c.states[b] == stPresent1 {
-				c.setState(b, stPresentStar)
-			}
+		if m.RW == msg.Write {
+			c.await(m)
 			return
 		}
-		data := c.awaitPut(b)
-		c.memory[b] = data
-		if c.states[b] == stPresentM {
-			c.setState(b, stAbsent)
+		// core's rule for a clean EJECT without an exact translation
+		// buffer (DESIGN.md §6): the EJECT may be stale — its copy
+		// invalidated, the block re-fetched by another cache that
+		// Present1 now counts — so Present1 degrades to the Present*
+		// overcount instead of the paper's Absent.
+		if c.state(b) == directory.Present1 {
+			c.setState(b, directory.PresentStar)
 		}
-	case msg.KindPut:
-		// A put with no waiting transaction belongs to an EJECT("write")
-		// sitting in the buffer; hold it until that EJECT is serviced.
-		// Re-buffering keeps the pair adjacent for awaitPut... but the
-		// EJECT precedes the put in arrival order, so when the EJECT is
-		// serviced its awaitPut drains the inbox — this put, however, was
-		// already consumed here. Apply it directly: write back and settle
-		// the state, then drop the buffered EJECT.
-		c.memory[b] = m.Data
-		if c.states[b] == stPresentM {
-			c.setState(b, stAbsent)
-		}
-		c.dropEject(b, k)
-	case msg.KindMAck:
-		panic(fmt.Sprintf("livesim: controller %d: stray %v", c.idx, m))
-	default:
+	default: // a PUT or MACK with no transaction waiting for it
 		panic(fmt.Sprintf("livesim: controller %d: unexpected %v", c.idx, m))
 	}
 }
 
-// readMiss implements §3.2.2.
-func (c *ctrlNode) readMiss(k int, b addr.Block) {
-	switch c.states[b] {
-	case stAbsent:
-		c.sendCache(k, msg.Message{Kind: msg.KindGet, Block: b, Cache: k, Data: c.memory[b]})
-		c.setState(b, stPresent1)
-	case stPresent1, stPresentStar:
-		c.sendCache(k, msg.Message{Kind: msg.KindGet, Block: b, Cache: k, Data: c.memory[b]})
-		c.setState(b, stPresentStar)
-	case stPresentM:
-		c.broadcast(msg.Message{Kind: msg.KindBroadQuery, Block: b, RW: msg.Read, Cache: k}, k)
-		data := c.awaitPut(b)
-		c.memory[b] = data
-		c.sendCache(k, msg.Message{Kind: msg.KindGet, Block: b, Cache: k, Data: data})
-		c.setState(b, stPresentStar)
+// request implements §3.2.2 (read) and §3.2.3 (write).
+func (c *ctrlNode) request(m msg.Message) {
+	b, k := m.Block, m.Cache
+	switch c.state(b) {
+	case directory.Absent:
+	case directory.Present1, directory.PresentStar:
+		if m.RW == msg.Write {
+			c.invalidate(b, k)
+		}
+	case directory.PresentM:
+		c.broadcast(msg.Message{Kind: msg.KindBroadQuery, Block: b, RW: m.RW, Cache: k}, k)
+		c.await(m)
+		return
 	}
+	c.get(m, c.memory[c.m.space.LocalIndex(b)])
 }
 
-// writeMiss implements §3.2.3.
-func (c *ctrlNode) writeMiss(k int, b addr.Block) {
-	switch c.states[b] {
-	case stAbsent:
-		c.sendCache(k, msg.Message{Kind: msg.KindGet, Block: b, Cache: k, Data: c.memory[b]})
-	case stPresent1, stPresentStar:
-		c.broadcast(msg.Message{Kind: msg.KindBroadInv, Block: b, Cache: k}, k)
-		c.deleteQueuedMRequests(b, k)
-		c.sendCache(k, msg.Message{Kind: msg.KindGet, Block: b, Cache: k, Data: c.memory[b]})
-	case stPresentM:
-		c.broadcast(msg.Message{Kind: msg.KindBroadQuery, Block: b, RW: msg.Write, Cache: k}, k)
-		data := c.awaitPut(b)
-		c.memory[b] = data
-		c.sendCache(k, msg.Message{Kind: msg.KindGet, Block: b, Cache: k, Data: data})
+// get answers REQUEST m with data, and moves the block to its state
+// after the fill.
+func (c *ctrlNode) get(m msg.Message, data uint64) {
+	c.sendCache(m.Cache, msg.Message{Kind: msg.KindGet, Block: m.Block, Cache: m.Cache, Data: data})
+	switch {
+	case m.RW == msg.Write:
+		c.setState(m.Block, directory.PresentM)
+	case c.state(m.Block) == directory.Absent:
+		c.setState(m.Block, directory.Present1)
+	default:
+		c.setState(m.Block, directory.PresentStar)
 	}
-	c.setState(b, stPresentM)
 }
 
 // mrequest implements §3.2.4 with the grant-acknowledgement that closes
 // the phantom-owner race (see internal/core's package comment).
-func (c *ctrlNode) mrequest(k int, b addr.Block) {
-	switch c.states[b] {
-	case stPresent1, stPresentStar:
-		if c.states[b] == stPresentStar {
-			c.broadcast(msg.Message{Kind: msg.KindBroadInv, Block: b, Cache: k}, k)
-			c.deleteQueuedMRequests(b, k)
-		}
-		from := c.states[b]
-		c.sendCache(k, msg.Message{Kind: msg.KindMGranted, Block: b, Cache: k, Ok: true})
-		switch {
-		case c.awaitMAck(b):
-			c.setState(b, stPresentM)
-		case from == stPresentStar:
-			// The sender converted, and the BROADINV above dooms every
-			// other copy: nobody holds the block.
-			c.setState(b, stAbsent)
-		default:
-			// core's rule for a denied Present1 grant (Controller.ack,
-			// internal/core/core.go): no invalidation went out, so the
-			// copy Present1 counts is another cache's, still live.
-			// Present1 stands; Absent would let the sender's write
-			// REQUEST skip the BROADINV that copy needs.
+func (c *ctrlNode) mrequest(m msg.Message) {
+	b, k := m.Block, m.Cache
+	st := c.state(b)
+	if st == directory.PresentStar {
+		c.invalidate(b, k)
+	}
+	// From Absent or PresentM the sender's copy is gone or doomed: deny.
+	ok := st == directory.Present1 || st == directory.PresentStar
+	c.sendCache(k, msg.Message{Kind: msg.KindMGranted, Block: b, Cache: k, Ok: ok})
+	if ok {
+		c.await(m)
+	}
+}
+
+// await opens cmd's transaction. Its PUT may have arrived, and been
+// deferred, during another transaction: then it completes now.
+func (c *ctrlNode) await(cmd msg.Message) {
+	c.open = cmd
+	if i := slices.IndexFunc(c.deferred, c.replies); i >= 0 {
+		reply := c.deferred[i]
+		c.deferred = slices.Delete(c.deferred, i, i+1)
+		c.complete(reply)
+		c.m.done()
+	}
+}
+
+// complete closes the open transaction with its reply.
+func (c *ctrlNode) complete(reply msg.Message) {
+	cmd, b := c.open, c.open.Block
+	c.open = msg.Message{}
+	switch {
+	case reply.Kind == msg.KindMAck && reply.Ok:
+		c.setState(b, directory.PresentM)
+	case reply.Kind == msg.KindMAck:
+		// A denied grant (DESIGN.md §6). From Present* the BROADINV
+		// doomed every copy. From Present1 none went out, so the copy
+		// Present1 counts is another cache's, still live: Present1
+		// stands, or the sender's write REQUEST would skip its BROADINV.
+		if c.state(b) == directory.PresentStar {
+			c.setState(b, directory.Absent)
 		}
 	default:
-		c.sendCache(k, msg.Message{Kind: msg.KindMGranted, Block: b, Cache: k, Ok: false})
+		// A PUT is the block's write-back, so its sender's EJECT, if
+		// one is deferred, has nothing left to do.
+		c.discard(func(m msg.Message) bool {
+			return m.Kind == msg.KindEject && m.RW == msg.Write && m.Block == b && m.Cache == reply.Cache
+		})
+		c.memory[c.m.space.LocalIndex(b)] = reply.Data
+		if cmd.Kind == msg.KindRequest {
+			c.get(cmd, reply.Data)
+		} else if c.state(b) == directory.PresentM { // an EJECT's write-back
+			c.setState(b, directory.Absent)
+		}
 	}
 }
 
-// deleteQueuedMRequests is the §3.2.5 queue deletion, applied to the
-// deferred-command buffer.
-func (c *ctrlNode) deleteQueuedMRequests(b addr.Block, except int) {
-	c.discard(func(m msg.Message) bool {
-		return m.Kind == msg.KindMRequest && m.Block == b && m.Cache != except
-	})
-}
-
-// dropEject discards cache k's buffered EJECT(k,b,"write"), whose
-// write-back a put has just performed.
-func (c *ctrlNode) dropEject(b addr.Block, k int) {
-	c.discard(func(m msg.Message) bool {
-		return m.Kind == msg.KindEject && m.RW == msg.Write && m.Block == b && m.Cache == k
-	})
-}
-
-// discard removes the buffered commands drop selects; they count as
+// discard removes the deferred commands drop selects; they count as
 // handled.
 func (c *ctrlNode) discard(drop func(msg.Message) bool) {
-	kept := c.buffer[:0]
-	for _, m := range c.buffer {
-		if drop(m) {
-			c.m.done()
-			continue
-		}
-		kept = append(kept, m)
-	}
-	c.buffer = kept
+	n := len(c.deferred)
+	c.deferred = slices.DeleteFunc(c.deferred, drop)
+	c.m.inflight.Add(int64(len(c.deferred) - n))
 }

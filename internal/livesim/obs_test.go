@@ -65,7 +65,7 @@ func TestCounterParityWithDeterministicSimulator(t *testing.T) {
 	const blocks = procs * blocksPer
 
 	liveRec := obs.New(0)
-	lm, err := New(Config{Procs: procs, Modules: 4, CacheBlocks: 8, Obs: liveRec})
+	lm, err := New(Config{Procs: procs, Modules: 4, CacheBlocks: 8, Blocks: blocks, Obs: liveRec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,6 @@ func TestCounterParityWithDeterministicSimulator(t *testing.T) {
 		}
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	live := suffixTotals(liveRec.Snapshot())
@@ -152,7 +149,7 @@ func TestCounterParityWithDeterministicSimulator(t *testing.T) {
 func TestObsCountersContendedScenario(t *testing.T) {
 	const procs, blocks = 4, 4
 	rec := obs.New(0)
-	m, err := New(Config{Procs: procs, Modules: 2, CacheBlocks: 8, Obs: rec})
+	m, err := New(Config{Procs: procs, Modules: 2, CacheBlocks: 8, Blocks: blocks, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +177,6 @@ func TestObsCountersContendedScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 
 	got := suffixTotals(rec.Snapshot())
 	for _, c := range []struct {
@@ -208,7 +202,7 @@ func TestObsCountersContendedScenario(t *testing.T) {
 // TestObsNilRecorderIsFree pins the nil path: a machine without a recorder
 // runs the same workload untouched — no counters, no panics.
 func TestObsNilRecorderIsFree(t *testing.T) {
-	m, err := New(Config{Procs: 2, Modules: 1, CacheBlocks: 4})
+	m, err := New(Config{Procs: 2, Modules: 1, CacheBlocks: 4, Blocks: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +212,6 @@ func TestObsNilRecorderIsFree(t *testing.T) {
 		}
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -35,19 +35,21 @@ func TestHeldInboxKeepsTheLiveCopy(t *testing.T) {
 		{"MACK(false)", addr.Ref{Block: 0, Write: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := New(Config{Procs: 2, Modules: 1, CacheBlocks: 1})
+			m, err := New(Config{Procs: 2, Modules: 1, CacheBlocks: 1, Blocks: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			a, c, ctrl := m.caches[0], m.caches[1], m.ctrls[0]
+			m.nodes.Add(2)
 			go ctrl.loop()
 			go c.loop()
-			byHand := func(ref addr.Ref) {
+			byHand := func(ref addr.Ref) { // A's loop, for one reference
 				req := &procReq{ref: ref, resp: make(chan uint64, 1)}
-				if ref.Write {
-					req.version = m.oracle.newVersion()
-				}
 				a.handleReq(req)
+				for a.pend != nil {
+					a.handleMsg(<-a.inbox)
+					m.done()
+				}
 				<-req.resp
 			}
 
@@ -71,14 +73,9 @@ func TestHeldInboxKeepsTheLiveCopy(t *testing.T) {
 					runtime.Gosched()
 				}
 			}
-			close(c.quit)
-			close(ctrl.quit)
-			<-c.stopped
-			<-ctrl.stopped
-			if len(m.violations) > 0 {
-				t.Fatal(m.violations[0])
-			}
-			if err := m.CheckInvariants(); err != nil {
+			close(m.quit)
+			m.nodes.Wait()
+			if err := m.verdict(); err != nil {
 				t.Fatal(err)
 			}
 		})

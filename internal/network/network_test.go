@@ -13,6 +13,12 @@ import (
 	"twobit/internal/sim"
 )
 
+// fnCaller adapts a closure to a sim.Caller, so a test can schedule one
+// through AtCall.
+type fnCaller func()
+
+func (f fnCaller) Call(_, _ uint64) { f() }
+
 type recorder struct {
 	got []msg.Message
 	at  []sim.Time
@@ -34,7 +40,7 @@ func TestCrossbarDeliveryAndLatency(t *testing.T) {
 	r := &recorder{k: &k}
 	n.Attach(0, r)
 	n.Attach(1, HandlerFunc(func(NodeID, msg.Message) {}))
-	k.At(10, func() { n.Send(1, 0, mkMsg(msg.KindRequest, 0)) })
+	k.AtCall(10, fnCaller(func() { n.Send(1, 0, mkMsg(msg.KindRequest, 0)) }), 0, 0)
 	k.Run()
 	if len(r.got) != 1 || r.at[0] != 15 {
 		t.Fatalf("delivery at %v, want [15]", r.at)
@@ -74,7 +80,7 @@ func TestCrossbarFIFOPerPair(t *testing.T) {
 	n.Attach(1, HandlerFunc(func(NodeID, msg.Message) {}))
 	for i := uint64(0); i < 10; i++ {
 		i := i
-		k.At(sim.Time(i), func() { n.Send(1, 0, mkMsg(msg.KindGet, i)) })
+		k.AtCall(sim.Time(i), fnCaller(func() { n.Send(1, 0, mkMsg(msg.KindGet, i)) }), 0, 0)
 	}
 	k.Run()
 	for i, m := range r.got {
@@ -93,7 +99,7 @@ func TestCrossbarBroadcastSkipsSrcAndExcept(t *testing.T) {
 		n.Attach(NodeID(i), recs[i])
 	}
 	var sent int
-	k.At(0, func() { sent = n.Broadcast(3, mkMsg(msg.KindBroadInv, 0), 1) })
+	k.AtCall(0, fnCaller(func() { sent = n.Broadcast(3, mkMsg(msg.KindBroadInv, 0), 1) }), 0, 0)
 	k.Run()
 	if sent != 2 {
 		t.Fatalf("broadcast sent %d copies, want 2", sent)
@@ -156,10 +162,10 @@ func TestBusSerializesTransactions(t *testing.T) {
 	b.Attach(1, HandlerFunc(func(NodeID, msg.Message) {}))
 	b.Attach(2, HandlerFunc(func(NodeID, msg.Message) {}))
 	// Two sends at t=0 must serialize: deliveries at 1 and 5.
-	k.At(0, func() {
+	k.AtCall(0, fnCaller(func() {
 		b.Send(1, 0, mkMsg(msg.KindBusRead, 1))
 		b.Send(2, 0, mkMsg(msg.KindBusRead, 2))
-	})
+	}), 0, 0)
 	k.Run()
 	if len(r.at) != 2 || r.at[0] != 1 || r.at[1] != 5 {
 		t.Fatalf("bus deliveries at %v, want [1 5]", r.at)
@@ -177,7 +183,7 @@ func TestBusBroadcastIsOneTransaction(t *testing.T) {
 		recs[i] = &recorder{k: &k}
 		b.Attach(NodeID(i), recs[i])
 	}
-	k.At(0, func() { b.Broadcast(0, mkMsg(msg.KindInvAll, 0)) })
+	k.AtCall(0, fnCaller(func() { b.Broadcast(0, mkMsg(msg.KindInvAll, 0)) }), 0, 0)
 	k.Run()
 	if len(recs[1].got) != 1 || len(recs[2].got) != 1 || len(recs[0].got) != 0 {
 		t.Fatal("bus broadcast delivery wrong")
@@ -196,8 +202,8 @@ func TestBusUtilization(t *testing.T) {
 	b := NewBus(&k, 2, 0)
 	b.Attach(0, HandlerFunc(func(NodeID, msg.Message) {}))
 	b.Attach(1, HandlerFunc(func(NodeID, msg.Message) {}))
-	k.At(0, func() { b.Send(0, 1, mkMsg(msg.KindBusRead, 0)) })
-	k.At(10, func() { b.Send(0, 1, mkMsg(msg.KindBusRead, 0)) })
+	k.AtCall(0, fnCaller(func() { b.Send(0, 1, mkMsg(msg.KindBusRead, 0)) }), 0, 0)
+	k.AtCall(10, fnCaller(func() { b.Send(0, 1, mkMsg(msg.KindBusRead, 0)) }), 0, 0)
 	k.Run()
 	// 4 busy cycles over 12 elapsed (the last event ran at t=12... delivery
 	// at acquire+0 = 10; clock ends at 10). Just sanity-check the range.
@@ -245,11 +251,11 @@ func TestOmegaContentionDelaysConflictingRoutes(t *testing.T) {
 	// Everyone sends to node 0 at once: final-stage link conflicts force
 	// serialization; with hop=2 and 3 stages, min latency is 6 and each
 	// additional message adds at least 2 at the contended last link.
-	k.At(0, func() {
+	k.AtCall(0, fnCaller(func() {
 		for i := 1; i < 8; i++ {
 			o.Send(NodeID(i), 0, mkMsg(msg.KindGet, uint64(i)))
 		}
-	})
+	}), 0, 0)
 	k.Run()
 	if len(r.at) != 7 {
 		t.Fatalf("received %d, want 7", len(r.at))
@@ -369,10 +375,10 @@ func TestJitterCrossbarPreservesPerPairFIFO(t *testing.T) {
 	// must arrive in order despite the jitter.
 	for i := uint64(0); i < 200; i++ {
 		i := i
-		k.At(sim.Time(i), func() {
+		k.AtCall(sim.Time(i), fnCaller(func() {
 			n.Send(1, 0, mkMsg(msg.KindGet, i*2))
 			n.Send(2, 0, mkMsg(msg.KindPut, i*2+1))
-		})
+		}), 0, 0)
 	}
 	k.Run()
 	if len(r.got) != 400 {
@@ -404,7 +410,7 @@ func TestJitterActuallyVariesDelay(t *testing.T) {
 	// never hides the jitter.
 	for i := 0; i < 100; i++ {
 		i := i
-		k.At(sim.Time(i*100), func() { n.Send(1, 0, mkMsg(msg.KindGet, uint64(i))) })
+		k.AtCall(sim.Time(i*100), fnCaller(func() { n.Send(1, 0, mkMsg(msg.KindGet, uint64(i))) }), 0, 0)
 	}
 	k.Run()
 	delays := map[sim.Time]bool{}
@@ -430,7 +436,7 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		n.Attach(1, HandlerFunc(func(NodeID, msg.Message) {}))
 		for i := 0; i < 50; i++ {
 			i := i
-			k.At(sim.Time(i*50), func() { n.Send(1, 0, mkMsg(msg.KindGet, uint64(i))) })
+			k.AtCall(sim.Time(i*50), fnCaller(func() { n.Send(1, 0, mkMsg(msg.KindGet, uint64(i))) }), 0, 0)
 		}
 		k.Run()
 		return r.at
@@ -558,13 +564,13 @@ func TestBroadcastMatchesSends(t *testing.T) {
 		}
 		for _, o := range script {
 			o := o
-			k.At(o.at, func() {
+			k.AtCall(o.at, fnCaller(func() {
 				if o.dst < 0 {
 					fanouts = append(fanouts, bcast(n, o.src, o.m, o.except))
 				} else {
 					n.Send(o.src, o.dst, o.m)
 				}
-			})
+			}), 0, 0)
 		}
 		k.Run()
 		return log, fanouts, *n.Stats(), rec.Events(), rec.Snapshot(), n

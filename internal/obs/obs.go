@@ -19,8 +19,8 @@
 //     never schedules kernel events, sends messages, or touches
 //     simulation structures, so recording cannot perturb event order.
 //     coherencelint's determinism analyzer enforces this statically
-//     (any Kernel.At/After or Network.Send/Broadcast call inside this
-//     package is a diagnostic) and TestObsDoesNotPerturb in
+//     (any Kernel.AtCall/AfterCall or Network.Send/Broadcast call inside
+//     this package is a diagnostic) and TestObsDoesNotPerturb in
 //     internal/system proves it dynamically: results with and without a
 //     recorder are byte-identical.
 //

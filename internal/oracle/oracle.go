@@ -1,4 +1,7 @@
-package system
+// Package oracle is the one definition of coherence both runtimes check
+// against: the deterministic simulator (internal/system) and the
+// goroutine witness (internal/livesim). It depends only on addr.
+package oracle
 
 import (
 	"fmt"
@@ -28,12 +31,14 @@ import (
 // controller sends MGRANTED as soon as the BROADINV broadcast leaves, so
 // under a network with variable per-message delay (the Omega model) a
 // remote cache may briefly read its stale copy after the writer proceeded.
-// The machine therefore enables the strict check only on uniform-latency
-// networks (crossbar, bus). See DESIGN.md §6.
+// The simulator therefore enables the strict check only on uniform-latency
+// networks (crossbar, bus); the goroutine witness never does. See
+// DESIGN.md §6.
 //
 // The oracle rides on every reference, so its tables are indexed, not
-// hashed. The contract: versions are the dense integers the machine issues
-// (Machine.nextVersion++) and blocks lie in the [0, blocks) it was sized for.
+// hashed. The contract: versions are the dense integers the runtime issues
+// (1, 2, 3, ...) and blocks lie in the [0, blocks) it was sized for. An
+// Oracle is not safe for concurrent use.
 type Oracle struct {
 	seq uint64
 	// segs is the commit table, indexed by version: segment i holds
@@ -73,9 +78,9 @@ func rowOf(v uint64) (seg int, row uint64) {
 
 func procBlock(proc int, b addr.Block) uint64 { return uint64(proc)<<48 | uint64(b) }
 
-// NewOracle returns an empty oracle over blocks [0, blocks). Version 0 is a
+// New returns an empty oracle over blocks [0, blocks). Version 0 is a
 // block's initial memory contents, implicitly committed with sequence 0.
-func NewOracle(blocks int) *Oracle {
+func New(blocks int) *Oracle {
 	o := &Oracle{lastSeen: make(map[uint64]uint64)}
 	o.Reset(blocks)
 	return o

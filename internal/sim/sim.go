@@ -34,10 +34,9 @@
 //
 // Near events live in one arena of nodes linked by int32 and recycled
 // through a free list, so the whole queue is two slices that keep their
-// capacity across Reset. An event is a pooled (Caller, arg, arg) triple;
-// that form exists so hot paths — message-delivery fan-out above all —
-// can schedule work without allocating a fresh closure per event, and the
-// plain func() of At rides in it as a pointer-shaped fnCaller. The
+// capacity across Reset. An event is a pooled (Caller, arg, arg) triple,
+// the only form the kernel schedules, so no path — message-delivery
+// fan-out above all — can allocate a fresh closure per event. The
 // schedule/step cycle performs zero steady-state allocations
 // (TestZeroAllocKernel holds it at 0 in every `go test` run).
 package sim
@@ -50,7 +49,7 @@ import (
 // Time is simulated time in cycles.
 type Time int64
 
-// Caller is the pooled scheduling target of AtCall/AfterCall: a
+// Caller is the scheduling target of AtCall/AfterCall: a
 // long-lived object (a network, a controller) that interprets two packed
 // integer arguments instead of capturing state in a closure. A
 // pointer-shaped implementation keeps the interface conversion
@@ -58,12 +57,6 @@ type Time int64
 type Caller interface {
 	Call(a0, a1 uint64)
 }
-
-// fnCaller carries the func() of At/After as a Caller. A func value is
-// pointer-shaped, so the conversion does not allocate.
-type fnCaller func()
-
-func (f fnCaller) Call(_, _ uint64) { f() }
 
 // ringSize is the near horizon in cycles: one bit of the occupancy word
 // per slot.
@@ -162,22 +155,11 @@ func (k *Kernel) Reset() {
 	k.now, k.farSeq, k.processed = 0, 0, 0
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a component bug, and silently reordering time would
-// invalidate every measurement downstream.
-func (k *Kernel) At(t Time, fn func()) {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	k.push(t, fnCaller(fn), 0, 0)
-}
-
-// After schedules fn to run d cycles from now. Negative d panics.
-func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
-
-// AtCall schedules c.Call(a0, a1) at absolute time t. It is the pooled
-// alternative to At for hot paths: the caller object and two packed
-// arguments travel in the event itself, so no closure is allocated.
+// AtCall schedules c.Call(a0, a1) at absolute time t: the caller object
+// and two packed arguments travel in the event itself, so no closure is
+// allocated. Scheduling in the past panics: it always indicates a
+// component bug, and silently reordering time would invalidate every
+// measurement downstream.
 func (k *Kernel) AtCall(t Time, c Caller, a0, a1 uint64) {
 	if c == nil {
 		panic("sim: nil event caller")
@@ -192,7 +174,7 @@ func (k *Kernel) AfterCall(d Time, c Caller, a0, a1 uint64) {
 
 // push appends the event to its ring slot, or sifts it into the overflow
 // heap when it lies at or beyond the horizon. A negative d or an
-// overflowing now+d in After/AfterCall arrives here as at < now.
+// overflowing now+d in AfterCall arrives here as at < now.
 func (k *Kernel) push(at Time, c Caller, a0, a1 uint64) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d before now %d", at, k.now))

@@ -11,12 +11,19 @@ import (
 	"twobit/internal/rng"
 )
 
+// fnCaller adapts a closure to a Caller, so a test can schedule one
+// through AtCall. The kernel itself takes only Callers: a closure per
+// event is the allocation its hot paths must not pay.
+type fnCaller func()
+
+func (f fnCaller) Call(_, _ uint64) { f() }
+
 func TestEventsRunInTimeOrder(t *testing.T) {
 	var k Kernel
 	var order []int
-	k.At(30, func() { order = append(order, 3) })
-	k.At(10, func() { order = append(order, 1) })
-	k.At(20, func() { order = append(order, 2) })
+	k.AtCall(30, fnCaller(func() { order = append(order, 3) }), 0, 0)
+	k.AtCall(10, fnCaller(func() { order = append(order, 1) }), 0, 0)
+	k.AtCall(20, fnCaller(func() { order = append(order, 2) }), 0, 0)
 	k.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("execution order %v, want [1 2 3]", order)
@@ -31,7 +38,7 @@ func TestTiesBreakBySchedulingOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(5, func() { order = append(order, i) })
+		k.AtCall(5, fnCaller(func() { order = append(order, i) }), 0, 0)
 	}
 	k.Run()
 	for i, v := range order {
@@ -44,10 +51,10 @@ func TestTiesBreakBySchedulingOrder(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	var k Kernel
 	var hits []Time
-	k.At(1, func() {
+	k.AtCall(1, fnCaller(func() {
 		hits = append(hits, k.Now())
-		k.After(4, func() { hits = append(hits, k.Now()) })
-	})
+		k.AfterCall(4, fnCaller(func() { hits = append(hits, k.Now()) }), 0, 0)
+	}), 0, 0)
 	k.Run()
 	if len(hits) != 2 || hits[0] != 1 || hits[1] != 5 {
 		t.Fatalf("hits = %v, want [1 5]", hits)
@@ -65,17 +72,17 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		schedule func(k *Kernel)
 		at       Time
 	}{
-		{"At", func(k *Kernel) { k.At(5, func() {}) }, 5},
+		{"At", func(k *Kernel) { k.AtCall(5, fnCaller(func() {}), 0, 0) }, 5},
 		{"AtCall", func(k *Kernel) { k.AtCall(5, &c, 0, 0) }, 5},
-		{"After/negative", func(k *Kernel) { k.After(-1, func() {}) }, now - 1},
+		{"After/negative", func(k *Kernel) { k.AfterCall(-1, fnCaller(func() {}), 0, 0) }, now - 1},
 		{"AfterCall/negative", func(k *Kernel) { k.AfterCall(-1, &c, 0, 0) }, now - 1},
-		{"After/overflow", func(k *Kernel) { k.After(math.MaxInt64, func() {}) }, math.MinInt64 + now - 1},
+		{"After/overflow", func(k *Kernel) { k.AfterCall(math.MaxInt64, fnCaller(func() {}), 0, 0) }, math.MinInt64 + now - 1},
 		{"AfterCall/overflow", func(k *Kernel) { k.AfterCall(math.MaxInt64, &c, 0, 0) }, math.MinInt64 + now - 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var k Kernel
-			k.At(now, func() {
+			k.AtCall(now, fnCaller(func() {
 				defer func() {
 					want := fmt.Sprintf("sim: event scheduled at %d before now %d", tc.at, now)
 					if got := recover(); got != want {
@@ -83,7 +90,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 					}
 				}()
 				tc.schedule(&k)
-			})
+			}), 0, 0)
 			k.Run()
 			if k.Pending() != 0 {
 				t.Errorf("rejected event left %d pending", k.Pending())
@@ -99,7 +106,7 @@ func TestNilEventPanics(t *testing.T) {
 		}
 	}()
 	var k Kernel
-	k.At(0, nil)
+	k.AtCall(0, nil, 0, 0)
 }
 
 func TestRunUntil(t *testing.T) {
@@ -107,7 +114,7 @@ func TestRunUntil(t *testing.T) {
 	ran := map[Time]bool{}
 	for _, tm := range []Time{1, 5, 10, 15} {
 		tm := tm
-		k.At(tm, func() { ran[tm] = true })
+		k.AtCall(tm, fnCaller(func() { ran[tm] = true }), 0, 0)
 	}
 	k.RunUntil(10)
 	if !ran[1] || !ran[5] || !ran[10] || ran[15] {
@@ -125,11 +132,11 @@ func TestRunUntil(t *testing.T) {
 func TestRunFor(t *testing.T) {
 	var k Kernel
 	count := 0
-	k.At(3, func() {
+	k.AtCall(3, fnCaller(func() {
 		count++
-		k.After(3, func() { count++ })
-		k.After(30, func() { count++ })
-	})
+		k.AfterCall(3, fnCaller(func() { count++ }), 0, 0)
+		k.AfterCall(30, fnCaller(func() { count++ }), 0, 0)
+	}), 0, 0)
 	k.RunFor(10)
 	if count != 2 {
 		t.Fatalf("count = %d after RunFor(10), want 2", count)
@@ -139,7 +146,7 @@ func TestRunFor(t *testing.T) {
 func TestProcessedCount(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 25; i++ {
-		k.At(Time(i), func() {})
+		k.AtCall(Time(i), fnCaller(func() {}), 0, 0)
 	}
 	k.Run()
 	if k.Processed() != 25 {
@@ -157,7 +164,7 @@ func TestPropertyOrdering(t *testing.T) {
 		var times []Time
 		for i := 0; i < n; i++ {
 			tm := Time(r.Intn(50))
-			k.At(tm, func() { times = append(times, k.Now()) })
+			k.AtCall(tm, fnCaller(func() { times = append(times, k.Now()) }), 0, 0)
 		}
 		k.Run()
 		if len(times) != n {
@@ -235,7 +242,7 @@ func (m *mirror) push(d, nest Time) {
 	if s%2 == 0 {
 		m.k.AtCall(at, m, s, uint64(nest+1))
 	} else {
-		m.k.At(at, func() { m.Call(s, uint64(nest+1)) })
+		m.k.AtCall(at, fnCaller(func() { m.Call(s, uint64(nest+1)) }), 0, 0)
 	}
 }
 
@@ -553,15 +560,16 @@ func TestAtCallNilCallerPanics(t *testing.T) {
 	k.AtCall(0, nil, 0, 0)
 }
 
-// TestAtCallAndAtShareOneOrder verifies the two scheduling forms live in
-// one (at, seq) order, not two queues.
+// TestAtCallAndAtShareOneOrder verifies that events of different callers
+// — two closures and a pooled Caller — live in one (at, seq) order, not a
+// queue per caller.
 func TestAtCallAndAtShareOneOrder(t *testing.T) {
 	var k Kernel
 	var order []int
 	var c recordingCaller
-	k.At(3, func() { order = append(order, 0) })
+	k.AtCall(3, fnCaller(func() { order = append(order, 0) }), 0, 0)
 	k.AtCall(3, &c, 0, 0)
-	k.At(3, func() { order = append(order, 2) })
+	k.AtCall(3, fnCaller(func() { order = append(order, 2) }), 0, 0)
 	k.Run()
 	if len(c.calls) != 1 || len(order) != 2 || order[0] != 0 || order[1] != 2 {
 		t.Fatalf("mixed-form tie order wrong: funcs %v, calls %v", order, c.calls)
@@ -575,8 +583,8 @@ func TestAtCallAndAtShareOneOrder(t *testing.T) {
 func TestResetClearsStateKeepsCapacity(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 100; i++ {
-		k.At(Time(i%50), func() {})    // near, two per time
-		k.At(Time(64+i%50), func() {}) // far
+		k.AtCall(Time(i%50), fnCaller(func() {}), 0, 0)    // near, two per time
+		k.AtCall(Time(64+i%50), fnCaller(func() {}), 0, 0) // far
 	}
 	k.RunUntil(10)
 	k.Step() // one of the two events at t=11: the slot is mid-drain, the free list non-empty
@@ -610,9 +618,9 @@ func TestResetClearsStateKeepsCapacity(t *testing.T) {
 	}
 	// A reused kernel behaves exactly like a fresh one.
 	var order []int
-	k.At(70, func() { order = append(order, 3) })
-	k.At(2, func() { order = append(order, 2) })
-	k.At(1, func() { order = append(order, 1) })
+	k.AtCall(70, fnCaller(func() { order = append(order, 3) }), 0, 0)
+	k.AtCall(2, fnCaller(func() { order = append(order, 2) }), 0, 0)
+	k.AtCall(1, fnCaller(func() { order = append(order, 1) }), 0, 0)
 	k.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("post-Reset order %v, want [1 2 3]", order)
@@ -627,7 +635,7 @@ func TestResetIdenticalToFresh(t *testing.T) {
 		r := rng.New(99, 7)
 		var trace []Time
 		for i := 0; i < 500; i++ {
-			k.At(Time(r.Intn(200)), func() { trace = append(trace, k.Now()) })
+			k.AtCall(Time(r.Intn(200)), fnCaller(func() { trace = append(trace, k.Now()) }), 0, 0)
 		}
 		k.Run()
 		return trace
@@ -638,7 +646,7 @@ func TestResetIdenticalToFresh(t *testing.T) {
 	var used Kernel
 	r := rng.New(1, 2)
 	for i := 0; i < 1000; i++ {
-		used.At(Time(r.Intn(160)), func() {})
+		used.AtCall(Time(r.Intn(160)), fnCaller(func() {}), 0, 0)
 	}
 	used.RunUntil(16)
 	used.Step() // leave events pending in both levels, a slot half run, clock advanced
@@ -696,7 +704,7 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.Reset()
 		for j := 0; j < 100; j++ {
-			k.At(Time(j%10), func() {})
+			k.AtCall(Time(j%10), fnCaller(func() {}), 0, 0)
 		}
 		k.Run()
 	}

@@ -2,18 +2,22 @@ package system
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
 
 	"twobit/internal/addr"
+	"twobit/internal/oracle"
 	"twobit/internal/rng"
 	"twobit/internal/sim"
 )
 
+// These tests hold oracle.Oracle to its contract through its exported
+// calls, the ones the machine makes on every reference;
+// TestOracleRowLimits, which reaches into its rows, lives beside it.
+
 func TestOracleCommitAndLatest(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	if o.Latest(5) != 0 || o.Commits() != 0 {
 		t.Fatal("fresh oracle not empty")
 	}
@@ -26,7 +30,7 @@ func TestOracleCommitAndLatest(t *testing.T) {
 }
 
 func TestOracleDoubleCommitPanics(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	o.Commit(1, 7)
 	defer func() {
 		if recover() == nil {
@@ -37,7 +41,7 @@ func TestOracleDoubleCommitPanics(t *testing.T) {
 }
 
 func TestOracleUncommittedLoadRejected(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	err := o.CheckLoad(0, 1, 0, 99, false)
 	if err == nil || !strings.Contains(err.Error(), "uncommitted") {
 		t.Fatalf("err = %v", err)
@@ -45,14 +49,14 @@ func TestOracleUncommittedLoadRejected(t *testing.T) {
 }
 
 func TestOracleInitialVersionLegal(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	if err := o.CheckLoad(0, 1, 0, 0, true); err != nil {
 		t.Fatalf("reading the initial version flagged: %v", err)
 	}
 }
 
 func TestOracleStrictStaleness(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	o.Commit(1, 10) // proc 9 wrote v10
 	// A load issued after the commit (issueLatest=10) observing v0 is a
 	// strict violation but passes the plain coherence check for a proc
@@ -60,7 +64,7 @@ func TestOracleStrictStaleness(t *testing.T) {
 	if err := o.CheckLoad(0, 1, 10, 0, false); err != nil {
 		t.Fatalf("coherence check flagged a legal (non-strict) stale read: %v", err)
 	}
-	o2 := NewOracle(16)
+	o2 := oracle.New(16)
 	o2.Commit(1, 10)
 	err := o2.CheckLoad(0, 1, 10, 0, true)
 	if err == nil || !strings.Contains(err.Error(), "stale") {
@@ -69,7 +73,7 @@ func TestOracleStrictStaleness(t *testing.T) {
 }
 
 func TestOraclePerProcessorMonotonicity(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	o.Commit(1, 10)
 	o.Commit(1, 11)
 	if err := o.CheckLoad(0, 1, 11, 11, false); err != nil {
@@ -87,7 +91,7 @@ func TestOraclePerProcessorMonotonicity(t *testing.T) {
 }
 
 func TestOracleOwnWriteVisibility(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	o.Commit(2, 5)
 	if err := o.NoteWrite(3, 2, 5); err != nil {
 		t.Fatal(err)
@@ -100,7 +104,7 @@ func TestOracleOwnWriteVisibility(t *testing.T) {
 }
 
 func TestOracleNoteWriteWithoutCommit(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	if err := o.NoteWrite(0, 1, 42); err == nil {
 		t.Fatal("uncommitted store completion accepted")
 	}
@@ -121,7 +125,7 @@ func mustPanic(t *testing.T, want string, f func()) {
 // map oracle recorded such a commit and then ignored it (seqOf
 // short-circuits v=0); it is a programming error and says so.
 func TestOracleCommitZeroPanics(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	mustPanic(t, "oracle: version 0 committed for blk#3", func() { o.Commit(3, 0) })
 	if o.Commits() != 0 || o.Latest(3) != 0 {
 		t.Fatalf("rejected commit left a trace: commits=%d latest=%d", o.Commits(), o.Latest(3))
@@ -132,7 +136,7 @@ func TestOracleCommitZeroPanics(t *testing.T) {
 // on Commit and reads as never written everywhere else — never an
 // index-out-of-range.
 func TestOracleOutOfSpace(t *testing.T) {
-	o := NewOracle(4)
+	o := oracle.New(4)
 	mustPanic(t, "oracle: commit for blk#4 beyond space of 4 blocks", func() { o.Commit(4, 1) })
 	o.Reset(2) // a pooled oracle shrinks with its machine
 	mustPanic(t, "oracle: commit for blk#3 beyond space of 2 blocks", func() { o.Commit(3, 1) })
@@ -147,25 +151,7 @@ func TestOracleOutOfSpace(t *testing.T) {
 	}
 }
 
-// The commit table's rows are two 32-bit fields: a space with blocks
-// beyond 2^32 and a 2^32nd commit in one run are named panics, not a
-// silently truncated row.
-func TestOracleRowLimits(t *testing.T) {
-	mustPanic(t, "oracle: 4294967297 blocks beyond the commit table's 32-bit block field", func() { NewOracle(1<<32 + 1) })
-	o := NewOracle(16)
-	o.Commit(3, 1)
-	o.seq = math.MaxUint32 - 1
-	o.Commit(4, 2)
-	mustPanic(t, "oracle: commit of version 3 for blk#5 beyond the commit table's 2^32 commits per run", func() { o.Commit(5, 3) })
-	if s, ok := o.seqOf(4, 2); !ok || s != math.MaxUint32 {
-		t.Fatalf("the last commit that fits: seq %d, ok %v", s, ok)
-	}
-	if o.Latest(5) != 0 {
-		t.Fatalf("rejected commit left a trace: latest %d", o.Latest(5))
-	}
-}
-
-// mapOracle is the hash-table oracle this package shipped until the
+// mapOracle is the hash-table oracle the simulator shipped until the
 // commit table became version-indexed, kept verbatim (names aside) as
 // the reference the differential test below holds Oracle to — the way
 // sim's TestKernelOrderOracle kept container/heap.
@@ -270,13 +256,13 @@ func (o *mapOracle) CheckLoad(proc int, b addr.Block, issueLatest, got uint64, s
 // step.
 func TestOracleDifferential(t *testing.T) {
 	const sequences, procs = 10_000, 5
-	pooled := NewOracle(0)
+	pooled := oracle.New(0)
 	for s := 0; s < sequences; s++ {
 		r := rng.New(uint64(s), 0x0c1e)
 		ref := newMapOracle()
 		ops := 40 + r.Intn(120)
 		resetAt := r.Intn(ops)
-		var fresh *Oracle
+		var fresh *oracle.Oracle
 		var blocks int
 		var next uint64        // versions issued so far, as Machine.nextVersion
 		var pending []uint64   // issued, not (yet) committed
@@ -284,7 +270,7 @@ func TestOracleDifferential(t *testing.T) {
 		restart := func() {
 			blocks = 1 + r.Intn(48)
 			ref.Reset()
-			fresh = NewOracle(blocks)
+			fresh = oracle.New(blocks)
 			pooled.Reset(blocks)
 			next, pending, committed = 0, pending[:0], committed[:0]
 		}
@@ -369,7 +355,7 @@ func TestZeroAllocOracle(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const refs, procs, blocks = 4096, 8, 512
-	o, r := NewOracle(blocks), rng.New(0, 0)
+	o, r := oracle.New(blocks), rng.New(0, 0)
 	pass := func() {
 		o.Reset(blocks)
 		r.Reseed(7, 0x0c1e)
@@ -417,7 +403,7 @@ func TestOracleBytesPerVersion(t *testing.T) {
 	}{{"in order", inOrder}, {"shuffled", shuffled}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		o := NewOracle(blocks)
+		o := oracle.New(blocks)
 		for _, v := range c.order {
 			o.Commit(addr.Block(v%blocks), v)
 		}

@@ -245,42 +245,16 @@ func (m *Machine) checkInvariants() error {
 	return nil
 }
 
-// twoBitInvariant verifies block b's two-bit global state against the
-// caches' actual contents. Present* may legitimately overcount (it means
-// "0 or more copies"); every other state is exact.
+// twoBitInvariant holds block b's two-bit global state to
+// directory.CheckTwoBit, the rule the goroutine witness checks too.
 func twoBitInvariant(_ *Machine, b addr.Block, dir core.Flat, li int, copies []copyView) error {
-	st := dir.States.Get(li)
 	modified := 0
 	for _, cv := range copies {
 		if cv.modified() {
 			modified++
 		}
 	}
-	switch st {
-	case directory.Absent:
-		if len(copies) != 0 {
-			return fmt.Errorf("%v: state Absent but %d copies exist", b, len(copies))
-		}
-	case directory.Present1:
-		if len(copies) > 1 || modified != 0 {
-			return fmt.Errorf("%v: state Present1 but %d copies (%d modified)", b, len(copies), modified)
-		}
-	case directory.PresentStar:
-		if modified != 0 {
-			return fmt.Errorf("%v: state Present* but a modified copy exists", b)
-		}
-	case directory.PresentM:
-		if len(copies) != 1 || modified != 1 {
-			return fmt.Errorf("%v: state PresentM but %d copies (%d modified)", b, len(copies), modified)
-		}
-	}
-	if modified == 1 && st != directory.PresentM {
-		return fmt.Errorf("%v: modified copy exists but state is %v", b, st)
-	}
-	if len(copies) >= 2 && st != directory.PresentStar {
-		return fmt.Errorf("%v: %d copies but state is %v", b, len(copies), st)
-	}
-	return nil
+	return directory.CheckTwoBit(b, dir.States.Get(li), len(copies), modified)
 }
 
 // exactInvariant verifies block b's entry in an exact directory — the

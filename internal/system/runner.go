@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"twobit/internal/oracle"
 	"twobit/internal/sim"
 	"twobit/internal/workload"
 )
@@ -31,7 +32,7 @@ import (
 // TestKernelResetReuse contract.
 type Runner struct {
 	kernel sim.Kernel
-	oracle *Oracle
+	oracle *oracle.Oracle
 	buf    bytes.Buffer
 	pool   map[machineShape]*Machine
 	// copies is the one quiescence-check index every machine run here
@@ -41,7 +42,7 @@ type Runner struct {
 
 // NewRunner returns an empty Runner, ready to run.
 func NewRunner() *Runner {
-	return &Runner{oracle: NewOracle(0)}
+	return &Runner{oracle: oracle.New(0)}
 }
 
 // Run assembles (or reuses) a machine for cfg on the runner's pooled
@@ -56,7 +57,7 @@ func (r *Runner) Run(cfg Config, gen workload.Generator, refsPerProc int) (Resul
 		return Results{}, fmt.Errorf("system: generator spans %d blocks", blocks)
 	}
 	r.kernel.Reset()
-	var o *Oracle
+	var o *oracle.Oracle
 	if cfg.Oracle {
 		o = r.oracle // newMachine / Machine.reset size and empty it
 	}

@@ -8,6 +8,7 @@ import (
 	"twobit/internal/addr"
 	"twobit/internal/cache"
 	"twobit/internal/obs"
+	"twobit/internal/oracle"
 	"twobit/internal/proto"
 	"twobit/internal/rng"
 	"twobit/internal/sim"
@@ -349,7 +350,7 @@ func TestRunnerPoolProperty(t *testing.T) {
 // TestOracleReset pins Reset: an oracle that has accumulated state must
 // behave exactly like a fresh one after Reset.
 func TestOracleReset(t *testing.T) {
-	o := NewOracle(16)
+	o := oracle.New(16)
 	o.Commit(3, 1)
 	o.Commit(3, 2)
 	o.Commit(9, 3)

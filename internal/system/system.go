@@ -17,6 +17,7 @@ import (
 	"twobit/internal/memory"
 	"twobit/internal/network"
 	"twobit/internal/obs"
+	"twobit/internal/oracle"
 	"twobit/internal/proto"
 	"twobit/internal/sim"
 	"twobit/internal/stats"
@@ -206,8 +207,8 @@ type Machine struct {
 	caches []agent
 	ctrls  []controller
 	dmas   []*dmaDevice
-	oracle *Oracle
-	strict bool // strict (linearizability) oracle mode; see Oracle
+	oracle *oracle.Oracle
+	strict bool // strict (linearizability) oracle mode; see oracle.Oracle
 
 	// drivers holds one procDriver per processor, grown on first use and
 	// reused across runs (and across resets of a pooled machine), so
@@ -247,7 +248,7 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 // which the choice machines use to substitute a delivery-choice network
 // sized by the topology. It builds the graph of cfg's shape, then applies
 // cfg's values through reset, exactly as a pool hit does.
-func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *Oracle, newNet func(proto.Topology) network.Network) (*Machine, error) {
+func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, o *oracle.Oracle, newNet func(proto.Topology) network.Network) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -258,8 +259,8 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 	if kernel == nil {
 		kernel = &sim.Kernel{}
 	}
-	if cfg.Oracle && oracle == nil {
-		oracle = NewOracle(blocks)
+	if cfg.Oracle && o == nil {
+		o = oracle.New(blocks)
 	}
 	m := &Machine{
 		cfg:    cfg,
@@ -290,7 +291,7 @@ func newMachine(cfg Config, gen workload.Generator, kernel *sim.Kernel, oracle *
 	for d := 0; d < cfg.DMA.Devices; d++ {
 		m.dmas = append(m.dmas, newDMADevice(m, d))
 	}
-	m.reset(cfg, gen, oracle)
+	m.reset(cfg, gen, o)
 	return m, nil
 }
 
@@ -338,18 +339,18 @@ func shapeOf(cfg Config, blocks int) machineShape {
 // caller owns the kernel and resets it separately. Without a recorder,
 // reset allocates nothing. Reset runs are byte-identical to fresh
 // machines — pinned by TestRunnerReuse and the randomized property test.
-func (m *Machine) reset(cfg Config, gen workload.Generator, oracle *Oracle) {
+func (m *Machine) reset(cfg Config, gen workload.Generator, o *oracle.Oracle) {
 	m.cfg = cfg
 	m.gen = gen
-	m.oracle = oracle
-	if oracle != nil {
-		oracle.Reset(m.space.Blocks)
+	m.oracle = o
+	if o != nil {
+		o.Reset(m.space.Blocks)
 	}
 	// Strict linearizability holds only when invalidations and grants
 	// travel with equal delay; the blocking Omega network and the jittered
 	// crossbar do not guarantee that, so they get the (still paper-exact)
-	// coherence check. See the Oracle doc.
-	m.strict = oracle != nil && cfg.Net != OmegaNet && cfg.NetJitter == 0
+	// coherence check. See the oracle.Oracle doc.
+	m.strict = o != nil && cfg.Net != OmegaNet && cfg.NetJitter == 0
 	net := m.net
 	if t, ok := net.(*traceNet); ok {
 		t.w = cfg.TraceWriter
@@ -422,7 +423,7 @@ func (m *Machine) Kernel() *sim.Kernel { return m.kernel }
 func (m *Machine) Network() network.Network { return m.net }
 
 // Oracle returns the linearizability oracle, or nil when disabled.
-func (m *Machine) Oracle() *Oracle { return m.oracle }
+func (m *Machine) Oracle() *oracle.Oracle { return m.oracle }
 
 // CacheSide returns cache k's protocol agent.
 func (m *Machine) CacheSide(k int) proto.CacheSide { return m.caches[k] }

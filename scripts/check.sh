@@ -30,11 +30,12 @@ go test -race ./...
 
 echo "==> livesim stress (1200 race-enabled runs)"
 # The goroutine witness depends on the Go scheduler: one run proves
-# little. Its shutdown must wait for every message in flight, or a cache
-# can quit with an invalidation queued and fail the quiescent invariants;
-# and under eviction churn a stale clean EJECT or a denied grant must not
-# reset a block another cache re-fetched (TestHeldInboxKeepsTheLiveCopy
-# replays both deterministically).
+# little. Each run checks every load and store through the simulator's
+# oracle and ends with its two-bit quiescent rule. Shutdown must wait for
+# every message in flight, or a cache can quit with an invalidation queued
+# and break that rule; and under eviction churn a stale clean EJECT or a
+# denied grant must not reset a block another cache re-fetched
+# (TestHeldInboxKeepsTheLiveCopy replays both deterministically).
 go test -race -timeout 30m -count=200 -cpu 1,2,4 -run '^(TestRandomSharingCoherent|TestEvictionChurn)$' ./internal/livesim
 
 echo "==> sweep smoke (determinism + resume)"
