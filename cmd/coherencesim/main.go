@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"sort"
 
 	"twobit"
 )
@@ -102,8 +104,14 @@ func (o *options) exec(out io.Writer) error {
 	case o.recordTo != "":
 		return o.record(out)
 	case o.compare:
+		if err := o.onlyReads("compare", "procs", "refs", "q", "w", "seed"); err != nil {
+			return err
+		}
 		return runCompare(out, o.procs, o.refs, o.q, o.w, o.seed)
 	case o.sweep != "":
+		if err := o.onlyReads("sweep", "refs", "q", "w", "seed"); err != nil {
+			return err
+		}
 		return runSweep(out, o.sweep, o.refs, o.q, o.w, o.seed)
 	}
 	var src twobit.TraceSource
@@ -142,6 +150,22 @@ func (o *options) exec(out io.Writer) error {
 	js, err := res.JSON()
 	fmt.Fprintln(out, js)
 	return err
+}
+
+// onlyReads refuses, naming it, the first flag given on the command line
+// that mode neither is nor reads: a flag the mode would silently ignore.
+func (o *options) onlyReads(mode string, reads ...string) error {
+	given := make([]string, 0, len(o.set))
+	for name := range o.set {
+		given = append(given, name)
+	}
+	sort.Strings(given)
+	for _, name := range given {
+		if name != mode && !slices.Contains(reads, name) {
+			return usageError{fmt.Errorf("-%s does not read -%s", mode, name)}
+		}
+	}
+	return nil
 }
 
 // record captures the selected workload to o.recordTo.

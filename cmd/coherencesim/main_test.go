@@ -10,7 +10,8 @@ import (
 )
 
 // TestRunErrors drives the command through its error exits: a name it
-// does not know is a bad flag value (exit 2), a trace it cannot run is an
+// does not know, or a flag the chosen mode would ignore, is a bad flag
+// (exit 2), a trace it cannot run is an
 // error (exit 1), each one line on stderr and nothing on stdout. A trace
 // with more streams than a machine can have is refused by name, not
 // clamped to its first 64 streams.
@@ -36,6 +37,8 @@ func TestRunErrors(t *testing.T) {
 		{"network", []string{"-net", "ring"}, 2, `coherencesim: unknown network "ring"`},
 		{"workload", []string{"-workload", "tpcc"}, 2, `coherencesim: unknown workload "tpcc"`},
 		{"sweep", []string{"-sweep", "w"}, 2, `coherencesim: unknown sweep "w" (want sharing, n or tb)`},
+		{"compare ignores", []string{"-compare", "-workload", "locks"}, 2, `coherencesim: -compare does not read -workload`},
+		{"sweep ignores", []string{"-sweep", "n", "-net", "bus", "-json"}, 2, `coherencesim: -sweep does not read -json`},
 		{"missing trace", []string{"-trace", missing}, 1,
 			"coherencesim: open " + missing + ": no such file or directory"},
 		{"65 streams", []string{"-trace", wide, "-refs", "10"}, 1,

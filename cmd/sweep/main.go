@@ -14,22 +14,21 @@
 // with min/max under -spread) folds the store into Table 4-1/4-2-shaped
 // grids: rows w, columns n, one section per (protocol, network, q).
 //
-// Campaigns can also run sharded: every worker persists its own shard
-// file (no cross-worker ordering on the hot path), and independent
-// processes — even on different hosts sharing a filesystem — can split
-// one campaign:
+// A campaign can also be split into slices: slice i/n holds the run
+// ids equal to i modulo n, and independent processes — even on
+// different hosts sharing a filesystem — can each run one:
 //
-//	sweep -plan plan.json -sharded              # per-worker shard files
 //	sweep -plan plan.json -shard 0/2 &          # process A: even run ids
 //	sweep -plan plan.json -shard 1/2 &          # process B: odd run ids
 //	sweep -plan plan.json -merge                # validate + canonical store
 //
-// Shard files live in <plan name>.shards/ (override with -shards) and
-// are resumable exactly like the single store: re-running any shard
-// command re-executes only runs not yet persisted by any shard file.
-// -merge checks every shard record against the plan, requires the run-id
-// space to be complete, and writes the canonical store — byte-identical
-// to the store an unsharded workers=1 campaign writes.
+// Each slice is an ordered store, <plan name>.shards/s<i>of<n>.jsonl
+// (override the directory with -shards), and a -shard run always
+// resumes its own slice, re-executing only the runs it has not yet
+// persisted. -merge interleaves the slices round-robin, checks every
+// record against the plan, refuses a missing or short slice, and writes
+// the canonical store — byte-identical to the store a plain workers=1
+// campaign writes.
 //
 // Long campaigns can opt into live telemetry:
 //
@@ -53,7 +52,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the telemetry mux
 	"os"
 	"strings"
-	"sync/atomic"
 
 	"twobit/internal/report"
 	"twobit/internal/sweep"
@@ -90,9 +88,8 @@ func run(args []string) error {
 	spread := fs.Bool("spread", false, "also print min/max grids across replicates")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	telemetry := fs.String("telemetry", "", "serve live campaign telemetry (expvar + pprof) on this address, e.g. localhost:6060")
-	sharded := fs.Bool("sharded", false, "write per-worker shard files instead of a single ordered store (shorthand for -shard 0/1)")
-	shardSpec := fs.String("shard", "", "run one slice i/n of the plan's run-id space into the shard dir (e.g. 0/2)")
-	merge := fs.Bool("merge", false, "validate the shard dir and write the canonical single store, then aggregate")
+	shardSpec := fs.String("shard", "", "run (or resume) slice i/n of the plan's run ids into the shard dir (e.g. 0/2)")
+	merge := fs.Bool("merge", false, "merge the shard dir's slices into the canonical store, then aggregate")
 	shardsDir := fs.String("shards", "", "shard directory (default <plan name>.shards)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag is reported, with usage, by Parse itself
 
@@ -130,34 +127,31 @@ func run(args []string) error {
 	if *merge {
 		return runMerge(plan, dir, storePath, *format, *metric, *spread, *quiet)
 	}
-	if *sharded || *shardSpec != "" {
-		spec := *shardSpec
-		if spec == "" {
-			spec = "0/1"
-		}
-		return runSharded(plan, dir, spec, *workers, *telemetry, *quiet)
-	}
 
-	st, err := sweep.Open(storePath, *resume)
+	sl := sweep.Whole
+	var st *sweep.Store
+	if *shardSpec != "" {
+		if sl, err = parseShard(*shardSpec); err != nil {
+			return err
+		}
+		st, err = sweep.OpenSlice(dir, sl)
+	} else {
+		st, err = sweep.Open(storePath, *resume)
+	}
 	if err != nil {
 		return err
 	}
-	total := plan.Size()
+	total := sl.Size(plan.Size())
+	if err := st.CheckPlan(plan); err != nil {
+		st.Close()
+		return err
+	}
 	done := st.Next()
-	if done > 0 {
-		prefix, err := sweep.LoadStore(storePath)
-		if err != nil {
-			return err
-		}
-		if err := sweep.CheckPrefix(plan, prefix); err != nil {
-			return err
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "resuming %s: %d/%d runs checkpointed in %s\n", plan.Name, done, total, storePath)
-		}
+	if done > 0 && !*quiet {
+		fmt.Fprintf(os.Stderr, "resuming %s: %d/%d runs of slice %v checkpointed\n", plan.Name, done, total, sl)
 	}
 	prog := serveTelemetry(*telemetry, plan.Name, total, *quiet)
-	err = sweep.ExecuteObserved(plan, *workers, done, func(rec sweep.Record) error {
+	err = sweep.ExecuteObserved(plan, sl, *workers, done, func(rec sweep.Record) error {
 		if err := st.Append(rec); err != nil {
 			return err
 		}
@@ -173,22 +167,17 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *shardSpec != "" {
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "\rslice %v of %s complete: %d runs in %s\n", sl, plan.Name, total, dir)
+			fmt.Fprintf(os.Stderr, "once every slice is complete: sweep -plan ... -merge\n")
+		}
+		return nil
+	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "\rcampaign %s complete: %d runs in %s\n", plan.Name, total, storePath)
 	}
-
-	recs, err := sweep.LoadStore(storePath)
-	if err != nil {
-		return err
-	}
-	grids, failed, err := sweep.Aggregate(plan, recs, *metric)
-	if err != nil {
-		return err
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "warning: %d of %d runs failed; see the err fields in %s\n", failed, total, storePath)
-	}
-	return render(grids, *format, *spread, plan.Replicates)
+	return aggregate(plan, storePath, *format, *metric, *spread)
 }
 
 // serveTelemetry publishes campaign progress as the "sweep" expvar and
@@ -214,73 +203,17 @@ func serveTelemetry(addr, name string, total int, quiet bool) *sweep.Progress {
 }
 
 // parseShard parses an "i/n" shard spec.
-func parseShard(spec string) (slice, of int, err error) {
-	if _, err := fmt.Sscanf(spec, "%d/%d", &slice, &of); err != nil {
-		return 0, 0, fmt.Errorf("bad -shard %q (want i/n, e.g. 0/2)", spec)
+func parseShard(spec string) (sl sweep.Slice, err error) {
+	if _, err := fmt.Sscanf(spec, "%d/%d", &sl.I, &sl.N); err != nil {
+		return sl, fmt.Errorf("bad -shard %q (want i/n, e.g. 0/2)", spec)
 	}
-	if of < 1 || slice < 0 || slice >= of {
-		return 0, 0, fmt.Errorf("bad -shard %q: slice must be in [0,%d)", spec, of)
+	if sl.N < 1 || sl.I < 0 || sl.I >= sl.N {
+		return sl, fmt.Errorf("bad -shard %q: slice must be in [0,%d)", spec, sl.N)
 	}
-	return slice, of, nil
+	return sl, nil
 }
 
-// runSharded executes one shard slice of the plan into per-worker shard
-// files under dir. Resumption is implicit: runs already persisted by any
-// shard file (any slice, any generation) are skipped.
-func runSharded(plan *sweep.Plan, dir, spec string, workers int, telemetry string, quiet bool) error {
-	slice, of, err := parseShard(spec)
-	if err != nil {
-		return err
-	}
-	st, done, err := sweep.OpenShardedStore(dir, slice, of, workers)
-	if err != nil {
-		return err
-	}
-	total := plan.Size()
-	mine := 0
-	for id := slice; id < total; id += of {
-		if !done[id] {
-			mine++
-		}
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "shard %d/%d of %s: %d runs to execute (%d already persisted) in %s\n",
-			slice, of, plan.Name, mine, len(done), dir)
-	}
-	prog := serveTelemetry(telemetry, plan.Name, mine, quiet)
-	var emitted atomic.Int64 // sinks run concurrently, one per worker
-	err = sweep.ExecuteShardedObserved(plan, workers,
-		func(id int) bool { return id%of == slice && !done[id] },
-		func(w int, rec sweep.Record) error {
-			if err := st.Sink(w, rec); err != nil {
-				return err
-			}
-			if !quiet {
-				if n := int(emitted.Add(1)); n%10 == 0 || n == mine {
-					fmt.Fprintf(os.Stderr, "\r%d/%d runs", n, mine)
-				}
-			}
-			return nil
-		}, prog)
-	if cerr := st.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "\rshard %d/%d of %s complete: %d runs in %s\n", slice, of, plan.Name, mine, dir)
-		if of > 1 {
-			fmt.Fprintf(os.Stderr, "run the remaining slices, then: sweep -plan ... -merge\n")
-		} else {
-			fmt.Fprintf(os.Stderr, "merge to a canonical store with: sweep -plan ... -merge\n")
-		}
-	}
-	return nil
-}
-
-// runMerge validates dir's shard files against the plan, writes the
-// canonical single-writer store to storePath, and aggregates it.
+// runMerge writes the canonical store from dir's slices and aggregates it.
 func runMerge(plan *sweep.Plan, dir, storePath, format, metric string, spread, quiet bool) error {
 	if err := sweep.WriteMergedStore(plan, dir, storePath); err != nil {
 		return err
@@ -288,6 +221,12 @@ func runMerge(plan *sweep.Plan, dir, storePath, format, metric string, spread, q
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "merged %s into canonical store %s (%d runs)\n", dir, storePath, plan.Size())
 	}
+	return aggregate(plan, storePath, format, metric, spread)
+}
+
+// aggregate folds the whole-campaign store at storePath into grids and
+// renders them.
+func aggregate(plan *sweep.Plan, storePath, format, metric string, spread bool) error {
 	recs, err := sweep.LoadStore(storePath)
 	if err != nil {
 		return err

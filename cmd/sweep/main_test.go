@@ -29,6 +29,11 @@ func TestErrorsCarryOnePrefix(t *testing.T) {
 	hugeTopK := write("hugetopk.json", ok+`,"obs_topk":100000}`)
 	missing := filepath.Join(dir, "absent.json")
 	gap := write("gap.jsonl", "{\"run_id\":0}\n{\"run_id\":2}\n")
+	shards := filepath.Join(dir, "shards")
+	if err := os.MkdirAll(shards, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write("shards/s1of2.jsonl", "")
 
 	for _, tc := range []struct {
 		name string
@@ -51,6 +56,10 @@ func TestErrorsCarryOnePrefix(t *testing.T) {
 			"sweep: no -plan given (try -example for the format)"},
 		{"bad shard", []string{"-plan", good, "-shard", "3/2", "-quiet"},
 			`sweep: bad -shard "3/2": slice must be in [0,2)`},
+		{"merge missing slice", []string{"-plan", good, "-merge", "-shards", shards, "-out", filepath.Join(dir, "m.jsonl"), "-quiet"},
+			"sweep: shard dir " + shards + " is missing slice 0/2: open " + filepath.Join(shards, "s0of2.jsonl") + ": no such file or directory"},
+		{"slice of another width", []string{"-plan", good, "-shard", "0/3", "-shards", shards, "-quiet"},
+			"sweep: shard dir " + shards + " holds 2-way slices; this campaign shards 3 ways"},
 		{"bad format", []string{"-plan", good, "-out", filepath.Join(dir, "ok.jsonl"), "-format", "yaml", "-quiet"},
 			`sweep: unknown -format "yaml" (want table, csv or json)`},
 	} {

@@ -136,38 +136,21 @@ func matchRecord(rec Record, pt Point) error {
 // of this plan's expansion — the guard against resuming a store that a
 // different plan (other axes, other root seed) produced, which would
 // silently mix foreign results into the aggregate.
-func CheckPrefix(p *Plan, recs []Record) error {
-	points, err := p.Points()
-	if err != nil {
-		return err
-	}
-	if len(recs) > len(points) {
-		return fmt.Errorf("sweep: store holds %d runs but the plan expands to %d", len(recs), len(points))
-	}
-	for i, rec := range recs {
-		if rec.RunID != i {
-			return fmt.Errorf("sweep: store record %d is out of sequence (run id %d)", i, rec.RunID)
-		}
-		if err := matchRecord(rec, points[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func CheckPrefix(p *Plan, recs []Record) error { return checkSlice(p, Whole, recs) }
 
-// CheckSubset is CheckPrefix for shard stores: it verifies records
-// holding any subset of the plan's run ids — each record must match the
-// point its id expands to. The contiguity requirement is dropped
-// because a sharded campaign legally holds gaps (other shards' runs,
-// and runs lost to a mid-campaign kill).
-func CheckSubset(p *Plan, recs []Record) error {
+// checkSlice is CheckPrefix for the records of slice sl: the k-th must
+// be run sl.I + k·sl.N and match the point that id expands to.
+func checkSlice(p *Plan, sl Slice, recs []Record) error {
 	points, err := p.Points()
 	if err != nil {
 		return err
 	}
-	for _, rec := range recs {
-		if rec.RunID < 0 || rec.RunID >= len(points) {
-			return fmt.Errorf("sweep: store record with run id %d outside plan of %d runs", rec.RunID, len(points))
+	if size := sl.Size(len(points)); len(recs) > size {
+		return fmt.Errorf("sweep: store holds %d runs but slice %v of the plan expands to %d", len(recs), sl, size)
+	}
+	for k, rec := range recs {
+		if id := sl.id(k); rec.RunID != id {
+			return fmt.Errorf("sweep: store record %d is out of sequence (run id %d, want %d)", k, rec.RunID, id)
 		}
 		if err := matchRecord(rec, points[rec.RunID]); err != nil {
 			return err
@@ -183,7 +166,7 @@ func CheckSubset(p *Plan, recs []Record) error {
 // non-nil error from emit aborts the campaign after the in-flight runs
 // drain.
 func Execute(p *Plan, workers, startAt int, emit func(Record) error) error {
-	return ExecuteObserved(p, workers, startAt, emit, nil)
+	return ExecuteObserved(p, Whole, workers, startAt, emit, nil)
 }
 
 // resequenceLimit bounds the records the re-sequencer may hold: jobs in
@@ -193,30 +176,36 @@ func Execute(p *Plan, workers, startAt int, emit func(Record) error) error {
 // drags; the +2 keeps a 1-worker pool pipelined.
 func resequenceLimit(workers int) int { return 2*workers + 2 }
 
-// ExecuteObserved is Execute with a telemetry publisher: prog (which may
-// be nil for none) sees every run start, completion and ordered
-// emission. Telemetry is strictly wall-clock bookkeeping about the
-// worker pool — it never feeds back into a run, so an observed campaign
-// produces byte-identical records.
-func ExecuteObserved(p *Plan, workers, startAt int, emit func(Record) error, prog *Progress) error {
+// ExecuteObserved is Execute for slice sl of the plan, with a telemetry
+// publisher: startAt counts the slice's runs already done (a Store's
+// Next), and emit sees the rest in run-id order. prog (which may be nil
+// for none) sees every run start, completion and ordered emission.
+// Telemetry is strictly wall-clock bookkeeping about the worker pool —
+// it never feeds back into a run, so an observed campaign produces
+// byte-identical records.
+func ExecuteObserved(p *Plan, sl Slice, workers, startAt int, emit func(Record) error, prog *Progress) error {
 	if err := p.Validate(); err != nil {
+		return err
+	}
+	if err := sl.check(); err != nil {
 		return err
 	}
 	points, err := p.Points()
 	if err != nil {
 		return err
 	}
-	if startAt < 0 || startAt > len(points) {
-		return fmt.Errorf("sweep: resume offset %d outside plan of %d runs", startAt, len(points))
+	size := sl.Size(len(points))
+	if startAt < 0 || startAt > size {
+		return fmt.Errorf("sweep: resume offset %d outside slice %v of a plan of %d runs", startAt, sl, len(points))
 	}
-	points = points[startAt:]
+	runs := size - startAt
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(points) {
-		workers = len(points)
+	if workers > runs {
+		workers = runs
 	}
-	if len(points) == 0 {
+	if runs == 0 {
 		return nil
 	}
 
@@ -248,14 +237,14 @@ func ExecuteObserved(p *Plan, workers, startAt int, emit func(Record) error, pro
 	}
 	go func() {
 		defer close(jobs)
-		for _, pt := range points {
+		for id := sl.id(startAt); id < len(points); id += sl.N {
 			select {
 			case tokens <- struct{}{}:
 			case <-stop:
 				return
 			}
 			select {
-			case jobs <- pt:
+			case jobs <- points[id]:
 			case <-stop:
 				return
 			}
@@ -269,7 +258,7 @@ func ExecuteObserved(p *Plan, workers, startAt int, emit func(Record) error, pro
 	// Re-sequencer: workers finish out of order; hold records until the
 	// next expected id arrives, then emit the contiguous run.
 	pending := make(map[int]Record, resequenceLimit(workers))
-	next := startAt
+	next := sl.id(startAt)
 	var emitErr error
 	for rec := range results {
 		pending[rec.RunID] = rec
@@ -287,7 +276,7 @@ func ExecuteObserved(p *Plan, workers, startAt int, emit func(Record) error, pro
 					prog.noteEmitted()
 				}
 			}
-			next++
+			next += sl.N
 		}
 	}
 	if emitErr != nil {
@@ -297,94 +286,6 @@ func ExecuteObserved(p *Plan, workers, startAt int, emit func(Record) error, pro
 		return fmt.Errorf("sweep: %d records never sequenced (first gap at run %d)", len(pending), next)
 	}
 	return nil
-}
-
-// ExecuteSharded runs the plan's points for which want returns true
-// (nil means all) on a pool of workers, each worker persisting its own
-// completed records through sink(worker, rec) from the worker's
-// goroutine — there is no re-sequencer and no cross-worker ordering, so
-// the emit path cannot serialize the pool. Each worker's records arrive
-// at its sink in strictly increasing run-id order (jobs are fed in
-// order), which is what makes per-worker shard files mergeable by a
-// streaming k-way merge. A sink error aborts the campaign after
-// in-flight runs drain.
-func ExecuteSharded(p *Plan, workers int, want func(runID int) bool, sink func(worker int, rec Record) error) error {
-	return ExecuteShardedObserved(p, workers, want, sink, nil)
-}
-
-// ExecuteShardedObserved is ExecuteSharded with a telemetry publisher.
-func ExecuteShardedObserved(p *Plan, workers int, want func(runID int) bool, sink func(worker int, rec Record) error, prog *Progress) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	all, err := p.Points()
-	if err != nil {
-		return err
-	}
-	points := all
-	if want != nil {
-		points = make([]Point, 0, len(all))
-		for _, pt := range all {
-			if want(pt.RunID) {
-				points = append(points, pt)
-			}
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
-	if len(points) == 0 {
-		return nil
-	}
-
-	jobs := make(chan Point)
-	stop := make(chan struct{})
-	var once sync.Once
-	var sinkErr error
-	abort := func(err error) {
-		once.Do(func() {
-			sinkErr = err
-			close(stop)
-		})
-	}
-	prog.begin(workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rn := runners.Get().(*system.Runner)
-			defer runners.Put(rn)
-			for pt := range jobs {
-				prog.noteRunStart(w)
-				if testRunStall != nil {
-					testRunStall(pt)
-				}
-				rec := runPoint(p, pt, rn)
-				prog.noteRunDone(w, rec.Err != "")
-				if err := sink(w, rec); err != nil {
-					abort(err)
-					return
-				}
-				prog.noteEmitted()
-			}
-		}(i)
-	}
-	go func() {
-		defer close(jobs)
-		for _, pt := range points {
-			select {
-			case jobs <- pt:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	return sinkErr
 }
 
 // Collect executes the whole plan in memory and returns the ordered

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -84,36 +83,6 @@ func TestEmitErrorAborts(t *testing.T) {
 	}
 }
 
-// TestSinkErrorAbortsSharded is the same contract for the sharded
-// executor: a failing per-worker sink aborts the campaign and the pool
-// drains cleanly.
-func TestSinkErrorAbortsSharded(t *testing.T) {
-	p := testPlan()
-	before := runtime.NumGoroutine()
-	bang := fmt.Errorf("shard disk full")
-	var mu sync.Mutex
-	sunk := 0
-	err := ExecuteSharded(p, 4, nil, func(w int, rec Record) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if sunk == 3 {
-			return bang
-		}
-		sunk++
-		return nil
-	})
-	if err != bang {
-		t.Fatalf("ExecuteSharded returned %v, want the sink error", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("sharded campaign leaked goroutines: %d before, %d after", before, n)
-	}
-}
-
 // TestCheckPrefixNamesDivergingField drives the resume guard through a
 // divergence in every record coordinate and requires the error to name
 // the field — the diagnostic a user needs to see *why* their store does
@@ -152,34 +121,43 @@ func TestCheckPrefixNamesDivergingField(t *testing.T) {
 			if !strings.Contains(err.Error(), "("+c.field+" diverges)") {
 				t.Errorf("error does not name the diverging field %q: %v", c.field, err)
 			}
-			// CheckSubset applies the same per-record guard.
-			if err := CheckSubset(p, mutated); err == nil {
-				t.Errorf("CheckSubset accepted a record with a diverging %s", c.field)
+			// A slice's resume guard applies the same per-record check.
+			if err := checkSlice(p, Slice{1, 2}, []Record{mutated[1], mutated[3]}); err == nil {
+				t.Errorf("checkSlice accepted a record with a diverging %s", c.field)
 			}
 		})
 	}
 }
 
-// TestCheckSubset pins the shard-store guard: arbitrary id subsets with
-// gaps are fine, out-of-plan ids are not.
-func TestCheckSubset(t *testing.T) {
+// TestCheckSlice pins a slice store's resume guard: the k-th record
+// must be run I + k·N, so records of another slice, out of stride or
+// past the slice's end are refused.
+func TestCheckSlice(t *testing.T) {
 	p := testPlan()
 	recs, err := Collect(p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subset := []Record{recs[13], recs[2], recs[7]} // gaps and disorder are legal
-	if err := CheckSubset(p, subset); err != nil {
-		t.Errorf("valid subset rejected: %v", err)
+	var third []Record // slice 2/3: runs 2, 5, 8, 11, 14
+	for id := 2; id < len(recs); id += 3 {
+		third = append(third, recs[id])
 	}
-	stray := recs[5]
-	stray.RunID = p.Size()
-	if err := CheckSubset(p, []Record{stray}); err == nil {
-		t.Error("CheckSubset accepted a run id beyond the plan")
+	if err := checkSlice(p, Slice{2, 3}, third); err != nil {
+		t.Errorf("slice 2/3's own records rejected: %v", err)
 	}
-	stray.RunID = -1
-	if err := CheckSubset(p, []Record{stray}); err == nil {
-		t.Error("CheckSubset accepted a negative run id")
+	if err := checkSlice(p, Slice{2, 3}, third[:2]); err != nil {
+		t.Errorf("a prefix of slice 2/3 rejected: %v", err)
+	}
+	if err := checkSlice(p, Slice{1, 3}, third); err == nil {
+		t.Error("slice 1/3 accepted slice 2/3's records")
+	}
+	if err := checkSlice(p, Slice{2, 3}, []Record{recs[2], recs[8]}); err == nil {
+		t.Error("checkSlice accepted a record out of stride")
+	}
+	stray := recs[14]
+	stray.RunID = 17
+	if err := checkSlice(p, Slice{2, 3}, append(third, stray)); err == nil {
+		t.Error("checkSlice accepted a record past the slice's end")
 	}
 }
 
@@ -236,7 +214,7 @@ func TestResequencerBackpressureUnderSkew(t *testing.T) {
 	var recs []Record
 	done := make(chan error, 1)
 	go func() {
-		done <- ExecuteObserved(p, workers, 0, func(r Record) error {
+		done <- ExecuteObserved(p, Whole, workers, 0, func(r Record) error {
 			recs = append(recs, r)
 			return nil
 		}, prog)

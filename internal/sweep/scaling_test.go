@@ -33,8 +33,8 @@ func scalingPlan() *Plan {
 //
 //  1. Correctness at every width, unconditionally: each width's store is
 //     byte-identical to the workers=1 store, both through the ordered
-//     single-writer path and through per-worker shard files merged back
-//     into a canonical store.
+//     whole-campaign path and through slice stores merged back into a
+//     canonical store.
 //
 //  2. Speed, when the hardware can show it: with ≥4 CPUs, parallel
 //     efficiency at 4 workers — T(1) / (4 · T(4)) — must be at least
@@ -68,22 +68,13 @@ func TestScalingLaw(t *testing.T) {
 		}
 	}
 
-	// … including through the sharded path at every width and several
-	// shard counts.
+	// … including through slice stores at several slice counts.
 	for _, of := range []int{1, 2, 4} {
 		sdir := filepath.Join(t.TempDir(), fmt.Sprintf("shards%d", of))
-		for slice := 0; slice < of; slice++ {
-			runShardSlice(t, p, sdir, slice, of, 4, -1)
+		for i := 0; i < of; i++ {
+			runShardSlice(t, p, sdir, Slice{i, of}, 4, -1)
 		}
-		out := filepath.Join(t.TempDir(), "merged.jsonl")
-		if err := WriteMergedStore(p, sdir, out); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
+		if got := mergeShards(t, p, sdir); string(got) != string(want) {
 			t.Fatalf("%d-way sharded store differs from workers=1 store", of)
 		}
 	}

@@ -12,31 +12,38 @@ import (
 // Store is the JSON-lines result store: one Record per line, in run-id
 // order, appended and synced as runs complete. The sync-per-record is the
 // checkpoint: after a crash the file holds a valid prefix of the campaign
-// plus at most one torn line, which Open(path, resume=true) truncates
-// away. Because records are emitted in run-id order, "the completed runs"
-// is always exactly the ids 0..Next()-1, so resumption is a single offset.
+// plus at most one torn line, which a resuming open truncates away. A
+// store holds one Slice of the plan's run ids — its k-th record is run
+// I + k·N — and because records are emitted in run-id order, "the
+// completed runs" is always exactly the slice's first Next() ids, so
+// resumption is a single offset. The whole campaign is slice 0/1.
 type Store struct {
 	path string
 	f    *os.File
+	sl   Slice
 	next int
 }
 
-// Open creates (resume=false) or reopens (resume=true) a store. On resume
-// the file is scanned, the longest valid prefix of sequential records is
-// kept, anything after it is truncated, and appends continue from there.
-func Open(path string, resume bool) (*Store, error) {
+// Open creates (resume=false) or reopens (resume=true) the store of a
+// whole campaign at path.
+func Open(path string, resume bool) (*Store, error) { return openStore(path, Whole, resume) }
+
+// openStore opens the store of slice sl at path. On resume the file is
+// scanned, the longest valid prefix of the slice's records is kept,
+// anything after it is truncated, and appends continue from there.
+func openStore(path string, sl Slice, resume bool) (*Store, error) {
 	if !resume {
 		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: creating store: %w", err)
 		}
-		return &Store{path: path, f: f}, nil
+		return &Store{path: path, f: f, sl: sl}, nil
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: opening store: %w", err)
 	}
-	valid, count, err := validPrefix(f, path)
+	valid, count, err := validPrefix(f, path, sl)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -49,18 +56,18 @@ func Open(path string, resume bool) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("sweep: seeking to checkpoint: %w", err)
 	}
-	return &Store{path: path, f: f, next: count}, nil
+	return &Store{path: path, f: f, sl: sl, next: count}, nil
 }
 
 // validPrefix scans a store stream and returns the byte length and
-// record count of the longest prefix of complete, parseable,
-// sequentially numbered lines. A torn final line (no trailing newline,
+// record count of the longest prefix of complete, parseable lines
+// holding sl's run ids in order. A torn final line (no trailing newline,
 // or unparseable) ends the prefix; a parseable line with the wrong run
 // id is corruption and errors out, because silently dropping interior
 // records would let a resumed campaign diverge. The seek to the start
 // happens here so Open can hand over the file as-is; non-file readers
 // (the fuzz harness) pass their bytes directly.
-func validPrefix(r io.Reader, name string) (bytes64 int64, count int, err error) {
+func validPrefix(r io.Reader, name string, sl Slice) (bytes64 int64, count int, err error) {
 	if s, ok := r.(io.Seeker); ok {
 		if _, err := s.Seek(0, io.SeekStart); err != nil {
 			return 0, 0, fmt.Errorf("sweep: seeking store: %w", err)
@@ -88,7 +95,7 @@ func validPrefix(r io.Reader, name string) (bytes64 int64, count int, err error)
 			// Torn or garbage line: end of prefix.
 			return offset, count, nil
 		}
-		if *rec.RunID != count {
+		if *rec.RunID != sl.id(count) {
 			return 0, 0, fmt.Errorf("sweep: store %s is corrupt: line %d holds run %d",
 				name, count, *rec.RunID)
 		}
@@ -97,15 +104,16 @@ func validPrefix(r io.Reader, name string) (bytes64 int64, count int, err error)
 	}
 }
 
-// Next returns the id of the next record the store expects — equivalently
-// the number of completed runs it holds.
+// Next returns the number of completed runs the store holds — for a
+// whole-campaign store, equivalently the id of the next record it
+// expects. It is the resume offset Execute takes.
 func (s *Store) Next() int { return s.next }
 
 // Append checkpoints one record. Records must arrive in run-id order;
 // Execute guarantees this.
 func (s *Store) Append(rec Record) error {
-	if rec.RunID != s.next {
-		return fmt.Errorf("sweep: store expects run %d, got %d", s.next, rec.RunID)
+	if want := s.sl.id(s.next); rec.RunID != want {
+		return fmt.Errorf("sweep: store expects run %d, got %d", want, rec.RunID)
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
@@ -125,9 +133,27 @@ func (s *Store) Append(rec Record) error {
 // Close closes the underlying file.
 func (s *Store) Close() error { return s.f.Close() }
 
-// ReadRecords parses a complete store stream into ordered records,
-// verifying the run-id sequence.
-func ReadRecords(r io.Reader) ([]Record, error) {
+// CheckPlan verifies that the records the store already holds are a
+// prefix of its slice of p's expansion (see CheckPrefix).
+func (s *Store) CheckPlan(p *Plan) error {
+	if s.next == 0 {
+		return nil
+	}
+	f, err := os.Open(s.path)
+	if err != nil {
+		return fmt.Errorf("sweep: opening store: %w", err)
+	}
+	defer f.Close()
+	recs, err := ReadRecords(f, s.sl)
+	if err != nil {
+		return err
+	}
+	return checkSlice(p, s.sl, recs)
+}
+
+// ReadRecords parses a complete store stream of slice sl into ordered
+// records, verifying the run-id sequence.
+func ReadRecords(r io.Reader, sl Slice) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -140,7 +166,7 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return nil, fmt.Errorf("sweep: record %d: %w", len(recs), err)
 		}
-		if rec.RunID != len(recs) {
+		if rec.RunID != sl.id(len(recs)) {
 			return nil, fmt.Errorf("sweep: record %d is out of sequence (run id %d)", len(recs), rec.RunID)
 		}
 		recs = append(recs, rec)
@@ -151,12 +177,12 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
-// LoadStore reads all records from a store file.
+// LoadStore reads all records from a whole-campaign store file.
 func LoadStore(path string) ([]Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: opening store: %w", err)
 	}
 	defer f.Close()
-	return ReadRecords(f)
+	return ReadRecords(f, Whole)
 }

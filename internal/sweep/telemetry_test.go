@@ -86,7 +86,7 @@ func TestExecuteObservedMatchesExecute(t *testing.T) {
 	p := testPlan()
 	collect := func(prog *Progress) []Record {
 		var recs []Record
-		if err := ExecuteObserved(p, 4, 0, func(r Record) error {
+		if err := ExecuteObserved(p, Whole, 4, 0, func(r Record) error {
 			recs = append(recs, r)
 			return nil
 		}, prog); err != nil {

@@ -16,8 +16,8 @@ import (
 // Trace-segment cache: synthesized scenario segments keyed by the
 // resolved spec. A sweep campaign re-derives each point's reference
 // stream from (Spec, Seed) on every execution — cheap for one run,
-// but a campaign replayed across sweeps (resumes, shard re-merges,
-// A/B plan edits that keep most points) regenerates identical
+// but a campaign replayed across sweeps (resumes, slices run by
+// separate processes, A/B plan edits that keep most points) regenerates identical
 // segments over and over. The cache stores each segment once, in the
 // chunked trace format, under a name derived from everything that
 // determines its bytes; replay through the cache is byte-identical

@@ -68,19 +68,9 @@ cmp "$SMOKE/w1.jsonl" "$SMOKE/half.jsonl" || {
     exit 1
 }
 
-echo "==> sweep scaling smoke (sharded stores + multi-process shards)"
-# Single-process sharded mode: per-worker shard files merged back into a
-# canonical store must be byte-identical to the single-writer store.
-go run ./cmd/sweep -plan "$SMOKE/plan.json" -sharded -workers 4 \
-    -shards "$SMOKE/sharded" -quiet > /dev/null
-go run ./cmd/sweep -plan "$SMOKE/plan.json" -merge \
-    -shards "$SMOKE/sharded" -out "$SMOKE/sharded.jsonl" -quiet > /dev/null
-cmp "$SMOKE/w1.jsonl" "$SMOKE/sharded.jsonl" || {
-    echo "check.sh: sharded store does not merge to the single-writer store" >&2
-    exit 1
-}
-# Multi-process shard mode: two independent processes each fill one
-# slice of the run-id space; -merge validates and canonicalizes.
+echo "==> sweep scaling smoke (multi-process slices)"
+# Multi-process slices: two independent processes each fill one slice
+# of the run-id space; -merge validates and canonicalizes.
 go run ./cmd/sweep -plan "$SMOKE/plan.json" -shard 0/2 -workers 2 \
     -shards "$SMOKE/mp" -quiet > /dev/null &
 MP_PID=$!
@@ -106,9 +96,10 @@ echo "==> pooled-runner smoke (heterogeneous shapes + trace cache)"
 # Every worker owns one pooled machine graph and resets it between runs;
 # a plan that alternates protocols, interconnects, processor counts and
 # scenario traces forces those resets across structurally different
-# shapes. The cold workers=1 store is the canon; the sharded 4-worker
-# pass then re-executes the same plan through freshly pooled runners
-# against a warm trace cache, and the merge must be byte-identical —
+# shapes. The cold workers=1 store is the canon; two concurrent slice
+# processes of two workers each then re-execute the same plan through
+# freshly pooled runners against a warm trace cache, and their merge
+# must be byte-identical —
 # any state leaking across a reset, or a cached segment diverging from
 # live synthesis, shows up as a cmp failure here.
 cat > "$SMOKE/poolplan.json" <<EOF4
@@ -130,12 +121,16 @@ go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -workers 1 -out "$SMOKE/pool_w1.
     echo "check.sh: scenario runs left the trace cache empty" >&2
     exit 1
 }
-go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -sharded -workers 4 \
+go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -shard 0/2 -workers 2 \
+    -shards "$SMOKE/poolshards" -quiet > /dev/null &
+POOL_PID=$!
+go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -shard 1/2 -workers 2 \
     -shards "$SMOKE/poolshards" -quiet > /dev/null
+wait "$POOL_PID"
 go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -merge \
-    -shards "$SMOKE/poolshards" -out "$SMOKE/pool_w4.jsonl" -quiet > /dev/null
-cmp "$SMOKE/pool_w1.jsonl" "$SMOKE/pool_w4.jsonl" || {
-    echo "check.sh: pooled sharded store differs from the workers=1 canonical store" >&2
+    -shards "$SMOKE/poolshards" -out "$SMOKE/pool_merged.jsonl" -quiet > /dev/null
+cmp "$SMOKE/pool_w1.jsonl" "$SMOKE/pool_merged.jsonl" || {
+    echo "check.sh: pooled slice stores do not merge to the workers=1 canonical store" >&2
     exit 1
 }
 
