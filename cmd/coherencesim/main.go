@@ -14,16 +14,14 @@
 //
 // Trace-driven runs:
 //
-//	coherencesim -record trace.bin       # capture the workload to a file
-//	coherencesim -trace t.mtrc2          # run from any trace file (text,
-//	                                     # varint, or chunked — sniffed);
-//	                                     # chunked traces stream from disk
+//	coherencesim -record t.mtrc2         # stream the workload to an MTRC2 trace
+//	coherencesim -trace t.mtrc2          # run from a trace file, MTRC2 or
+//	                                     # text; MTRC2 streams from disk
 //
 // A run from a -record capture prints what the live run prints.
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -70,8 +68,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.wlName, "workload", "shared-private", "workload: shared-private, zipf, matmul, prodcons, locks, barrier, migration")
 	fs.Float64Var(&o.skew, "skew", 1.2, "Zipf exponent for -workload zipf")
 	fs.BoolVar(&o.jsonOut, "json", false, "emit the single-run result as JSON")
-	fs.StringVar(&o.recordTo, "record", "", "capture the workload to this trace file instead of simulating")
-	fs.StringVar(&o.traceFile, "trace", "", "run from this trace file of any format (text, varint, or chunked); -procs defaults to the trace's streams")
+	fs.StringVar(&o.recordTo, "record", "", "stream the workload to this MTRC2 trace file instead of simulating")
+	fs.StringVar(&o.traceFile, "trace", "", "run from this trace file, MTRC2 or text; -procs defaults to the trace's streams")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -168,21 +166,27 @@ func (o *options) onlyReads(mode string, reads ...string) error {
 	return nil
 }
 
-// record captures the selected workload to o.recordTo.
+// record streams the selected workload to o.recordTo as an MTRC2 trace,
+// leaving no file behind if it fails.
 func (o *options) record(out io.Writer) error {
 	g, err := o.workload()
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	err = twobit.RecordTrace(g, o.procs, o.refs).WriteBinary(&buf)
-	if err == nil {
-		err = os.WriteFile(o.recordTo, buf.Bytes(), 0o644)
+	f, err := os.Create(o.recordTo)
+	if err != nil {
+		return err
 	}
-	if err == nil {
-		fmt.Fprintf(out, "recorded %d procs × %d refs to %s\n", o.procs, o.refs, o.recordTo)
+	err = twobit.StreamTrace(f, g, o.procs, o.refs)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return err
+	if err != nil {
+		os.Remove(o.recordTo)
+		return err
+	}
+	fmt.Fprintf(out, "recorded %d procs × %d refs to %s\n", o.procs, o.refs, o.recordTo)
+	return nil
 }
 
 // workload constructs the selected generator.

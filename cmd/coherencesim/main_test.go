@@ -14,18 +14,29 @@ import (
 // (exit 2), a trace it cannot run is an
 // error (exit 1), each one line on stderr and nothing on stdout. A trace
 // with more streams than a machine can have is refused by name, not
-// clamped to its first 64 streams.
+// clamped to its first 64 streams. So are a file in the retired MTRC1
+// format, and the hostile text traces that once panicked in replay or in
+// the protocol, or sized a machine past the memory: each is refused
+// before any machine exists.
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
-	wide := filepath.Join(dir, "wide.bin")
+	write := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	var buf bytes.Buffer
-	if err := twobit.RecordTrace(gen(65, 0.05, 0.2, 1), 65, 10).WriteBinary(&buf); err != nil {
+	if err := twobit.StreamTrace(&buf, gen(65, 0.05, 0.2, 1), 65, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(wide, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	missing := filepath.Join(dir, "missing.bin")
+	wide := write("wide.mtrc2", buf.String())
+	missing := filepath.Join(dir, "missing.mtrc2")
+	retired := filepath.Join("testdata", "retired.mtrc1")
+	emptyStream := write("empty.trace", "# memtrace text v1 procs=2\n0 R 1\n")
+	maxBlock := write("max.trace", "# memtrace text v1 procs=1\n0 R 18446744073709551615\n")
+	hugeBlock := write("huge.trace", "# memtrace text v1 procs=1\n0 R 4000000000\n")
 
 	for _, tc := range []struct {
 		name string
@@ -43,6 +54,14 @@ func TestRunErrors(t *testing.T) {
 			"coherencesim: open " + missing + ": no such file or directory"},
 		{"65 streams", []string{"-trace", wide, "-refs", "10"}, 1,
 			"coherencesim: system: Procs must be ≤ 64 (directory word width), got 65"},
+		{"retired format", []string{"-trace", retired}, 1,
+			"coherencesim: memtrace: MTRC1 is a retired trace format; re-record the trace as MTRC2"},
+		{"empty stream", []string{"-trace", emptyStream}, 1,
+			"coherencesim: memtrace: processor 1 has no references (empty stream)"},
+		{"block 2^64-1", []string{"-trace", maxBlock}, 1,
+			"coherencesim: memtrace: line 2: block 18446744073709551615 outside the 16777216-block space bound"},
+		{"block 4e9", []string{"-trace", hugeBlock}, 1,
+			"coherencesim: memtrace: line 2: block 4000000000 outside the 16777216-block space bound"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code {
@@ -57,10 +76,11 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRecordThenTrace: a run from a -record capture prints, byte for
-// byte, the -json of the live run it captured.
+// TestRecordThenTrace: -record writes MTRC2, the one binary format, and
+// a run from the capture prints, byte for byte, the -json of the live run
+// it captured.
 func TestRecordThenTrace(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "rec.bin")
+	trace := filepath.Join(t.TempDir(), "rec.mtrc2")
 	workload := []string{"-procs", "4", "-refs", "300", "-workload", "locks", "-seed", "3"}
 	var live, recorded, replayed, stderr bytes.Buffer
 	if code := run(append(workload, "-json"), &live, &stderr); code != 0 {
@@ -71,6 +91,23 @@ func TestRecordThenTrace(t *testing.T) {
 	}
 	if want := "recorded 4 procs × 300 refs to " + trace + "\n"; recorded.String() != want {
 		t.Errorf("-record printed %q, want %q", recorded.String(), want)
+	}
+	// The capture is the MTRC2 encoding of the trace it holds, magic and
+	// all, and it opens as a stream.
+	var mtrc2 bytes.Buffer
+	if err := twobit.RecordTrace(twobit.NewLockContentionWorkload(4, 8, 3), 4, 300).WriteChunked(&mtrc2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(trace); err != nil || !bytes.Equal(got, mtrc2.Bytes()) {
+		t.Errorf("-record wrote %d bytes (%v), not the %d of the trace's MTRC2 encoding", len(got), err, mtrc2.Len())
+	}
+	if src, err := twobit.OpenTraceFile(trace); err != nil {
+		t.Errorf("opening the capture: %v", err)
+	} else {
+		if _, ok := src.(*twobit.StreamReader); !ok {
+			t.Errorf("the capture opened as %T, not as an MTRC2 stream", src)
+		}
+		twobit.CloseTraceSource(src)
 	}
 	if code := run([]string{"-trace", trace, "-refs", "300", "-seed", "3", "-json"}, &replayed, &stderr); code != 0 {
 		t.Fatalf("-trace: exit %d: %s", code, stderr.String())

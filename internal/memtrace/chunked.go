@@ -1,4 +1,4 @@
-// Chunked binary trace format ("MTRC3"), the serving-scale encoding: a
+// Chunked binary trace format ("MTRC2"), the one binary encoding: a
 // trace is a sequence of per-processor chunks plus a footer index, so
 // writers can stream a synthesis of any length with O(procs · chunk)
 // memory and readers can replay per-processor streams with independent
@@ -26,20 +26,27 @@
 // replay can size the machine without a scan. Sequential readers
 // (ReadChunked, ScanChunked) need only an io.Reader: chunks are
 // self-delimiting and the index tag terminates the scan.
+//
+// Every reader refuses the retired flat-varint format MTRC1 by name, and
+// a block at or past maxTraceBlocks, before any machine is sized.
 package memtrace
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"twobit/internal/addr"
+	"twobit/internal/workload"
 )
 
 const (
 	chunkMagic   = "MTRC2\n"
 	trailerMagic = "MTRCIX"
+	retiredMagic = "MTRC1" // the flat-varint format MTRC2 replaced
 	chunkVersion = 1
 
 	tagChunk = 0x01
@@ -54,12 +61,35 @@ const (
 	// a reader allocate an unbounded decode buffer.
 	MaxChunkCap = 1 << 20
 
-	// maxStreamProcs mirrors ReadBinary's plausibility bound.
+	// maxStreamProcs bounds a trace's processor count.
 	maxStreamProcs = 1 << 16
+
+	// maxTraceBlocks bounds a trace's block space: every reader refuses a
+	// block at or past it. A fresh machine holds 16–34 bytes of per-block
+	// state (measured at 2^20 blocks, oracle on: 34.4 B for duplication,
+	// the largest, 27.4 B for full-map, 18.6 B for two-bit), so a machine
+	// at the bound holds at most ≈ 580 MB and fits in 1 GiB.
+	maxTraceBlocks = 1 << 24
 
 	// trailerLen is the fixed byte length of the trailer.
 	trailerLen = 8 + len(trailerMagic)
 )
+
+// errRetired names an MTRC1 file rather than failing it as corrupt MTRC2
+// or as text.
+var errRetired = errors.New("memtrace: MTRC1 is a retired trace format; re-record the trace as MTRC2")
+
+// checkMagic tells an MTRC2 header from the retired format and from
+// anything else.
+func checkMagic(magic []byte) error {
+	switch {
+	case string(magic) == chunkMagic:
+		return nil
+	case strings.HasPrefix(string(magic), retiredMagic):
+		return errRetired
+	}
+	return fmt.Errorf("memtrace: bad chunked magic %q", magic)
+}
 
 // chunkMeta locates one chunk inside the encoded stream.
 type chunkMeta struct {
@@ -149,6 +179,9 @@ func (cw *ChunkWriter) Append(proc int, r addr.Ref) error {
 	}
 	if proc < 0 || proc >= cw.procs {
 		return fmt.Errorf("memtrace: Append to processor %d of %d", proc, cw.procs)
+	}
+	if uint64(r.Block) >= maxTraceBlocks {
+		return fmt.Errorf("memtrace: Append of block %d outside the %d-block space bound", r.Block, maxTraceBlocks)
 	}
 	if uint64(r.Block) > cw.maxBlock || !cw.anyRef {
 		cw.maxBlock = uint64(r.Block)
@@ -249,18 +282,56 @@ func (cw *ChunkWriter) Close() error {
 	return nil
 }
 
-// WriteChunked encodes an in-memory trace in the chunked format.
-func (t *Trace) WriteChunked(w io.Writer, chunkCap int) error {
-	cw, err := NewChunkWriter(w, t.Procs(), chunkCap)
+// writeChunked encodes src in the chunked format, appending references
+// in src's Scan order: a Trace processor by processor, a StreamReader
+// chunk by chunk in file order, so re-chunking never materializes it.
+func writeChunked(w io.Writer, src Source, chunkCap int) error {
+	cw, err := NewChunkWriter(w, src.Procs(), chunkCap)
 	if err != nil {
 		return err
 	}
-	for p, stream := range t.perProc {
-		for _, r := range stream {
-			if err := cw.Append(p, r); err != nil {
+	if err := src.Scan(func(proc int, refs []addr.Ref) error {
+		for _, r := range refs {
+			if err := cw.Append(proc, r); err != nil {
 				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	return cw.Close()
+}
+
+// WriteGenerator streams refsPerProc references per processor drawn from
+// gen into the chunked format on w, in chunk-sized rounds across
+// processors so each round fills one chunk per processor. Each
+// processor's stream is an independent function of the generator (as
+// Record assumes), so the file replays exactly what Record would hold,
+// yet the trace never exists in memory. A non-nil observe sees every
+// reference as it is drawn.
+func WriteGenerator(w io.Writer, gen workload.Generator, procs, refsPerProc, chunkCap int, observe func(proc int, r addr.Ref)) error {
+	if refsPerProc < 1 {
+		return fmt.Errorf("memtrace: refsPerProc = %d, need ≥ 1", refsPerProc)
+	}
+	cw, err := NewChunkWriter(w, procs, chunkCap)
+	if err != nil {
+		return err
+	}
+	for done := 0; done < refsPerProc; {
+		n := min(cw.chunkCap, refsPerProc-done)
+		for p := 0; p < procs; p++ {
+			for i := 0; i < n; i++ {
+				ref := gen.Next(p)
+				if observe != nil {
+					observe(p, ref)
+				}
+				if err := cw.Append(p, ref); err != nil {
+					return err
+				}
+			}
+		}
+		done += n
 	}
 	return cw.Close()
 }
@@ -278,8 +349,8 @@ func decodePayload(payload []byte, count int, dst []addr.Ref) ([]addr.Ref, error
 		}
 		payload = payload[n:]
 		prev += unzigzag(v >> 2)
-		if prev < 0 {
-			return nil, fmt.Errorf("memtrace: chunk payload decodes negative block %d at reference %d", prev, i)
+		if uint64(prev) >= maxTraceBlocks {
+			return nil, fmt.Errorf("memtrace: chunk payload decodes block %d outside the %d-block space bound at reference %d", prev, maxTraceBlocks, i)
 		}
 		dst = append(dst, addr.Ref{
 			Block:  addr.Block(prev),
@@ -344,8 +415,8 @@ func readChunkedHeader(br *bufio.Reader) (procs, chunkCap int, err error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return 0, 0, fmt.Errorf("memtrace: reading chunked magic: %w", err)
 	}
-	if string(magic) != chunkMagic {
-		return 0, 0, fmt.Errorf("memtrace: bad chunked magic %q", magic)
+	if err := checkMagic(magic); err != nil {
+		return 0, 0, err
 	}
 	version, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -408,38 +479,22 @@ func ScanChunked(r io.Reader, visit func(proc int, refs []addr.Ref) error) (int,
 	}
 }
 
-// ReadChunked materializes a chunked trace in memory — the conversion
-// path. Replay should prefer StreamReader, which never does this.
+// ReadChunked materializes a chunked trace in memory. Replay should
+// prefer StreamReader, which never does this.
 func ReadChunked(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	procs, chunkCap, err := readChunkedHeader(br)
+	t := &Trace{}
+	procs, err := ScanChunked(r, func(proc int, refs []addr.Ref) error {
+		for len(t.perProc) <= proc {
+			t.perProc = append(t.perProc, nil)
+		}
+		for _, ref := range refs {
+			t.Append(proc, ref)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	t := NewTrace(procs)
-	payload := make([]byte, 0, chunkCap*2)
-	refs := make([]addr.Ref, 0, chunkCap)
-	for {
-		h, done, err := readChunkHeader(br, procs, chunkCap)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return t, nil
-		}
-		if cap(payload) < h.payloadLen {
-			payload = make([]byte, h.payloadLen)
-		}
-		payload = payload[:h.payloadLen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("memtrace: reading chunk payload: %w", err)
-		}
-		refs, err = decodePayload(payload, h.count, refs)
-		if err != nil {
-			return nil, err
-		}
-		for _, ref := range refs {
-			t.Append(h.proc, ref)
-		}
-	}
+	t.perProc = append(t.perProc, make([][]addr.Ref, procs-len(t.perProc))...)
+	return t, nil
 }

@@ -2,6 +2,10 @@ package memtrace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -67,17 +71,21 @@ func TestChunkWriterAppendErrors(t *testing.T) {
 }
 
 func TestChunkedCompactness(t *testing.T) {
-	// Delta+zigzag over a skewed stream must beat the flat varint format.
+	// Delta+zigzag over a skewed stream must beat a flat encoding of one
+	// block varint and one flags byte per reference.
 	tr := Record(chunkGen(4, 4), 4, 2000)
-	var flat, chunked bytes.Buffer
-	if err := tr.WriteBinary(&flat); err != nil {
-		t.Fatal(err)
-	}
+	var chunked bytes.Buffer
 	if err := tr.WriteChunked(&chunked, DefaultChunkCap); err != nil {
 		t.Fatal(err)
 	}
-	if chunked.Len() >= flat.Len() {
-		t.Fatalf("chunked (%dB) not smaller than flat varint (%dB)", chunked.Len(), flat.Len())
+	flat := 0
+	for _, stream := range tr.perProc {
+		for _, r := range stream {
+			flat += len(binary.AppendUvarint(nil, uint64(r.Block))) + 1
+		}
+	}
+	if chunked.Len() >= flat {
+		t.Fatalf("chunked (%dB) not smaller than flat varint (%dB)", chunked.Len(), flat)
 	}
 }
 
@@ -126,6 +134,69 @@ func TestChunkedErrors(t *testing.T) {
 		if _, err := ReadChunked(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// rawTrace hand-encodes a one-processor, one-reference MTRC2 file whose
+// index claims blocks and whose one chunk holds block: a file no
+// ChunkWriter would write.
+func rawTrace(blocks, block uint64) []byte {
+	b := append([]byte(chunkMagic), chunkVersion, 1, 1)
+	payload := binary.AppendUvarint(nil, zigzag(int64(block))<<2)
+	b = append(b, tagChunk, 0, 1)
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	off := len(b)
+	b = append(b, payload...)
+	idxOff := len(b)
+	b = append(b, tagIndex)
+	b = binary.AppendUvarint(b, blocks)
+	b = append(b, 1, 0, 1)
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = binary.AppendUvarint(b, uint64(off))
+	b = binary.LittleEndian.AppendUint64(b, uint64(idxOff))
+	return append(b, trailerMagic...)
+}
+
+// TestChunkedBlockBound: a block space past maxTraceBlocks is refused
+// when the file is opened — by its index for the stream opener, by the
+// references themselves for the sequential readers, which size nothing
+// from the index — and the writer never writes one.
+// No machine is built: the bound exists so that none is sized from it.
+func TestChunkedBlockBound(t *testing.T) {
+	ok := rawTrace(maxTraceBlocks, maxTraceBlocks-1)
+	if _, err := OpenStream(bytes.NewReader(ok), int64(len(ok))); err != nil {
+		t.Fatalf("a trace at the bound refused: %v", err)
+	}
+	if _, err := ReadChunked(bytes.NewReader(ok)); err != nil {
+		t.Fatalf("a trace at the bound refused: %v", err)
+	}
+	open := func(data []byte) error {
+		_, err := OpenStream(bytes.NewReader(data), int64(len(data)))
+		return err
+	}
+	read := func(data []byte) error {
+		_, err := ReadChunked(bytes.NewReader(data))
+		return err
+	}
+	for name, tc := range map[string]struct {
+		open func([]byte) error
+		data []byte
+		want string
+	}{
+		"index":   {open, rawTrace(maxTraceBlocks+1, 0), "memtrace: block count 16777217 outside the 1..16777216 space bound"},
+		"2^40":    {open, rawTrace(1<<40, 1<<40-1), "memtrace: block count 1099511627776 outside the 1..16777216 space bound"},
+		"payload": {read, rawTrace(1, maxTraceBlocks), "memtrace: chunk payload decodes block 16777216 outside the 16777216-block space bound at reference 0"},
+	} {
+		if err := tc.open(tc.data); fmt.Sprint(err) != tc.want {
+			t.Errorf("%s: error %v, want %q", name, err, tc.want)
+		}
+	}
+	cw, err := NewChunkWriter(io.Discard, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Append(0, addr.Ref{Block: maxTraceBlocks}); err == nil {
+		t.Error("ChunkWriter appended a block past the bound")
 	}
 }
 
@@ -259,10 +330,9 @@ func TestOpenFileSniffsAllFormats(t *testing.T) {
 	}
 	paths := map[string]string{
 		"text":    write("t.trace", func(f *os.File) error { return tr.WriteText(f) }),
-		"varint":  write("t.mtrc", func(f *os.File) error { return tr.WriteBinary(f) }),
 		"chunked": write("t.mtrc2", func(f *os.File) error { return tr.WriteChunked(f, 16) }),
 	}
-	for _, name := range []string{"text", "varint", "chunked"} {
+	for _, name := range []string{"text", "chunked"} {
 		src, err := OpenFile(paths[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -284,6 +354,14 @@ func TestOpenFileSniffsAllFormats(t *testing.T) {
 	}
 	if _, err := OpenFile(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	// The retired format is named, not parsed as text and refused at line 1.
+	mtrc1 := write("t.mtrc", func(f *os.File) error {
+		_, err := f.WriteString("MTRC1\x02\x01\x05\x00")
+		return err
+	})
+	if _, err := OpenFile(mtrc1); !errors.Is(err, errRetired) {
+		t.Fatalf("MTRC1 file: error %v, want %v", err, errRetired)
 	}
 }
 

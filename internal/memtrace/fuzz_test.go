@@ -3,6 +3,7 @@ package memtrace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -73,6 +74,65 @@ func FuzzChunkedCodec(f *testing.F) {
 		}
 		mem, stream := tr.Generator(), sr.Generator()
 		for i := 0; i < 64; i++ {
+			for p := 0; p < tr.Procs(); p++ {
+				if got, want := stream.Next(p), mem.Next(p); got != want {
+					t.Fatalf("stream diverged at ref %d proc %d: %+v vs %+v", i, p, got, want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzReadText feeds arbitrary text to ReadText, the one reader besides
+// MTRC2 that users hand the simulator: it must refuse bad input with an
+// error — never panic, and never accept a block space past the bound.
+// An accepted trace must round-trip through WriteText, and its MTRC2
+// encoding must replay through a StreamReader exactly as it replays in
+// memory.
+func FuzzReadText(f *testing.F) {
+	for _, src := range textErrors {
+		f.Add(src)
+	}
+	var buf bytes.Buffer
+	if err := Record(chunkGen(3, 7), 3, 40).WriteText(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("# memtrace text v1 procs=2\n0 R 3\n1 w 3 s\n\n0 W 4\n")
+
+	f.Fuzz(func(t *testing.T, src string) {
+		tr, err := ReadText(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		mem := tr.Generator()
+		if mem.Blocks() > maxTraceBlocks {
+			t.Fatalf("accepted a %d-block space, past the bound %d", mem.Blocks(), maxTraceBlocks)
+		}
+		var text bytes.Buffer
+		if err := tr.WriteText(&text); err != nil {
+			t.Fatalf("WriteText: %v", err)
+		}
+		back, err := ReadText(&text)
+		if err != nil {
+			t.Fatalf("re-reading WriteText's output: %v", err)
+		}
+		if !reflect.DeepEqual(tr.perProc, back.perProc) {
+			t.Fatal("text round trip changed trace")
+		}
+		var bin bytes.Buffer
+		if err := tr.WriteChunked(&bin, 8); err != nil {
+			t.Fatalf("WriteChunked: %v", err)
+		}
+		sr, err := OpenStream(bytes.NewReader(bin.Bytes()), int64(bin.Len()))
+		if err != nil {
+			t.Fatalf("OpenStream of an accepted trace: %v", err)
+		}
+		stream := sr.Generator()
+		if stream.Blocks() != mem.Blocks() {
+			t.Fatalf("Blocks: stream %d, memory %d", stream.Blocks(), mem.Blocks())
+		}
+		for i := 0; i < 2*tr.Len(0)+3; i++ {
 			for p := 0; p < tr.Procs(); p++ {
 				if got, want := stream.Next(p), mem.Next(p); got != want {
 					t.Fatalf("stream diverged at ref %d proc %d: %+v vs %+v", i, p, got, want)

@@ -5,14 +5,14 @@
 // studies used with real address traces, which the paper's authors did
 // not yet have for multiprocessors.
 //
-// Two interchangeable encodings are provided: a line-oriented text format
-// ("<proc> <R|W> <block> [s]") for hand-written fixtures, and a compact
-// varint binary format for long captures.
+// Two encodings are provided: a line-oriented text format
+// ("<proc> <R|W> <block> [s]") for hand-written fixtures, and the chunked
+// binary format MTRC2 (chunked.go) for captures of any length. OpenFile
+// is the one way a trace file is opened: it tells the formats apart.
 package memtrace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -95,6 +95,23 @@ func (r *replayer) Next(proc int) addr.Ref {
 	return ref
 }
 
+// Scan visits each processor's stream once, in processor order. The
+// slice is the trace's own and valid only during the call.
+func (t *Trace) Scan(visit func(proc int, refs []addr.Ref) error) error {
+	for p, stream := range t.perProc {
+		if len(stream) == 0 {
+			continue
+		}
+		if err := visit(p, stream); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteChunked encodes the trace in the chunked format.
+func (t *Trace) WriteChunked(w io.Writer, chunkCap int) error { return writeChunked(w, t, chunkCap) }
+
 // WriteText encodes the trace in the line format, streams interleaved
 // round-robin so the file reads roughly in "machine order".
 func (t *Trace) WriteText(w io.Writer) error {
@@ -126,7 +143,9 @@ func (t *Trace) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadText decodes the line format.
+// ReadText decodes the line format. Like OpenStream it refuses a block at
+// or past maxTraceBlocks and a processor stream with no references, so no
+// machine is ever sized from, or replays, either.
 func ReadText(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -176,6 +195,9 @@ func ReadText(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("memtrace: line %d: bad block %q", lineNo, fields[2])
 		}
+		if block >= maxTraceBlocks {
+			return nil, fmt.Errorf("memtrace: line %d: block %d outside the %d-block space bound", lineNo, block, maxTraceBlocks)
+		}
 		shared := len(fields) > 3 && fields[3] == "s"
 		t.Append(proc, addr.Ref{Block: addr.Block(block), Write: write, Shared: shared})
 	}
@@ -185,88 +207,9 @@ func ReadText(r io.Reader) (*Trace, error) {
 	if t == nil {
 		return nil, fmt.Errorf("memtrace: empty input (missing header?)")
 	}
-	return t, nil
-}
-
-// Binary format: magic, procs, then per processor: count followed by
-// count records of (block varint, flags byte).
-var binMagic = []byte("MTRC1")
-
-// WriteBinary encodes the trace in the compact varint format.
-func (t *Trace) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binMagic); err != nil {
-		return fmt.Errorf("memtrace: writing magic: %w", err)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(t.Procs())); err != nil {
-		return fmt.Errorf("memtrace: writing proc count: %w", err)
-	}
-	for _, stream := range t.perProc {
-		if err := putUvarint(uint64(len(stream))); err != nil {
-			return fmt.Errorf("memtrace: writing stream length: %w", err)
-		}
-		for _, r := range stream {
-			if err := putUvarint(uint64(r.Block)); err != nil {
-				return fmt.Errorf("memtrace: writing block: %w", err)
-			}
-			var flags byte
-			if r.Write {
-				flags |= 1
-			}
-			if r.Shared {
-				flags |= 2
-			}
-			if err := bw.WriteByte(flags); err != nil {
-				return fmt.Errorf("memtrace: writing flags: %w", err)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary decodes the varint format.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("memtrace: reading magic: %w", err)
-	}
-	if string(magic) != string(binMagic) {
-		return nil, fmt.Errorf("memtrace: bad magic %q", magic)
-	}
-	procs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("memtrace: reading proc count: %w", err)
-	}
-	if procs == 0 || procs > 1<<16 {
-		return nil, fmt.Errorf("memtrace: implausible processor count %d", procs)
-	}
-	t := NewTrace(int(procs))
-	for p := 0; p < int(procs); p++ {
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("memtrace: proc %d: reading stream length: %w", p, err)
-		}
-		for i := uint64(0); i < count; i++ {
-			block, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("memtrace: proc %d ref %d: reading block: %w", p, i, err)
-			}
-			flags, err := br.ReadByte()
-			if err != nil {
-				return nil, fmt.Errorf("memtrace: proc %d ref %d: reading flags: %w", p, i, err)
-			}
-			t.Append(p, addr.Ref{
-				Block:  addr.Block(block),
-				Write:  flags&1 != 0,
-				Shared: flags&2 != 0,
-			})
+	for p, stream := range t.perProc {
+		if len(stream) == 0 {
+			return nil, fmt.Errorf("memtrace: processor %d has no references (empty stream)", p)
 		}
 	}
 	return t, nil

@@ -2,6 +2,7 @@ package memtrace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,15 +129,24 @@ func TestReadTextHandWritten(t *testing.T) {
 	}
 }
 
+// textErrors are inputs ReadText must refuse with an error. The last
+// three once got past it: an empty stream panicked in replay, a block
+// past 2^63 wrapped to a negative int, and a block of four billion sized
+// a machine that ran out of memory.
+var textErrors = map[string]string{
+	"no header":        "0 R 3\n",
+	"bad op":           "# procs=1\n0 X 3\n",
+	"bad proc":         "# procs=1\n9 R 3\n",
+	"bad block":        "# procs=1\n0 R xyz\n",
+	"too short":        "# procs=1\n0 R\n",
+	"empty file":       "",
+	"empty stream":     "# memtrace text v1 procs=2\n0 R 1\n",
+	"block past 2^63":  "# memtrace text v1 procs=1\n0 R 18446744073709551615\n",
+	"block past bound": "# memtrace text v1 procs=1\n0 R 4000000000\n",
+}
+
 func TestReadTextErrors(t *testing.T) {
-	for name, src := range map[string]string{
-		"no header":  "0 R 3\n",
-		"bad op":     "# procs=1\n0 X 3\n",
-		"bad proc":   "# procs=1\n9 R 3\n",
-		"bad block":  "# procs=1\n0 R xyz\n",
-		"too short":  "# procs=1\n0 R\n",
-		"empty file": "",
-	} {
+	for name, src := range textErrors {
 		if _, err := ReadText(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -150,15 +160,31 @@ func TestBinaryRoundTrip(t *testing.T) {
 	})
 	tr := Record(gen, 4, 500)
 	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
+	if err := tr.WriteChunked(&buf, 64); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadChunked(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tr.perProc, back.perProc) {
 		t.Fatal("binary round trip changed trace")
+	}
+	// The stream writes the same text as the trace it holds, without
+	// materializing it.
+	sr, err := OpenStream(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := tr.WriteText(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := sr.WriteText(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("StreamReader.WriteText differs from Trace.WriteText")
 	}
 }
 
@@ -172,7 +198,7 @@ func TestBinaryCompactness(t *testing.T) {
 	if err := tr.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteBinary(&bin); err != nil {
+	if err := tr.WriteChunked(&bin, DefaultChunkCap); err != nil {
 		t.Fatal(err)
 	}
 	if bin.Len() >= text.Len() {
@@ -180,23 +206,33 @@ func TestBinaryCompactness(t *testing.T) {
 	}
 }
 
+// TestBinaryErrors: both MTRC2 openers refuse a bad magic, a truncated
+// header and a truncated body, and name the retired MTRC1 format.
 func TestBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("BOGUS....")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader("MTRC1")); err == nil {
-		t.Error("truncated header accepted")
-	}
 	var buf bytes.Buffer
-	if err := sampleTrace().WriteBinary(&buf); err != nil {
+	if err := Record(chunkGen(2, 5), 2, 50).WriteChunked(&buf, 16); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated body accepted")
+	good := buf.Bytes()
+	for name, data := range map[string][]byte{
+		"bad magic":        []byte("BOGUS\n...."),
+		"truncated header": []byte(chunkMagic),
+		"truncated body":   good[:len(good)/2],
+		"MTRC1":            []byte("MTRC1\x02\x01\x05\x00\x01\x00"),
+	} {
+		_, rerr := ReadChunked(bytes.NewReader(data))
+		_, serr := OpenStream(bytes.NewReader(data), int64(len(data)))
+		if rerr == nil || serr == nil {
+			t.Errorf("%s: accepted (ReadChunked %v, OpenStream %v)", name, rerr, serr)
+		}
+		if retired := name == "MTRC1"; errors.Is(rerr, errRetired) != retired || errors.Is(serr, errRetired) != retired {
+			t.Errorf("%s: errors %v, %v; the retired-format error only for MTRC1", name, rerr, serr)
+		}
 	}
 }
 
+// TestEmptyStreamPanicsOnReplay pins the contract for a Trace built in
+// code; every reader refuses an empty stream before replay.
 func TestEmptyStreamPanicsOnReplay(t *testing.T) {
 	tr := NewTrace(2)
 	tr.Append(0, addr.Ref{Block: 1})

@@ -20,6 +20,7 @@ import (
 // buffers.
 type StreamReader struct {
 	r        io.ReaderAt
+	size     int64
 	procs    int
 	chunkCap int
 	blocks   int
@@ -72,8 +73,8 @@ func OpenStream(r io.ReaderAt, size int64) (*StreamReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memtrace: reading block count: %w", err)
 	}
-	if blocks == 0 || blocks > 1<<40 {
-		return nil, fmt.Errorf("memtrace: implausible block count %d", blocks)
+	if blocks == 0 || blocks > maxTraceBlocks {
+		return nil, fmt.Errorf("memtrace: block count %d outside the 1..%d space bound", blocks, maxTraceBlocks)
 	}
 	chunkCount, err := binary.ReadUvarint(ibr)
 	if err != nil {
@@ -86,6 +87,7 @@ func OpenStream(r io.ReaderAt, size int64) (*StreamReader, error) {
 
 	sr := &StreamReader{
 		r:        r,
+		size:     size,
 		procs:    procs,
 		chunkCap: chunkCap,
 		blocks:   int(blocks),
@@ -145,6 +147,29 @@ func (s *StreamReader) Len(proc int) int {
 		n += m.count
 	}
 	return n
+}
+
+// Scan decodes the trace sequentially, visiting one chunk at a time in
+// file order (see ScanChunked).
+func (s *StreamReader) Scan(visit func(proc int, refs []addr.Ref) error) error {
+	_, err := ScanChunked(io.NewSectionReader(s.r, 0, s.size), visit)
+	return err
+}
+
+// WriteText encodes the trace in the line format. Text interleaves the
+// processors' streams, so the trace is read into memory first, through
+// the sequential reader, which reports a corrupt chunk as an error.
+func (s *StreamReader) WriteText(w io.Writer) error {
+	t, err := ReadChunked(io.NewSectionReader(s.r, 0, s.size))
+	if err != nil {
+		return err
+	}
+	return t.WriteText(w)
+}
+
+// WriteChunked re-chunks the trace without materializing it.
+func (s *StreamReader) WriteChunked(w io.Writer, chunkCap int) error {
+	return writeChunked(w, s, chunkCap)
 }
 
 // Close releases the backing file or mapping, if the reader owns one.
@@ -250,13 +275,20 @@ func (g *StreamGen) load(proc int) {
 // residency accounting.
 const refSize = 16
 
-// Source is a replayable trace: the common face of the in-memory Trace
-// and the StreamReader, consumed by system.RunFromTrace and the CLIs.
+// Source is a trace opened for replay: the common face of the in-memory
+// Trace and the StreamReader, consumed by system.RunFromTrace and the
+// CLIs.
 type Source interface {
 	// Procs returns the number of processor streams.
 	Procs() int
 	// Generator returns an independent replaying generator.
 	Generator() workload.Generator
+	// Scan visits every reference once, in storage order, a slice at a
+	// time; the slice is valid only during the call.
+	Scan(visit func(proc int, refs []addr.Ref) error) error
+	// WriteText and WriteChunked encode the trace in either format.
+	WriteText(w io.Writer) error
+	WriteChunked(w io.Writer, chunkCap int) error
 }
 
 // Close releases resources held by src if it holds any (StreamReader
@@ -268,43 +300,42 @@ func CloseSource(src Source) error {
 	return nil
 }
 
-// OpenFile opens a trace file of any supported format, sniffing the
-// magic: chunked traces stream (mmap-backed where available, so pages
-// fault in on demand); text and varint traces materialize in memory.
+// OpenFile opens a trace file, telling the formats apart by their first
+// bytes: MTRC2 streams (mmap-backed where available, so pages fault in on
+// demand), the retired MTRC1 is refused by name, and anything else is
+// parsed as text, which materializes in memory.
 func OpenFile(path string) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var magic [6]byte
-	n, err := io.ReadFull(f, magic[:])
-	if err != nil && err != io.ErrUnexpectedEOF {
+	magic := make([]byte, len(chunkMagic))
+	n, err := io.ReadFull(f, magic)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		f.Close()
-		return nil, fmt.Errorf("memtrace: sniffing %s: %w", path, err)
+		return nil, fmt.Errorf("memtrace: reading %s: %w", path, err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	switch err := checkMagic(magic[:n]); {
+	case err == errRetired:
+		f.Close()
+		return nil, err
+	case err != nil: // not MTRC2: text
+		defer f.Close()
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, err
+		}
+		return ReadText(bufio.NewReaderSize(f, 1<<20))
+	}
+	fi, err := f.Stat()
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	switch {
-	case n >= len(chunkMagic) && string(magic[:len(chunkMagic)]) == chunkMagic:
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		sr, closer, err := openStreamBacking(f, fi.Size())
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		sr.closer = closer
-		return sr, nil
-	case n >= len(binMagic) && string(magic[:len(binMagic)]) == string(binMagic):
-		defer f.Close()
-		return ReadBinary(bufio.NewReaderSize(f, 1<<20))
-	default:
-		defer f.Close()
-		return ReadText(bufio.NewReaderSize(f, 1<<20))
+	sr, closer, err := openStreamBacking(f, fi.Size())
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
+	sr.closer = closer
+	return sr, nil
 }

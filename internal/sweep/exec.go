@@ -7,7 +7,6 @@ import (
 
 	"twobit/internal/obs"
 	"twobit/internal/system"
-	"twobit/internal/tracegen"
 )
 
 // Record is one completed run: the point's coordinates plus either the
@@ -68,7 +67,6 @@ func runPoint(p *Plan, pt Point, rn *system.Runner) Record {
 		Seed:      pt.Seed,
 	}
 	gen := p.generator(pt)
-	defer tracegen.CloseGenerator(gen) // cached trace segments hold an mmap
 	cfg := p.Config(pt)
 	if p.Obs || p.Spans || p.ObsWindow > 0 || p.ObsTopK > 0 {
 		cfg.Obs = obs.New(0) // metrics only: no event ring in stored campaigns

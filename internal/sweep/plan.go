@@ -86,15 +86,6 @@ type Plan struct {
 	// the classic generator (and run ids identical to older plans).
 	Scenarios []tracegen.Spec `json:"scenarios,omitempty"`
 
-	// TraceCache names a directory caching synthesized scenario
-	// segments on disk (chunked trace format), keyed by the resolved
-	// per-point spec — so repeated sweeps over one scenario replay the
-	// stored segment instead of re-synthesizing it. Replay through the
-	// cache is byte-identical to live generation; any cache trouble
-	// (unwritable directory, corrupt entry) falls back to synthesizing
-	// live. Empty disables caching. Points without scenarios ignore it.
-	TraceCache string `json:"trace_cache,omitempty"`
-
 	// NoOracle disables the per-run linearizability checker; the default
 	// is checking on, so every campaign doubles as a correctness sweep.
 	NoOracle bool `json:"no_oracle,omitempty"`
@@ -351,20 +342,10 @@ func (p *Plan) scenarioSpec(pt Point) tracegen.Spec {
 
 // generator builds the workload source for one point — the single
 // construction path shared by campaign execution and trace replay, so
-// the two can never drift. Generators from this path may hold
-// resources (cached trace segments); callers release them with
-// tracegen.CloseGenerator after the run.
+// the two can never drift. A scenario point synthesizes live.
 func (p *Plan) generator(pt Point) workload.Generator {
 	if pt.Scenario != "" {
-		spec := p.scenarioSpec(pt)
-		if p.TraceCache != "" {
-			if gen, err := tracegen.CachedGenerator(p.TraceCache, spec, p.RefsPerProc); err == nil {
-				return gen
-			}
-			// Cache trouble is never fatal: live generation produces the
-			// identical reference stream.
-		}
-		return tracegen.New(spec)
+		return tracegen.New(p.scenarioSpec(pt))
 	}
 	return workload.NewSharedPrivate(p.workloadConfig(pt))
 }

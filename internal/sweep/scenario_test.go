@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
@@ -108,44 +107,6 @@ func TestScenarioCampaignDeterministicAcrossWorkers(t *testing.T) {
 		if rec.Scenario == "" {
 			t.Fatalf("run %d lost its scenario label", rec.RunID)
 		}
-	}
-}
-
-func TestScenarioTraceCacheByteIdentical(t *testing.T) {
-	// A campaign replaying scenario segments from the on-disk cache —
-	// cold on the first execution, warm on the second — must produce
-	// records byte-identical to live synthesis.
-	p := scenarioPlan()
-	live, err := Collect(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cached := scenarioPlan()
-	cached.TraceCache = t.TempDir()
-	for _, pass := range []string{"cold", "warm"} {
-		recs, err := Collect(cached, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", pass, err)
-		}
-		got, err := json.Marshal(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s cache pass differs from live synthesis", pass)
-		}
-	}
-	entries, err := os.ReadDir(cached.TraceCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("campaign cached no segments")
 	}
 }
 

@@ -220,6 +220,8 @@ func TestReadPlanRejectsBadInput(t *testing.T) {
 		"bad net":         `{"name":"x","protocols":["two-bit"],"nets":["token-ring"],"qs":[0.1],"ws":[0.2],"procs":[2]}`,
 		"oversized procs": `{"name":"x","protocols":["two-bit"],"qs":[0.1],"ws":[0.2],"procs":[128]}`,
 		"bad q":           `{"name":"x","protocols":["two-bit"],"qs":[1.5],"ws":[0.2],"procs":[2]}`,
+		// The on-disk scenario segment cache is gone: its field is unknown.
+		"trace cache": `{"name":"x","protocols":["two-bit"],"qs":[0.1],"ws":[0.2],"procs":[2],"trace_cache":"/tmp/c"}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadPlan(strings.NewReader(in)); err == nil {

@@ -5,7 +5,6 @@ import (
 
 	"twobit/internal/obs"
 	"twobit/internal/system"
-	"twobit/internal/tracegen"
 )
 
 // TracePoint re-executes one run of a plan with the given recorder
@@ -30,7 +29,6 @@ func TracePoint(p *Plan, runID int, rec *obs.Recorder) (system.Results, error) {
 	}
 	pt := points[runID]
 	gen := p.generator(pt)
-	defer tracegen.CloseGenerator(gen) // cached trace segments hold an mmap
 	cfg := p.Config(pt)
 	cfg.Obs = rec
 	res, err := system.NewRunner().Run(cfg, gen, p.RefsPerProc)

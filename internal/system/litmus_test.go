@@ -10,10 +10,10 @@ import (
 
 // scriptGen drives fixed per-processor reference sequences, then idles on
 // private filler blocks; it lets classic litmus patterns run on the full
-// machine. Results are collected by observing the versions the machine
-// reports back through a shadowing wrapper (the machine's oracle already
-// validates per-location coherence; these tests check cross-location
-// ordering visible to the blocking processors).
+// machine. runScript collects the versions each processor's references
+// return (the machine's oracle already validates per-location coherence;
+// these tests check cross-location ordering visible to the blocking
+// processors).
 type scriptGen struct {
 	scripts [][]addr.Ref // per-processor scripted prefix
 	fillers []int        // per-processor filler position
@@ -42,25 +42,18 @@ func (g *scriptGen) Next(proc int) addr.Ref {
 	return addr.Ref{Block: addr.Block(base + g.fillers[proc]%4)}
 }
 
-// observingMachine runs a machine and records, per processor, the sequence
-// of versions observed/written in script order.
+// runScript builds a machine for cfg and drives each processor's script
+// directly through its cache agent, one outstanding reference at a time.
+// It returns, per processor and in script order, the version each
+// reference read or wrote.
 func runScript(t *testing.T, cfg Config, blocks int, scripts ...[]addr.Ref) [][]uint64 {
 	t.Helper()
-	gen := newScriptGen(blocks, scripts...)
-	m, err := New(cfg, gen)
+	m, err := New(cfg, newScriptGen(blocks, scripts...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Observe by wrapping issue: simplest is to re-run through the public
-	// path and capture through the workload — instead, capture via a
-	// recording CacheSide wrapper would be invasive. We exploit that
-	// Machine.issue's done callback is internal, so we observe with a
-	// custom harness: drive the agents directly.
-	_ = m
-	// Direct drive: issue each processor's script sequentially ourselves.
 	obs := make([][]uint64, len(scripts))
 	var drive func(p int, refs []addr.Ref)
-	kernel := m.Kernel()
 	var version uint64 = 1000
 	drive = func(p int, refs []addr.Ref) {
 		if len(refs) == 0 {
@@ -80,7 +73,7 @@ func runScript(t *testing.T, cfg Config, blocks int, scripts ...[]addr.Ref) [][]
 	for p, s := range scripts {
 		drive(p, s)
 	}
-	kernel.Run()
+	m.Kernel().Run()
 	for p, s := range scripts {
 		if len(obs[p]) != len(s) {
 			t.Fatalf("proc %d completed %d of %d scripted refs", p, len(obs[p]), len(s))
@@ -185,12 +178,11 @@ func TestLitmusWriteSerialization(t *testing.T) {
 	}
 }
 
-// TestLitmusDekkerStoreBuffering: with blocking processors there is no
-// store buffer, so the classic SB anomaly (both critical reads stale)
-// cannot appear when operations are strictly ordered... but with two
-// independent processors racing, both reading 0 IS legal (both reads may
-// linearize before both writes). This test documents that and only checks
-// that the machine completes coherently.
+// TestLitmusDekkerStoreBuffering is SB: each processor writes one block,
+// then reads the other's. Both reads returning the initial value is
+// legal (both reads may linearize before both writes), so the test
+// asserts only what coherence demands: each read returns the initial
+// value or the other processor's write.
 func TestLitmusDekkerStoreBuffering(t *testing.T) {
 	const x, y = 0, 1
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -206,11 +198,14 @@ func TestLitmusDekkerStoreBuffering(t *testing.T) {
 				{Block: x, Shared: true},
 			},
 		)
-		// At least one processor must observe the other's write OR both
-		// raced ahead (legal under coherence; forbidden only under SC with
-		// store atomicity — which blocking processors provide on uniform
-		// networks, where the strict oracle already checks it).
-		_ = obs
+		wroteX, readY := obs[0][0], obs[0][1]
+		wroteY, readX := obs[1][0], obs[1][1]
+		if readY != 0 && readY != wroteY {
+			t.Errorf("seed %d: p0 read y=v%d, neither the initial value nor p1's write v%d", seed, readY, wroteY)
+		}
+		if readX != 0 && readX != wroteX {
+			t.Errorf("seed %d: p1 read x=v%d, neither the initial value nor p0's write v%d", seed, readX, wroteX)
+		}
 	}
 }
 
@@ -253,8 +248,11 @@ func TestLitmusFanOut(t *testing.T) {
 }
 
 // TestLitmusAcrossModules places x and y on different memory controllers
-// and repeats MP — ordering must survive multi-controller interleaving
-// because each processor blocks on every access.
+// and repeats MP with neither block cached beforehand: p0 writes x then
+// y, p1 reads y then x. It covers only that cold case. MP's forbidden
+// outcome is reachable at two modules once p1 caches x first (a write
+// completes on MGRANTED while its BROADINV copies are still in flight);
+// the exhaustive litmus table of ROADMAP item 1 is to cover that case.
 func TestLitmusAcrossModules(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		cfg := DefaultConfig(TwoBit, 2)

@@ -1,52 +1,25 @@
 package tracegen
 
 import (
-	"fmt"
 	"io"
 
+	"twobit/internal/addr"
 	"twobit/internal/memtrace"
 )
 
 // Synthesize streams refsPerProc references per processor of the
 // scenario straight into the chunked trace format — the trace never
-// exists in memory, so trace length is bounded by disk, not RAM.
-// References are drawn in chunk-sized rounds across processors (good
-// write locality), but because each processor's stream is an
-// independent function of the spec, the file replays identically to
-// memtrace.Record over the same generator. A non-nil st accumulates
-// online statistics during the pass.
+// exists in memory, so trace length is bounded by disk, not RAM. The
+// file replays identically to memtrace.Record over the same generator
+// (see memtrace.WriteGenerator). A non-nil st accumulates online
+// statistics during the pass.
 func Synthesize(w io.Writer, spec Spec, refsPerProc, chunkCap int, st *StreamStats) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if refsPerProc < 1 {
-		return fmt.Errorf("tracegen: refsPerProc = %d, need ≥ 1", refsPerProc)
+	var observe func(proc int, r addr.Ref)
+	if st != nil {
+		observe = st.Observe
 	}
-	g := New(spec)
-	cw, err := memtrace.NewChunkWriter(w, spec.Procs, chunkCap)
-	if err != nil {
-		return err
-	}
-	if chunkCap <= 0 {
-		chunkCap = memtrace.DefaultChunkCap
-	}
-	for done := 0; done < refsPerProc; {
-		n := chunkCap
-		if rest := refsPerProc - done; rest < n {
-			n = rest
-		}
-		for p := 0; p < spec.Procs; p++ {
-			for i := 0; i < n; i++ {
-				ref := g.Next(p)
-				if st != nil {
-					st.Observe(p, ref)
-				}
-				if err := cw.Append(p, ref); err != nil {
-					return err
-				}
-			}
-		}
-		done += n
-	}
-	return cw.Close()
+	return memtrace.WriteGenerator(w, New(spec), spec.Procs, refsPerProc, chunkCap, observe)
 }

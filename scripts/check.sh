@@ -9,8 +9,8 @@
 # zero-allocation and byte floors run once without the race detector, the model
 # checker closes the small configurations outright and round-trips a
 # seeded counterexample through -trace and -replay, and the wire codecs,
-# the kernel's event order, the command serializer and the top-K slot
-# index take a 30 s fuzz each. Everything must pass for a change to land.
+# the text trace reader, the kernel's event order, the command serializer
+# and the top-K slot index take a 30 s fuzz each. Everything must pass for a change to land.
 # Performance is not measured here: that is `go run ./bench`.
 set -eu
 
@@ -92,17 +92,15 @@ else
     echo "    (efficiency floor skipped: $NCPU CPU(s); byte-identity covered above)"
 fi
 
-echo "==> pooled-runner smoke (heterogeneous shapes + trace cache)"
+echo "==> pooled-runner smoke (heterogeneous shapes)"
 # Every worker owns one pooled machine graph and resets it between runs;
 # a plan that alternates protocols, interconnects, processor counts and
 # scenario traces forces those resets across structurally different
-# shapes. The cold workers=1 store is the canon; two concurrent slice
+# shapes. The workers=1 store is the canon; two concurrent slice
 # processes of two workers each then re-execute the same plan through
-# freshly pooled runners against a warm trace cache, and their merge
-# must be byte-identical —
-# any state leaking across a reset, or a cached segment diverging from
-# live synthesis, shows up as a cmp failure here.
-cat > "$SMOKE/poolplan.json" <<EOF4
+# freshly pooled runners, and their merge must be byte-identical — any
+# state leaking across a reset shows up as a cmp failure here.
+cat > "$SMOKE/poolplan.json" <<'EOF4'
 {
   "name": "poolsmoke",
   "protocols": ["two-bit", "full-map", "classical", "write-once"],
@@ -112,15 +110,10 @@ cat > "$SMOKE/poolplan.json" <<EOF4
   "replicates": 1,
   "refs_per_proc": 200,
   "root_seed": 23,
-  "scenarios": [{"name": "kv-serving"}, {"name": "false-sharing"}],
-  "trace_cache": "$SMOKE/tracecache"
+  "scenarios": [{"name": "kv-serving"}, {"name": "false-sharing"}]
 }
 EOF4
 go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -workers 1 -out "$SMOKE/pool_w1.jsonl" -quiet > /dev/null
-[ -n "$(ls "$SMOKE/tracecache" 2>/dev/null)" ] || {
-    echo "check.sh: scenario runs left the trace cache empty" >&2
-    exit 1
-}
 go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -shard 0/2 -workers 2 \
     -shards "$SMOKE/poolshards" -quiet > /dev/null &
 POOL_PID=$!
@@ -222,6 +215,9 @@ go test -run '^$' -fuzz '^FuzzTraceCodec$' -fuzztime 30s ./internal/mcheck
 
 echo "==> fuzz: chunked trace codec (30s)"
 go test -run '^$' -fuzz '^FuzzChunkedCodec$' -fuzztime 30s ./internal/memtrace
+
+echo "==> fuzz: text trace reader (30s)"
+go test -run '^$' -fuzz '^FuzzReadText$' -fuzztime 30s ./internal/memtrace
 
 echo "==> fuzz: kernel event order (30s)"
 go test -run '^$' -fuzz '^FuzzKernelOrder$' -fuzztime 30s ./internal/sim

@@ -178,18 +178,24 @@ func NewZipfSharedWorkload(cfg ZipfSharedConfig) Generator {
 // Trace is a recorded per-processor reference stream; see RecordTrace.
 type Trace = memtrace.Trace
 
-// RecordTrace captures refsPerProc references per processor from gen, for
-// deterministic replay across configurations (Trace.Generator) or export
-// (Trace.WriteText / Trace.WriteBinary).
+// RecordTrace captures refsPerProc references per processor from gen in
+// memory, for deterministic replay across configurations
+// (Trace.Generator) or export (Trace.WriteText, Trace.WriteChunked). To
+// capture to a file without holding the trace, use StreamTrace.
 func RecordTrace(gen Generator, procs, refsPerProc int) *Trace {
 	return memtrace.Record(gen, procs, refsPerProc)
 }
 
+// StreamTrace writes refsPerProc references per processor from gen to w
+// in the chunked trace format (MTRC2), the one binary format; the trace
+// never exists in memory, and the file replays what RecordTrace would
+// hold.
+func StreamTrace(w io.Writer, gen Generator, procs, refsPerProc int) error {
+	return memtrace.WriteGenerator(w, gen, procs, refsPerProc, 0, nil)
+}
+
 // ReadTraceText parses the line-oriented trace format.
 func ReadTraceText(r io.Reader) (*Trace, error) { return memtrace.ReadText(r) }
-
-// ReadTraceBinary parses the compact binary trace format.
-func ReadTraceBinary(r io.Reader) (*Trace, error) { return memtrace.ReadBinary(r) }
 
 // TraceSource is any replayable trace: the in-memory Trace or the
 // streaming chunked-file reader, as returned by OpenTraceFile.
@@ -200,10 +206,10 @@ type TraceSource = memtrace.Source
 // is bounded by disk, not RAM.
 type StreamReader = memtrace.StreamReader
 
-// OpenTraceFile opens a trace file of any supported format (text,
-// varint binary, or chunked), sniffing the magic. Chunked traces are
-// streamed (mmap-backed on Linux); the other formats load in memory.
-// Close the source with CloseTraceSource when done.
+// OpenTraceFile opens a trace file, chunked (MTRC2) or text, telling them
+// apart by their first bytes. Chunked traces are streamed (mmap-backed on
+// Linux); text loads in memory. A file in the retired MTRC1 format is
+// refused by name. Close the source with CloseTraceSource when done.
 func OpenTraceFile(path string) (TraceSource, error) { return memtrace.OpenFile(path) }
 
 // CloseTraceSource releases any file or mapping behind src.
