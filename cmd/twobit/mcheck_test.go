@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// TestRun drives the command through each of its exits: a usage error is
-// 2 with exactly one "mcheck: " line on stderr, a clean closure and a
-// replayed trace are 0, a violation is 1 — and its trace, written with
-// -trace, replays.
-func TestRun(t *testing.T) {
+// TestMcheck drives mcheck through each of its exits: a command line it
+// cannot use is 2, a trace it cannot read is 1, each with exactly one
+// "twobit mcheck: " line on stderr; a clean closure and a replayed trace
+// are 0; a violation is 1, reported on stdout and in one stderr line —
+// and its trace, written with -trace, replays.
+func TestMcheck(t *testing.T) {
 	dir := t.TempDir()
 	corrupt := filepath.Join(dir, "corrupt.trace")
 	if err := os.WriteFile(corrupt, []byte("mcheck-trace v0\n"), 0o644); err != nil {
@@ -29,25 +30,26 @@ func TestRun(t *testing.T) {
 		stderr string // all of stderr, without its newline; "" for none
 	}{
 		{"unknown protocol", []string{"-protocol", "mesi"}, 2, "",
-			`mcheck: system: unknown protocol "mesi" (want ` + checkable + `)`},
+			`twobit mcheck: system: unknown protocol "mesi" (want ` + checkable + `)`},
 		{"bus protocol", []string{"-protocol", "write-once"}, 2, "",
-			"mcheck: system: write-once transacts on the snooping bus, not by messages a replay can deliver"},
+			"twobit mcheck: system: write-once transacts on the snooping bus, not by messages a replay can deliver"},
 		{"hooks off two-bit", []string{"-protocol", "classical", "-bug", "write-miss-invalidate"}, 2, "",
-			"mcheck: system: core hooks apply to the two-bit protocol only"},
+			"twobit mcheck: system: core hooks apply to the two-bit protocol only"},
 		{"unknown bug", []string{"-bug", "frobnicate"}, 2, "",
-			`mcheck: unknown -bug "frobnicate"`},
-		{"missing trace", []string{"-replay", missing}, 2, "",
-			"mcheck: open " + missing + ": no such file or directory"},
-		{"corrupt trace", []string{"-replay", corrupt}, 2, "",
-			`mcheck: not a "mcheck-trace v1" file`},
+			`twobit mcheck: unknown -bug "frobnicate"`},
+		{"missing trace", []string{"-replay", missing}, 1, "",
+			"twobit mcheck: open " + missing + ": no such file or directory"},
+		{"corrupt trace", []string{"-replay", corrupt}, 1, "",
+			`twobit mcheck: not a "mcheck-trace v1" file`},
 		{"clean closure", []string{"-protocol", "classical", "-blocks", "1", "-refs", "1"}, 0,
 			"no violations", ""},
 		{"violation", []string{"-blocks", "1", "-bug", "write-miss-invalidate", "-trace", ce}, 1,
-			"VIOLATION stale-read: block 0 clean copy in cache 0 holds v0, current is v1", ""},
+			"VIOLATION stale-read: block 0 clean copy in cache 0 holds v0, current is v1",
+			"twobit mcheck: VIOLATION stale-read: block 0 clean copy in cache 0 holds v0, current is v1 (no invalidation in flight)"},
 		{"replay the violation", []string{"-replay", ce}, 0, "replay ok", ""},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(tc.args, &stdout, &stderr); code != tc.code {
+		if code := run(append([]string{"mcheck"}, tc.args...), &stdout, &stderr); code != tc.code {
 			t.Errorf("%s: exit %d, want %d (stderr %q)", tc.name, code, tc.code, stderr.String())
 		}
 		if !strings.Contains(stdout.String(), tc.stdout) {
@@ -67,7 +69,7 @@ func TestRun(t *testing.T) {
 // the checker admits.
 func TestHelpListsEveryProtocol(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"mcheck", "-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-h exited %d", code)
 	}
 	for _, p := range []string{"two-bit", "full-map", "full-map+E", "classical", "duplication", "software"} {

@@ -1,40 +1,41 @@
-// Command repro regenerates the complete reproduction record: it runs
-// every experiment (E1–E10 from DESIGN.md §3) at the committed
-// configurations and emits a markdown report with paper-vs-measured
-// values. Writing to a file:
-//
-//	go run ./cmd/repro > EXPERIMENTS_GENERATED.md
-//
-// Runtime is a few seconds; everything is deterministic, and the test
-// holds the report to the committed record byte for byte.
 package main
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"twobit"
 	"twobit/internal/proto"
 )
 
-func main() {
-	if err := report(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-		os.Exit(1)
+// runRepro is twobit repro: it runs every experiment (E1–E10 from
+// DESIGN.md §3) at the committed configurations and writes a markdown
+// report with paper-vs-measured values, EXPERIMENTS_GENERATED.md. It is
+// deterministic, and the test holds it to that record byte for byte.
+func runRepro(args []string, stdout, stderr io.Writer) error {
+	f := newFlags("repro", stderr)
+	if err := f.parse(args); err != nil {
+		return err
 	}
+	if f.NArg() > 0 {
+		return usageError{errors.New("repro takes no arguments")}
+	}
+	var buf bytes.Buffer
+	if err := writeRecord(&buf); err != nil {
+		return err
+	}
+	_, err := stdout.Write(buf.Bytes())
+	return err
 }
 
-// report writes the whole record to out and returns the first error of
+// writeRecord writes the whole record to out and returns the first error of
 // any run in it.
-func report(out io.Writer) error {
+func writeRecord(out io.Writer) error {
 	var err error // the first run's error; the report goes on without it
 	run := func(cfg twobit.Config, g twobit.Generator, refs int) twobit.Results {
-		var res twobit.Results
-		m, e := twobit.NewMachine(cfg, g)
-		if e == nil {
-			res, e = m.Run(refs)
-		}
+		res, e := simulate(cfg, g, refs)
 		if err == nil {
 			err = e
 		}
@@ -42,7 +43,7 @@ func report(out io.Writer) error {
 	}
 	fmt.Fprintln(out, "# Regenerated reproduction record")
 	fmt.Fprintln(out)
-	fmt.Fprintln(out, "Produced by `go run ./cmd/repro`; see EXPERIMENTS.md for commentary.")
+	fmt.Fprintln(out, "Produced by `go run ./cmd/twobit repro`; see EXPERIMENTS.md for commentary.")
 	fmt.Fprintln(out)
 
 	section(out, "E1 — Table 4-1 (analytic, cell-exact)")
@@ -197,11 +198,4 @@ func report(out io.Writer) error {
 
 func section(out io.Writer, title string) {
 	fmt.Fprintf(out, "\n## %s\n\n", title)
-}
-
-func gen(procs int, q, w float64, seed uint64) twobit.Generator {
-	return twobit.NewSharedPrivateWorkload(twobit.SharedPrivateConfig{
-		Procs: procs, SharedBlocks: 16, Q: q, W: w,
-		PrivateHit: 0.9, PrivateWrite: 0.3, HotBlocks: 64, ColdBlocks: 512, Seed: seed,
-	})
 }

@@ -15,9 +15,9 @@ func TestReportIsTheCommittedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := report(&got); err != nil {
-		t.Fatal(err)
+	var got, stderr bytes.Buffer
+	if code := run([]string{"repro"}, &got, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	if bytes.Equal(got.Bytes(), want) {
 		return
@@ -32,7 +32,7 @@ func TestReportIsTheCommittedRecord(t *testing.T) {
 			wl = w[i]
 		}
 		if gl != wl {
-			t.Fatalf("report differs from EXPERIMENTS_GENERATED.md at line %d (regenerate with go run ./cmd/repro > EXPERIMENTS_GENERATED.md):\n got  %q\n want %q", i+1, gl, wl)
+			t.Fatalf("report differs from EXPERIMENTS_GENERATED.md at line %d (regenerate with go run ./cmd/twobit repro > EXPERIMENTS_GENERATED.md):\n got  %q\n want %q", i+1, gl, wl)
 		}
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
 // TestInspectArgs: inspect takes its file before or after the flags, and
 // -top must lie in 0..MaxTopK — a negative value or one past the cap is
-// a named error, never a sketch sized from it; an unknown flag is a flag
-// error, which exits 2.
+// a named error, never a sketch sized from it; an unknown flag is a
+// usage error, which exits 2.
 func TestInspectArgs(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
@@ -40,21 +39,19 @@ func TestInspectArgs(t *testing.T) {
 			t.Errorf("%q: (%q, %d, %t, %v), want (t.mtrc2, %d, %t, nil)", tc.args, path, top, jsonOut, err, tc.top, tc.json)
 		}
 	}
-	if _, _, _, err := inspectArgs([]string{"-frobnicate", "t.mtrc2"}, new(bytes.Buffer)); !errors.As(err, new(flagError)) {
-		t.Errorf("unknown flag: error %v, want a flag error", err)
+	if _, _, _, err := inspectArgs([]string{"-frobnicate", "t.mtrc2"}, new(bytes.Buffer)); !errors.As(err, new(usageError)) {
+		t.Errorf("unknown flag: error %v, want a usage error", err)
 	}
 }
 
-// TestRun drives the command through its exits: a bad command line
-// exits 2 — one tracegen: line, or the flag package's report of a flag
-// it does not know — and a trace it cannot read exits 1 with one
-// tracegen: line naming the fault. Nothing reaches stdout on an error.
-// The retired segment cache's -cache-dir and MTRC1's -format varint are
-// unknown now.
-func TestRun(t *testing.T) {
+// TestTrace drives trace through its exits: a bad command line exits 2
+// and a trace it cannot read exits 1, each with one "twobit trace: "
+// line naming the fault. Nothing reaches stdout on an error. The retired
+// segment cache's -cache-dir and MTRC1's -format varint are unknown now.
+func TestTrace(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.mtrc2")
-	if code := run([]string{"synth", "-scenario", "kv-serving", "-procs", "2", "-refs", "300", "-chunk", "64", "-o", good, "-quiet"},
+	if code := run([]string{"trace", "synth", "-scenario", "kv-serving", "-procs", "2", "-refs", "300", "-chunk", "64", "-o", good, "-quiet"},
 		new(bytes.Buffer), new(bytes.Buffer)); code != 0 {
 		t.Fatalf("synth: exit %d", code)
 	}
@@ -76,34 +73,34 @@ func TestRun(t *testing.T) {
 		name string
 		args []string
 		code int
-		want string // all of stderr, or its first line for the flag package's report
+		want string // all of stderr, without its newline
 	}{
 		{"unknown command", []string{"frobnicate"}, 2,
-			`tracegen: unknown command "frobnicate" (want list, synth, inspect or convert)`},
+			`twobit trace: unknown command "frobnicate" (want list, synth, inspect or convert)`},
 		{"synth without -o", []string{"synth", "-scenario", "kv-serving"}, 2,
-			"tracegen: synth needs -o <file>"},
+			"twobit trace: synth needs -o <file>"},
 		{"synth -cache-dir", []string{"synth", "-scenario", "kv-serving", "-cache-dir", dir}, 2,
-			"flag provided but not defined: -cache-dir"},
+			"twobit trace: flag provided but not defined: -cache-dir"},
 		{"convert -format varint", []string{"convert", good, filepath.Join(dir, "out"), "-format", "varint"}, 2,
-			`tracegen: unknown format "varint" (want text or chunked)`},
+			`twobit trace: unknown format "varint" (want text or chunked)`},
 		{"convert onto its input", []string{"convert", good, good}, 2,
-			"tracegen: convert would overwrite its input " + good},
+			"twobit trace: convert would overwrite its input " + good},
 		{"dash is a file name", []string{"convert", "-", filepath.Join(dir, "out")}, 1,
-			"tracegen: open -: no such file or directory"},
+			"twobit trace: open -: no such file or directory"},
 		{"missing file", []string{"inspect", missing}, 1,
-			"tracegen: open " + missing + ": no such file or directory"},
+			"twobit trace: open " + missing + ": no such file or directory"},
 		{"truncated MTRC2", []string{"inspect", truncated}, 1,
-			fmt.Sprintf("tracegen: memtrace: bad trailer magic %q", data[len(data)/2-6:len(data)/2])},
+			fmt.Sprintf("twobit trace: memtrace: bad trailer magic %q", data[len(data)/2-6:len(data)/2])},
 		{"retired format", []string{"inspect", filepath.Join("testdata", "retired.mtrc1")}, 1,
-			"tracegen: memtrace: MTRC1 is a retired trace format; re-record the trace as MTRC2"},
+			"twobit trace: memtrace: MTRC1 is a retired trace format; re-record the trace as MTRC2"},
 		{"empty stream", []string{"convert", emptyStream, filepath.Join(dir, "out")}, 1,
-			"tracegen: memtrace: processor 1 has no references (empty stream)"},
+			"twobit trace: memtrace: processor 1 has no references (empty stream)"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(tc.args, &stdout, &stderr); code != tc.code {
+		if code := run(append([]string{"trace"}, tc.args...), &stdout, &stderr); code != tc.code {
 			t.Errorf("%s: exit %d, want %d", tc.name, code, tc.code)
 		}
-		if got, _, _ := strings.Cut(stderr.String(), "\n"); got != tc.want {
+		if got := stderr.String(); got != tc.want+"\n" {
 			t.Errorf("%s:\n got stderr %q\nwant %q", tc.name, stderr.String(), tc.want)
 		}
 		if stdout.Len() != 0 {
@@ -125,7 +122,7 @@ func TestConvertRoundTrip(t *testing.T) {
 		{"convert", path("b.mtrc2"), path("b.txt"), "-format", "text"},
 	} {
 		var stderr bytes.Buffer
-		if code := run(args, new(bytes.Buffer), &stderr); code != 0 {
+		if code := run(append([]string{"trace"}, args...), new(bytes.Buffer), &stderr); code != 0 {
 			t.Fatalf("%q: exit %d: %s", args, code, stderr.String())
 		}
 	}

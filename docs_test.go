@@ -31,7 +31,7 @@ func TestDocPathsExist(t *testing.T) {
 		for _, m := range docRef.FindAllStringSubmatch(string(text), -1) {
 			ref := m[1] + m[2]
 			if f := strings.Fields(ref); len(f) > 0 {
-				ref = f[0] // `cmd/sweep -telemetry` names cmd/sweep
+				ref = f[0] // `cmd/twobit sweep` names cmd/twobit
 			}
 			ref = strings.TrimPrefix(ref, "./")
 			ref = strings.TrimRight(ref, ".,;:")

@@ -1,4 +1,4 @@
-// Package lint is coherencelint: a protocol-aware static analysis pass
+// Package lint is twobit lint: a protocol-aware static analysis pass
 // over this module, built entirely on the standard library's go/parser,
 // go/ast and go/types (source importer). It proves properties the
 // runtime invariant checker and the bounded model checker cannot see
@@ -59,7 +59,7 @@
 // "exhaustive-switch", "handler-completeness", "dead-transition",
 // "determinism" and "pooled-construction".
 //
-// The analyzers run in two places: `go run ./cmd/coherencelint ./...`
+// The analyzers run in two places: `go run ./cmd/twobit lint ./...`
 // for build pipelines, and TestModuleIsLintClean in this package so that
 // plain `go test ./...` enforces them forever.
 package lint

@@ -9,7 +9,7 @@ import (
 // TestModuleIsLintClean runs every analyzer over this whole module, so a
 // plain `go test ./...` enforces switch exhaustiveness, handler
 // completeness and kernel determinism forever — no separate CI step
-// required. cmd/coherencelint is the same engine for use in pipelines.
+// required. twobit lint is the same engine for use in pipelines.
 func TestModuleIsLintClean(t *testing.T) {
 	diags, err := lint.Run(lint.Config{Dir: "."})
 	if err != nil {

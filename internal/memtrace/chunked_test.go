@@ -160,7 +160,9 @@ func rawTrace(blocks, block uint64) []byte {
 // TestChunkedBlockBound: a block space past maxTraceBlocks is refused
 // when the file is opened — by its index for the stream opener, by the
 // references themselves for the sequential readers, which size nothing
-// from the index — and the writer never writes one.
+// from the index — and the writer never writes one. The stream opener
+// also refuses a reference past the index's own block count, which
+// would otherwise reach a machine sized from the index.
 // No machine is built: the bound exists so that none is sized from it.
 func TestChunkedBlockBound(t *testing.T) {
 	ok := rawTrace(maxTraceBlocks, maxTraceBlocks-1)
@@ -183,9 +185,10 @@ func TestChunkedBlockBound(t *testing.T) {
 		data []byte
 		want string
 	}{
-		"index":   {open, rawTrace(maxTraceBlocks+1, 0), "memtrace: block count 16777217 outside the 1..16777216 space bound"},
-		"2^40":    {open, rawTrace(1<<40, 1<<40-1), "memtrace: block count 1099511627776 outside the 1..16777216 space bound"},
-		"payload": {read, rawTrace(1, maxTraceBlocks), "memtrace: chunk payload decodes block 16777216 outside the 16777216-block space bound at reference 0"},
+		"index":               {open, rawTrace(maxTraceBlocks+1, 0), "memtrace: block count 16777217 outside the 1..16777216 space bound"},
+		"2^40":                {open, rawTrace(1<<40, 1<<40-1), "memtrace: block count 1099511627776 outside the 1..16777216 space bound"},
+		"payload":             {read, rawTrace(1, maxTraceBlocks), "memtrace: chunk payload decodes block 16777216 outside the 16777216-block space bound at reference 0"},
+		"index below payload": {open, rawTrace(1, 5), "memtrace: index entry 0: block 5 beyond the index's 1-block space"},
 	} {
 		if err := tc.open(tc.data); fmt.Sprint(err) != tc.want {
 			t.Errorf("%s: error %v, want %q", name, err, tc.want)

@@ -36,10 +36,19 @@ func FuzzChunkedCodec(f *testing.F) {
 	f.Add([]byte(chunkMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Opening raw bytes must never panic; an accepted-but-corrupt index
-		// is allowed to fail later at replay (Next panics by contract), so
-		// raw input is only opened, not replayed.
-		_, _ = OpenStream(bytes.NewReader(data), int64(len(data)))
+		// Opening raw bytes must never panic, and OpenStream decodes every
+		// chunk it accepts: each processor replays its whole stream, and
+		// wraps past its end, without a panic and inside the index's space.
+		if sr, err := OpenStream(bytes.NewReader(data), int64(len(data))); err == nil {
+			g := sr.Stream()
+			for p := 0; p < sr.Procs(); p++ {
+				for i := 0; i <= sr.Len(p); i++ {
+					if ref := g.Next(p); int(ref.Block) >= g.Blocks() {
+						t.Fatalf("proc %d replayed block %d outside the index's %d blocks", p, ref.Block, g.Blocks())
+					}
+				}
+			}
+		}
 
 		tr, err := ReadChunked(bytes.NewReader(data))
 		if err != nil {

@@ -29,7 +29,9 @@ type StreamReader struct {
 }
 
 // OpenStream parses the header, trailer, and index of a chunked trace
-// held in r (size bytes long). The whole body is never read.
+// held in r (size bytes long), and decodes every chunk the index names
+// once, refusing a corrupt payload or a block outside the index's block
+// count by name. It never holds more than one chunk.
 func OpenStream(r io.ReaderAt, size int64) (*StreamReader, error) {
 	hdr := make([]byte, len(chunkMagic)+3*binary.MaxVarintLen64)
 	if int64(len(hdr)) > size {
@@ -93,6 +95,11 @@ func OpenStream(r io.ReaderAt, size int64) (*StreamReader, error) {
 		blocks:   int(blocks),
 		perProc:  make([][]chunkMeta, procs),
 	}
+	// Every chunk the index names is decoded here, in file order, and
+	// its blocks checked against the index's space — one pass over the
+	// file holding one chunk — so that a replay meets only I/O errors.
+	var payload []byte
+	var refs []addr.Ref
 	prevOff := int64(0)
 	for i := uint64(0); i < chunkCount; i++ {
 		proc, err := binary.ReadUvarint(ibr)
@@ -113,18 +120,28 @@ func OpenStream(r io.ReaderAt, size int64) (*StreamReader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("memtrace: index entry %d: reading payload length: %w", i, err)
 		}
+		if payloadLen < count { // a reference encodes in at least one byte
+			return nil, fmt.Errorf("memtrace: index entry %d: %d references in a %d-byte payload", i, count, payloadLen)
+		}
 		offDelta, err := binary.ReadUvarint(ibr)
 		if err != nil {
 			return nil, fmt.Errorf("memtrace: index entry %d: reading offset delta: %w", i, err)
 		}
 		off := prevOff + int64(offDelta)
 		prevOff = off
-		if off < int64(len(chunkMagic)) || off+int64(payloadLen) > idxOff {
+		if off < int64(len(chunkMagic)) || payloadLen > uint64(idxOff) || off+int64(payloadLen) > idxOff {
 			return nil, fmt.Errorf("memtrace: index entry %d: payload [%d,%d) outside body", i, off, off+int64(payloadLen))
 		}
-		sr.perProc[proc] = append(sr.perProc[proc], chunkMeta{
-			proc: int(proc), count: int(count), payloadLen: int(payloadLen), payloadOff: off,
-		})
+		m := chunkMeta{proc: int(proc), count: int(count), payloadLen: int(payloadLen), payloadOff: off}
+		if payload, refs, err = sr.readChunk(m, payload, refs); err != nil {
+			return nil, err
+		}
+		for _, r := range refs {
+			if uint64(r.Block) >= blocks {
+				return nil, fmt.Errorf("memtrace: index entry %d: block %d beyond the index's %d-block space", i, r.Block, blocks)
+			}
+		}
+		sr.perProc[proc] = append(sr.perProc[proc], m)
 	}
 	for p, chunks := range sr.perProc {
 		if len(chunks) == 0 {
@@ -223,10 +240,10 @@ func (g *StreamGen) Blocks() int { return g.s.blocks }
 // observable guarantee that streaming replay never loads the trace.
 func (g *StreamGen) MaxResidentBytes() int64 { return g.maxRes }
 
-// Next implements workload.Generator. Like the in-memory replayer it
-// panics on an unreadable stream: generators have no error channel, and
-// a trace that validated at open but fails mid-replay is runtime
-// corruption, not a caller mistake.
+// Next implements workload.Generator. OpenStream decoded every chunk,
+// so the one failure left is an I/O error reading the backing after
+// open; like the in-memory replayer, Next panics on it, because
+// generators have no error channel.
 func (g *StreamGen) Next(proc int) addr.Ref {
 	c := &g.cursors[proc]
 	if c.pos >= len(c.refs) {
@@ -249,26 +266,35 @@ func (g *StreamGen) load(proc int) {
 	m := chunks[c.chunk]
 
 	g.resident -= int64(cap(c.payload)) + int64(cap(c.refs))*int64(refSize)
-	if cap(c.payload) < m.payloadLen {
-		c.payload = make([]byte, m.payloadLen)
-	}
-	c.payload = c.payload[:m.payloadLen]
-	if _, err := g.s.r.ReadAt(c.payload, m.payloadOff); err != nil {
-		panic(fmt.Sprintf("memtrace: stream replay: reading chunk at %d: %v", m.payloadOff, err))
-	}
-	if cap(c.refs) < m.count {
-		c.refs = make([]addr.Ref, 0, m.count)
-	}
-	refs, err := decodePayload(c.payload, m.count, c.refs)
-	if err != nil {
+	var err error
+	if c.payload, c.refs, err = g.s.readChunk(m, c.payload, c.refs); err != nil {
 		panic(fmt.Sprintf("memtrace: stream replay: %v", err))
 	}
-	c.refs = refs
 	c.pos = 0
 	g.resident += int64(cap(c.payload)) + int64(cap(c.refs))*int64(refSize)
 	if g.resident > g.maxRes {
 		g.maxRes = g.resident
 	}
+}
+
+// readChunk reads m's payload into payload and decodes it into refs,
+// growing either as needed.
+func (s *StreamReader) readChunk(m chunkMeta, payload []byte, refs []addr.Ref) ([]byte, []addr.Ref, error) {
+	if cap(payload) < m.payloadLen {
+		payload = make([]byte, m.payloadLen)
+	}
+	payload = payload[:m.payloadLen]
+	if _, err := s.r.ReadAt(payload, m.payloadOff); err != nil {
+		return payload, refs, fmt.Errorf("memtrace: reading chunk at %d: %w", m.payloadOff, err)
+	}
+	if cap(refs) < m.count {
+		refs = make([]addr.Ref, 0, m.count)
+	}
+	decoded, err := decodePayload(payload, m.count, refs)
+	if err != nil {
+		return payload, refs, err
+	}
+	return payload, decoded, nil
 }
 
 // refSize approximates the in-memory size of one decoded addr.Ref for

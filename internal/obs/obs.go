@@ -18,7 +18,7 @@
 //   - Passive when on. A recorder only ever writes its own state: it
 //     never schedules kernel events, sends messages, or touches
 //     simulation structures, so recording cannot perturb event order.
-//     coherencelint's determinism analyzer enforces this statically
+//     internal/lint's determinism analyzer enforces this statically
 //     (any Kernel.AtCall/AfterCall or Network.Send/Broadcast call inside
 //     this package is a diagnostic) and TestObsDoesNotPerturb in
 //     internal/system proves it dynamically: results with and without a

@@ -11,7 +11,7 @@
 // Mark and Finish a nil check and nothing else — TestZeroAllocObs pins
 // 0 allocations, disabled and in matrix-only mode. An enabled recorder
 // only writes its own accumulators and histograms; it never schedules
-// (coherencelint's obs-passivity rule covers this file like the rest of
+// (internal/lint's obs-passivity rule covers this file like the rest of
 // the package, with a fixture proving a span-side AtCall is flagged).
 //
 // Phase accounting telescopes: a span keeps the tick of its last mark,

@@ -8,7 +8,7 @@ import (
 	"strconv"
 )
 
-// Machine-readable Grid encodings for cmd/sweep -format=csv|json and for
+// Machine-readable Grid encodings for twobit sweep -format=csv|json and for
 // archiving campaign aggregates. Both encodings round-trip losslessly:
 // cell values are written with strconv's shortest representation that
 // parses back to the identical float64.

@@ -12,7 +12,7 @@ import (
 // MetricFunc extracts one scalar from a run's results.
 type MetricFunc func(system.Results) float64
 
-// metrics names the extractable scalars, keyed the way cmd/sweep -metric
+// metrics names the extractable scalars, keyed the way twobit sweep -metric
 // spells them. An ordered slice, not a map: this package sits in the
 // determinism analyzer's scope and never ranges over maps.
 var metrics = []struct {

@@ -288,7 +288,7 @@ func ExecuteObserved(p *Plan, sl Slice, workers, startAt int, emit func(Record) 
 
 // Collect executes the whole plan in memory and returns the ordered
 // records — the convenience entry point for callers that do not need a
-// persistent store (cmd/tables, benchmarks, tests).
+// persistent store (twobit tables, benchmarks, tests).
 func Collect(p *Plan, workers int) ([]Record, error) {
 	recs := make([]Record, 0, p.Size())
 	err := Execute(p, workers, 0, func(r Record) error {

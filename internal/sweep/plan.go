@@ -94,7 +94,7 @@ type Plan struct {
 	// each record's results carry the full counter/histogram snapshot
 	// (queue depths, transaction cycles, directory transitions, …) on top
 	// of the headline statistics. Event tracing stays off — traces are
-	// recorded on demand by TracePoint / cmd/coherencetrace, not stored
+	// recorded on demand by TracePoint / twobit obs -run, not stored
 	// per run. The recorder is passive: results are byte-identical to an
 	// uninstrumented run modulo the added "obs" section.
 	Obs bool `json:"obs,omitempty"`
@@ -103,14 +103,14 @@ type Plan struct {
 	// each record's snapshot gains the span/<class>/<phase> histogram
 	// matrix (the measured Table 4-1). Implies a recorder even when Obs
 	// is false. Aggregation only — per-span trace detail is never stored
-	// in campaigns (use cmd/coherencetrace -format spans to see it).
+	// in campaigns (use twobit obs -run N -format spans to see it).
 	Spans bool `json:"spans,omitempty"`
 
 	// ObsWindow > 0 additionally enables windowed time-series aggregation
 	// with the given window width in sim cycles: each record's snapshot
 	// gains the per-window series (miss/invalidation/upgrade rates, queue
 	// depths, network occupancy, directory-state census). Implies a
-	// recorder even when Obs is false. cmd/obsreport merges the per-run
+	// recorder even when Obs is false. twobit obs merges the per-run
 	// series across replicates into the campaign view.
 	ObsWindow uint64 `json:"obs_window,omitempty"`
 

@@ -549,7 +549,7 @@ func TestObsPlanIsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTracePointMatchesStoredRecord pins the replay contract behind
-// cmd/coherencetrace: re-running a stored run with a recorder attached
+// twobit obs -run: re-running a stored run with a recorder attached
 // reproduces the stored results byte for byte once the snapshot is
 // stripped.
 func TestTracePointMatchesStoredRecord(t *testing.T) {

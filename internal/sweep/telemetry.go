@@ -7,7 +7,7 @@ import (
 
 // Progress is the campaign's wall-clock telemetry publisher: workers
 // report run completions, the re-sequencer reports emissions, and an
-// observer (cmd/sweep's expvar endpoint, a test) reads frozen Status
+// observer (twobit sweep's expvar endpoint, a test) reads frozen Status
 // snapshots at any moment. This is the one corner of the sweep package
 // that deals in wall time rather than sim time — it measures the
 // orchestrator itself (throughput, ETA, worker utilization), never the

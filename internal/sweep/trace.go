@@ -13,7 +13,7 @@ import (
 // reproduces the stored campaign's run exactly; the recorder observes
 // it without perturbing it, so the returned results (minus the Obs
 // snapshot) match the stored record byte for byte. This is the engine
-// behind cmd/coherencetrace: campaigns store only numbers, and traces
+// behind twobit obs -run: campaigns store only numbers, and traces
 // are recreated on demand from the plan.
 func TracePoint(p *Plan, runID int, rec *obs.Recorder) (system.Results, error) {
 	p.Normalize()

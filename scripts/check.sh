@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the full verification gauntlet, in increasing cost order:
-# compile, vet, coherencelint (static protocol analysis), the test suite
+# compile, vet, twobit lint (static protocol analysis), the test suite
 # under the race detector, a stress of the goroutine witness (livesim)
 # under it, then a sweep smoke stage that exercises the
 # experiment-orchestration engine end to end: a tiny campaign must produce
@@ -22,8 +22,14 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> coherencelint ./..."
-go run ./cmd/coherencelint ./...
+# Every stage below runs one build of the command line.
+SMOKE="$(mktemp -d)"
+trap 'rm -rf "$SMOKE"' EXIT
+go build -o "$SMOKE/twobit" ./cmd/twobit
+TWOBIT="$SMOKE/twobit"
+
+echo "==> twobit lint ./..."
+"$TWOBIT" lint ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -39,8 +45,6 @@ echo "==> livesim stress (1200 race-enabled runs)"
 go test -race -timeout 30m -count=200 -cpu 1,2,4 -run '^(TestRandomSharingCoherent|TestEvictionChurn)$' ./internal/livesim
 
 echo "==> sweep smoke (determinism + resume)"
-SMOKE="$(mktemp -d)"
-trap 'rm -rf "$SMOKE"' EXIT
 cat > "$SMOKE/plan.json" <<'EOF'
 {
   "name": "smoke",
@@ -53,8 +57,8 @@ cat > "$SMOKE/plan.json" <<'EOF'
   "root_seed": 11
 }
 EOF
-go run ./cmd/sweep -plan "$SMOKE/plan.json" -workers 1 -out "$SMOKE/w1.jsonl" -quiet > /dev/null
-go run ./cmd/sweep -plan "$SMOKE/plan.json" -workers 4 -out "$SMOKE/w4.jsonl" -quiet > /dev/null
+"$TWOBIT" sweep -plan "$SMOKE/plan.json" -workers 1 -out "$SMOKE/w1.jsonl" -quiet > /dev/null
+"$TWOBIT" sweep -plan "$SMOKE/plan.json" -workers 4 -out "$SMOKE/w4.jsonl" -quiet > /dev/null
 cmp "$SMOKE/w1.jsonl" "$SMOKE/w4.jsonl" || {
     echo "check.sh: workers=1 and workers=4 stores differ" >&2
     exit 1
@@ -62,7 +66,7 @@ cmp "$SMOKE/w1.jsonl" "$SMOKE/w4.jsonl" || {
 # Simulate a killed campaign: keep the first half of the store, resume it.
 LINES="$(wc -l < "$SMOKE/w1.jsonl")"
 head -n "$((LINES / 2))" "$SMOKE/w1.jsonl" > "$SMOKE/half.jsonl"
-go run ./cmd/sweep -plan "$SMOKE/plan.json" -workers 4 -out "$SMOKE/half.jsonl" -resume -quiet > /dev/null
+"$TWOBIT" sweep -plan "$SMOKE/plan.json" -workers 4 -out "$SMOKE/half.jsonl" -resume -quiet > /dev/null
 cmp "$SMOKE/w1.jsonl" "$SMOKE/half.jsonl" || {
     echo "check.sh: resumed store does not converge to the serial store" >&2
     exit 1
@@ -71,13 +75,13 @@ cmp "$SMOKE/w1.jsonl" "$SMOKE/half.jsonl" || {
 echo "==> sweep scaling smoke (multi-process slices)"
 # Multi-process slices: two independent processes each fill one slice
 # of the run-id space; -merge validates and canonicalizes.
-go run ./cmd/sweep -plan "$SMOKE/plan.json" -shard 0/2 -workers 2 \
+"$TWOBIT" sweep -plan "$SMOKE/plan.json" -shard 0/2 -workers 2 \
     -shards "$SMOKE/mp" -quiet > /dev/null &
 MP_PID=$!
-go run ./cmd/sweep -plan "$SMOKE/plan.json" -shard 1/2 -workers 2 \
+"$TWOBIT" sweep -plan "$SMOKE/plan.json" -shard 1/2 -workers 2 \
     -shards "$SMOKE/mp" -quiet > /dev/null
 wait "$MP_PID"
-go run ./cmd/sweep -plan "$SMOKE/plan.json" -merge \
+"$TWOBIT" sweep -plan "$SMOKE/plan.json" -merge \
     -shards "$SMOKE/mp" -out "$SMOKE/mp.jsonl" -quiet > /dev/null
 cmp "$SMOKE/w1.jsonl" "$SMOKE/mp.jsonl" || {
     echo "check.sh: multi-process shard stores do not merge to the single-writer store" >&2
@@ -113,14 +117,14 @@ cat > "$SMOKE/poolplan.json" <<'EOF4'
   "scenarios": [{"name": "kv-serving"}, {"name": "false-sharing"}]
 }
 EOF4
-go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -workers 1 -out "$SMOKE/pool_w1.jsonl" -quiet > /dev/null
-go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -shard 0/2 -workers 2 \
+"$TWOBIT" sweep -plan "$SMOKE/poolplan.json" -workers 1 -out "$SMOKE/pool_w1.jsonl" -quiet > /dev/null
+"$TWOBIT" sweep -plan "$SMOKE/poolplan.json" -shard 0/2 -workers 2 \
     -shards "$SMOKE/poolshards" -quiet > /dev/null &
 POOL_PID=$!
-go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -shard 1/2 -workers 2 \
+"$TWOBIT" sweep -plan "$SMOKE/poolplan.json" -shard 1/2 -workers 2 \
     -shards "$SMOKE/poolshards" -quiet > /dev/null
 wait "$POOL_PID"
-go run ./cmd/sweep -plan "$SMOKE/poolplan.json" -merge \
+"$TWOBIT" sweep -plan "$SMOKE/poolplan.json" -merge \
     -shards "$SMOKE/poolshards" -out "$SMOKE/pool_merged.jsonl" -quiet > /dev/null
 cmp "$SMOKE/pool_w1.jsonl" "$SMOKE/pool_merged.jsonl" || {
     echo "check.sh: pooled slice stores do not merge to the workers=1 canonical store" >&2
@@ -154,8 +158,8 @@ cat > "$SMOKE/traceplan.json" <<'EOF2'
   "root_seed": 7
 }
 EOF2
-go run ./cmd/coherencetrace -plan "$SMOKE/traceplan.json" -run 0 -o "$SMOKE/trace1.json"
-go run ./cmd/coherencetrace -plan "$SMOKE/traceplan.json" -run 0 -o "$SMOKE/trace2.json"
+"$TWOBIT" obs -plan "$SMOKE/traceplan.json" -run 0 -format chrome -o "$SMOKE/trace1.json"
+"$TWOBIT" obs -plan "$SMOKE/traceplan.json" -run 0 -format chrome -o "$SMOKE/trace2.json"
 cmp "$SMOKE/trace1.json" "$SMOKE/trace2.json" || {
     echo "check.sh: trace export is not deterministic" >&2
     exit 1
@@ -166,16 +170,16 @@ echo "==> trace smoke (synthesize → replay determinism)"
 # trace streams from disk at any chunk size or is generated live: the
 # streamed runs at two chunk sizes and the live-generator run must all
 # print byte-identical results.
-go run ./cmd/tracegen synth -scenario kv-serving -procs 4 -refs 2000 -chunk 4096 -o "$SMOKE/big.mtrc2" -quiet
-go run ./cmd/tracegen synth -scenario kv-serving -procs 4 -refs 2000 -chunk 64 -o "$SMOKE/small.mtrc2" -quiet
-go run ./cmd/coherencesim -trace "$SMOKE/big.mtrc2" -refs 2000 -json > "$SMOKE/run_big.json"
-go run ./cmd/coherencesim -trace "$SMOKE/small.mtrc2" -refs 2000 -json > "$SMOKE/run_small.json"
+"$TWOBIT" trace synth -scenario kv-serving -procs 4 -refs 2000 -chunk 4096 -o "$SMOKE/big.mtrc2" -quiet
+"$TWOBIT" trace synth -scenario kv-serving -procs 4 -refs 2000 -chunk 64 -o "$SMOKE/small.mtrc2" -quiet
+"$TWOBIT" sim -trace "$SMOKE/big.mtrc2" -refs 2000 -json > "$SMOKE/run_big.json"
+"$TWOBIT" sim -trace "$SMOKE/small.mtrc2" -refs 2000 -json > "$SMOKE/run_small.json"
 cmp "$SMOKE/run_big.json" "$SMOKE/run_small.json" || {
     echo "check.sh: streamed replay differs across chunk sizes" >&2
     exit 1
 }
-go run ./cmd/tracegen convert "$SMOKE/big.mtrc2" "$SMOKE/big.txt" -format text
-go run ./cmd/coherencesim -trace "$SMOKE/big.txt" -refs 2000 -json > "$SMOKE/run_text.json"
+"$TWOBIT" trace convert "$SMOKE/big.mtrc2" "$SMOKE/big.txt" -format text
+"$TWOBIT" sim -trace "$SMOKE/big.txt" -refs 2000 -json > "$SMOKE/run_text.json"
 cmp "$SMOKE/run_big.json" "$SMOKE/run_text.json" || {
     echo "check.sh: streamed replay differs from materialized replay" >&2
     exit 1
@@ -183,26 +187,25 @@ cmp "$SMOKE/run_big.json" "$SMOKE/run_text.json" || {
 
 echo "==> mcheck: full 2-cache closures (every message-network protocol)"
 for p in two-bit full-map full-map+E classical duplication software; do
-    go run ./cmd/mcheck -protocol=$p -caches=2 -blocks=2 -refs=2
+    "$TWOBIT" mcheck -protocol=$p -caches=2 -blocks=2 -refs=2
 done
 
 echo "==> mcheck: full 3-cache x 1-block closure"
-go run ./cmd/mcheck -caches=3 -blocks=1 -refs=2
+"$TWOBIT" mcheck -caches=3 -blocks=1 -refs=2
 
 echo "==> mcheck: bounded 3-cache x 2-block prefix (wall-clock budget)"
-go run ./cmd/mcheck -caches=3 -blocks=2 -refs=2 -maxstates=100000
+"$TWOBIT" mcheck -caches=3 -blocks=2 -refs=2 -maxstates=100000
 
 echo "==> mcheck: counterexample round trip (-bug, -trace, -replay)"
 # A seeded defect must be caught (exit 1, not a usage error's 2), and the
 # trace it writes must replay to the same verdict (exit 0).
-go build -o "$SMOKE/mcheck" ./cmd/mcheck
 STATUS=0
-"$SMOKE/mcheck" -caches=2 -blocks=1 -bug=write-miss-invalidate -trace "$SMOKE/ce.trace" > /dev/null || STATUS=$?
+"$TWOBIT" mcheck -caches=2 -blocks=1 -bug=write-miss-invalidate -trace "$SMOKE/ce.trace" > /dev/null || STATUS=$?
 [ "$STATUS" -eq 1 ] || {
     echo "check.sh: mcheck -bug exited $STATUS, want 1 (violation found)" >&2
     exit 1
 }
-"$SMOKE/mcheck" -replay "$SMOKE/ce.trace"
+"$TWOBIT" mcheck -replay "$SMOKE/ce.trace"
 
 echo "==> fuzz: results codec (30s)"
 go test -run '^$' -fuzz '^FuzzDecodeResults$' -fuzztime 30s ./internal/system
