@@ -14,10 +14,13 @@
 package livesim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"twobit/internal/addr"
 	"twobit/internal/directory"
@@ -72,6 +75,14 @@ type Machine struct {
 	// the loops still running.
 	quit  chan struct{}
 	nodes sync.WaitGroup
+	// running counts the processors whose fn has not returned; wedged
+	// releases those parked on a reply once Run finds none can come.
+	running atomic.Int64
+	wedged  chan struct{}
+
+	// dropBroadInv makes every cache ignore BROADINV: a seeded defect
+	// that wedges the machine, for the watchdog's test.
+	dropBroadInv bool
 
 	// mu guards the oracle and its violations while the machine runs.
 	mu         sync.Mutex
@@ -88,6 +99,7 @@ func New(cfg Config) (*Machine, error) {
 		cfg:    cfg,
 		space:  addr.Space{Blocks: cfg.Blocks, Modules: cfg.Modules},
 		quit:   make(chan struct{}),
+		wedged: make(chan struct{}),
 		oracle: oracle.New(cfg.Blocks),
 	}
 	for j := 0; j < cfg.Modules; j++ {
@@ -120,11 +132,24 @@ func (m *Machine) check(proc int, call func(*oracle.Oracle) error) {
 	}
 }
 
+// ErrWedged is the error Run returns when the machine can make no more
+// progress: every processor still running waits on a controller reply
+// and no message is in flight, so no reply can ever come.
+var ErrWedged = errors.New("livesim: machine wedged")
+
+// wedgePoll is how often Run looks for a wedge while processors run.
+const wedgePoll = time.Millisecond
+
 // Run starts all nodes, executes fn(proc, access) on one goroutine per
 // processor, shuts the machine down, and returns the first coherence
 // violation the oracle found, if any, or else the first block that breaks
 // the quiescent two-bit rule. access performs one blocking memory
 // reference and returns the version observed (for reads) or written.
+//
+// A machine that wedges (see ErrWedged) is stopped: Run returns an error
+// wrapping ErrWedged that names each waiting cache, its block and its
+// controller's open command, and every later access returns 0 at once,
+// so each fn runs out and no goroutine is left behind.
 func (m *Machine) Run(fn func(proc int, access func(ref addr.Ref) uint64)) error {
 	m.nodes.Add(len(m.ctrls) + len(m.caches))
 	for _, c := range m.ctrls {
@@ -133,15 +158,29 @@ func (m *Machine) Run(fn func(proc int, access func(ref addr.Ref) uint64)) error
 	for _, c := range m.caches {
 		go c.loop()
 	}
+	m.running.Store(int64(len(m.caches)))
 	var procs sync.WaitGroup
 	procs.Add(len(m.caches))
 	for p, c := range m.caches {
 		go func() {
 			defer procs.Done()
+			defer m.running.Add(-1)
 			fn(p, c.access)
 		}()
 	}
-	procs.Wait()
+	finished := make(chan struct{})
+	go func() {
+		procs.Wait()
+		close(finished)
+	}()
+	if m.watch(finished) {
+		close(m.quit)
+		m.nodes.Wait()
+		err := m.wedge()
+		close(m.wedged)
+		<-finished
+		return err
+	}
 	// Quiesce: fire-and-forget traffic — write-backs, MACKs, invalidations
 	// and queries queued for a cache — may still be in flight. Nothing may
 	// stop until all of it is handled: a cache that quit with a BROADINV
@@ -152,6 +191,71 @@ func (m *Machine) Run(fn func(proc int, access func(ref addr.Ref) uint64)) error
 	close(m.quit)
 	m.nodes.Wait()
 	return m.verdict()
+}
+
+// watch waits for the processors to finish, looking for a wedge every
+// wedgePoll, and reports whether it found one.
+func (m *Machine) watch(finished <-chan struct{}) bool {
+	tick := time.NewTicker(wedgePoll)
+	defer tick.Stop()
+	waits := make([]uint64, len(m.caches))
+	for {
+		select {
+		case <-finished:
+			return false
+		case <-tick.C:
+			if m.stuck(waits) {
+				return true
+			}
+		}
+	}
+}
+
+// stuck reports whether the machine is wedged. Read in this order — the
+// running count, every cache's wait count, the in-flight count, the wait
+// counts again — equal odd wait counts on as many caches as processors
+// run show every running processor parked on one wait throughout, and
+// the in-flight count read meanwhile zero. Zero is final then: handlers
+// send only while their own message is counted, and no processor is free
+// to issue a reference. waits is scratch space, one entry per cache.
+func (m *Machine) stuck(waits []uint64) bool {
+	running := m.running.Load()
+	parked := int64(0)
+	for i, c := range m.caches {
+		waits[i] = c.waits.Load()
+		parked += int64(waits[i] & 1)
+	}
+	if parked == 0 || parked != running || m.inflight.Load() != 0 {
+		return false
+	}
+	for i, c := range m.caches {
+		if c.waits.Load() != waits[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// wedge describes the stopped, wedged machine: each waiting cache, the
+// block it waits on and what its controller has open.
+func (m *Machine) wedge() error {
+	var b strings.Builder
+	for _, c := range m.caches {
+		if c.pend == nil {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString("; ")
+		}
+		blk := c.pend.ref.Block
+		ctrl := m.ctrlFor(blk)
+		open := "nothing open"
+		if ctrl.open.Kind != msg.KindInvalid {
+			open = fmt.Sprintf("%v open", ctrl.open)
+		}
+		fmt.Fprintf(&b, "cache %d waits on %v, controller %d has %s", c.idx, blk, ctrl.idx, open)
+	}
+	return fmt.Errorf("%w: %s", ErrWedged, b.String())
 }
 
 // verdict is the stopped machine's result: the oracle's first violation,

@@ -3,6 +3,7 @@ package livesim
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"twobit/internal/addr"
 	"twobit/internal/directory"
@@ -36,6 +37,10 @@ type cacheNode struct {
 	// is blocked on the reply, so no other request arrives meanwhile; the
 	// loop goes on serving the inbox.
 	pend *procReq
+	// waits counts the waits on the controller, odd while one is open:
+	// bumped once the reference's request is counted in flight, and again
+	// as its reply releases the processor. Run's watchdog reads it.
+	waits atomic.Uint64
 
 	// obs counters (see Config.Obs).
 	obsRefs      *obs.Counter // "cache<k>/refs"
@@ -70,8 +75,17 @@ func (c *cacheNode) access(ref addr.Ref) uint64 {
 		return 0
 	}
 	req := &procReq{ref: ref, resp: make(chan uint64)}
-	c.reqCh <- req
-	v := <-req.resp
+	var v uint64
+	select {
+	case c.reqCh <- req:
+	case <-c.m.wedged:
+		return 0
+	}
+	select {
+	case v = <-req.resp:
+	case <-c.m.wedged:
+		return 0
+	}
 	if !ref.Write {
 		c.m.check(c.idx, func(o *oracle.Oracle) error { return o.CheckLoad(c.idx, ref.Block, 0, v, false) })
 	}
@@ -125,6 +139,9 @@ func (c *cacheNode) handleReq(req *procReq) {
 		}
 		c.toCtrl(msg.Message{Kind: msg.KindRequest, Block: b, RW: rw})
 	}
+	if c.pend != nil {
+		c.waits.Add(1)
+	}
 }
 
 // evict frees a frame if the cache is full (§3.2.1).
@@ -148,6 +165,9 @@ func (c *cacheNode) evict() {
 func (c *cacheNode) pending(b addr.Block) bool { return c.pend != nil && c.pend.ref.Block == b }
 
 func (c *cacheNode) finish(v uint64) {
+	if c.waits.Load()&1 == 1 {
+		c.waits.Add(1)
+	}
 	c.pend.resp <- v
 	c.pend = nil
 }
@@ -173,6 +193,9 @@ func (c *cacheNode) rerequest(b addr.Block) {
 func (c *cacheNode) handleMsg(m msg.Message) {
 	switch m.Kind {
 	case msg.KindBroadInv:
+		if c.m.dropBroadInv {
+			return
+		}
 		if _, held := c.frames[m.Block]; !held || m.Cache == c.idx {
 			return // nothing to invalidate, or the exempted cache k
 		}

@@ -559,7 +559,7 @@ func TestBroadcastMatchesSends(t *testing.T) {
 		var rec *obs.Recorder
 		if observe {
 			rec = obs.New(1 << 14)
-			rec.SetClock(k.Now)
+			k.SetHook(obs.NewKernelProfile(rec)) // stamps each event's time on rec
 			n.Observe(rec, func(id NodeID) string { return fmt.Sprintf("node%d", id) })
 		}
 		for _, o := range script {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"twobit/internal/rng"
@@ -106,6 +107,50 @@ func TestFalseShareDifferential(t *testing.T) {
 	}
 }
 
+// FuzzFalseShare plays an arbitrary write script against the map model
+// TestFalseShareDifferential uses, comparing slot for slot after every
+// write. The first byte picks K; each later pair of bytes is one write,
+// the first byte the block (256 of them, so K=64 evicts) and the second
+// the word (low three bits) and the writing processor (next three).
+// Eviction here is the index's one downward move: the fresh entry starts
+// at one write whatever the evicted block's count. Scripts are cut at
+// 512 bytes, as FuzzTopK's are.
+func FuzzFalseShare(f *testing.F) {
+	ks := []int{1, 2, 3, 4, 8, 63, 64, 65}
+	// K=1: every new block evicts the one slot, and counts fall to 1.
+	f.Add([]byte{0, 1, 0o11, 1, 0o22, 2, 0o11, 1, 0o33, 3, 0})
+	// K=2: a block written many times outlives a stream of one-write
+	// blocks, which evict each other at the floor.
+	f.Add([]byte{1, 7, 1, 7, 0o12, 7, 0o23, 1, 0, 2, 0, 3, 0, 7, 0o34, 4, 0})
+	// K=3: equal counts everywhere, so the lowest slot goes first.
+	f.Add([]byte{2, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 1, 0o11, 7, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		script = script[:min(len(script), 512)]
+		k := ks[int(script[0])%len(ks)]
+		c := New(0).EnableContention(k)
+		model := &mapFalseShare{fsIdx: make(map[uint64]int, k), fsK: k}
+		for i := 1; i+1 < len(script); i += 2 {
+			block, word, proc := uint64(script[i]), int(script[i+1]&7), int(script[i+1]>>3&7)
+			c.Write(block, word, proc)
+			model.Write(block, word, proc)
+			x := &c.fs
+			if x.Len() != len(model.fs) {
+				t.Fatalf("write %d (K=%d): %d blocks, model %d", i/2, k, x.Len(), len(model.fs))
+			}
+			for s, m := range model.fs {
+				e := x.Val(s)
+				got := mapFSEntry{x.Key(s), x.Count(s), e.wordMask, e.procMask, e.interleavings, e.lastProc, e.lastWord, e.seen}
+				if got != m {
+					t.Fatalf("write %d (K=%d): slot %d = %+v, model %+v", i/2, k, s, got, m)
+				}
+			}
+		}
+	})
+}
+
 // TestContentionSetupAllocs pins what EnableContention(64) costs to set
 // up: the profiler and its three tables, sized once. The map-plus-scan
 // tables took 17 objects; the index must not take more, or every pooled
@@ -165,4 +210,93 @@ func BenchmarkContention(b *testing.B) {
 			c.Write(r.block, r.word, r.proc)
 		}
 	}
+}
+
+// timedRef is one reference of a paper-8p-shaped timeline: the stream
+// reference, the class its cache gives it, when it issues and the
+// phases it passes through on the way to retirement.
+type timedRef struct {
+	streamRef
+	class RefClass
+	at    sim.Time
+	marks []timedMark
+	done  sim.Time // retirement: the cache phase's tail ends here
+}
+
+// timedMark is one span mark: the phase it charges and its sim time.
+type timedMark struct {
+	ph Phase
+	at sim.Time
+}
+
+// classMarks is each class's critical path as the two-bit machine's
+// default configuration walks it: 4-cycle network hops, a one-cycle
+// controller service, a 20-cycle memory read, a one-cycle cache touch.
+var classMarks = [NumRefClasses][]timedMark{
+	ClassReadHit:      nil,
+	ClassReadMiss:     {{PhaseReplacement, 0}, {PhaseReqTransit, 4}, {PhaseQueue, 5}, {PhaseMemory, 25}, {PhaseDataReturn, 29}},
+	ClassWriteHit:     nil,
+	ClassWriteMiss:    {{PhaseReplacement, 0}, {PhaseReqTransit, 4}, {PhaseQueue, 5}, {PhaseMemory, 25}, {PhaseDataReturn, 29}},
+	ClassWriteUpgrade: {{PhaseReqTransit, 4}, {PhaseQueue, 5}, {PhaseDataReturn, 9}},
+}
+
+// paperTimeline is paperStream(n) as eight caches would time it: each
+// cache holds up to 128 blocks (the default 32 × 4 geometry, replaced
+// first in first out), a write drops every other cache's copy, and a
+// reference issues when its cache retired the previous one. The result
+// is in issue order, as the machine's events are: sim time never falls.
+func paperTimeline(n int) []timedRef {
+	const caches, capacity = 8, 128
+	type cacheModel struct {
+		held  map[uint64]bool // block → modified
+		fifo  []uint64
+		ready sim.Time
+	}
+	cs := make([]cacheModel, caches)
+	for i := range cs {
+		cs[i].held = make(map[uint64]bool, capacity)
+	}
+	out := make([]timedRef, 0, n)
+	for _, r := range paperStream(n) {
+		c := &cs[r.proc]
+		modified, held := c.held[r.block]
+		class := ClassReadHit
+		switch {
+		case !held && r.write:
+			class = ClassWriteMiss
+		case !held:
+			class = ClassReadMiss
+		case r.write && modified:
+			class = ClassWriteHit
+		case r.write:
+			class = ClassWriteUpgrade
+		}
+		if !held {
+			if len(c.fifo) == capacity {
+				delete(c.held, c.fifo[0])
+				c.fifo = c.fifo[1:]
+			}
+			c.fifo = append(c.fifo, r.block)
+		}
+		c.held[r.block] = modified || r.write
+		if r.write {
+			for i := range cs {
+				if i != r.proc {
+					delete(cs[i].held, r.block) // its stale FIFO entry only shrinks the cache a while
+				}
+			}
+		}
+		tr := timedRef{streamRef: r, class: class, at: c.ready}
+		for _, m := range classMarks[class] {
+			tr.marks = append(tr.marks, timedMark{m.ph, c.ready + m.at})
+		}
+		tr.done = c.ready + 1
+		if k := len(tr.marks); k > 0 {
+			tr.done = tr.marks[k-1].at + 1
+		}
+		c.ready = tr.done
+		out = append(out, tr)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
+	return out
 }

@@ -51,12 +51,15 @@ const HistogramBuckets = 32
 // samples in [i*width, (i+1)*width), with the last bucket absorbing
 // everything beyond. The nil *Histogram is the disabled instrument.
 type Histogram struct {
-	name    string
-	width   uint64
+	// Observe's fields lead, so a sample in the first buckets touches
+	// one cache line.
 	count   uint64
 	sum     uint64
 	max     uint64
+	width   uint64
+	shift   int8 // log₂ width when the width is a power of two, else -1
 	buckets [HistogramBuckets]uint64
+	name    string
 }
 
 // Observe records one sample.
@@ -69,7 +72,12 @@ func (h *Histogram) Observe(v uint64) {
 	if v > h.max {
 		h.max = v
 	}
-	b := v / h.width
+	var b uint64
+	if h.shift >= 0 {
+		b = v >> uint(h.shift) // every width the simulator registers: no divide
+	} else {
+		b = v / h.width
+	}
 	if b >= HistogramBuckets {
 		b = HistogramBuckets - 1
 	}

@@ -24,6 +24,13 @@
 //     internal/system proves it dynamically: results with and without a
 //     recorder are byte-identical.
 //
+// Sim time enters a recorder once per kernel event: the machine installs
+// a KernelProfile as its kernel hook, whose BeforeEvent hands the
+// event's time to Recorder.SetTime before the event runs. Every
+// instrument reads that stamp, so no hot-path call reaches a clock;
+// kernel time changes only between events, so the stamp is the kernel's
+// time wherever a component records.
+//
 // Track names follow the component convention "cache<k>", "ctrl<j>",
 // "dma<d>" (matching internal/system's node naming); metric names are
 // "<component>/<metric>", e.g. "ctrl0/queue_depth", with the synthetic
@@ -32,6 +39,7 @@ package obs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"twobit/internal/sim"
 )
@@ -85,6 +93,11 @@ const DefaultRingCapacity = 1 << 16
 // A Recorder is deliberately single-threaded, like the event kernel it
 // observes; do not share one across concurrently running machines.
 type Recorder struct {
+	// tick is the sim time every instrument stamps with, set by SetTime:
+	// once per kernel event by the KernelProfile hook, so no hot-path
+	// call reads a clock.
+	tick sim.Time
+	// clock, when bound by SetClock, overrides tick.
 	clock func() sim.Time
 
 	comps   []string
@@ -131,8 +144,21 @@ func New(ringCapacity int) *Recorder {
 	return r
 }
 
-// SetClock binds the sim-time source events are stamped with; the
-// machine calls this with its kernel's Now. Unbound recorders stamp 0.
+// SetTime sets the sim time events and windows are stamped with. The
+// machine's KernelProfile hook calls it with each event's time before
+// the event runs, and the machine with 0 when it starts a run; a
+// recorder nobody sets stamps 0.
+func (r *Recorder) SetTime(at sim.Time) {
+	if r == nil {
+		return
+	}
+	r.tick = at
+}
+
+// SetClock binds a clock the recorder reads on every stamp instead of
+// the time SetTime set: the pull form, for a caller that drives a
+// recorder without a kernel and cannot call SetTime. A machine never
+// binds one. SetClock(nil) returns the recorder to SetTime's time.
 func (r *Recorder) SetClock(clock func() sim.Time) {
 	if r == nil {
 		return
@@ -199,26 +225,27 @@ func (r *Recorder) Histogram(name string, bucketWidth uint64) *Histogram {
 	if bucketWidth < 1 {
 		panic(fmt.Sprintf("obs: histogram %q needs a bucket width ≥ 1, got %d", name, bucketWidth))
 	}
-	h := &Histogram{name: name, width: bucketWidth}
+	h := &Histogram{name: name, width: bucketWidth, shift: -1}
+	if bucketWidth&(bucketWidth-1) == 0 {
+		h.shift = int8(bits.TrailingZeros64(bucketWidth))
+	}
 	r.histIdx[name] = len(r.hists)
 	r.hists = append(r.hists, h)
 	return h
 }
 
 func (r *Recorder) now() sim.Time {
-	if r.clock == nil {
-		return 0
+	if r.clock != nil {
+		return r.clock()
 	}
-	return r.clock()
+	return r.tick
 }
 
 // record appends one event to the ring, overwriting the oldest entry
 // when full. It allocates nothing: the ring is preallocated and the
-// name string is stored by reference.
+// name string is stored by reference. Its callers check for a ring
+// first, inline, so a metrics-only recorder pays no call per event.
 func (r *Recorder) record(kind EventKind, c Component, name string, block, arg int64) {
-	if len(r.ring) == 0 {
-		return
-	}
 	if r.count == len(r.ring) {
 		r.dropped++
 	} else {
@@ -234,7 +261,7 @@ func (r *Recorder) record(kind EventKind, c Component, name string, block, arg i
 // Emit records an instant event on component c. block is the block
 // address the event concerns (-1 when none); arg is free payload.
 func (r *Recorder) Emit(c Component, name string, block, arg int64) {
-	if r == nil {
+	if r == nil || len(r.ring) == 0 {
 		return
 	}
 	r.record(EventInstant, c, name, block, arg)
@@ -243,7 +270,7 @@ func (r *Recorder) Emit(c Component, name string, block, arg int64) {
 // Begin opens a synchronous span on component c. Spans must nest per
 // component and be closed by End with the same name and block.
 func (r *Recorder) Begin(c Component, name string, block int64) {
-	if r == nil {
+	if r == nil || len(r.ring) == 0 {
 		return
 	}
 	r.record(EventSpanBegin, c, name, block, 0)
@@ -251,7 +278,7 @@ func (r *Recorder) Begin(c Component, name string, block int64) {
 
 // End closes the innermost open span with this name on component c.
 func (r *Recorder) End(c Component, name string, block int64) {
-	if r == nil {
+	if r == nil || len(r.ring) == 0 {
 		return
 	}
 	r.record(EventSpanEnd, c, name, block, 0)
@@ -261,7 +288,7 @@ func (r *Recorder) End(c Component, name string, block int64) {
 // (conventionally the block address, which is unique among open
 // controller transactions).
 func (r *Recorder) AsyncBegin(c Component, name string, id int64) {
-	if r == nil {
+	if r == nil || len(r.ring) == 0 {
 		return
 	}
 	r.record(EventAsyncBegin, c, name, id, 0)
@@ -269,7 +296,7 @@ func (r *Recorder) AsyncBegin(c Component, name string, id int64) {
 
 // AsyncEnd closes the transaction span opened with the same name and id.
 func (r *Recorder) AsyncEnd(c Component, name string, id int64) {
-	if r == nil {
+	if r == nil || len(r.ring) == 0 {
 		return
 	}
 	r.record(EventAsyncEnd, c, name, id, 0)
@@ -309,11 +336,13 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// KernelProfile implements sim.Hook, counting executed kernel events
+// KernelProfile implements sim.Hook: it is how sim time enters the
+// recorder, once per kernel event, and it counts executed kernel events
 // and the sim-time gaps between them. NewKernelProfile(nil) returns
 // nil; a nil profile is a safe no-op hook, but callers should simply
 // not install one.
 type KernelProfile struct {
+	r      *Recorder
 	events *Counter
 	gaps   *Histogram
 	last   sim.Time
@@ -328,19 +357,29 @@ func NewKernelProfile(r *Recorder) *KernelProfile {
 		return nil
 	}
 	return &KernelProfile{
+		r:      r,
 		events: r.Counter("kernel/events"),
 		gaps:   r.Histogram("kernel/event_gap_cycles", 1),
 	}
 }
 
-// BeforeEvent implements sim.Hook.
+// BeforeEvent implements sim.Hook: it stamps the recorder with the
+// event's time, then counts the event and its gap from the last one. A
+// same-tick event, the common case, lands in bucket 0 without the
+// general Observe.
 func (p *KernelProfile) BeforeEvent(at sim.Time) {
 	if p == nil {
 		return
 	}
-	p.events.Inc()
+	p.r.SetTime(at)
+	p.events.v++
 	if p.seen {
-		p.gaps.Observe(uint64(at - p.last))
+		if gap := uint64(at - p.last); gap == 0 {
+			p.gaps.count++
+			p.gaps.buckets[0]++
+		} else {
+			p.gaps.Observe(gap)
+		}
 	}
 	p.last = at
 	p.seen = true

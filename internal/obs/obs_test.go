@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -50,13 +51,11 @@ func spansRef(rec *Recorder) func(i int) {
 // move, with sim time advancing so the publishes land in successive
 // windows.
 func seriesRef(rec *Recorder) func(i int) {
-	var now sim.Time
-	rec.SetClock(func() sim.Time { return now })
 	refs := rec.Windows().Series("sys/refs", SeriesSum)
 	depth := rec.Windows().Series("ctrl0/queue_depth", SeriesMax)
 	census := rec.Windows().Series("dir/present_m", SeriesGauge)
 	return func(i int) {
-		now = sim.Time(i >> 2)
+		rec.SetTime(sim.Time(i >> 2))
 		refs.Inc()
 		depth.Observe(uint64(i & 7))
 		census.GaugeAdd(int64(i&1)*2 - 1)
@@ -126,6 +125,7 @@ func TestZeroAllocObs(t *testing.T) {
 // inert, not a crash.
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
+	r.SetTime(42)
 	r.SetClock(func() sim.Time { return 42 })
 	c := r.Component("cache0")
 	if c != NoComponent {
@@ -202,11 +202,9 @@ func TestInstrumentRegistrationIsIdempotent(t *testing.T) {
 
 func TestRingOverwritesOldest(t *testing.T) {
 	r := New(4)
-	var tick sim.Time
-	r.SetClock(func() sim.Time { return tick })
 	c := r.Component("x")
 	for i := 0; i < 6; i++ {
-		tick = sim.Time(i)
+		r.SetTime(sim.Time(i))
 		r.Emit(c, "e", int64(i), 0)
 	}
 	if r.Dropped() != 2 {
@@ -294,17 +292,15 @@ func TestSnapshotIsCanonicalAcrossRegistrationOrder(t *testing.T) {
 // in the Chrome trace_event array format with properly paired spans.
 func TestChromeTraceShape(t *testing.T) {
 	r := New(16)
-	var tick sim.Time
-	r.SetClock(func() sim.Time { return tick })
 	cache := r.Component("cache0")
 	ctrl := r.Component("ctrl0")
 
-	tick = 10
+	r.SetTime(10)
 	r.Begin(cache, "ref read", 7)
 	r.AsyncBegin(ctrl, "txn Request", 7)
-	tick = 12
+	r.SetTime(12)
 	r.Emit(ctrl, "dir to Present1", 7, 0)
-	tick = 20
+	r.SetTime(20)
 	r.AsyncEnd(ctrl, "txn Request", 7)
 	r.End(cache, "ref read", 7)
 
@@ -350,15 +346,13 @@ func TestChromeTraceShape(t *testing.T) {
 func TestChromeTraceFilters(t *testing.T) {
 	build := func() *Recorder {
 		r := New(16)
-		var tick sim.Time
-		r.SetClock(func() sim.Time { return tick })
 		c0 := r.Component("cache0")
 		c1 := r.Component("cache1")
-		tick = 5
+		r.SetTime(5)
 		r.Emit(c0, "a", 1, 0)
-		tick = 15
+		r.SetTime(15)
 		r.Emit(c1, "b", 2, 0)
-		tick = 25
+		r.SetTime(25)
 		r.Emit(c0, "c", 0, 0)
 		return r
 	}
@@ -399,11 +393,9 @@ func TestChromeTraceFilters(t *testing.T) {
 func TestChromeTraceDeterministicBytes(t *testing.T) {
 	export := func() []byte {
 		r := New(32)
-		var tick sim.Time
-		r.SetClock(func() sim.Time { return tick })
 		c := r.Component("ctrl0")
 		for i := 0; i < 10; i++ {
-			tick = sim.Time(i * 3)
+			r.SetTime(sim.Time(i * 3))
 			r.Emit(c, "dir to PresentM", int64(i), int64(i%2))
 		}
 		var buf bytes.Buffer
@@ -432,5 +424,61 @@ func TestKernelProfile(t *testing.T) {
 	h, _ := s.Hist("kernel/event_gap_cycles")
 	if h.Count != 2 || h.Sum != 3 || h.Max != 3 {
 		t.Fatalf("gap histogram count %d sum %d max %d, want 2/3/3", h.Count, h.Sum, h.Max)
+	}
+}
+
+// TestHistogramWidths: a power-of-two width buckets by shift, any other
+// by division, and both put sample v in bucket min(v / width, 31).
+func TestHistogramWidths(t *testing.T) {
+	r := New(0)
+	for _, w := range []uint64{1, 2, 3, 4, 8, 10, 16, 1024, 1 << 40} {
+		h := r.Histogram(fmt.Sprintf("w%d", w), w)
+		var want [HistogramBuckets]uint64
+		for _, v := range []uint64{0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 31, 33, 100, 1000, 4095, 1 << 20, 1<<63 + 5} {
+			h.Observe(v)
+			want[min(v/w, HistogramBuckets-1)]++
+		}
+		if h.buckets != want {
+			t.Fatalf("width %d: buckets %v, want %v", w, h.buckets, want)
+		}
+	}
+}
+
+// TestKernelProfileStampsTime: the kernel hook is how sim time enters
+// the recorder, so an event recorded after BeforeEvent(at) carries at,
+// and a same-tick event's gap lands in bucket 0 like any other sample.
+func TestKernelProfileStampsTime(t *testing.T) {
+	r := New(8)
+	c := r.Component("x")
+	p := NewKernelProfile(r)
+	for _, at := range []sim.Time{0, 4, 4, 4, 9} {
+		p.BeforeEvent(at)
+		r.Emit(c, "e", int64(at), 0)
+	}
+	for i, ev := range r.Events() {
+		if ev.Tick != sim.Time(ev.Block) {
+			t.Fatalf("event %d stamped %d, want %d", i, ev.Tick, ev.Block)
+		}
+	}
+	h, _ := r.Snapshot().Hist("kernel/event_gap_cycles")
+	if h.Count != 4 || h.Sum != 9 || h.Max != 5 || len(h.Buckets) < 6 ||
+		h.Buckets[0] != 2 || h.Buckets[4] != 1 || h.Buckets[5] != 1 {
+		t.Fatalf("gap histogram %+v, want 4 gaps (0, 0, 4, 5)", h)
+	}
+}
+
+// TestSetClockOverridesTheStamp: a bound pull clock is what the
+// instruments read, whatever SetTime stamped, until SetClock(nil) hands
+// time back to the stamp.
+func TestSetClockOverridesTheStamp(t *testing.T) {
+	r := New(4)
+	c := r.Component("x")
+	r.SetTime(5)
+	r.SetClock(func() sim.Time { return 100 })
+	r.Emit(c, "pulled", 0, 0)
+	r.SetClock(nil)
+	r.Emit(c, "stamped", 0, 0)
+	if evs := r.Events(); evs[0].Tick != 100 || evs[1].Tick != 5 {
+		t.Fatalf("ticks %d, %d; want 100 from the clock, then 5 from the stamp", evs[0].Tick, evs[1].Tick)
 	}
 }

@@ -48,6 +48,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"twobit/internal/sim"
 )
@@ -170,8 +171,8 @@ type spanState struct {
 	block  int64
 	start  sim.Time
 	last   sim.Time
-	acc    [NumPhases]uint64
-	segs   []SpanSegment // scratch, reused across spans; trace mode only
+	acc    [NumPhases]uint64 // zero outside an open span: Finish clears what it charged
+	segs   []SpanSegment     // scratch, reused across spans; trace mode only
 }
 
 // SpanRecorder aggregates transaction spans into the phase × class
@@ -252,7 +253,6 @@ func (sp *SpanRecorder) Start(cache int, class RefClass, block int64) {
 	st.block = block
 	st.start = now
 	st.last = now
-	st.acc = [NumPhases]uint64{}
 	st.segs = st.segs[:0]
 }
 
@@ -278,8 +278,9 @@ func (sp *SpanRecorder) Mark(cache int, ph Phase) {
 
 // Finish closes cache's open span at reference retirement: the tail
 // since the last mark is charged to the cache phase, each charged
-// phase's total lands in its matrix cell, and the end-to-end latency in
-// the class's e2e histogram.
+// phase's total lands in its matrix cell (and its accumulator is
+// cleared for the cache's next span), and the end-to-end latency in the
+// class's e2e histogram.
 func (sp *SpanRecorder) Finish(cache int) {
 	if sp == nil || cache < 0 || cache >= len(sp.active) {
 		return
@@ -296,10 +297,10 @@ func (sp *SpanRecorder) Finish(cache int) {
 	}
 	c := int(st.class)
 	sp.e2e[c].Observe(uint64(now - st.start))
-	for p := 0; p < NumPhases; p++ {
-		if st.marked&(1<<p) != 0 {
-			sp.cells[c][p].Observe(st.acc[p])
-		}
+	for m := st.marked; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros16(m)
+		sp.cells[c][p].Observe(st.acc[p])
+		st.acc[p] = 0
 	}
 	if sp.maxSpans > 0 {
 		if len(sp.finished) < sp.maxSpans {

@@ -3,8 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-
-	"twobit/internal/sim"
 )
 
 // TestSpanNilSafety pins the disabled instrument: every span entry
@@ -32,21 +30,19 @@ func TestSpanNilSafety(t *testing.T) {
 // reconcile.
 func TestSpanTelescoping(t *testing.T) {
 	r := New(0)
-	var now sim.Time
-	r.SetClock(func() sim.Time { return now })
 	sp := r.EnableSpans(8)
 
-	now = 10
+	r.SetTime(10)
 	sp.Start(0, ClassReadMiss, 42)
-	now = 13
+	r.SetTime(13)
 	sp.Mark(0, PhaseReqTransit) // 3
-	now = 18
+	r.SetTime(18)
 	sp.Mark(0, PhaseQueue) // 5
-	now = 38
+	r.SetTime(38)
 	sp.Mark(0, PhaseMemory) // 20
-	now = 41
+	r.SetTime(41)
 	sp.Mark(0, PhaseDataReturn) // 3
-	now = 42
+	r.SetTime(42)
 	sp.Finish(0) // 1 → cache
 
 	m, ok := SpanMatrixFrom(r.Snapshot())
@@ -96,18 +92,16 @@ func TestSpanTelescoping(t *testing.T) {
 // again) and the durations accumulate.
 func TestSpanRepeatedMarks(t *testing.T) {
 	r := New(0)
-	var now sim.Time
-	r.SetClock(func() sim.Time { return now })
 	sp := r.EnableSpans(0)
 
 	sp.Start(1, ClassWriteUpgrade, 7)
-	now = 2
+	r.SetTime(2)
 	sp.Mark(1, PhaseReqTransit)
-	now = 5
+	r.SetTime(5)
 	sp.Mark(1, PhaseDataReturn) // denial returns
-	now = 9
+	r.SetTime(9)
 	sp.Mark(1, PhaseReqTransit) // retry transit
-	now = 20
+	r.SetTime(20)
 	sp.Finish(1)
 
 	m, _ := SpanMatrixFrom(r.Snapshot())
@@ -185,13 +179,11 @@ func TestSpanNames(t *testing.T) {
 // appear with their phases, empty classes are omitted.
 func TestSpanMatrixWriteText(t *testing.T) {
 	r := New(0)
-	var now sim.Time
-	r.SetClock(func() sim.Time { return now })
 	sp := r.EnableSpans(0)
 	sp.Start(0, ClassReadMiss, 1)
-	now = 30
+	r.SetTime(30)
 	sp.Mark(0, PhaseMemory)
-	now = 31
+	r.SetTime(31)
 	sp.Finish(0)
 
 	m, _ := SpanMatrixFrom(r.Snapshot())
@@ -234,5 +226,29 @@ func TestSpanFilter(t *testing.T) {
 	}
 	if f := (SpanFilter{Txn: -1, HasBlock: true, Block: 6}); f.keep(s) {
 		t.Error("block filter kept a mismatch")
+	}
+}
+
+// BenchmarkSpans times the span recorder's per-reference work on the
+// paper-8p-shaped timeline the way the machine drives it: the cache
+// agent's Start at issue, a Mark at each phase boundary, Finish at
+// retirement, each at the time the kernel hook stamped. One op is one
+// reference.
+func BenchmarkSpans(b *testing.B) {
+	tl := paperTimeline(1 << 16)
+	r := New(0)
+	sp := r.EnableSpans(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := &tl[i&(len(tl)-1)]
+		r.SetTime(t.at)
+		sp.Start(t.proc, t.class, int64(t.block))
+		for _, m := range t.marks {
+			r.SetTime(m.at)
+			sp.Mark(t.proc, m.ph)
+		}
+		r.SetTime(t.done)
+		sp.Finish(t.proc)
 	}
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"sort"
+
+	"twobit/internal/sim"
 )
 
 // SeriesKind says how a windowed time-series folds samples into a window
@@ -79,15 +81,22 @@ func (r *Recorder) Windows() *TSRecorder {
 }
 
 // TSRecorder aggregates fixed-width sim-time windows for a set of named
-// series. It is created by Recorder.EnableWindows and shares the
-// recorder's clock; like every obs instrument it is passive (it only
-// writes its own state, deriving the window index from the clock) and
-// the nil *TSRecorder is the disabled instrument.
+// series. It is created by Recorder.EnableWindows and reads the
+// recorder's time, which the kernel hook sets once per event; like every
+// obs instrument it is passive (it only writes its own state, deriving
+// the window index from that time) and the nil *TSRecorder is the
+// disabled instrument.
 type TSRecorder struct {
 	r      *Recorder
 	width  uint64
 	series []*TimeSeries
 	idx    map[string]int // lookup only; never iterated
+
+	// The window index of the last sample and the sim times [lo, hi) it
+	// covers: a sample in the same window, nearly every one, divides
+	// nothing.
+	w      int
+	lo, hi sim.Time
 }
 
 // Width returns the window width in sim cycles.
@@ -137,9 +146,20 @@ func (t *TimeSeries) Name() string {
 	return t.name
 }
 
-// window returns the index of the window covering the current sim time.
-func (t *TimeSeries) window() int {
-	return int(uint64(t.ts.r.now()) / t.ts.width)
+// at returns the index of the window covering the current sim time, the
+// series grown through it. It divides only when the time has left the
+// last sample's window.
+func (t *TimeSeries) at() int {
+	ts := t.ts
+	if now := ts.r.now(); now < ts.lo || now >= ts.hi {
+		ts.w = int(uint64(now) / ts.width)
+		ts.lo = sim.Time(uint64(ts.w) * ts.width)
+		ts.hi = ts.lo + sim.Time(ts.width)
+	}
+	if ts.w >= len(t.values) {
+		t.extendTo(ts.w)
+	}
+	return ts.w
 }
 
 // extendTo grows the series through window w. Sum and max windows start
@@ -159,9 +179,7 @@ func (t *TimeSeries) Add(n uint64) {
 	if t == nil {
 		return
 	}
-	w := t.window()
-	t.extendTo(w)
-	t.values[w] += n
+	t.values[t.at()] += n
 }
 
 // Inc adds one to the current window of a SeriesSum series.
@@ -173,8 +191,7 @@ func (t *TimeSeries) Observe(v uint64) {
 	if t == nil {
 		return
 	}
-	w := t.window()
-	t.extendTo(w)
+	w := t.at()
 	if v > t.values[w] {
 		t.values[w] = v
 	}
@@ -186,8 +203,7 @@ func (t *TimeSeries) GaugeAdd(delta int64) {
 	if t == nil {
 		return
 	}
-	w := t.window()
-	t.extendTo(w)
+	w := t.at()
 	t.cur += delta
 	t.values[w] = clampLevel(t.cur)
 }

@@ -7,13 +7,6 @@ import (
 	"twobit/internal/sim"
 )
 
-// clockAt binds a settable clock to a recorder and returns the setter.
-func clockAt(r *Recorder) func(sim.Time) {
-	now := sim.Time(0)
-	r.SetClock(func() sim.Time { return now })
-	return func(t sim.Time) { now = t }
-}
-
 func TestNilTimeSeriesIsSafe(t *testing.T) {
 	var r *Recorder
 	ts := r.EnableWindows(16)
@@ -53,7 +46,7 @@ func TestWindowsOffByDefault(t *testing.T) {
 
 func TestTimeSeriesWindowing(t *testing.T) {
 	r := New(0)
-	set := clockAt(r)
+	set := r.SetTime
 	ts := r.EnableWindows(10)
 	if again := r.EnableWindows(999); again != ts {
 		t.Fatalf("EnableWindows not idempotent")
@@ -97,7 +90,7 @@ func TestTimeSeriesWindowing(t *testing.T) {
 
 func TestGaugeForwardFills(t *testing.T) {
 	r := New(0)
-	set := clockAt(r)
+	set := r.SetTime
 	ts := r.EnableWindows(10)
 	g := ts.Series("dir/absent", SeriesGauge)
 
@@ -125,7 +118,7 @@ func TestSeriesKindMismatchPanics(t *testing.T) {
 
 func seriesSnap(width uint64, fill func(set func(sim.Time), ts *TSRecorder)) Snapshot {
 	r := New(0)
-	set := clockAt(r)
+	set := r.SetTime
 	fill(set, r.EnableWindows(width))
 	return r.Snapshot()
 }
@@ -327,5 +320,75 @@ func TestDetectStorms(t *testing.T) {
 	}
 	if got := DetectStorms(SeriesValue{}, 1, 2); got != nil {
 		t.Fatalf("empty series produced storms: %+v", got)
+	}
+}
+
+// BenchmarkWindows times the windowed series' per-reference work on the
+// paper-8p-shaped timeline at the default width, with the touches the
+// two-bit machine makes: every reference bumps sys/refs; a miss or an
+// upgrade bumps its own series, sends a request and a reply (net/msgs,
+// net/busy_cycles), is one command in its controller's queue and moves
+// its block between two census gauges. One op is one reference.
+func BenchmarkWindows(b *testing.B) {
+	tl := paperTimeline(1 << 16)
+	r := New(0)
+	ts := r.EnableWindows(DefaultWindowWidth)
+	refs := ts.Series("sys/refs", SeriesSum)
+	misses := ts.Series("sys/misses", SeriesSum)
+	upgrades := ts.Series("sys/upgrades", SeriesSum)
+	msgs := ts.Series("net/msgs", SeriesSum)
+	busy := ts.Series("net/busy_cycles", SeriesSum)
+	depth := ts.Series("ctrl0/queue_depth", SeriesMax)
+	var census [4]*TimeSeries
+	for s, name := range DirStateSeriesNames {
+		census[s] = ts.Series(name, SeriesGauge)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := &tl[i&(len(tl)-1)]
+		// The timeline wraps to time 0 every 2¹⁶ references, into
+		// windows already grown: one division per wrap.
+		r.SetTime(t.at)
+		refs.Inc()
+		switch t.class {
+		case ClassReadHit, ClassWriteHit:
+			continue
+		case ClassWriteUpgrade:
+			upgrades.Inc()
+		default:
+			misses.Inc()
+		}
+		msgs.Add(2)
+		busy.Add(8)
+		depth.Observe(uint64(1 + i&1))
+		from, to := 1+i&1, 2+i&1
+		census[from].GaugeAdd(-1)
+		census[to].GaugeAdd(1)
+	}
+}
+
+// TestWindowFollowsTime: the window index a sample lands in is always
+// the one its time divides to — within the last sample's window, across
+// it, on its edges and backwards (a recorder whose machine restarts at
+// time 0).
+func TestWindowFollowsTime(t *testing.T) {
+	r := New(0)
+	ts := r.EnableWindows(8)
+	s := ts.Series("sys/refs", SeriesSum)
+	want := map[int]uint64{}
+	for _, at := range []sim.Time{0, 7, 8, 15, 16, 3, 40, 39, 39, 0, 63, 64, 8} {
+		r.SetTime(at)
+		s.Inc()
+		want[int(at/8)]++
+	}
+	sv, _ := r.Snapshot().SeriesNamed("sys/refs")
+	for w, n := range want {
+		if w >= len(sv.Values) || sv.Values[w] != n {
+			t.Fatalf("window %d: got %v, want %d", w, sv.Values, n)
+		}
+	}
+	if sv.Total() != 13 {
+		t.Fatalf("Total = %d, want 13", sv.Total())
 	}
 }

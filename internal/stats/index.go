@@ -7,14 +7,15 @@ import "math/bits"
 // the caller's. A unit Space-Saving update takes O(1) steps whatever
 // the number of slots, bar Min's read of ⌈K/64⌉ bitset words:
 //
-//   - key → slot is an open-addressed table (power-of-two size, load
-//     ≤ 1/4, linear probing, backward-shift delete, so no tombstones ever
-//     accumulate);
+//   - key → slot is a chained hash: a power-of-two heads array at load
+//     ≤ 1/4 holds each home's first slot, and each slot links the next
+//     slot of its home, so a lookup walks a chain of expected length
+//     below one and handing a slot to a new key is an unlink and a push;
 //   - counts live in Metwally et al.'s Stream-Summary: one bucket per
 //     distinct count, in a doubly linked list ordered by count, each
 //     holding a bitset of its slots. Min is the lowest set bit of the
-//     first bucket, and moving a slot by one count reaches a neighbouring
-//     bucket.
+//     first bucket, and a unit step touches only the slot's bucket and
+//     its successor.
 //
 // Slots never move: a key keeps its slot until Replace hands the slot to
 // another key, so a walk in slot order is a deterministic function of the
@@ -25,8 +26,8 @@ import "math/bits"
 type Index[V any] struct {
 	slots []slot[V]
 
-	table []tableEntry
-	shift uint // home(key) = key·φ >> shift
+	heads []int32 // home → the first slot of its chain, or none
+	shift uint    // home(key) = key·φ >> shift
 
 	buckets []bucket
 	bits    []uint64 // bucket b's slot bitset: bits[b*words : (b+1)*words]
@@ -39,12 +40,8 @@ type slot[V any] struct {
 	key    uint64
 	count  int64
 	bucket int32
+	next   int32 // the next slot of this key's home chain, or none
 	val    V
-}
-
-type tableEntry struct {
-	key  uint64
-	slot int32 // slot index + 1; 0 marks an empty entry
 }
 
 type bucket struct {
@@ -70,12 +67,15 @@ func NewIndex[V any](capacity int) Index[V] {
 	words := (capacity + 63) / 64
 	x := Index[V]{
 		slots:   make([]slot[V], 0, capacity),
-		table:   make([]tableEntry, size),
+		heads:   make([]int32, size),
 		shift:   shift,
 		buckets: make([]bucket, capacity),
 		bits:    make([]uint64, capacity*words),
 		words:   words,
 		head:    none,
+	}
+	for h := range x.heads {
+		x.heads[h] = none
 	}
 	for b := range x.buckets {
 		x.buckets[b].next = int32(b + 1)
@@ -105,24 +105,21 @@ func (x *Index[V]) home(key uint64) int {
 
 // Find returns the slot holding key, or -1.
 func (x *Index[V]) Find(key uint64) int {
-	mask := len(x.table) - 1
-	for i := x.home(key); ; i = (i + 1) & mask {
-		e := &x.table[i]
-		if e.slot == 0 {
-			return -1
-		}
-		if e.key == key {
-			return int(e.slot - 1)
+	for s := x.heads[x.home(key)]; s != none; s = x.slots[s].next {
+		if x.slots[s].key == key {
+			return int(s)
 		}
 	}
+	return -1
 }
 
 // Add puts key, which must be absent, into the next free slot with count
 // c and a zero payload, and returns the slot. The index must not be full.
 func (x *Index[V]) Add(key uint64, c int64) int {
 	s := len(x.slots)
-	x.slots = append(x.slots, slot[V]{key: key})
-	x.insert(key, s)
+	h := x.home(key)
+	x.slots = append(x.slots, slot[V]{key: key, next: x.heads[h]})
+	x.heads[h] = int32(s)
 	x.link(s, c, none, x.head)
 	return s
 }
@@ -147,12 +144,19 @@ func (x *Index[V]) Min() int {
 func (x *Index[V]) Incr(s int, n int64) { x.setCount(s, x.slots[s].count+n) }
 
 // Replace hands slot s to key, which must be absent, with count c and a
-// zero payload; the key slot s held leaves the index.
+// zero payload; the key slot s held leaves the index. The slot is
+// unlinked from its old key's chain and pushed onto the new key's.
 func (x *Index[V]) Replace(s int, key uint64, c int64) {
-	x.remove(x.slots[s].key)
-	x.insert(key, s)
+	sl := &x.slots[s]
+	p := &x.heads[x.home(sl.key)]
+	for int(*p) != s {
+		p = &x.slots[*p].next
+	}
+	*p = sl.next
+	h := x.home(key)
 	var zero V
-	x.slots[s].key, x.slots[s].val = key, zero
+	sl.key, sl.val, sl.next = key, zero, x.heads[h]
+	x.heads[h] = int32(s)
 	x.setCount(s, c)
 }
 
@@ -170,50 +174,16 @@ func (x *Index[V]) Grow(capacity int) {
 	*x = g
 }
 
-// insert records key → s in the table; key must be absent.
-func (x *Index[V]) insert(key uint64, s int) {
-	mask := len(x.table) - 1
-	i := x.home(key)
-	for x.table[i].slot != 0 {
-		i = (i + 1) & mask
-	}
-	x.table[i] = tableEntry{key: key, slot: int32(s + 1)}
-}
-
-// remove deletes key, which must be present, from the table, shifting
-// later members of its probe run back into the hole so that every
-// remaining key stays reachable from its home without tombstones.
-func (x *Index[V]) remove(key uint64) {
-	mask := len(x.table) - 1
-	i := x.home(key)
-	for x.table[i].key != key || x.table[i].slot == 0 {
-		i = (i + 1) & mask
-	}
-	for j := i; ; {
-		j = (j + 1) & mask
-		e := x.table[j]
-		if e.slot == 0 {
-			break
-		}
-		// e may fill the hole at i unless its home lies cyclically in
-		// (i, j], where moving it to i would put it before its home.
-		h := x.home(e.key)
-		if i <= j {
-			if i < h && h <= j {
-				continue
-			}
-		} else if i < h || h <= j {
-			continue
-		}
-		x.table[i] = e
-		i = j
-	}
-	x.table[i] = tableEntry{}
-}
-
 // setCount moves slot s, which sits in a bucket, to count c.
 func (x *Index[V]) setCount(s int, c int64) {
 	sl := &x.slots[s]
+	switch c - sl.count {
+	case 0:
+		return
+	case 1:
+		x.step(s)
+		return
+	}
 	b := sl.bucket
 	bk := &x.buckets[b]
 	if bk.size == 1 && (bk.prev == none || x.buckets[bk.prev].count < c) &&
@@ -230,6 +200,42 @@ func (x *Index[V]) setCount(s int, c int64) {
 		x.unlink(b)
 	}
 	x.link(s, c, p, q)
+}
+
+// step raises slot s's count by one, the Space-Saving unit update. It
+// touches only the slot's bucket b and b's successor: the slot joins the
+// successor when that holds the new count, b takes the new count when
+// the slot is alone in it, and otherwise a fresh bucket opens between
+// the two.
+func (x *Index[V]) step(s int) {
+	sl := &x.slots[s]
+	b := sl.bucket
+	bk := &x.buckets[b]
+	c := bk.count + 1
+	sl.count = c
+	q := bk.next
+	if q == none || x.buckets[q].count != c {
+		if bk.size == 1 {
+			bk.count = c
+			return
+		}
+		n := x.free
+		x.free = x.buckets[n].next
+		x.buckets[n] = bucket{count: c, prev: b, next: q}
+		bk.next = n
+		if q != none {
+			x.buckets[q].prev = n
+		}
+		q = n
+	}
+	w, bit := s/64, uint64(1)<<(uint(s)%64)
+	x.bits[int(b)*x.words+w] &^= bit
+	x.bits[int(q)*x.words+w] |= bit
+	x.buckets[q].size++
+	sl.bucket = q
+	if bk.size--; bk.size == 0 {
+		x.unlink(b)
+	}
 }
 
 // link puts slot s into the bucket for count c, searching from the gap

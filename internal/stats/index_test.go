@@ -6,27 +6,36 @@ import (
 	"testing"
 )
 
-// check verifies every structural invariant of the index: the table maps
-// exactly the live keys to their slots and each is reachable from its
-// home, the bucket list is strictly increasing with consistent back
-// links, each bucket's bitset holds exactly the slots with its count,
-// and live plus free buckets account for the whole arena.
+// check verifies every structural invariant of the index: every link
+// is in range, each live slot sits on its own home's chain exactly once
+// and no dead slot on any chain, the bucket list is strictly increasing
+// with consistent back links, each bucket's bitset holds exactly the
+// slots with its count, and live plus free buckets account for the
+// whole arena.
 func (x *Index[V]) check() error {
-	live := 0
-	for i, e := range x.table {
-		if e.slot == 0 {
-			continue
-		}
-		live++
-		s := int(e.slot) - 1
-		if s >= x.Len() || x.slots[s].key != e.key {
-			return fmt.Errorf("table[%d] = key %#x → slot %d, which holds another key", i, e.key, s)
+	inRange := func(s int32) bool { return s == none || (s >= 0 && int(s) < cap(x.slots)) }
+	seen := make([]int, x.Len())
+	for h, s := range x.heads {
+		for steps := 0; s != none; s, steps = x.slots[:cap(x.slots)][s].next, steps+1 {
+			if !inRange(s) {
+				return fmt.Errorf("chain %d links to slot %d, outside [0, %d)", h, s, cap(x.slots))
+			}
+			if int(s) >= x.Len() {
+				return fmt.Errorf("chain %d holds slot %d, which is not in use (%d slots)", h, s, x.Len())
+			}
+			if steps > x.Len() {
+				return fmt.Errorf("chain %d does not end", h)
+			}
+			if home := x.home(x.slots[s].key); home != h {
+				return fmt.Errorf("slot %d (key %#x, home %d) is on chain %d", s, x.slots[s].key, home, h)
+			}
+			seen[s]++
 		}
 	}
-	if live != x.Len() {
-		return fmt.Errorf("table holds %d keys, index %d slots", live, x.Len())
-	}
-	for s := range x.slots {
+	for s, n := range seen {
+		if n != 1 {
+			return fmt.Errorf("slot %d (key %#x) is on its chain %d times", s, x.slots[s].key, n)
+		}
 		if got := x.Find(x.slots[s].key); got != s {
 			return fmt.Errorf("Find(%#x) = %d, want slot %d", x.slots[s].key, got, s)
 		}
@@ -101,28 +110,39 @@ func TestIndexMovesBothWays(t *testing.T) {
 	}
 }
 
-// TestIndexRemoveAcrossWrap fills one probe run that wraps the table's
-// end and removes its members in every order: backward-shift delete must
-// keep every survivor reachable.
-func TestIndexRemoveAcrossWrap(t *testing.T) {
+// TestIndexUnlinkAlongChain puts several keys on one home chain and
+// hands away the head, a middle member and the tail in turn, in every
+// rotation of that order: an unlink must keep the rest of the chain
+// reachable and leave the departed key unfindable.
+func TestIndexUnlinkAlongChain(t *testing.T) {
 	x := NewIndex[struct{}](8)
-	mask := len(x.table) - 1
 	var keys []uint64
-	for k := uint64(0); len(keys) < 6; k++ {
-		if h := x.home(k); h >= mask-2 || h <= 1 {
+	for k := uint64(0); len(keys) < 5; k++ {
+		if x.home(k) == x.home(0) {
 			keys = append(keys, k)
 		}
 	}
-	for round := 0; round < len(keys); round++ {
+	// Add pushes onto the chain, so the chain runs keys[4] … keys[0]:
+	// keys[4] is the head, keys[0] the tail.
+	orders := [][]int{{4, 2, 0}, {2, 0, 4}, {0, 4, 2}}
+	for _, order := range orders {
 		x = NewIndex[struct{}](8)
 		for _, k := range keys {
 			x.Add(k, 1)
 		}
-		for j := range keys {
-			k := keys[(round+j*5)%len(keys)]
-			x.Replace(x.Find(k), k|1<<63, 1)
+		gone := map[uint64]bool{}
+		for _, i := range order {
+			k := keys[i]
+			s := x.Find(k)
+			x.Replace(s, k|1<<63, 1)
+			gone[k] = true
 			if err := x.check(); err != nil {
-				t.Fatalf("round %d, replacing %#x: %v", round, k, err)
+				t.Fatalf("order %v, replacing keys[%d]: %v", order, i, err)
+			}
+			for _, k := range keys {
+				if got := x.Find(k); (got < 0) != gone[k] {
+					t.Fatalf("order %v, after keys[%d]: Find(%#x) = %d", order, i, k, got)
+				}
 			}
 		}
 	}

@@ -309,10 +309,10 @@ var topkSeams = []struct {
 	{"k3-weighted", []byte{2, 3, 1, 0, 2, 2, 1, 1, 3, 3, 9, 0, 4}},
 	// A merge grows the main sketch past K, and later misses still evict.
 	{"merge-then-evict", []byte{1, 0, 1, 0, 2, opSide, 3, opSide | 3, 4, opMerge, 0, 0, 5, 0, 6, 0, 1}},
-	// Keys 56 and 90 share one home at K=2: evicting 56 must shift 90
-	// back into the hole, or 90 is lost to every later lookup.
+	// Keys 56 and 90 share one home at K=2: evicting 56 must unlink it
+	// and keep 90 on the chain, or 90 is lost to every later lookup.
 	{"k2-shared-home", []byte{0x32, 0x41, 56, 0x41, 90, 0x41, 48, 0x41, 90}},
-	// Spread keys exercise long probe runs and backward-shift delete.
+	// Spread keys exercise longer chains and unlinks along them.
 	{"k3-spread", []byte{2, 12, 1, 12, 2, 12, 3, 12, 4, 12, 5, 12, 1, 12, 6}},
 }
 

@@ -375,7 +375,7 @@ func (m *Machine) reset(cfg Config, gen workload.Generator, o *oracle.Oracle) {
 	var names func(network.NodeID) string
 	m.obsLatency = nil
 	if rec := cfg.Obs; rec != nil {
-		rec.SetClock(m.kernel.Now)
+		rec.SetTime(m.kernel.Now()) // the hook advances it from the first event on
 		hook = obs.NewKernelProfile(rec)
 		m.obsLatency = rec.Histogram("sys/ref_latency_cycles", 8)
 		names = m.trackName

@@ -9,8 +9,8 @@
 # zero-allocation and byte floors run once without the race detector, the model
 # checker closes the small configurations outright and round-trips a
 # seeded counterexample through -trace and -replay, and the wire codecs,
-# the text trace reader, the kernel's event order, the command serializer
-# and the top-K slot index take a 30 s fuzz each. Everything must pass for a change to land.
+# the text trace reader, the kernel's event order, the command serializer,
+# the top-K slot index and the false-sharing table take a 30 s fuzz each. Everything must pass for a change to land.
 # Performance is not measured here: that is `go run ./bench`.
 set -eu
 
@@ -230,5 +230,8 @@ go test -run '^$' -fuzz '^FuzzSerializer$' -fuzztime 30s ./internal/proto
 
 echo "==> fuzz: top-K slot index vs its map model (30s)"
 go test -run '^$' -fuzz '^FuzzTopK$' -fuzztime 30s ./internal/stats
+
+echo "==> fuzz: false-sharing table vs its map model (30s)"
+go test -run '^$' -fuzz '^FuzzFalseShare$' -fuzztime 30s ./internal/obs
 
 echo "OK"
