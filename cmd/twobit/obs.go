@@ -420,8 +420,8 @@ type jsonGroup struct {
 	Runs         int              `json:"runs"`
 	Failed       int              `json:"failed,omitempty"`
 	Series       []jsonSeries     `json:"series,omitempty"`
-	TopBlocks    []jsonBlock      `json:"top_blocks,omitempty"`
-	TopInvBlocks []jsonBlock      `json:"top_inv_blocks,omitempty"`
+	TopBlocks    []obs.BlockStat  `json:"top_blocks,omitempty"`
+	TopInvBlocks []obs.BlockStat  `json:"top_inv_blocks,omitempty"`
 	FalseSharing []jsonFalseShare `json:"false_sharing,omitempty"`
 	Storms       []jsonStorm      `json:"storms,omitempty"`
 }
@@ -431,12 +431,6 @@ type jsonSeries struct {
 	Kind   string   `json:"kind"`
 	Width  uint64   `json:"window_width"`
 	Values []uint64 `json:"values"`
-}
-
-type jsonBlock struct {
-	Block uint64 `json:"block"`
-	Count int64  `json:"count"`
-	Err   int64  `json:"err,omitempty"`
 }
 
 type jsonFalseShare struct {
@@ -453,22 +447,14 @@ type jsonStorm struct {
 	Value  uint64 `json:"invalidations"`
 }
 
-func jsonBlocks(s []obs.BlockStat) []jsonBlock {
-	out := make([]jsonBlock, 0, len(s))
-	for _, b := range s {
-		out = append(out, jsonBlock{Block: b.Block, Count: b.Count, Err: b.Err})
-	}
-	return out
-}
-
 func writeJSON(w io.Writer, groups []sweep.ObsGroup, stormMin uint64, stormFactor float64) error {
 	out := make([]jsonGroup, 0, len(groups))
 	for _, g := range groups {
 		jg := jsonGroup{
 			Protocol: g.Protocol, Net: g.Net, Scenario: g.Scenario,
 			Runs: g.Runs, Failed: g.Failed,
-			TopBlocks:    jsonBlocks(g.Snap.TopBlocks),
-			TopInvBlocks: jsonBlocks(g.Snap.TopInvBlocks),
+			TopBlocks:    g.Snap.TopBlocks,
+			TopInvBlocks: g.Snap.TopInvBlocks,
 		}
 		for _, sv := range g.Snap.Series {
 			jg.Series = append(jg.Series, jsonSeries{Name: sv.Name, Kind: sv.Kind.String(), Width: sv.Width, Values: sv.Values})

@@ -90,13 +90,13 @@ func (c Config) Blocks() int { return c.Sets * c.Assoc }
 // cache costs it one directory cycle unless a duplicate directory filters
 // it (in which case only actual hits cost a cache cycle).
 type Stats struct {
-	Hits         stats.Counter // processor references satisfied locally
-	Misses       stats.Counter // processor references requiring a transaction
-	Evictions    stats.Counter // valid frames replaced
-	WritebackEv  stats.Counter // evictions of modified frames
-	SnoopLookups stats.Counter // broadcast commands that consulted the directory
-	SnoopHits    stats.Counter // broadcast commands that found the block present
-	StolenCycles stats.Counter // cache cycles lost to servicing external commands
+	Hits         stats.Counter `json:"hits"`                // processor references satisfied locally
+	Misses       stats.Counter `json:"misses"`              // processor references requiring a transaction
+	Evictions    stats.Counter `json:"evictions"`           // valid frames replaced
+	WritebackEv  stats.Counter `json:"writeback_evictions"` // evictions of modified frames
+	SnoopLookups stats.Counter `json:"snoop_lookups"`       // broadcast commands that consulted the directory
+	SnoopHits    stats.Counter `json:"snoop_hits"`          // broadcast commands that found the block present
+	StolenCycles stats.Counter `json:"stolen_cycles"`       // cache cycles lost to servicing external commands
 }
 
 // Cache is a set-associative cache. It is not safe for concurrent use; in

@@ -102,9 +102,6 @@ func NewTwoBitMap(blocks int) *TwoBitMap {
 // Reset returns every block to Absent, reusing the packed bit array.
 func (m *TwoBitMap) Reset() { clear(m.bits) }
 
-// Blocks returns the number of blocks tracked.
-func (m *TwoBitMap) Blocks() int { return m.blocks }
-
 // SizeBytes returns the storage footprint of the map in bytes, used by the
 // cost-model comparison against the full map.
 func (m *TwoBitMap) SizeBytes() int { return len(m.bits) }
@@ -160,9 +157,6 @@ func (m *FullMap) Reset() {
 	clear(m.presence)
 	clear(m.modified)
 }
-
-// Blocks returns the number of blocks tracked.
-func (m *FullMap) Blocks() int { return len(m.presence) }
 
 // Caches returns the presence-vector width.
 func (m *FullMap) Caches() int { return m.caches }

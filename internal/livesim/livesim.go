@@ -65,10 +65,14 @@ type Machine struct {
 	caches []*cacheNode
 	ctrls  []*ctrlNode
 
-	// inflight counts the messages sent and not yet done with: each is
-	// counted from its send until its handler returns or a controller
-	// discards it. Handlers send only while their own message is counted,
-	// so once the processors have finished, zero is final.
+	// inflight counts, in its low bits, the messages sent and not yet
+	// done with: each is counted from its send until its handler returns
+	// or a controller discards it. Its bits from heldShift up count how
+	// many of those are held: deferred by a controller behind a
+	// transaction still open. One word, so that one load reads both at
+	// one instant. Handlers send only while their own message is counted,
+	// and a held command waits for a reply, so once no processor can
+	// issue, every message in flight held is final.
 	inflight atomic.Int64
 	versions atomic.Uint64 // store versions, dense as the oracle requires
 	// quit stops every node loop once nothing is in flight; nodes counts
@@ -80,9 +84,10 @@ type Machine struct {
 	running atomic.Int64
 	wedged  chan struct{}
 
-	// dropBroadInv makes every cache ignore BROADINV: a seeded defect
-	// that wedges the machine, for the watchdog's test.
-	dropBroadInv bool
+	// dropBroadInv makes every cache ignore BROADINV, and dropMAck
+	// every cache withhold its MACK(true): seeded defects that wedge the
+	// machine, for the watchdog's tests.
+	dropBroadInv, dropMAck bool
 
 	// mu guards the oracle and its violations while the machine runs.
 	mu         sync.Mutex
@@ -122,6 +127,17 @@ func (m *Machine) send(inbox chan msg.Message, cmd msg.Message) {
 // done marks one message handled or discarded.
 func (m *Machine) done() { m.inflight.Add(-1) }
 
+// heldShift places the held count in the inflight word.
+const heldShift = 32
+
+// settled reports whether every message in flight is held, and how many
+// are held.
+func (m *Machine) settled() (held int64, ok bool) {
+	v := m.inflight.Load()
+	held = v >> heldShift
+	return held, v-held<<heldShift == held
+}
+
 // check makes one oracle call on proc's behalf and records the
 // violation it reports, if any.
 func (m *Machine) check(proc int, call func(*oracle.Oracle) error) {
@@ -134,7 +150,8 @@ func (m *Machine) check(proc int, call func(*oracle.Oracle) error) {
 
 // ErrWedged is the error Run returns when the machine can make no more
 // progress: every processor still running waits on a controller reply
-// and no message is in flight, so no reply can ever come.
+// and every message in flight is held behind a transaction whose reply
+// is not in flight, so no reply can ever come.
 var ErrWedged = errors.New("livesim: machine wedged")
 
 // wedgePoll is how often Run looks for a wedge while processors run.
@@ -184,12 +201,18 @@ func (m *Machine) Run(fn func(proc int, access func(ref addr.Ref) uint64)) error
 	// Quiesce: fire-and-forget traffic — write-backs, MACKs, invalidations
 	// and queries queued for a cache — may still be in flight. Nothing may
 	// stop until all of it is handled: a cache that quit with a BROADINV
-	// in its inbox would keep a copy the directory no longer counts.
-	for m.inflight.Load() != 0 {
+	// in its inbox would keep a copy the directory no longer counts. What
+	// is still held once the rest is handled waits for a reply that no
+	// one will send.
+	held, ok := m.settled()
+	for ; !ok; held, ok = m.settled() {
 		runtime.Gosched()
 	}
 	close(m.quit)
 	m.nodes.Wait()
+	if held > 0 {
+		return m.wedge()
+	}
 	return m.verdict()
 }
 
@@ -212,12 +235,13 @@ func (m *Machine) watch(finished <-chan struct{}) bool {
 }
 
 // stuck reports whether the machine is wedged. Read in this order — the
-// running count, every cache's wait count, the in-flight count, the wait
+// running count, every cache's wait count, the in-flight word, the wait
 // counts again — equal odd wait counts on as many caches as processors
 // run show every running processor parked on one wait throughout, and
-// the in-flight count read meanwhile zero. Zero is final then: handlers
-// send only while their own message is counted, and no processor is free
-// to issue a reference. waits is scratch space, one entry per cache.
+// the in-flight word read meanwhile every message held. That is final
+// then: handlers send only while their own message is counted, a held
+// command waits for a reply that is not in flight, and no processor is
+// free to issue a reference. waits is scratch space, one entry per cache.
 func (m *Machine) stuck(waits []uint64) bool {
 	running := m.running.Load()
 	parked := int64(0)
@@ -225,7 +249,7 @@ func (m *Machine) stuck(waits []uint64) bool {
 		waits[i] = c.waits.Load()
 		parked += int64(waits[i] & 1)
 	}
-	if parked == 0 || parked != running || m.inflight.Load() != 0 {
+	if _, ok := m.settled(); parked == 0 || parked != running || !ok {
 		return false
 	}
 	for i, c := range m.caches {
@@ -237,15 +261,13 @@ func (m *Machine) stuck(waits []uint64) bool {
 }
 
 // wedge describes the stopped, wedged machine: each waiting cache, the
-// block it waits on and what its controller has open.
+// block it waits on and what its controller has open, then each
+// controller that holds commands behind an open transaction.
 func (m *Machine) wedge() error {
-	var b strings.Builder
+	var parts []string
 	for _, c := range m.caches {
 		if c.pend == nil {
 			continue
-		}
-		if b.Len() > 0 {
-			b.WriteString("; ")
 		}
 		blk := c.pend.ref.Block
 		ctrl := m.ctrlFor(blk)
@@ -253,9 +275,14 @@ func (m *Machine) wedge() error {
 		if ctrl.open.Kind != msg.KindInvalid {
 			open = fmt.Sprintf("%v open", ctrl.open)
 		}
-		fmt.Fprintf(&b, "cache %d waits on %v, controller %d has %s", c.idx, blk, ctrl.idx, open)
+		parts = append(parts, fmt.Sprintf("cache %d waits on %v, controller %d has %s", c.idx, blk, ctrl.idx, open))
 	}
-	return fmt.Errorf("%w: %s", ErrWedged, b.String())
+	for _, c := range m.ctrls {
+		if c.held > 0 {
+			parts = append(parts, fmt.Sprintf("controller %d holds %d commands behind %v", c.idx, c.held, c.open))
+		}
+	}
+	return fmt.Errorf("%w: %s", ErrWedged, strings.Join(parts, "; "))
 }
 
 // verdict is the stopped machine's result: the oracle's first violation,

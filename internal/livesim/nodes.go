@@ -225,7 +225,9 @@ func (c *cacheNode) handleMsg(m msg.Message) {
 			delete(c.frames, m.Block)
 			c.rerequest(m.Block)
 		default:
-			c.toCtrl(msg.Message{Kind: msg.KindMAck, Block: m.Block, Ok: true})
+			if !c.m.dropMAck {
+				c.toCtrl(msg.Message{Kind: msg.KindMAck, Block: m.Block, Ok: true})
+			}
 			c.write(m.Block, f)
 		}
 	case msg.KindGet:
@@ -260,6 +262,10 @@ type ctrlNode struct {
 	// KindInvalid; deferred holds what arrived meanwhile, in order.
 	open     msg.Message
 	deferred []msg.Message
+	// held is how many deferred commands the machine's inflight word
+	// counts held for this node; handled counts the messages the current
+	// step has finished with. Each step publishes both in one update.
+	held, handled int64
 
 	// obs counters (see Config.Obs).
 	obsBroadcasts *obs.Counter    // "ctrl<j>/broadcasts"
@@ -323,14 +329,30 @@ func (c *ctrlNode) loop() {
 		switch {
 		case c.open.Kind == msg.KindInvalid:
 			c.service(m)
+			c.handled++
 		case c.replies(m):
 			c.complete(m)
+			c.handled++
 		default:
 			c.deferred = append(c.deferred, m) // still in flight
-			continue
 		}
-		c.m.done()
+		c.publish()
 	}
+}
+
+// publish ends one step of the loop in one atomic update of the
+// machine's inflight word: the messages the step handled or discarded
+// leave flight, and the deferred commands count as held while a
+// transaction is open, as not held once none is. Until then the
+// message the step took counts in flight but not held, so Run never
+// reads the machine as wedged while this node can still act.
+func (c *ctrlNode) publish() {
+	var held int64
+	if c.open.Kind != msg.KindInvalid {
+		held = int64(len(c.deferred))
+	}
+	c.m.inflight.Add((held-c.held)<<heldShift - c.handled)
+	c.held, c.handled = held, 0
 }
 
 func (c *ctrlNode) sendCache(k int, m msg.Message) {
@@ -436,7 +458,7 @@ func (c *ctrlNode) await(cmd msg.Message) {
 		reply := c.deferred[i]
 		c.deferred = slices.Delete(c.deferred, i, i+1)
 		c.complete(reply)
-		c.m.done()
+		c.handled++
 	}
 }
 
@@ -475,5 +497,5 @@ func (c *ctrlNode) complete(reply msg.Message) {
 func (c *ctrlNode) discard(drop func(msg.Message) bool) {
 	n := len(c.deferred)
 	c.deferred = slices.DeleteFunc(c.deferred, drop)
-	c.m.inflight.Add(int64(len(c.deferred) - n))
+	c.handled += int64(n - len(c.deferred))
 }

@@ -85,13 +85,13 @@ type Network interface {
 // Stats counts network traffic. ControlMessages vs DataMessages follow
 // Table 3-1's distinction between commands and data transfers.
 type Stats struct {
-	Messages        stats.Counter // total deliveries
-	ControlMessages stats.Counter // command deliveries
-	DataMessages    stats.Counter // data transfer deliveries
-	Broadcasts      stats.Counter // broadcast operations (not per-copy)
-	BroadcastCopies stats.Counter // individual deliveries caused by broadcasts
-	BusBusyCycles   stats.Counter // cycles the shared medium was occupied (Bus)
-	StageConflicts  stats.Counter // link-slot conflicts observed (Omega)
+	Messages        stats.Counter `json:"messages"`         // total deliveries
+	ControlMessages stats.Counter `json:"control_messages"` // command deliveries
+	DataMessages    stats.Counter `json:"data_messages"`    // data transfer deliveries
+	Broadcasts      stats.Counter `json:"broadcasts"`       // broadcast operations (not per-copy)
+	BroadcastCopies stats.Counter `json:"broadcast_copies"` // individual deliveries caused by broadcasts
+	BusBusyCycles   stats.Counter `json:"bus_busy_cycles"`  // cycles the shared medium was occupied (Bus)
+	StageConflicts  stats.Counter `json:"stage_conflicts"`  // link-slot conflicts observed (Omega)
 }
 
 func (s *Stats) count(k msg.Kind) {

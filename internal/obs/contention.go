@@ -113,20 +113,20 @@ func (c *ContentionRecorder) Write(block uint64, word, proc int) {
 // BlockStat is one hot block inside a Snapshot: Count overestimates the
 // true count by at most Err (Space-Saving bound).
 type BlockStat struct {
-	Block uint64
-	Count int64
-	Err   int64
+	Block uint64 `json:"block"`
+	Count int64  `json:"count"`
+	Err   int64  `json:"err,omitempty"`
 }
 
 // FalseShareStat is one watched block's write-interleaving profile
 // inside a Snapshot. A block with more than one bit in both WordMask and
 // ProcMask and a nonzero Interleavings count is a false-sharing suspect.
 type FalseShareStat struct {
-	Block         uint64
-	Writes        int64
-	WordMask      uint64
-	ProcMask      uint64
-	Interleavings int64
+	Block         uint64 `json:"block"`
+	Writes        int64  `json:"writes"`
+	WordMask      uint64 `json:"word_mask"`
+	ProcMask      uint64 `json:"proc_mask"`
+	Interleavings int64  `json:"interleavings"`
 }
 
 // FalseShared reports whether the profile shows distinct processors

@@ -102,20 +102,20 @@ func (h *Histogram) Count() uint64 {
 
 // CounterValue is a counter's frozen state inside a Snapshot.
 type CounterValue struct {
-	Name  string
-	Value uint64
+	Name  string `json:"name"`
+	Value uint64 `json:"value"`
 }
 
 // HistogramValue is a histogram's frozen state inside a Snapshot.
 // Buckets is trimmed of trailing zeros (it may be empty) so encoded
 // snapshots stay small; index i still means [i*Width, (i+1)*Width).
 type HistogramValue struct {
-	Name    string
-	Width   uint64
-	Count   uint64
-	Sum     uint64
-	Max     uint64
-	Buckets []uint64
+	Name    string   `json:"name"`
+	Width   uint64   `json:"width"`
+	Count   uint64   `json:"count"`
+	Sum     uint64   `json:"sum"`
+	Max     uint64   `json:"max"`
+	Buckets []uint64 `json:"buckets,omitempty"`
 }
 
 // Mean returns the mean sample, zero for an empty histogram.
@@ -151,17 +151,17 @@ func (h HistogramValue) Quantile(q float64) uint64 {
 // the form that crosses goroutine and process boundaries (merged across
 // sweep workers, encoded into system.Results).
 type Snapshot struct {
-	Counters []CounterValue
-	Hists    []HistogramValue
+	Counters []CounterValue   `json:"counters,omitempty"`
+	Hists    []HistogramValue `json:"hists,omitempty"`
 
 	// Series holds the windowed time-series (name-sorted), empty unless
 	// EnableWindows was called. TopBlocks/TopInvBlocks/FalseSharing hold
 	// the contention profile (canonical hottest-first order), empty
 	// unless EnableContention was called.
-	Series       []SeriesValue
-	TopBlocks    []BlockStat
-	TopInvBlocks []BlockStat
-	FalseSharing []FalseShareStat
+	Series       []SeriesValue    `json:"series,omitempty"`
+	TopBlocks    []BlockStat      `json:"top_blocks,omitempty"`
+	TopInvBlocks []BlockStat      `json:"top_inv_blocks,omitempty"`
+	FalseSharing []FalseShareStat `json:"false_sharing,omitempty"`
 }
 
 // Snapshot freezes the recorder's metrics, sorted by name. Sorting

@@ -38,6 +38,21 @@ func (k SeriesKind) String() string {
 	return fmt.Sprintf("SeriesKind(%d)", uint8(k))
 }
 
+// MarshalText encodes k by name, so stored snapshots stay legible and
+// survive a reordering of the enum.
+func (k SeriesKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText inverts MarshalText; an unknown name is an error.
+func (k *SeriesKind) UnmarshalText(text []byte) error {
+	for s := SeriesSum; s <= SeriesGauge; s++ {
+		if s.String() == string(text) {
+			*k = s
+			return nil
+		}
+	}
+	return fmt.Errorf("obs: unknown series kind %q", text)
+}
+
 // DefaultWindowWidth is the window width (sim cycles) CLI tools use
 // unless told otherwise.
 const DefaultWindowWidth = 1 << 10
@@ -219,10 +234,10 @@ func clampLevel(v int64) uint64 {
 // Values[i] covers sim time [i*Width, (i+1)*Width); trailing zeros are
 // trimmed (a window beyond len(Values) reads as zero).
 type SeriesValue struct {
-	Name   string
-	Kind   SeriesKind
-	Width  uint64
-	Values []uint64
+	Name   string     `json:"name"`
+	Kind   SeriesKind `json:"kind"`
+	Width  uint64     `json:"width"`
+	Values []uint64   `json:"values,omitempty"`
 }
 
 // Total returns the sum over all windows (for SeriesSum series this is

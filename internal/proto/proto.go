@@ -132,38 +132,38 @@ type MemSide interface {
 // command received is potential interference; one whose snoop misses was
 // pure two-bit overhead (a full map would not have sent it).
 type CacheSideStats struct {
-	References           stats.Counter // processor references serviced
-	Reads                stats.Counter
-	Writes               stats.Counter
-	CommandsReceived     stats.Counter // external commands delivered
-	UselessCommands      stats.Counter // received commands for absent blocks
-	InvalidationsApplied stats.Counter
-	QueriesAnswered      stats.Counter // BROADQUERY/PURGE answered with data
-	MRequestsSent        stats.Counter
-	MRequestsConverted   stats.Counter // BROADINV treated as MGRANTED(·,false)
-	Retries              stats.Counter // write requests reissued after denial
-	EvictionsClean       stats.Counter
-	EvictionsDirty       stats.Counter // evictions requiring write-back
-	ExclusiveWrites      stats.Counter // silent Exclusive→Modified upgrades (Yen–Fu)
+	References           stats.Counter `json:"refs"` // processor references serviced
+	Reads                stats.Counter `json:"reads"`
+	Writes               stats.Counter `json:"writes"`
+	CommandsReceived     stats.Counter `json:"cmds_received"` // external commands delivered
+	UselessCommands      stats.Counter `json:"useless_cmds"`  // received commands for absent blocks
+	InvalidationsApplied stats.Counter `json:"invalidations"`
+	QueriesAnswered      stats.Counter `json:"queries_answered"` // BROADQUERY/PURGE answered with data
+	MRequestsSent        stats.Counter `json:"mrequests_sent"`
+	MRequestsConverted   stats.Counter `json:"mrequests_converted"` // BROADINV treated as MGRANTED(·,false)
+	Retries              stats.Counter `json:"retries"`             // write requests reissued after denial
+	EvictionsClean       stats.Counter `json:"evictions_clean"`
+	EvictionsDirty       stats.Counter `json:"evictions_dirty"`  // evictions requiring write-back
+	ExclusiveWrites      stats.Counter `json:"exclusive_writes"` // silent Exclusive→Modified upgrades (Yen–Fu)
 }
 
 // CtrlStats counts protocol events at one memory controller.
 type CtrlStats struct {
-	Requests         stats.Counter // REQUEST commands serviced
-	ReadMisses       stats.Counter
-	WriteMisses      stats.Counter
-	MRequests        stats.Counter
-	Ejects           stats.Counter
-	Broadcasts       stats.Counter // broadcast operations issued
-	DirectedSends    stats.Counter // directed commands issued (full map / TB hits)
-	DeletedMRequests stats.Counter // §3.2.5 queue deletions
-	MGrantDenied     stats.Counter
-	TBHits           stats.Counter // translation-buffer hits (§4.4)
-	TBMisses         stats.Counter
-	DMAReads         stats.Counter // uncached I/O reads serviced
-	DMAWrites        stats.Counter // uncached I/O writes serviced
-	BusyCycles       stats.Counter // transaction-cycles: summed open-transaction durations
-	MaxQueue         int           // high-water mark of queued commands
+	Requests         stats.Counter `json:"requests"` // REQUEST commands serviced
+	ReadMisses       stats.Counter `json:"read_misses"`
+	WriteMisses      stats.Counter `json:"write_misses"`
+	MRequests        stats.Counter `json:"mrequests"`
+	Ejects           stats.Counter `json:"ejects"`
+	Broadcasts       stats.Counter `json:"broadcasts"`        // broadcast operations issued
+	DirectedSends    stats.Counter `json:"directed_sends"`    // directed commands issued (full map / TB hits)
+	DeletedMRequests stats.Counter `json:"deleted_mrequests"` // §3.2.5 queue deletions
+	MGrantDenied     stats.Counter `json:"mgrant_denied"`
+	TBHits           stats.Counter `json:"tb_hits"` // translation-buffer hits (§4.4)
+	TBMisses         stats.Counter `json:"tb_misses"`
+	DMAReads         stats.Counter `json:"dma_reads"`   // uncached I/O reads serviced
+	DMAWrites        stats.Counter `json:"dma_writes"`  // uncached I/O writes serviced
+	BusyCycles       stats.Counter `json:"busy_cycles"` // transaction-cycles: summed open-transaction durations
+	MaxQueue         int           `json:"max_queue"`   // high-water mark of queued commands
 }
 
 // NoteQueue updates the queue high-water mark.

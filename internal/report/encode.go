@@ -87,39 +87,25 @@ func ReadGridCSV(r io.Reader) (*Grid, error) {
 	return g, nil
 }
 
-// gridJSON is the explicit JSON schema; the tags, not the Go field names,
-// define the format.
-type gridJSON struct {
-	Title    string      `json:"title"`
-	RowLabel string      `json:"row_label"`
-	ColLabel string      `json:"col_label"`
-	Rows     []string    `json:"rows"`
-	Cols     []string    `json:"cols"`
-	Cells    [][]float64 `json:"cells"`
-	Decimals int         `json:"decimals"`
-}
+// gridFields is Grid without its JSON methods, so encoding one does not
+// recurse. The tags on Grid's fields, not the Go names, define the format.
+type gridFields Grid
 
 // MarshalJSON encodes the grid in the stable schema.
 func (g *Grid) MarshalJSON() ([]byte, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return json.Marshal(gridJSON{
-		Title: g.Title, RowLabel: g.RowLabel, ColLabel: g.ColLabel,
-		Rows: g.Rows, Cols: g.Cols, Cells: g.Cells, Decimals: g.Decimals,
-	})
+	return json.Marshal((*gridFields)(g))
 }
 
 // UnmarshalJSON decodes the MarshalJSON schema.
 func (g *Grid) UnmarshalJSON(data []byte) error {
-	var j gridJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	var f gridFields
+	if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("report: decoding grid JSON: %w", err)
 	}
-	*g = Grid{
-		Title: j.Title, RowLabel: j.RowLabel, ColLabel: j.ColLabel,
-		Rows: j.Rows, Cols: j.Cols, Cells: j.Cells, Decimals: j.Decimals,
-	}
+	*g = Grid(f)
 	return g.Validate()
 }
 

@@ -11,13 +11,13 @@ import (
 
 // Grid is a labeled 2-D table of float64 cells.
 type Grid struct {
-	Title    string
-	RowLabel string // e.g. "w"
-	ColLabel string // e.g. "n"
-	Rows     []string
-	Cols     []string
-	Cells    [][]float64 // [row][col]
-	Decimals int         // digits after the point (default 3)
+	Title    string      `json:"title"`
+	RowLabel string      `json:"row_label"` // e.g. "w"
+	ColLabel string      `json:"col_label"` // e.g. "n"
+	Rows     []string    `json:"rows"`
+	Cols     []string    `json:"cols"`
+	Cells    [][]float64 `json:"cells"`    // [row][col]
+	Decimals int         `json:"decimals"` // digits after the point (default 3)
 }
 
 // Validate reports structural errors.

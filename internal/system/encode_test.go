@@ -1,9 +1,14 @@
 package system
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"twobit/internal/cache"
@@ -99,9 +104,9 @@ func goldenResults() Results {
 }
 
 // TestResultsGolden pins the stable wire schema byte for byte: a schema
-// change (field rename in the wire structs, field added or dropped) fails
-// here; a Go-side rename without a codec update fails at compile time in
-// encode.go. Regenerate with -update after an intentional schema change.
+// change (a json tag renamed, a field added or dropped) fails here, and
+// TestWireTags fails on a field whose wire name would follow its Go name.
+// Regenerate with UPDATE_GOLDEN=1 after an intentional schema change.
 var update = os.Getenv("UPDATE_GOLDEN") != ""
 
 func TestResultsGolden(t *testing.T) {
@@ -206,5 +211,81 @@ func TestParseProtocolAndNetKind(t *testing.T) {
 	}
 	if _, err := ParseNetKind("nonsense"); err == nil {
 		t.Error("ParseNetKind accepted an unknown name")
+	}
+}
+
+// TestWireTags walks Results' type graph and fails on any exported
+// field without an explicit snake_case json tag, or on two fields of one
+// struct with the same wire name. The tags are the schema: a field that
+// fell back to its Go name would move the stored encoding on a rename.
+func TestWireTags(t *testing.T) {
+	snake := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice || typ.Kind() == reflect.Array {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		names := map[string]string{}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			tag, ok := f.Tag.Lookup("json")
+			name, _, _ := strings.Cut(tag, ",")
+			switch {
+			case !ok:
+				t.Errorf("%s.%s has no json tag", typ, f.Name)
+			case !snake.MatchString(name):
+				t.Errorf("%s.%s: wire name %q is not snake_case", typ, f.Name, name)
+			case names[name] != "":
+				t.Errorf("%s: fields %s and %s share the wire name %q", typ, names[name], f.Name, name)
+			}
+			names[name] = f.Name
+			walk(f.Type)
+		}
+	}
+	walk(reflect.TypeOf(Results{}))
+	if len(seen) < 11 { // Results, its four counter structs and the obs snapshot's six
+		t.Errorf("walked %d struct types; the walk lost its way", len(seen))
+	}
+}
+
+// TestJSONIsTheStableSchema: Results.JSON, what twobit sim -json prints,
+// is EncodeStable's schema, indented.
+func TestJSONIsTheStableSchema(t *testing.T) {
+	js, err := goldenResults().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := goldenResults().EncodeStable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, []byte(js)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact.Bytes(), enc) {
+		t.Errorf("JSON, compacted, differs from EncodeStable:\n  JSON    %s\n  stable  %s", compact.Bytes(), enc)
+	}
+}
+
+// TestDecodeRefusesUnknownNames: the enums travel by name, and a name
+// the decoder does not know is a named error, not a zero value.
+func TestDecodeRefusesUnknownNames(t *testing.T) {
+	for _, tc := range []struct{ data, want string }{
+		{`{"protocol":"mesi"}`, `system: unknown protocol "mesi"`},
+		{`{"protocol":"two-bit","obs":{"series":[{"name":"x","kind":"median"}]}}`, `obs: unknown series kind "median"`},
+	} {
+		_, err := DecodeResults([]byte(tc.data))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DecodeResults(%s) = %v, want an error naming %q", tc.data, err, tc.want)
+		}
 	}
 }

@@ -17,44 +17,44 @@ import (
 // cache per memory reference, so CommandsPerCachePerRef corresponds to
 // (n-1)·T_R and UselessPerCachePerRef to the added overhead (n-1)·T_SUM.
 type Results struct {
-	Protocol Protocol
-	Procs    int
-	Cycles   sim.Time
-	Refs     uint64 // total processor references completed
+	Protocol Protocol `json:"protocol"`
+	Procs    int      `json:"procs"`
+	Cycles   sim.Time `json:"cycles"`
+	Refs     uint64   `json:"refs"` // total processor references completed
 
-	Cache []proto.CacheSideStats // per-cache protocol counters
-	Store []cache.Stats          // per-cache storage counters
-	Ctrl  []proto.CtrlStats      // per-controller counters
-	Net   network.Stats
+	Cache []proto.CacheSideStats `json:"cache"` // per-cache protocol counters
+	Store []cache.Stats          `json:"store"` // per-cache storage counters
+	Ctrl  []proto.CtrlStats      `json:"ctrl"`  // per-controller counters
+	Net   network.Stats          `json:"net"`
 
 	// Derived metrics.
-	CommandsPerCachePerRef float64 // avg external commands received per cache, per reference issued by one cache
-	UselessPerCachePerRef  float64 // avg received commands that found no copy (pure broadcast overhead)
-	StolenCyclesPerRef     float64 // avg cache cycles stolen per reference
-	MissRatio              float64 // overall cache miss ratio
-	Broadcasts             uint64  // broadcast operations across all controllers
-	DirectedSends          uint64
-	TBHitRatio             float64 // translation-buffer hit ratio (0 when absent)
-	CyclesPerRef           float64 // elapsed cycles * procs / refs: mean per-reference latency
+	CommandsPerCachePerRef float64 `json:"cmds_per_cache_per_ref"`    // avg external commands received per cache, per reference issued by one cache
+	UselessPerCachePerRef  float64 `json:"useless_per_cache_per_ref"` // avg received commands that found no copy (pure broadcast overhead)
+	StolenCyclesPerRef     float64 `json:"stolen_cycles_per_ref"`     // avg cache cycles stolen per reference
+	MissRatio              float64 `json:"miss_ratio"`                // overall cache miss ratio
+	Broadcasts             uint64  `json:"broadcasts"`                // broadcast operations across all controllers
+	DirectedSends          uint64  `json:"directed_sends"`
+	TBHitRatio             float64 `json:"tb_hit_ratio"`   // translation-buffer hit ratio (0 when absent)
+	CyclesPerRef           float64 `json:"cycles_per_ref"` // elapsed cycles * procs / refs: mean per-reference latency
 
 	// Per-reference latency distribution, in cycles.
-	LatencyMean       float64
-	LatencyP50        uint64
-	LatencyP99        uint64
-	SharedLatencyMean float64 // latency of shared-stream references only
+	LatencyMean       float64 `json:"latency_mean"`
+	LatencyP50        uint64  `json:"latency_p50"`
+	LatencyP99        uint64  `json:"latency_p99"`
+	SharedLatencyMean float64 `json:"shared_latency_mean"` // latency of shared-stream references only
 
 	// CtrlUtilization is the busiest controller's transaction-cycles
 	// divided by elapsed cycles: the mean number of simultaneously open
 	// transactions there. A single-command controller (duplication, §3.2.5
 	// option 1) saturates at 1.0; a per-block controller can exceed 1 by
 	// overlapping transactions. The §2.4.1 bottleneck indicator.
-	CtrlUtilization float64
+	CtrlUtilization float64 `json:"ctrl_utilization"`
 
 	// Obs holds the run's observability metrics when Config.Obs was set,
 	// nil otherwise. Keeping it a pointer (and omitempty on the wire)
 	// makes an uninstrumented run's encoding byte-identical to what it
 	// was before the observability layer existed.
-	Obs *obs.Snapshot
+	Obs *obs.Snapshot `json:"obs,omitempty"`
 }
 
 // SpanMatrix extracts the phase × reference-class latency attribution
@@ -154,13 +154,10 @@ func (r Results) String() string {
 	return b.String()
 }
 
-// JSON renders the results as indented JSON, for scripting around the
-// CLIs.
+// JSON renders the results in the stable wire schema (EncodeStable's),
+// indented, for scripting around the CLIs.
 func (r Results) JSON() (string, error) {
-	out, err := json.MarshalIndent(struct {
-		Results
-		Protocol string // stringified enum for readability
-	}{Results: r, Protocol: r.Protocol.String()}, "", "  ")
+	out, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return "", fmt.Errorf("system: encoding results: %w", err)
 	}

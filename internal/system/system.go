@@ -419,17 +419,11 @@ func maxTime(a, b sim.Time) sim.Time {
 // Kernel exposes the machine's clock (read-only use intended).
 func (m *Machine) Kernel() *sim.Kernel { return m.kernel }
 
-// Network exposes the interconnection network's statistics.
-func (m *Machine) Network() network.Network { return m.net }
-
 // Oracle returns the linearizability oracle, or nil when disabled.
 func (m *Machine) Oracle() *oracle.Oracle { return m.oracle }
 
 // CacheSide returns cache k's protocol agent.
 func (m *Machine) CacheSide(k int) proto.CacheSide { return m.caches[k] }
-
-// MemSide returns memory controller j.
-func (m *Machine) MemSide(j int) proto.MemSide { return m.ctrls[j] }
 
 // commitHook returns the oracle hook (nil when the oracle is off).
 func (m *Machine) commitHook() proto.CommitFunc {

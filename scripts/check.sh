@@ -1,6 +1,6 @@
 #!/bin/sh
 # check.sh — the full verification gauntlet, in increasing cost order:
-# compile, vet, twobit lint (static protocol analysis), the test suite
+# compile, gofmt, vet, twobit lint (static protocol analysis), the test suite
 # under the race detector, a stress of the goroutine witness (livesim)
 # under it, then a sweep smoke stage that exercises the
 # experiment-orchestration engine end to end: a tiny campaign must produce
@@ -18,6 +18,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files are not formatted:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...

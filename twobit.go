@@ -48,7 +48,6 @@ import (
 	"twobit/internal/obs"
 	"twobit/internal/report"
 	"twobit/internal/system"
-	"twobit/internal/tracegen"
 	"twobit/internal/workload"
 )
 
@@ -194,9 +193,6 @@ func StreamTrace(w io.Writer, gen Generator, procs, refsPerProc int) error {
 	return memtrace.WriteGenerator(w, gen, procs, refsPerProc, 0, nil)
 }
 
-// ReadTraceText parses the line-oriented trace format.
-func ReadTraceText(r io.Reader) (*Trace, error) { return memtrace.ReadText(r) }
-
 // TraceSource is any replayable trace: the in-memory Trace or the
 // streaming chunked-file reader, as returned by OpenTraceFile.
 type TraceSource = memtrace.Source
@@ -221,29 +217,6 @@ func CloseTraceSource(src TraceSource) error { return memtrace.CloseSource(src) 
 // memory or streams from disk.
 func RunFromTrace(cfg Config, src TraceSource, refsPerProc int) (Results, error) {
 	return system.RunFromTrace(cfg, src, refsPerProc)
-}
-
-// ScenarioSpec declares a serving-traffic scenario for trace synthesis:
-// Zipf key popularity, read-mostly/write-heavy tiers, diurnal waves,
-// flash crowds, working-set churn and false sharing, all deterministic
-// from the spec and its seed (see internal/tracegen).
-type ScenarioSpec = tracegen.Spec
-
-// ScenarioPresets returns the built-in named scenarios.
-func ScenarioPresets() []ScenarioSpec { return tracegen.Presets() }
-
-// ResolveScenario fills a partial spec from the preset its Name points
-// at; zero-valued fields inherit the preset's values.
-func ResolveScenario(s ScenarioSpec) ScenarioSpec { return tracegen.Resolve(s) }
-
-// NewScenarioWorkload realizes a scenario spec as a live generator.
-func NewScenarioWorkload(spec ScenarioSpec) Generator { return tracegen.New(spec) }
-
-// SynthesizeTrace streams refsPerProc references per processor of the
-// scenario into the chunked trace format on w — the trace never exists
-// in memory. chunkCap ≤ 0 selects the default chunk capacity.
-func SynthesizeTrace(w io.Writer, spec ScenarioSpec, refsPerProc, chunkCap int) error {
-	return tracegen.Synthesize(w, spec, refsPerProc, chunkCap, nil)
 }
 
 // MCScenario bounds an exhaustive model-checking run: the protocol, a

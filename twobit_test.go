@@ -159,7 +159,7 @@ func TestResultsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"Protocol": "two-bit"`, `"Refs": 2000`, `"LatencyP99"`} {
+	for _, want := range []string{`"protocol": "two-bit"`, `"refs": 2000`, `"latency_p99"`} {
 		if !strings.Contains(js, want) {
 			t.Errorf("JSON missing %q", want)
 		}
